@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -43,6 +44,8 @@ from .evolve import (
 from .floquet import extract_transition
 from .pulses import ParametricPulse
 from .system import build_hamiltonian, label_eigenstates, state_dependent_shifts, zz_coupling
+
+logger = logging.getLogger(__name__)
 
 SIDECAR_SCHEMA = "fluxgate.run/1"
 OUTPUT_ROOT_ENV = "FLUXGATE_OUTPUT_ROOT"
@@ -237,7 +240,7 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                 resume: bool) -> tuple[list[dict], list[str]]:
+                 resume: bool) -> tuple[list[dict], list[str], int]:
     rows: list[list] = []
     computed: dict[str, float] = {}
 
@@ -317,7 +320,7 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
 
 def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                   resume: bool) -> tuple[list[dict], list[str]]:
+                   resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("shift_scan")
     grid = _grid(scan.flux_min, scan.flux_max, scan.points)
     jobs = [(_fmt(float(f)), (rc.params, float(f))) for f in grid]
@@ -338,7 +341,7 @@ def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int
 
 
 def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                resume: bool) -> tuple[list[dict], list[str]]:
+                resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("chevron")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
     t_grid = _grid(0.0, scan.time_max, scan.time_points)
@@ -386,7 +389,7 @@ def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
 
 def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                  resume: bool) -> tuple[list[dict], list[str]]:
+                  resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("amplitude")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
     amps = _grid(scan.amp_min, scan.amp_max, scan.amp_points)
@@ -417,7 +420,7 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
 
 def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                resume: bool) -> tuple[list[dict], list[str]]:
+                resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("floquet")
     jobs = [
         (
@@ -455,7 +458,7 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
 
 def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                 resume: bool) -> tuple[list[dict], list[str]]:
+                 resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
     result = gates.optimize_cz(
         rc.params, gate_cfg, dt=max(dt, 0.001), final_dt=dt,
@@ -478,7 +481,7 @@ def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
 
 def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
-                   resume: bool) -> tuple[list[dict], list[str]]:
+                   resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
     sweep = rc.require("sweep")
     jobs = []
@@ -543,7 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--workers", type=int, default=None,
                          help="process count for independent points")
         cmd.add_argument("--dt", type=float, default=None,
-                         help="integrator step in picoseconds")
+                         help="integrator step in picoseconds (ps); overrides "
+                         "[output] dt, which is in nanoseconds (ns)")
         cmd.add_argument("--resume", action="store_true",
                          help="skip points already checkpointed in the run directory")
     return parser
@@ -568,6 +572,8 @@ def main(argv=None) -> int:
             raise ConfigError("dt must be positive", "--dt")
         workers = args.workers if args.workers is not None else rc.workers
         dt = args.dt / 1000.0 if args.dt is not None else rc.dt
+        logger.info("integrator step dt = %g ns (from %s)", dt,
+                    "--dt" if args.dt is not None else "[output] dt")
 
         payload = {
             "command": args.command,

@@ -141,8 +141,20 @@ def drive_coefficients(
 
 @lru_cache(maxsize=32)
 def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
-    """Labeled dressed spectrum at a fixed coupler flux (cached)."""
-    return label_eigenstates(build_hamiltonian(params, flux))
+    """Labeled dressed spectrum at a fixed coupler flux (cached, read-only)."""
+    frame = label_eigenstates(build_hamiltonian(params, flux))
+    for arr in (frame.energies, frame.states, frame.overlaps, frame.ambiguous):
+        arr.flags.writeable = False
+    return frame
+
+
+@lru_cache(maxsize=32)
+def _orthonormal_states(params: CompositeParams, flux: float) -> np.ndarray:
+    """Dressed eigenvectors at ``flux``, polar-corrected to orthonormal
+    columns once per flux (cached, read-only)."""
+    states = polar(dressed_frame(params, flux).states)[0]
+    states.flags.writeable = False
+    return states
 
 
 def idle_flux(pulse: ParametricPulse, ramp: BiasRamp | None) -> float:
@@ -218,12 +230,14 @@ def _flat_interval(pulse: ParametricPulse, ramp: BiasRamp | None) -> tuple[float
 def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     """Exact one-step propagator of the static Hamiltonian at ``flux``.
 
-    Polar-corrected so long step products accumulate only matmul
+    Built as Q exp(-i 2 pi h E) Q^dag from the dressed energies E and the
+    eigenvectors Q orthonormalised once per flux, so a new step length
+    costs one matmul and long step products accumulate only matmul
     roundoff, not the eigenbasis orthonormality defect.
     """
-    frame = dressed_frame(params, flux)
-    u0 = (frame.states * np.exp(-2j * np.pi * h * frame.energies)) @ frame.states.conj().T
-    u0 = polar(u0)[0]
+    energies = dressed_frame(params, flux).energies
+    states = _orthonormal_states(params, flux)
+    u0 = (states * np.exp(-2j * np.pi * h * energies)) @ states.conj().T
     u0.flags.writeable = False
     return u0
 

@@ -10,11 +10,24 @@ minimum splitting is the transition strength: on resonance the
 population oscillates at exactly that rate, so its inverse is the
 full-exchange-and-return time.
 
+The drive is symmetric about the middle of its period, so the
+monodromy needs only half of it. Write one period as Strang steps
+S_k = D_k U0 D_k, with D_k diagonal in the coupler occupation and
+D_k = D_{n-1-k}. The static Hamiltonian H0 = A + c1 N + c2 B has A real
+symmetric and B purely imaginary, and B changes the coupler number by
+one, so the coupler parity P = diag((-1)^{k_c}) gives P H0^T P = H0 and
+hence P S_k^T P = S_k: each step is its own time reverse. The second
+half of the period is therefore P V^T P, where V is the product of the
+first n // 2 steps, and M = P V^T P V; for odd n the middle step
+D U0 D sits between the halves, M = P X^T P U0 X with X = D V. This
+holds for a carrier phase origin of zero; other origins step the full
+period.
+
 Transition extraction scans f_p across a window, tracks the driven pair
 by projecting Floquet modes onto the two target dressed states, then
-refines the crossing with a local rescan and a parabolic fit of the
-squared gap, which is quadratic in detuning near a two-level avoided
-crossing.
+refines the crossing with a local rescan (reusing the three scan points
+it contains) and a parabolic fit of the squared gap, which is quadratic
+in detuning near a two-level avoided crossing.
 """
 
 from __future__ import annotations
@@ -98,9 +111,16 @@ def monodromy(
 ) -> Monodromy:
     """Propagator over one drive period of the steady (unenveloped) drive.
 
-    ``t_origin`` shifts the carrier phase; the eigenphase spectrum is
-    invariant under it. Raises IntegrationError if the unitarity defect
-    exceeds 1e-10.
+    With ``t_origin`` zero the cosine drive is symmetric about half the
+    period, and the second half of the period is the time reverse of the
+    first: only the first n // 2 Strang steps are taken, and the full
+    period is assembled as P V^T P V (with the middle step in between
+    for odd n), where P is the coupler parity (see the module
+    docstring). This halves the step matmuls and matches the full step
+    product to roundoff. Any other ``t_origin`` shifts the carrier phase
+    and steps the whole period; the eigenphase spectrum is invariant
+    under it. Raises IntegrationError if the unitarity defect exceeds
+    1e-10.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
@@ -116,11 +136,23 @@ def monodromy(
     flux_full = flux_s + drive_amp * np.cos(2.0 * np.pi * drive_freq * mids)
     c1, _ = oscillator_coefficients(params.coupler, np.full(n, flux_s), flux_full)
     c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
+    dc1 = c1 - float(c1_flat)
 
     ops = assemble_operators(params)
     eye = np.eye(ops.a_fixed.shape[0], dtype=complex)
     u0 = _flat_step(params, flux_s, h)
-    m = backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, eye)
+    if t_origin == 0.0:
+        half = n // 2
+        v = backends.strang_sequence(u0, ops.n_diag, dc1[:half], h, eye)
+        if n % 2:
+            v *= np.exp(-1j * np.pi * h * dc1[half] * ops.n_diag)[:, None]
+            forward = u0 @ v
+        else:
+            forward = v
+        parity = 1.0 - 2.0 * (ops.n_diag % 2)  # (-1)^(coupler occupation)
+        m = (parity[:, None] * v.T * parity) @ forward
+    else:
+        m = backends.strang_sequence(u0, ops.n_diag, dc1, h, eye)
 
     defect = float(np.linalg.norm(m.conj().T @ m - eye))
     if defect > UNITARITY_LIMIT:
@@ -219,8 +251,8 @@ def extract_transition(
     Floquet modes with the largest projection onto the dressed ``pair``
     at each point, and returns the gap minimum refined by a local rescan
     plus a parabolic fit of gap squared. The result reports the scanned
-    gap curve either way; ``found`` is False when the minimum sits on the
-    window edge.
+    gap curve either way, each evaluated frequency once and in ascending
+    order; ``found`` is False when the minimum sits on the window edge.
     """
     lo, hi = omega_window
     if not (hi > lo > 0):
@@ -245,11 +277,19 @@ def extract_transition(
             False, np.nan, np.nan, pair, freqs, gaps, scores, flux_s, drive_amp
         )
 
+    # The refine grid's ends are the scan points either side of i_min and,
+    # REFINE_POINTS being odd, its middle is freqs[i_min] to 1 ulp: those
+    # three scan points are reused instead of stepped again.
     f_ref = np.linspace(freqs[i_min - 1], freqs[i_min + 1], REFINE_POINTS)
+    reused = [0, REFINE_POINTS // 2, REFINE_POINTS - 1]
+    f_ref[reused] = freqs[i_min - 1 : i_min + 2]
     g_ref = np.empty(REFINE_POINTS)
     s_ref = np.empty(REFINE_POINTS)
-    for i, f in enumerate(f_ref):
-        g_ref[i], s_ref[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt)
+    g_ref[reused] = gaps[i_min - 1 : i_min + 2]
+    s_ref[reused] = scores[i_min - 1 : i_min + 2]
+    fresh = [i for i in range(REFINE_POINTS) if i not in reused]
+    for i in fresh:
+        g_ref[i], s_ref[i] = _pair_gap(params, flux_s, drive_amp, f_ref[i], pair_vecs, dt)
 
     j = int(np.argmin(g_ref))
     j = min(max(j, 1), REFINE_POINTS - 2)
@@ -266,9 +306,9 @@ def extract_transition(
         omega_res = float(f_ref[j])
         strength = float(g_ref[j])
 
-    all_freqs = np.concatenate([freqs, f_ref])
-    all_gaps = np.concatenate([gaps, g_ref])
-    all_scores = np.concatenate([scores, s_ref])
+    all_freqs = np.concatenate([freqs, f_ref[fresh]])
+    all_gaps = np.concatenate([gaps, g_ref[fresh]])
+    all_scores = np.concatenate([scores, s_ref[fresh]])
     order = np.argsort(all_freqs)
     return TransitionResult(
         True,

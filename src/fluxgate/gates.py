@@ -362,13 +362,14 @@ def simplex_search(
 
 
 def _seed_from_floquet(
-    params: CompositeParams, cfg: GateConfig
+    params: CompositeParams, cfg: GateConfig, dt: float = DEFAULT_DT
 ) -> tuple[float, float, float]:
     """Drive-parameter seed (omega, amplitude) plus the probe strength.
 
     The amplitude targets one full population cycle of |101> <-> |202>
     over the effective drive area gate_time - drive_ramp; the frequency
-    is the Floquet resonance re-extracted at that amplitude.
+    is the Floquet resonance re-extracted at that amplitude. Every
+    monodromy steps at ``dt``.
     """
     flux_s = cfg.drive_flux
     pair = ((1, 0, 1), (2, 0, 2))
@@ -377,12 +378,12 @@ def _seed_from_floquet(
 
     probe = extract_transition(
         params, flux_s, SEED_PROBE_AMP, pair,
-        (split - 0.08, split + 0.04), resolution=25,
+        (split - 0.08, split + 0.04), resolution=25, dt=dt,
     )
     if not probe.found:
         probe = extract_transition(
             params, flux_s, SEED_PROBE_AMP, pair,
-            (split - 0.25, split + 0.15), resolution=61,
+            (split - 0.25, split + 0.15), resolution=61, dt=dt,
         )
     if not probe.found or probe.strength <= 0:
         raise SearchError(
@@ -400,7 +401,7 @@ def _seed_from_floquet(
 
     refined = extract_transition(
         params, flux_s, amp_seed, pair,
-        (probe.omega_res - 0.03, probe.omega_res + 0.03), resolution=13,
+        (probe.omega_res - 0.03, probe.omega_res + 0.03), resolution=13, dt=dt,
     )
     omega_seed = refined.omega_res if refined.found else probe.omega_res
     return float(omega_seed), float(amp_seed), float(probe.strength)
@@ -419,7 +420,7 @@ def optimize_cz(
 
     Minimizes leakage + (conditional phase error)^2 / pi^2 with a
     bounded simplex from a physics-informed seed. The search runs at
-    ``dt``; the returned metrics are re-evaluated at ``final_dt``
+    ``dt``; the Floquet seed and the returned metrics use ``final_dt``
     (default dt/2). Stagnation above the failure threshold clears
     ``success`` instead of raising, so sweeps can continue.
     """
@@ -428,7 +429,7 @@ def optimize_cz(
     if final_dt is None:
         final_dt = dt / 2.0
 
-    omega_seed, amp_seed, _ = _seed_from_floquet(params, cfg)
+    omega_seed, amp_seed, _ = _seed_from_floquet(params, cfg, dt=final_dt)
 
     flux_s = cfg.drive_flux
     # Amplitude ceiling keeps the junction energy positive over the swing.

@@ -214,13 +214,15 @@ def test_output_root_priority(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_dt_flag_is_picoseconds(tmp_path, capsys):
+def test_dt_flag_is_picoseconds(tmp_path, capsys, caplog):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o"
-    assert main(["spectrum", "--config", cfg, "--out", str(out), "--dt", "2.0"]) == 0
+    with caplog.at_level("INFO", logger="fluxgate.cli"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--dt", "2.0"]) == 0
     meta = run_json(only_run_dir(out, "spectrum"))
     assert meta["dt"] == 0.002
-    capsys.readouterr()
+    assert "dt = 0.002 ns (from --dt)" in caplog.text
+    assert "0.002 ns" not in capsys.readouterr().out
 
 
 def test_config_errors_leave_no_output(tmp_path, capsys):

@@ -16,6 +16,8 @@ from fluxgate import backends
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_RECORD,
+    _flat_step,
+    _orthonormal_states,
     dressed_frame,
     idle_flux,
 )
@@ -124,6 +126,15 @@ def test_driveless_segment_is_exact(params500):
     overlap = np.vdot(frame.states[:, idx].astype(complex), res.final_state)
     expected = np.exp(-2j * np.pi * frame.energies[idx] * 40.0)
     assert abs(overlap - expected) < 1e-8
+
+
+def test_cached_frames_are_read_only(params500):
+    frame = dressed_frame(params500, 0.35)
+    cached = [frame.energies, frame.states, frame.overlaps, frame.ambiguous,
+              _orthonormal_states(params500, 0.35), _flat_step(params500, 0.35, 5e-4)]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
 
 
 def test_dt_and_bias_guards(params500):

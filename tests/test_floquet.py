@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fluxgate import ParametricPulse, propagate_state
-from fluxgate.evolve import dressed_frame
+from fluxgate import ParametricPulse, backends, floquet, gates, propagate_state
+from fluxgate.evolve import _flat_step, dressed_frame, oscillator_coefficients
 from fluxgate.floquet import (
     extract_transition,
     fold,
     monodromy,
     quasienergies,
 )
+from fluxgate.system import assemble_operators
 
 BSWAP = ((1, 0, 1), (2, 0, 2))
 
@@ -99,6 +102,9 @@ def test_small_amplitude_resonance_matches_dressed_splitting(params500):
     )
     assert tr.found
     assert abs(tr.omega_res - splitting) < 1e-3
+    # 9 scan points plus the 6 refine points that are not scan points.
+    assert tr.scan_freqs.shape == tr.gaps.shape == (15,)
+    assert np.all(np.diff(tr.scan_freqs) > 0)
 
 
 def test_rabi_period_matches_strength(params500):
@@ -146,3 +152,71 @@ def test_window_guards(params500):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.8, 10.7))
     with pytest.raises(ValueError):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.7, 10.8), resolution=3)
+
+
+# -- time-reversal construction of the monodromy ----------------------------
+
+def _coupler_parity(ops):
+    return np.array([(-1.0) ** lab[1] for lab in ops.labels])
+
+
+@pytest.mark.parametrize("name", ["params500", "params300", "params_small"])
+def test_coupler_parity_reverses_static_pieces(request, name):
+    ops = assemble_operators(request.getfixturevalue(name))
+    p = _coupler_parity(ops)
+    mirror = p[:, None] * p[None, :]
+    assert np.max(np.abs(mirror * ops.a_fixed.T - ops.a_fixed)) <= 1e-14
+    assert np.max(np.abs(mirror * ops.b_op.T - ops.b_op)) <= 1e-14
+
+
+def _full_period_product(params, flux_s, amp, freq, dt):
+    """Reference monodromy: every Strang step of the period in order."""
+    period = 1.0 / freq
+    n = max(1, int(np.ceil(period / dt)))
+    h = period / n
+    mids = (np.arange(n) + 0.5) * h
+    c1, _ = oscillator_coefficients(
+        params.coupler, np.full(n, flux_s), flux_s + amp * np.cos(2 * np.pi * freq * mids)
+    )
+    c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
+    ops = assemble_operators(params)
+    eye = np.eye(params.dim, dtype=complex)
+    u0 = _flat_step(params, flux_s, h)
+    return n, backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, eye)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    flux_s=st.floats(0.3, 0.4),
+    amp=st.floats(0.0, 0.09),
+    freq=st.floats(10.6, 11.0),
+    dt=st.sampled_from([5e-4, 1e-3, 2e-3]),
+)
+@example(flux_s=0.35, amp=0.045, freq=10.79, dt=5e-4)  # n = 186, even
+@example(flux_s=0.35, amp=0.03, freq=10.7, dt=2e-3)  # n = 47, odd
+def test_mirrored_monodromy_matches_full_period(params500, flux_s, amp, freq, dt):
+    n, reference = _full_period_product(params500, flux_s, amp, freq, dt)
+    mono = monodromy(params500, flux_s, amp, freq, dt=dt)
+    assert np.max(np.abs(mono.matrix - reference)) <= 1e-11, f"n = {n}"
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.35])
+@pytest.mark.parametrize("h", [5e-4, 4.99e-4, 2e-3])
+def test_flat_step_unitary(params500, flux, h):
+    u0 = _flat_step(params500, flux, h)
+    assert np.linalg.norm(u0.conj().T @ u0 - np.eye(params500.dim)) <= 1e-13
+
+
+def test_seed_monodromy_count(params500, rc500, monkeypatch):
+    # 25-point probe + 13-point re-extraction, each refined on 9 points of
+    # which 3 are reused from the scan: (25 + 6) + (13 + 6) = 50.
+    calls = []
+    original = floquet.monodromy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "monodromy", counted)
+    gates._seed_from_floquet(params500, rc500.require("gate"))
+    assert len(calls) == 50

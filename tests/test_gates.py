@@ -14,6 +14,8 @@ from fluxgate import (
     leakage_channels,
     optimize_cz,
 )
+from fluxgate import gates
+from fluxgate.floquet import TransitionResult
 from fluxgate.gates import (
     CZ_TARGET,
     error_vs_length,
@@ -330,6 +332,38 @@ def test_optimize_cz_report_and_stagnation(params500):
     assert flo <= rep["optimum"]["omega_p"] <= fhi
     lo, hi = rep["bounds"]["drive_amp"]
     assert lo <= rep["optimum"]["drive_amp"] <= hi
+
+
+def test_floquet_seed_runs_at_the_given_dt(params500, monkeypatch):
+    pair = ((1, 0, 1), (2, 0, 2))
+    seen = []
+
+    def recorded(params, flux_s, amp, pair_, window, resolution=21, dt=None):
+        seen.append(dt)
+        empty = np.empty(0)
+        return TransitionResult(True, 10.79, 6e-3, pair, empty, empty, empty, flux_s, amp)
+
+    monkeypatch.setattr(gates, "extract_transition", recorded)
+    gates._seed_from_floquet(params500, STATIC35, dt=0.00125)
+    assert seen == [0.00125, 0.00125]
+
+
+def test_optimize_cz_seeds_at_final_dt(params500, monkeypatch):
+    class Seeded(Exception):
+        pass
+
+    seen = []
+
+    def recorded(params, cfg, dt):
+        seen.append(dt)
+        raise Seeded
+
+    monkeypatch.setattr(gates, "_seed_from_floquet", recorded)
+    with pytest.raises(Seeded):
+        optimize_cz(params500, STATIC35, dt=0.002, final_dt=0.00075)
+    with pytest.raises(Seeded):
+        optimize_cz(params500, STATIC35, dt=0.002)
+    assert seen == [0.00075, 0.001]
 
 
 def test_error_vs_length_prefilter(params500):
