@@ -1,60 +1,66 @@
-"""Time-stepping kernels with interchangeable numba and numpy backends.
+"""Time-stepping kernels.
 
-All propagation in the package reduces to two dense linear-algebra
-primitives on complex matrices:
+All propagation in the package reduces to three dense linear-algebra
+primitives on complex matrices, each implemented once in numpy:
 
   * ``step_sequence``: advance a block of state columns through a run of
     uniform midpoint-exponential steps of the Hamiltonian
     H_i = A + c1[i] diag(N) + c2[i] B, applying exp(-i 2 pi H_i dt) via a
     shifted Taylor expansion of the matrix exponential action;
+  * ``strang_sequence``: the symmetric split-operator steps
+    D_i U0 D_i around a fixed base step U0, with a diagonal drive phase
+    D_i = exp(-i pi dt dc1[i] N);
   * ``apply_power``: repeated application of a fixed matrix (stroboscopic
     evolution through whole drive periods).
 
-Each kernel, including the split-operator ``strang_sequence``, exists
-twice: a vectorized pure-numpy form (``_*_numpy``) and an explicit loop
-form (``_*_loop``), which is the source that numba compiles for the
-numba backend. Selection is driven by the ``FLUXGATE_BACKEND``
-environment variable (``auto``, ``numba``, ``numpy``; default ``auto``
-prefers numba when importable) or programmatically through
-:func:`set_backend`. Requesting ``numba`` when it is not installed (it
-is the optional ``fast`` extra) raises ``ConfigError``. The two forms
-agree to machine precision.
+``strang_sequence`` merges the trailing half-phase of step i with the
+leading half-phase of step i + 1 into one diagonal
+exp(-i pi dt (dc1[i] + dc1[i+1]) N), so a call applies one lone
+half-phase at each end and, per step, one diagonal multiply and one
+matmul into preallocated buffers. The diagonals come in bounded chunks
+from a table of exponentials over the distinct entries of N (the coupler
+occupations, a handful of values), gathered onto the full diagonal.
 
-The Taylor order is chosen per step as the smallest m with
-theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum of the
-spectrally shifted Hamiltonian. Steps must keep theta modest (the order
-is capped at 64); callers enforce dt well below the fastest period.
+The Taylor order of ``step_sequence`` is chosen per step as the smallest
+m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
+of the spectrally shifted Hamiltonian. Steps must keep theta modest (the
+order is capped at 64); callers enforce dt well below the fastest period.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
-
-from .errors import ConfigError
-
-logger = logging.getLogger(__name__)
 
 TAYLOR_TOL = 1e-16
 MAX_TAYLOR_ORDER = 64
-ENV_VAR = "FLUXGATE_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-_selected: str | None = None
+# Size of one chunk of gathered phase diagonals; larger chunks raised the
+# peak memory of a calibration without making steps faster.
+PHASE_CHUNK_BYTES = 1 << 18
 
 
-def _step_sequence_numpy(a, n_diag, b, c1, c2, dt, block):
-    d = a.shape[0]
-    idx = np.arange(d)
-    w = -2j * np.pi * dt
+def _check_block(block, d: int) -> None:
+    if block.ndim != 2 or block.shape[0] != d:
+        raise ValueError("block must be a 2-d column stack matching the operator")
+
+
+def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
+    """Advance ``block`` (d x k columns) through len(c1) uniform steps.
+
+    Step i applies exp(-i 2 pi dt H_i) with
+    H_i = a + c1[i] diag(n_diag) + c2[i] b evaluated at the step
+    midpoint by the caller. Returns a fresh array.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
+    c1 = np.ascontiguousarray(c1, dtype=np.float64)
+    c2 = np.ascontiguousarray(c2, dtype=np.float64)
+    block = np.ascontiguousarray(block, dtype=np.complex128)
+    if c1.shape != c2.shape:
+        raise ValueError("coefficient arrays c1, c2 must have equal length")
+    _check_block(block, a.shape[0])
+    idx = np.arange(a.shape[0])
+    w = -2j * np.pi * float(dt)
     out = block.copy()
     for i in range(c1.shape[0]):
         h = a + c2[i] * b
@@ -77,156 +83,15 @@ def _step_sequence_numpy(a, n_diag, b, c1, c2, dt, block):
     return out
 
 
-def _apply_power_numpy(m, n, block):
-    out = block.copy()
-    for _ in range(n):
-        out = m @ out
-    return out
-
-
-def _strang_sequence_numpy(u0, n_diag, dc1, dt, block):
-    out = block.copy()
-    half = -1j * np.pi * dt * n_diag
-    for i in range(dc1.shape[0]):
-        phase = np.exp(half * dc1[i])
-        out = phase[:, None] * out
-        out = u0 @ out
-        out *= phase[:, None]
-    return out
-
-
-def _step_sequence_loop(a, n_diag, b, c1, c2, dt, block):
-    d = a.shape[0]
-    w = -2j * np.pi * dt
-    out = block.copy()
-    for i in range(c1.shape[0]):
-        h = a + c2[i] * b
-        for r in range(d):
-            h[r, r] += c1[i] * n_diag[r]
-        hi = h[0, 0].real
-        lo = h[0, 0].real
-        for r in range(d):
-            x = h[r, r].real
-            if x > hi:
-                hi = x
-            if x < lo:
-                lo = x
-        mu = 0.5 * (hi + lo)
-        for r in range(d):
-            h[r, r] -= mu
-        nrm = 0.0
-        for r in range(d):
-            s = 0.0
-            for c in range(d):
-                s += abs(h[r, c])
-            if s > nrm:
-                nrm = s
-        theta = abs(w) * nrm
-        m = 0
-        val = theta
-        while val >= TAYLOR_TOL and m < MAX_TAYLOR_ORDER:
-            m += 1
-            val *= theta / (m + 1)
-        term = out.copy()
-        acc = out.copy()
-        for j in range(1, m + 1):
-            term = np.dot(h, term) * (w / j)
-            acc = acc + term
-        out = acc * np.exp(w * mu)
-    return out
-
-
-def _apply_power_loop(m, n, block):
-    out = block.copy()
-    for _ in range(n):
-        out = np.dot(m, out)
-    return out
-
-
-def _strang_sequence_loop(u0, n_diag, dc1, dt, block):
-    d = u0.shape[0]
-    k = block.shape[1]
-    out = block.copy()
-    w = -1j * np.pi * dt
-    for i in range(dc1.shape[0]):
-        for r in range(d):
-            p = np.exp(w * dc1[i] * n_diag[r])
-            for c in range(k):
-                out[r, c] *= p
-        out = np.dot(u0, out)
-        for r in range(d):
-            p = np.exp(w * dc1[i] * n_diag[r])
-            for c in range(k):
-                out[r, c] *= p
-    return out
-
-
-if HAS_NUMBA:
-    _step_sequence_numba = njit(cache=True)(_step_sequence_loop)
-    _apply_power_numba = njit(cache=True)(_apply_power_loop)
-    _strang_sequence_numba = njit(cache=True)(_strang_sequence_loop)
-
-
-def set_backend(name: str | None) -> None:
-    """Override backend selection; None restores the environment default."""
-    if name is not None and name not in ("auto", "numba", "numpy"):
-        raise ConfigError(f"unknown backend {name!r}", field="backend")
-    global _selected
-    _selected = name
-
-
-def active_backend() -> str:
-    """Resolve the backend in effect: 'numba' or 'numpy'."""
-    name = _selected if _selected is not None else os.environ.get(ENV_VAR, "auto")
-    if name not in ("auto", "numba", "numpy"):
-        raise ConfigError(f"unknown backend {name!r} in ${ENV_VAR}", field="backend")
-    if name == "numba" and not HAS_NUMBA:
-        raise ConfigError("backend 'numba' requested but numba is not installed",
-                          field="backend")
-    if name == "auto":
-        if not HAS_NUMBA:
-            logger.info("numba unavailable; falling back to numpy kernels")
-        return "numba" if HAS_NUMBA else "numpy"
-    return name
-
-
-def _normalize(a, n_diag, b, c1, c2, block):
-    return (
-        np.ascontiguousarray(a, dtype=np.complex128),
-        np.ascontiguousarray(n_diag, dtype=np.float64),
-        np.ascontiguousarray(b, dtype=np.complex128),
-        np.ascontiguousarray(c1, dtype=np.float64),
-        np.ascontiguousarray(c2, dtype=np.float64),
-        np.ascontiguousarray(block, dtype=np.complex128),
-    )
-
-
-def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
-    """Advance ``block`` (d x k columns) through len(c1) uniform steps.
-
-    Step i applies exp(-i 2 pi dt H_i) with
-    H_i = a + c1[i] diag(n_diag) + c2[i] b evaluated at the step
-    midpoint by the caller. Returns a fresh array.
-    """
-    a, n_diag, b, c1, c2, block = _normalize(a, n_diag, b, c1, c2, block)
-    if c1.shape != c2.shape:
-        raise ValueError("coefficient arrays c1, c2 must have equal length")
-    if block.ndim != 2 or block.shape[0] != a.shape[0]:
-        raise ValueError("block must be a 2-d column stack matching the operator")
-    if active_backend() == "numba":
-        return _step_sequence_numba(a, n_diag, b, c1, c2, float(dt), block)
-    return _step_sequence_numpy(a, n_diag, b, c1, c2, float(dt), block)
-
-
 def apply_power(m, n: int, block) -> np.ndarray:
     """Apply matrix ``m`` to ``block`` ``n`` times (n >= 0)."""
     if n < 0:
         raise ValueError("power must be non-negative")
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    block = np.ascontiguousarray(block, dtype=np.complex128)
-    if active_backend() == "numba":
-        return _apply_power_numba(m, int(n), block)
-    return _apply_power_numpy(m, int(n), block)
+    out = np.array(block, dtype=np.complex128)
+    for _ in range(int(n)):
+        out = m @ out
+    return out
 
 
 def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
@@ -237,14 +102,37 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     diagonal perturbation N on a fixed base step U0 = exp(-i 2 pi dt H0).
     Each factor is unitary, so products of any length stay unitary to
     roundoff; the splitting error is second order in dt like the
-    midpoint kernel. ``dc1`` must hold midpoint values.
+    midpoint kernel. ``dc1`` must hold midpoint values. Returns a fresh
+    array.
     """
     u0 = np.ascontiguousarray(u0, dtype=np.complex128)
     n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
     dc1 = np.ascontiguousarray(dc1, dtype=np.float64)
     block = np.ascontiguousarray(block, dtype=np.complex128)
-    if block.ndim != 2 or block.shape[0] != u0.shape[0]:
-        raise ValueError("block must be a 2-d column stack matching the operator")
-    if active_backend() == "numba":
-        return _strang_sequence_numba(u0, n_diag, dc1, float(dt), block)
-    return _strang_sequence_numpy(u0, n_diag, dc1, float(dt), block)
+    d = u0.shape[0]
+    _check_block(block, d)
+    n = dc1.shape[0]
+    if n == 0:
+        return block.copy()
+
+    # Phase j in 1..n follows the j-th U0 and merges the trailing half of
+    # step j-1 with the leading half of step j: exponent dc1[j-1] + dc1[j],
+    # with dc1[n] = 0 for the closing half-phase. Phase 0 opens the call.
+    levels, level_of = np.unique(n_diag, return_inverse=True)
+    w = -1j * np.pi * float(dt)
+    phase0 = np.exp(w * dc1[0] * levels)[level_of]
+    # Width-1 blocks step as vectors: matvec instead of a one-column matmul.
+    x = phase0 * block[:, 0] if block.shape[1] == 1 else phase0[:, None] * block
+    y = np.empty_like(x)
+    chunk = max(1, PHASE_CHUNK_BYTES // (16 * d))
+    for start in range(1, n + 1, chunk):
+        stop = min(start + chunk, n + 1)
+        s = dc1[start - 1: stop - 1].copy()
+        s[: min(stop, n) - start] += dc1[start:stop]
+        phases = np.exp(w * np.multiply.outer(s, levels))[:, level_of]
+        if x.ndim == 2:
+            phases = phases[:, :, None]
+        for phase in phases:
+            np.matmul(u0, x, out=y)
+            np.multiply(phase, y, out=x)
+    return x.reshape(d, -1)

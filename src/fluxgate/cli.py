@@ -220,8 +220,10 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     ]
 
 
-def _sweep_cell(params, gate_cfg, t_g, ramp, dt, restarts, budget) -> list:
-    row = gates._sweep_point((params, gate_cfg, t_g, ramp, dt, restarts, budget))
+def _sweep_cell(params, gate_cfg, t_g, ramp, dt, final_dt, restarts, budget) -> list:
+    row = gates._sweep_point(
+        (params, gate_cfg, t_g, ramp, dt, final_dt, restarts, budget)
+    )
     message = row["message"]
     if not row["success"] and not message:
         message = "optimizer stagnated above the objective limit"
@@ -492,7 +494,7 @@ def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int
             key = f"{_fmt(float(t_g))}|{_fmt(float(ramp))}"
             jobs.append(
                 (key, (rc.params, gate_cfg, float(t_g), float(ramp),
-                       max(dt, 0.001), rc.gate_restarts, rc.gate_budget))
+                       max(dt, 0.001), dt, rc.gate_restarts, rc.gate_budget))
             )
     if not jobs:
         raise ConfigError("no gate length satisfies t_g >= 2 drive_ramp + 10 ns",

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from fluxgate import gates
 from fluxgate.cli import main
+from fluxgate.errors import IntegrationError
 
 BASE = """\
 [qubit0]
@@ -199,6 +201,27 @@ def test_gate_sweep_rows(tmp_path):
     assert body[1].endswith(",0")
     meta = run_json(run_dir)
     assert meta["failures"][0]["point"] == "30|5"
+
+
+def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
+    # gate-opt and gate-sweep must calibrate one gate identically: both
+    # search at max(dt, 1 ps) and score at dt.
+    seen = []
+
+    def recorded(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
+        seen.append((dt, final_dt))
+        raise IntegrationError("stop after recording the steps")
+
+    monkeypatch.setattr(gates, "optimize_cz", recorded)
+    cfg = write_cfg(
+        tmp_path,
+        "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n\n"
+        "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n",
+    )
+    for command in ("gate-opt", "gate-sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--dt", "2"]) == 1
+    assert seen == [(0.002, 0.002), (0.002, 0.002)]
 
 
 def test_output_root_priority(tmp_path, monkeypatch, capsys):

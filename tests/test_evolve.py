@@ -12,7 +12,6 @@ from fluxgate import (
     propagate_computational_unitary,
     propagate_state,
 )
-from fluxgate import backends
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_RECORD,
@@ -198,26 +197,3 @@ def test_domain_error_is_value_error(params500):
     with pytest.raises(DomainError):
         propagate_state(params500, bad, dt=0.002)
     assert issubclass(DomainError, ValueError)
-
-
-def test_backends_agree(params500, monkeypatch):
-    # The numba backend is the ``_*_loop`` kernels compiled. Without
-    # numba the loop kernels run uncompiled in place of the numpy
-    # dispatch targets, so the two copies of each algorithm are
-    # compared on every machine.
-    pulse = ParametricPulse(
-        flux_static=0.35, drive_amp=0.045, drive_freq=10.79,
-        ramp_time=3.0, gate_time=20.0,
-    )
-    monkeypatch.setattr(backends, "_selected", backends._selected)
-    backends.set_backend("numpy")
-    a = propagate_state(params500, pulse, dt=0.002)
-    if backends.HAS_NUMBA:
-        backends.set_backend("numba")
-    else:
-        for kernel in ("step_sequence", "apply_power", "strang_sequence"):
-            monkeypatch.setattr(
-                backends, f"_{kernel}_numpy", getattr(backends, f"_{kernel}_loop")
-            )
-    b = propagate_state(params500, pulse, dt=0.002)
-    assert np.linalg.norm(a.final_state - b.final_state) < 1e-10
