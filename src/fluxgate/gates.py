@@ -518,17 +518,15 @@ def error_vs_length(
     restarts: int = 3,
     budget: int = OPTIMIZER_BUDGET,
     workers: int = 1,
-    final_dt: float | None = None,
 ) -> list[dict]:
     """Optimized error and leakage per (gate length, drive ramp).
 
-    Each point is an independent calibration (``optimize_cz`` searching
-    at ``dt`` and scoring at ``final_dt``); failures are recorded in
+    Each point is an independent calibration; failures are recorded in
     the row and the sweep continues. Rows come back sorted by
     (gate_time, drive_ramp) regardless of worker count.
     """
     jobs = [
-        (params, cfg, float(t_g), float(ramp), dt, final_dt, restarts, budget)
+        (params, cfg, float(t_g), float(ramp), dt, None, restarts, budget)
         for t_g in gate_times
         for ramp in drive_ramps
         if float(t_g) >= 2.0 * float(ramp) + 10.0
