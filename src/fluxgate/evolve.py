@@ -283,11 +283,33 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
     return backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, h, block)
 
 
-def _propagate_block(params, pulse, ramp, dt, block, stroboscopic):
-    """Advance ``block`` through the full schedule; optionally compress
-    whole drive periods in the flat-top region into monodromy powers."""
-    _check_bias_consistency(pulse, ramp)
-    _check_dt(pulse, dt)
+def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
+    idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
+    return frame.states[:, idx].astype(complex)
+
+
+@lru_cache(maxsize=16)
+def _ramped_up_block(params: CompositeParams, ramp: BiasRamp, dt: float) -> np.ndarray:
+    """Computational block of the idle frame propagated through the bias
+    ramp-up [0, ramp.ramp_time] (cached, read-only).
+
+    No drive acts before the drive window, so the block does not depend
+    on the pulse: a driveless stand-in steps the interval exactly as any
+    pulse of the schedule would, with the same coarse undriven step.
+    """
+    driveless = ParametricPulse(
+        ramp.flux_interaction, drive_amp=0.0, drive_freq=0.0, ramp_time=0.0, gate_time=0.0
+    )
+    block = _computational_block(dressed_frame(params, ramp.flux_idle))
+    block = _step_interval(params, driveless, ramp, 0.0, ramp.ramp_time, dt, block)
+    block.flags.writeable = False
+    return block
+
+
+def _propagate_block(params, pulse, ramp, dt, block, stroboscopic, t_start):
+    """Advance ``block`` from ``t_start`` (a schedule boundary) to the end
+    of the schedule; optionally compress whole drive periods in the
+    flat-top region into monodromy powers."""
     ops = assemble_operators(params)
 
     flat_a, flat_b = _flat_interval(pulse, ramp)
@@ -299,7 +321,7 @@ def _propagate_block(params, pulse, ramp, dt, block, stroboscopic):
         and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
     )
 
-    cuts = [b for b in _boundaries(pulse, ramp)]
+    cuts = [b for b in _boundaries(pulse, ramp) if b >= t_start]
     out = block
     for t_a, t_b in zip(cuts[:-1], cuts[1:]):
         if use_strobe and abs(t_a - flat_a) < 1e-12 and abs(t_b - flat_b) < 1e-12:
@@ -397,15 +419,23 @@ def propagate_computational_unitary(
 
     Columns are propagated together through the full schedule; whole
     drive periods in the flat-top region are applied as powers of the
-    one-period propagator. Row phases rotate at the idle dressed
-    energies, so an idle system yields the identity.
+    one-period propagator. The bias ramp-up of a dynamic-bias schedule
+    carries no drive, so its block is propagated once per
+    (params, ramp, dt) and shared by every drive frequency and amplitude.
+    Row phases rotate at the idle dressed energies, so an idle system
+    yields the identity.
     """
+    _check_bias_consistency(pulse, ramp)
+    _check_dt(pulse, dt)
     frame = dressed_frame(params, idle_flux(pulse, ramp))
     _ambiguity_check(frame, COMPUTATIONAL_LABELS)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
-    block = frame.states[:, idx].astype(complex)
 
-    out = _propagate_block(params, pulse, ramp, dt, block, stroboscopic)
+    if ramp is None:
+        block, t_start = _computational_block(frame), 0.0
+    else:
+        block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
+    out = _propagate_block(params, pulse, ramp, dt, block, stroboscopic, t_start)
 
     col_norms = np.linalg.norm(out, axis=0)
     if np.any(np.abs(col_norms - 1.0) > NORM_DRIFT_LIMIT):

@@ -198,36 +198,46 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
     return CompositeOperator(h, flux_c, params)
 
 
+def greedy_match(weights: np.ndarray) -> np.ndarray:
+    """One-to-one matching of the rows and columns of a square weights matrix.
+
+    Row-column pairs are taken in descending weight, in the order of a
+    descending ``np.argsort`` of the flattened matrix, and each row and
+    each column is used once, so the result is a permutation: entry j is
+    the row matched to column j.
+    """
+    dim = len(weights)
+    order = np.argsort(weights, axis=None)[::-1]
+    row_for = np.full(dim, -1)
+    row_used = np.zeros(dim, dtype=bool)
+    col_done = np.zeros(dim, dtype=bool)
+    assigned = 0
+    for flat in order:
+        row, col = divmod(int(flat), dim)
+        if row_used[row] or col_done[col]:
+            continue
+        row_for[col] = row
+        row_used[row] = True
+        col_done[col] = True
+        assigned += 1
+        if assigned == dim:
+            break
+    return row_for
+
+
 def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     """Diagonalize and assign bare labels by greedy maximum overlap.
 
     Bare-dressed pairs are processed in descending overlap magnitude and
-    each bare label is used exactly once, so the assignment is a
-    permutation even through avoided crossings. States whose winning
-    overlap squared is below 0.5 are flagged ambiguous.
+    each bare label is used exactly once (``greedy_match``), so the
+    assignment is a permutation even through avoided crossings. States
+    whose winning overlap squared is below 0.5 are flagged ambiguous.
     """
     ops = assemble_operators(op.params)
     evals, evecs = eigh(op.matrix)
-    weights = np.abs(evecs) ** 2
+    bare_for = greedy_match(np.abs(evecs) ** 2)
 
-    dim = evals.size
-    order = np.argsort(weights, axis=None)[::-1]
-    bare_for = np.full(dim, -1)
-    bare_used = np.zeros(dim, dtype=bool)
-    dressed_done = np.zeros(dim, dtype=bool)
-    assigned = 0
-    for flat in order:
-        bare, dressed = divmod(int(flat), dim)
-        if bare_used[bare] or dressed_done[dressed]:
-            continue
-        bare_for[dressed] = bare
-        bare_used[bare] = True
-        dressed_done[dressed] = True
-        assigned += 1
-        if assigned == dim:
-            break
-
-    overlap = np.abs(evecs[bare_for, np.arange(dim)])
+    overlap = np.abs(evecs[bare_for, np.arange(evals.size)])
     return LabeledSpectrum(
         energies=evals,
         labels=tuple(ops.labels[b] for b in bare_for),

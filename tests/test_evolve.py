@@ -15,11 +15,15 @@ from fluxgate import (
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_RECORD,
+    _computational_block,
     _flat_step,
     _orthonormal_states,
+    _propagate_block,
+    _ramped_up_block,
     dressed_frame,
     idle_flux,
 )
+from fluxgate.gates import gate_schedule
 from fluxgate.pulses import total_duration
 
 RESONANT = ParametricPulse(
@@ -134,6 +138,30 @@ def test_cached_frames_are_read_only(params500):
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+def test_ramp_up_block_is_shared(rc500):
+    params, cfg, dt = rc500.params, rc500.require("gate"), 2e-3
+    assert cfg.mode == "dynamic-bias"
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.03)
+    _ramped_up_block.cache_clear()
+    cold = propagate_computational_unitary(params, pulse, ramp, dt=dt)
+    other = propagate_computational_unitary(params, *gate_schedule(cfg, 10.8, 0.04), dt=dt)
+    info = _ramped_up_block.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    warm = propagate_computational_unitary(params, pulse, ramp, dt=dt)
+    assert np.array_equal(cold.matrix, warm.matrix)
+    assert np.array_equal(cold.final_populations, warm.final_populations)
+    assert not np.array_equal(cold.matrix, other.matrix)
+
+    # The shared block is the one stepping the whole schedule from t = 0 reaches.
+    block = _computational_block(dressed_frame(params, ramp.flux_idle))
+    direct = _propagate_block(params, pulse, ramp, dt, block, True, 0.0)
+    shared = _propagate_block(params, pulse, ramp, dt, _ramped_up_block(params, ramp, dt),
+                              True, ramp.ramp_time)
+    assert np.array_equal(direct, shared)
+    with pytest.raises(ValueError):
+        _ramped_up_block(params, ramp, dt)[0, 0] = 0.0
 
 
 def test_dt_and_bias_guards(params500):

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import schur
 
-from fluxgate import ParametricPulse, backends, floquet, gates, propagate_state
-from fluxgate.evolve import _flat_step, dressed_frame, oscillator_coefficients
+from fluxgate import IntegrationError, ParametricPulse, backends, floquet, gates, propagate_state
+from fluxgate.evolve import (
+    _flat_step,
+    _orthonormal_states,
+    dressed_frame,
+    oscillator_coefficients,
+)
 from fluxgate.floquet import (
+    Monodromy,
     extract_transition,
     fold,
     monodromy,
@@ -220,3 +227,66 @@ def test_seed_monodromy_count(params500, rc500, monkeypatch):
     monkeypatch.setattr(floquet, "monodromy", counted)
     gates._seed_from_floquet(params500, rc500.require("gate"))
     assert len(calls) == 50
+
+
+# -- Cayley-transform eigensolve of the monodromy -----------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(
+    flux_s=st.floats(0.0, 0.4),
+    amp=st.floats(0.0, 0.09),
+    freq=st.floats(2.0, 11.5),
+    origin=st.floats(0.0, 0.99),
+)
+@example(flux_s=0.35, amp=0.045, freq=10.79, origin=0.31)
+@example(flux_s=0.0, amp=0.09, freq=2.0, origin=0.0)
+def test_cayley_modes_match_schur(params500, flux_s, amp, freq, origin):
+    mono = monodromy(params500, flux_s, amp, freq, dt=2e-3, t_origin=origin / freq)
+    spec = quasienergies(mono)
+    lam = np.exp(-2j * np.pi * spec.quasienergies / freq)
+    ref = np.diag(schur(mono.matrix, output="complex")[0])
+    apart = np.abs(np.angle(lam[:, None] / ref[None, :]))
+    assert apart.min(axis=1).max() <= 1e-11
+    assert apart.min(axis=0).max() <= 1e-11
+    z = spec.states
+    assert np.max(np.abs(mono.matrix @ z - z * lam)) <= 1e-10
+    assert np.max(np.abs(z.conj().T @ z - np.eye(params500.dim))) <= 1e-10
+
+
+def test_cayley_shift_clears_the_spectrum_at_strong_drive(params500):
+    # A seed monodromy of a 55 ns calibration with a 10 ns drive ramp:
+    # the phases of the bare-basis diagonal put -1 within 3e-8 of an
+    # eigenvalue here, those of the dressed-basis diagonal do not.
+    mono = monodromy(params500, 0.35, 0.10919916450001314, 10.756214056060857, dt=5e-4)
+    spec = quasienergies(mono)
+    lam = np.exp(-2j * np.pi * spec.quasienergies / mono.drive_freq)
+    z = spec.states
+    assert np.max(np.abs(mono.matrix @ z - z * lam)) <= 1e-10
+
+
+def _built_monodromy(params, eps, freq, scale=1.0):
+    """Monodromy with quasienergies ``eps`` on the dressed states at 0.35."""
+    q = _orthonormal_states(params, 0.35)
+    m = scale * (q * np.exp(-2j * np.pi * eps / freq)) @ q.conj().T
+    return Monodromy(m, params, 0.35, 0.0, freq, 0.0)
+
+
+def test_degenerate_flags_equal_and_wrapped_pairs(params500):
+    f = 10.79
+    eps = np.linspace(-f / 2, f / 2, params500.dim, endpoint=False) + 0.01
+    eps[20] = eps[10]  # equal
+    eps[0], eps[-1] = -f / 2 + 2e-10, f / 2 - 3e-10  # 5e-10 apart through the wrap
+    eps[40] = eps[30] + 5e-9  # close, but beyond the tolerance
+    spec = quasienergies(_built_monodromy(params500, eps, f))
+    flagged = np.sort(spec.quasienergies[spec.degenerate])
+    expected = np.sort(eps[[0, 10, 20, -1]])
+    assert flagged.shape == expected.shape
+    assert np.max(np.abs(flagged - expected)) <= 1e-12
+
+
+def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):
+    f = 10.79
+    eps = np.linspace(-f / 2, f / 2, params500.dim, endpoint=False)
+    assert not quasienergies(_built_monodromy(params500, eps, f)).degenerate.any()
+    with pytest.raises(IntegrationError, match="modulus"):
+        quasienergies(_built_monodromy(params500, eps, f, scale=1.0 + 1e-8))

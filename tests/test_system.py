@@ -12,6 +12,7 @@ from fluxgate import (
     state_dependent_shifts,
     zz_coupling,
 )
+from fluxgate.system import greedy_match
 
 # Frozen at truncation (5, 6); splittings are the static |101> -> |202>
 # resonance at each set's interaction flux.
@@ -101,3 +102,18 @@ def test_truncation_floor_rejected(params500):
         build_hamiltonian(replace(params500, n_flux_levels=4), 0.0)
     with pytest.raises(ValueError):
         build_hamiltonian(replace(params500, n_coupler_levels=3), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "constant"])
+def test_greedy_match_is_a_permutation(kind):
+    rng = np.random.default_rng(11)
+    weights = {
+        "random": rng.random((40, 40)),
+        "tied": rng.integers(0, 3, size=(40, 40)).astype(float),
+        "constant": np.ones((40, 40)),
+    }[kind]
+    rows = greedy_match(weights)
+    assert sorted(rows.tolist()) == list(range(40))
+    # The heaviest pair is always matched first.
+    top_row, top_col = divmod(int(np.argsort(weights, axis=None)[-1]), 40)
+    assert rows[top_col] == top_row
