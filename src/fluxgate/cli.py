@@ -34,7 +34,7 @@ import numpy as np
 from . import gates
 from .circuits import diagonalize_fluxonium, diagonalize_transmon_charge
 from .config import RunConfig, load_config
-from .errors import ConfigError, FluxgateError
+from .errors import ConfigError, FluxgateError, LabelingError
 from .evolve import (
     DEFAULT_RECORD,
     amplitude_point,
@@ -179,13 +179,15 @@ def _run_points(
 # Worker functions live at module scope so process pools can import them.
 
 def _shift_point(params, flux: float) -> list:
+    # Only an ambiguous labelling is a row of its own; any other library
+    # error is a failed point.
+    spec = label_eigenstates(build_hamiltonian(params, float(flux)))
     try:
-        spec = label_eigenstates(build_hamiltonian(params, float(flux)))
         d0, d1 = state_dependent_shifts(spec)
         zz = zz_coupling(spec)
-        return [d0, d1, zz, 0]
-    except FluxgateError:
+    except LabelingError:
         return [np.nan, np.nan, np.nan, 1]
+    return [d0, d1, zz, 0]
 
 
 def _chevron_point(params, template, freq, t_grid, psi0, dt, record) -> dict:

@@ -12,7 +12,20 @@ its flux bias:
 
 The coupler charge operator is taken in the rotated gauge where
 (a + a^dag) is real, which pairs with the purely imaginary fluxonium
-charge operators at the sweet spot to give a complex Hermitian matrix.
+charge operators (imaginary at any external flux, since the fluxonium
+eigenvectors are real) to give a complex Hermitian matrix: A is real
+(the J_01 term is a product of two imaginary charges) and B is purely
+imaginary, each of its terms moving the coupler occupation n_c by one.
+
+``label_eigenstates`` solves it as a real symmetric matrix. In the
+coupler gauge D = diag(i^n_c), the entry (j, k) of D^dag H D picks up
+i^(n_c[k] - n_c[j]), which is 1 on the blocks of A and +-i on those of
+B, so D^dag H D is real. Multiplying by 0, +-1 and +-i is exact in
+floating point, so the rotated matrix is checked for an imaginary part
+of exactly zero (``ConstructionError`` otherwise), diagonalised with
+LAPACK's divide-and-conquer ``syevd`` (``driver="evd"``), and its
+eigenvectors are rotated back by D: the returned states are in the
+complex bare basis, as every caller expects.
 
 The flux-independent pieces (fluxonium diagonals, Kerr term, the bare
 coupling matrices) are assembled once per parameter set and cached, so
@@ -39,6 +52,7 @@ from .circuits import (
 from .errors import ConstructionError, LabelingError, SearchError
 
 AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
+GAUGE_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n by n % 4
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -232,18 +246,34 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     each bare label is used exactly once (``greedy_match``), so the
     assignment is a permutation even through avoided crossings. States
     whose winning overlap squared is below 0.5 are flagged ambiguous.
+
+    The matrix is rotated into the coupler gauge D = diag(i^n_c), where
+    it is real symmetric, and solved there with ``eigh(driver="evd")``.
+    The rotation is exact, so any nonzero imaginary part left after it
+    means the operator is not of the composite form and raises
+    ``ConstructionError``. The returned ``states`` are D times the real
+    eigenvectors, columns in the complex bare product basis; the gauge
+    changes only phases, so overlaps and labels are read from the real
+    eigenvectors directly.
     """
     ops = assemble_operators(op.params)
-    evals, evecs = eigh(op.matrix)
-    bare_for = greedy_match(np.abs(evecs) ** 2)
+    phase = GAUGE_PHASES[ops.n_diag.astype(int) % 4]
+    rotated = phase.conj()[:, None] * op.matrix * phase
+    if np.any(rotated.imag):
+        raise ConstructionError(
+            "composite Hamiltonian is not real in the coupler gauge "
+            f"(largest imaginary part {np.max(np.abs(rotated.imag)):.3g})"
+        )
+    evals, vecs = eigh(rotated.real, driver="evd")
+    bare_for = greedy_match(vecs**2)
 
-    overlap = np.abs(evecs[bare_for, np.arange(evals.size)])
+    overlap = np.abs(vecs[bare_for, np.arange(evals.size)])
     return LabeledSpectrum(
         energies=evals,
         labels=tuple(ops.labels[b] for b in bare_for),
         overlaps=overlap,
         ambiguous=overlap**2 < AMBIGUITY_THRESHOLD,
-        states=evecs,
+        states=phase[:, None] * vecs,
         flux_c=op.flux_c,
     )
 

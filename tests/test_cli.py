@@ -121,6 +121,22 @@ def test_chevron_domain_failure_sets_exit_code(tmp_path, capsys):
     assert all("nan" in line for line in body)
 
 
+def test_shift_scan_domain_failure_sets_exit_code(tmp_path, capsys):
+    # The last grid point lies beyond the coupler's flux range: a failed
+    # point, not an ambiguous labelling.
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.7\npoints = 3\n")
+    out = tmp_path / "o"
+    assert main(["shift-scan", "--config", cfg, "--out", str(out)]) == 1
+    assert "point failed: 0.7" in capsys.readouterr().err
+
+    run_dir = only_run_dir(out, "shift-scan")
+    failures = run_json(run_dir)["failures"]
+    assert [f["point"] for f in failures] == ["0.7"]
+    body = (run_dir / "result.csv").read_text().splitlines()[1:]
+    assert [line.endswith(",0") for line in body] == [True, True, False]
+    assert body[2].startswith("0.7,nan,nan,nan,")
+
+
 def test_chevron_resume_and_recompute(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CHEVRON_TINY)
     out = tmp_path / "o"

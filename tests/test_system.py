@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from fluxgate import (
     build_hamiltonian,
@@ -12,7 +13,14 @@ from fluxgate import (
     state_dependent_shifts,
     zz_coupling,
 )
-from fluxgate.system import greedy_match
+from fluxgate.errors import ConstructionError
+from fluxgate.system import (
+    AMBIGUITY_THRESHOLD,
+    GAUGE_PHASES,
+    CompositeOperator,
+    assemble_operators,
+    greedy_match,
+)
 
 # Frozen at truncation (5, 6); splittings are the static |101> -> |202>
 # resonance at each set's interaction flux.
@@ -117,3 +125,58 @@ def test_greedy_match_is_a_permutation(kind):
     # The heaviest pair is always matched first.
     top_row, top_col = divmod(int(np.argsort(weights, axis=None)[-1]), 40)
     assert rows[top_col] == top_row
+
+
+@pytest.mark.parametrize("device", ["rc500", "rc300"])
+def test_labels_match_complex_reference_on_shift_scan(device, request):
+    # The real coupler-gauge solve against a complex eigh of the bare-basis
+    # matrix, over the bundled shift-scan grid.
+    rc = request.getfixturevalue(device)
+    scan = rc.require("shift_scan")
+    labels = assemble_operators(rc.params).labels
+    eye = np.eye(rc.params.dim)
+    for flux in np.linspace(scan.flux_min, scan.flux_max, scan.points):
+        op = build_hamiltonian(rc.params, float(flux))
+        spec = label_eigenstates(op)
+        evals, evecs = eigh(op.matrix)
+        bare_for = greedy_match(np.abs(evecs) ** 2)
+        overlap = np.abs(evecs[bare_for, np.arange(evals.size)])
+        assert spec.labels == tuple(labels[b] for b in bare_for)
+        assert np.array_equal(spec.ambiguous, overlap**2 < AMBIGUITY_THRESHOLD)
+        assert np.max(np.abs(spec.energies - evals)) <= 1e-10
+
+        v = spec.states
+        assert np.iscomplexobj(v)
+        assert np.max(np.abs(op.matrix @ v - v * spec.energies)) <= 1e-10
+        assert np.max(np.abs(v.conj().T @ v - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize(
+    "device", ["params500", "params300", "params_small", "off_sweet_spot"]
+)
+def test_coupler_gauge_is_exactly_real(device, flux, request):
+    if device == "off_sweet_spot":
+        params = request.getfixturevalue("params500")
+        params = replace(params, q0=replace(params.q0, phi_ext=np.pi - 0.3))
+    else:
+        params = request.getfixturevalue(device)
+    h = build_hamiltonian(params, flux).matrix
+    assert np.any(h.imag)
+    phase = GAUGE_PHASES[assemble_operators(params).n_diag.astype(int) % 4]
+    rotated = phase.conj()[:, None] * h * phase
+    assert np.all(rotated.imag == 0.0)
+
+
+def test_gauge_guard_rejects_a_complex_block(params_small):
+    op = build_hamiltonian(params_small, 0.2)
+    n_c = assemble_operators(params_small).n_diag
+    # Product states 0 and 1 are (0, 0, 0) and (0, 0, 1): same coupler
+    # occupation, so a complex element between them survives the gauge.
+    assert n_c[0] == n_c[1]
+    h = op.matrix.copy()
+    h[0, 1] += 1e-3j
+    h[1, 0] -= 1e-3j
+    assert np.max(np.abs(h - h.conj().T)) < 1e-12
+    with pytest.raises(ConstructionError, match="coupler gauge"):
+        label_eigenstates(CompositeOperator(h, op.flux_c, params_small))
