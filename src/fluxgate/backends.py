@@ -25,17 +25,77 @@ The Taylor order of ``step_sequence`` is chosen per step as the smallest
 m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
 of the spectrally shifted Hamiltonian. Steps must keep theta modest (the
 order is capped at 64); callers enforce dt well below the fastest period.
+
+Every per-point LAPACK call in the package goes through ``numpy.linalg``,
+so a process runs one OpenBLAS thread pool, numpy's. Processes of a pool
+share the cores, so ``pool_processes`` sizes a pool to keep processes
+times BLAS threads within them; ``blas_threads`` reads the live count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
+import os
+
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 TAYLOR_TOL = 1e-16
 MAX_TAYLOR_ORDER = 64
 # Size of one chunk of gathered phase diagonals; larger chunks raised the
 # peak memory of a calibration without making steps faster.
 PHASE_CHUNK_BYTES = 1 << 18
+# Thread-count getters of the 64-bit-integer OpenBLAS builds numpy wheels
+# ship (numpy 2 and numpy 1); scipy's own OpenBLAS exports neither.
+BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+
+
+def blas_threads() -> int | None:
+    """Live thread count of numpy's OpenBLAS, or None if it is not found.
+
+    The library is located through /proc/self/maps and read with ctypes.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in BLAS_GETTERS:
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
+def pool_processes(workers: int) -> int:
+    """Size of a pool for ``workers``: the most processes, at least one
+    and at most ``workers``, whose BLAS threads fit the cores of this
+    process.
+
+    Workers keep the thread count they start with, this process's:
+    OpenBLAS products and eigensolves are not bitwise reproducible across
+    thread counts, so a worker given fewer threads would return other
+    bits for a point than a serial run.
+    """
+    threads = blas_threads()
+    if threads is None:
+        logger.info("no OpenBLAS thread count found; assuming one thread per process")
+        threads = 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    processes = max(1, min(workers, cores // threads))
+    if processes < workers:
+        logger.info("%d workers requested: running %d processes of %d BLAS threads on "
+                    "%d cores (a lower OPENBLAS_NUM_THREADS runs more)",
+                    workers, processes, threads, cores)
+    return processes
 
 
 def _check_block(block, d: int) -> None:

@@ -6,7 +6,11 @@ sidecar into a content-addressed run directory. Grid commands process
 independent points through an optional process pool; per-point failures
 are logged and reflected in the exit code while the scan continues.
 Completed points are checkpointed, so an interrupted run can be resumed
-with ``--resume`` without recomputing finished work.
+with ``--resume`` without recomputing finished work. A pool runs no more
+processes than fit the cores at the live BLAS thread count (see
+``backends.pool_processes``), which every point keeps, so results do not
+depend on ``--workers``; the sidecar records that count as
+``blas_threads``.
 
 Exit codes: 0 clean, 1 at least one point or optimization failed,
 2 configuration or usage errors (nothing is written).
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gates
+from . import backends, gates
 from .circuits import diagonalize_fluxonium, diagonalize_transmon_charge
 from .config import RunConfig, load_config
 from .errors import ConfigError, FluxgateError, LabelingError
@@ -130,6 +134,7 @@ class RunDirectory:
                 "n_points": n_points,
                 "failures": failures,
                 "outputs": outputs,
+                "blas_threads": backends.blas_threads(),
             },
         )
 
@@ -159,7 +164,7 @@ def _run_points(
             failures.append({"point": key, "message": error})
 
     if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=backends.pool_processes(workers)) as pool:
             futures = {pool.submit(worker, *args): key for key, args in pending}
             for future in as_completed(futures):
                 key = futures[future]

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import polar
 
 from . import backends
 from .circuits import TransmonParams
@@ -162,8 +161,10 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
 @lru_cache(maxsize=32)
 def _orthonormal_states(params: CompositeParams, flux: float) -> np.ndarray:
     """Dressed eigenvectors at ``flux``, polar-corrected to orthonormal
-    columns once per flux (cached, read-only)."""
-    states = polar(dressed_frame(params, flux).states)[0]
+    columns once per flux (cached, read-only). The unitary polar factor
+    is u vh from the SVD u s vh of the states."""
+    u, _, vh = np.linalg.svd(dressed_frame(params, flux).states, full_matrices=False)
+    states = u @ vh
     states.flags.writeable = False
     return states
 

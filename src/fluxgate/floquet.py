@@ -36,6 +36,10 @@ within a driven pair, so these phases track the eigenphases closely.
 The bare-basis diagonal does not: at delta_Phi = 0.109 on set500 it put
 -1 within 3e-8 of an eigenvalue. One linear solve and one ``eigh`` give
 the modes Z, and the eigenvalues are the Rayleigh quotients z^dag M z.
+Both go through ``numpy.linalg`` (its ``eigh`` is LAPACK's
+divide-and-conquer ``heevd``), the OpenBLAS that every matrix product
+here already uses: scipy loads a second OpenBLAS with its own thread
+pool, and the two pools contend for the cores when calls alternate.
 The computed C is Hermitian only to about the unitarity defect of M
 times ||C||^2, so ``eigh`` is given its Hermitian part, not one
 triangle. Over 60 set500 monodromies (flux 0-0.4, delta_Phi 0-0.13,
@@ -57,7 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve
 
 from . import backends
 from .errors import IntegrationError
@@ -194,9 +197,11 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
 
     The Floquet modes are the eigenvectors of the Hermitian Cayley
     transform C = i (I - U)(I + U)^-1 of U = e^{i alpha} M, taken with
-    ``eigh`` (see the module docstring); alpha puts -1 in the widest gap
-    of the phases of the diagonal of M in the dressed basis, which keeps
-    I + U well conditioned. The eigenvalues are the Rayleigh quotients
+    ``numpy.linalg.eigh`` after a ``numpy.linalg.solve``, so the whole
+    eigensolve stays on numpy's one OpenBLAS thread pool (see the module
+    docstring); alpha puts -1 in the widest gap of the phases of the
+    diagonal of M in the dressed basis, which keeps I + U well
+    conditioned. The eigenvalues are the Rayleigh quotients
     z^dag M z. Raises IntegrationError if max |M Z - Z Lambda| or
     max ||lambda| - 1| exceeds 1e-10, which is how an alpha that lands
     next to an eigenvalue of M shows.
@@ -209,10 +214,10 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     widest = int(np.argmax(gaps))
     u = np.exp(1j * (np.pi - phases[widest] - 0.5 * gaps[widest])) * m
     eye = np.eye(m.shape[0])
-    c = 1j * solve(eye + u, eye - u, overwrite_a=True, overwrite_b=True, check_finite=False)
+    c = 1j * np.linalg.solve(eye + u, eye - u)
     # Only the eigenvectors of the Hermitian part are used, so its scale
     # does not matter.
-    _, z = eigh(c + c.conj().T, overwrite_a=True, check_finite=False, driver="evd")
+    _, z = np.linalg.eigh(c + c.conj().T)
     mz = m @ z
     lam = np.einsum("ij,ij->j", z.conj(), mz)
     residual = float(np.max(np.abs(mz - z * lam)))

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
+from . import backends
 from .errors import SearchError
 from .evolve import (
     COMPUTATIONAL_LABELS,
@@ -537,7 +538,7 @@ def error_vs_length(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=backends.pool_processes(workers)) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]

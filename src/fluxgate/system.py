@@ -23,9 +23,12 @@ i^(n_c[k] - n_c[j]), which is 1 on the blocks of A and +-i on those of
 B, so D^dag H D is real. Multiplying by 0, +-1 and +-i is exact in
 floating point, so the rotated matrix is checked for an imaginary part
 of exactly zero (``ConstructionError`` otherwise), diagonalised with
-LAPACK's divide-and-conquer ``syevd`` (``driver="evd"``), and its
+``numpy.linalg.eigh`` (LAPACK's divide-and-conquer ``syevd``), and its
 eigenvectors are rotated back by D: the returned states are in the
-complex bare basis, as every caller expects.
+complex bare basis, as every caller expects. The eigensolve goes
+through numpy rather than scipy so that a process runs one OpenBLAS
+thread pool: scipy loads a second OpenBLAS whose threads would contend
+with numpy's for the cores.
 
 The flux-independent pieces (fluxonium diagonals, Kerr term, the bare
 coupling matrices) are assembled once per parameter set and cached, so
@@ -40,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .circuits import (
     FluxoniumParams,
@@ -248,7 +250,8 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     whose winning overlap squared is below 0.5 are flagged ambiguous.
 
     The matrix is rotated into the coupler gauge D = diag(i^n_c), where
-    it is real symmetric, and solved there with ``eigh(driver="evd")``.
+    it is real symmetric, and solved there with ``numpy.linalg.eigh``
+    on numpy's one OpenBLAS thread pool (see the module docstring).
     The rotation is exact, so any nonzero imaginary part left after it
     means the operator is not of the composite form and raises
     ``ConstructionError``. The returned ``states`` are D times the real
@@ -264,7 +267,7 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
             "composite Hamiltonian is not real in the coupler gauge "
             f"(largest imaginary part {np.max(np.abs(rotated.imag)):.3g})"
         )
-    evals, vecs = eigh(rotated.real, driver="evd")
+    evals, vecs = np.linalg.eigh(rotated.real)
     bare_for = greedy_match(vecs**2)
 
     overlap = np.abs(vecs[bare_for, np.arange(evals.size)])

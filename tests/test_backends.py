@@ -1,4 +1,11 @@
-"""Propagation kernels against independent step products built with expm."""
+"""Propagation kernels against independent step products built with expm,
+and the one-OpenBLAS-pool rule with its thread-count helper."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fluxgate import backends
+from fluxgate import backends, evolve, floquet, system
 from fluxgate.evolve import oscillator_coefficients
 from fluxgate.system import assemble_operators
 
@@ -111,3 +118,43 @@ def test_strang_sequence_chains_across_a_split(model, n_first, n_second, width, 
     first = backends.strang_sequence(u0, ops.n_diag, dc1[:n_first], DT, block)
     chained = backends.strang_sequence(u0, ops.n_diag, dc1[n_first:], DT, first)
     assert np.max(np.abs(whole - chained)) <= 1e-12
+
+
+@pytest.mark.parametrize("module", [floquet, system, evolve, backends],
+                         ids=lambda m: m.__name__)
+def test_per_point_modules_bind_no_scipy_linalg(module):
+    # scipy.linalg runs on scipy's own OpenBLAS, whose thread pool contends
+    # with numpy's; per-point paths use numpy.linalg only.
+    bound = [
+        name for name, obj in vars(module).items()
+        if (inspect.ismodule(obj) and obj.__name__.startswith("scipy.linalg"))
+        or (callable(obj) and (getattr(obj, "__module__", None) or "").startswith("scipy.linalg"))
+    ]
+    assert bound == []
+
+
+def test_blas_threads_reads_the_live_count():
+    # OPENBLAS_NUM_THREADS sets the count at load; the getter reads it back.
+    src = str(Path(backends.__file__).parents[1])
+    probe = "from fluxgate import backends; print(backends.blas_threads())"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "1"
+    assert backends.blas_threads() >= 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, None])
+def test_pool_processes_keep_threads_within_the_cores(monkeypatch, caplog, threads):
+    monkeypatch.setattr(backends, "blas_threads", lambda: threads)
+    cores = len(os.sched_getaffinity(0))
+    per = threads or 1  # an unknown count is taken as one thread
+    for workers in (1, 2, 3, 4 * cores):
+        with caplog.at_level("INFO", logger="fluxgate.backends"):
+            processes = backends.pool_processes(workers)
+        assert 1 <= processes <= workers
+        # Within the cores unless one process alone exceeds them, and as
+        # many as fit.
+        assert processes * per <= cores or processes == 1
+        assert processes == workers or (processes + 1) * per > cores
+    assert ("no OpenBLAS thread count found" in caplog.text) == (threads is None)

@@ -1,12 +1,16 @@
 """Command line entry points, run directories, and determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fluxgate import gates
-from fluxgate.cli import main
+from fluxgate import backends, gates
+from fluxgate.cli import RunDirectory, _run_points, main
 from fluxgate.errors import IntegrationError
 
 BASE = """\
@@ -102,6 +106,44 @@ def test_worker_count_invisible_in_results(tmp_path):
     assert csv_a == csv_b
     header = csv_a.decode().splitlines()[0]
     assert header == "flux,shift_p0,shift_p1,zz,ambiguous"
+
+
+def _pid_and_threads():
+    return [os.getpid(), backends.blas_threads()]
+
+
+def test_pool_keeps_processes_times_threads_within_the_cores(tmp_path):
+    # Workers keep the live BLAS thread count, the pool runs no more
+    # processes than fit the cores with it, and run.json records the count.
+    threads = backends.blas_threads()
+    run_dir = RunDirectory(tmp_path, "probe", {})
+    jobs = [(str(i), ()) for i in range(6)]
+    done, failures = _run_points(run_dir, jobs, _pid_and_threads, 2, False)
+    assert failures == [] and len(done) == 6
+    pids = {pid for pid, _ in done.values()}
+    assert os.getpid() not in pids
+    assert len(pids) == 1 or len(pids) * threads <= len(os.sched_getaffinity(0))
+    assert {t for _, t in done.values()} == {threads}
+    run_dir.write_sidecar(0.001, [], failures, len(jobs))
+    assert run_json(run_dir.path)["blas_threads"] == threads
+
+
+def test_worker_count_invisible_at_one_blas_thread(tmp_path):
+    # At one BLAS thread a 2-worker pool runs two processes on two or more
+    # cores; its output must still equal the serial run byte for byte.
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        subprocess.run([sys.executable, "-m", "fluxgate.cli", "shift-scan", "--config", cfg,
+                        "--out", str(out), "--workers", workers], env=env, check=True,
+                       capture_output=True)
+        run_dir = only_run_dir(out, "shift-scan")
+        runs[workers] = (run_dir / "result.csv").read_bytes(), run_json(run_dir)
+    assert runs["1"][0] == runs["2"][0]
+    assert runs["1"][1]["blas_threads"] == runs["2"][1]["blas_threads"] == 1
 
 
 def test_chevron_domain_failure_sets_exit_code(tmp_path, capsys):
