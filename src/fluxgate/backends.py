@@ -30,6 +30,7 @@ Every per-point LAPACK call in the package goes through ``numpy.linalg``,
 so a process runs one OpenBLAS thread pool, numpy's. Processes of a pool
 share the cores, so ``pool_processes`` sizes a pool to keep processes
 times BLAS threads within them; ``blas_threads`` reads the live count.
+At OpenBLAS's default of one thread per core that is one process.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def blas_threads() -> int | None:
     except OSError:
         return None
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not a loadable path, e.g. a "(deleted)" mapping
+            continue
         for symbol in BLAS_GETTERS:
             if hasattr(lib, symbol):
                 getter = getattr(lib, symbol)
@@ -80,7 +84,9 @@ def pool_processes(workers: int) -> int:
     Workers keep the thread count they start with, this process's:
     OpenBLAS products and eigensolves are not bitwise reproducible across
     thread counts, so a worker given fewer threads would return other
-    bits for a point than a serial run.
+    bits for a point than a serial run. At OpenBLAS's default count, one
+    thread per core, the pool is therefore a single process; only a
+    process started with fewer BLAS threads runs several.
     """
     threads = blas_threads()
     if threads is None:
@@ -92,8 +98,8 @@ def pool_processes(workers: int) -> int:
         cores = os.cpu_count() or 1
     processes = max(1, min(workers, cores // threads))
     if processes < workers:
-        logger.info("%d workers requested: running %d processes of %d BLAS threads on "
-                    "%d cores (a lower OPENBLAS_NUM_THREADS runs more)",
+        logger.info("%d workers requested: running %d process(es) of %d BLAS threads on "
+                    "%d cores, so that every point keeps this process's thread count",
                     workers, processes, threads, cores)
     return processes
 

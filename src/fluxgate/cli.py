@@ -10,7 +10,8 @@ with ``--resume`` without recomputing finished work. A pool runs no more
 processes than fit the cores at the live BLAS thread count (see
 ``backends.pool_processes``), which every point keeps, so results do not
 depend on ``--workers``; the sidecar records that count as
-``blas_threads``.
+``blas_threads``. At OpenBLAS's default of one thread per core that is a
+single process, and a pool of one is run in this process instead.
 
 Exit codes: 0 clean, 1 at least one point or optimization failed,
 2 configuration or usage errors (nothing is written).
@@ -163,8 +164,9 @@ def _run_points(
         else:
             failures.append({"point": key, "message": error})
 
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=backends.pool_processes(workers)) as pool:
+    processes = backends.pool_processes(workers) if workers > 1 and len(pending) > 1 else 1
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = {pool.submit(worker, *args): key for key, args in pending}
             for future in as_completed(futures):
                 key = futures[future]
@@ -553,7 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to an INI config")
         cmd.add_argument("--out", default=None, help="output root directory")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="process count for independent points")
+                         help="most processes for independent points; a pool "
+                         "runs no more than fit the cores at this process's BLAS "
+                         "thread count, so one at OpenBLAS's default of a thread "
+                         "per core")
         cmd.add_argument("--dt", type=float, default=None,
                          help="integrator step in picoseconds (ps); overrides "
                          "[output] dt, which is in nanoseconds (ns)")

@@ -535,10 +535,11 @@ def error_vs_length(
     if not jobs:
         raise ValueError("no gate length satisfies t_g >= 2 drive_ramp + 10 ns")
 
-    if workers > 1:
+    processes = backends.pool_processes(workers) if workers > 1 and len(jobs) > 1 else 1
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=backends.pool_processes(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]

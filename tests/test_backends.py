@@ -144,6 +144,16 @@ def test_blas_threads_reads_the_live_count():
     assert backends.blas_threads() >= 1
 
 
+def test_blas_threads_skips_an_unloadable_mapping(monkeypatch):
+    # A maps entry that is no loadable path (say a "(deleted)" file) is
+    # skipped, not raised.
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(backends.ctypes, "CDLL", refuse)
+    assert backends.blas_threads() is None
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, None])
 def test_pool_processes_keep_threads_within_the_cores(monkeypatch, caplog, threads):
     monkeypatch.setattr(backends, "blas_threads", lambda: threads)

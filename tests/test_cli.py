@@ -112,20 +112,29 @@ def _pid_and_threads():
     return [os.getpid(), backends.blas_threads()]
 
 
-def test_pool_keeps_processes_times_threads_within_the_cores(tmp_path):
-    # Workers keep the live BLAS thread count, the pool runs no more
-    # processes than fit the cores with it, and run.json records the count.
+def test_points_run_at_the_live_blas_thread_count(tmp_path, monkeypatch):
+    # Pooled or not, every point keeps this process's BLAS thread count,
+    # and run.json records it.
     threads = backends.blas_threads()
     run_dir = RunDirectory(tmp_path, "probe", {})
-    jobs = [(str(i), ()) for i in range(6)]
+    jobs = [(str(i), ()) for i in range(4)]
     done, failures = _run_points(run_dir, jobs, _pid_and_threads, 2, False)
-    assert failures == [] and len(done) == 6
-    pids = {pid for pid, _ in done.values()}
-    assert os.getpid() not in pids
-    assert len(pids) == 1 or len(pids) * threads <= len(os.sched_getaffinity(0))
-    assert {t for _, t in done.values()} == {threads}
+    assert failures == [] and {t for _, t in done.values()} == {threads}
     run_dir.write_sidecar(0.001, [], failures, len(jobs))
     assert run_json(run_dir.path)["blas_threads"] == threads
+    # A pool of one process is no pool: the points run here.
+    monkeypatch.setattr(backends, "pool_processes", lambda workers: 1)
+    done, _ = _run_points(RunDirectory(tmp_path, "one", {}), jobs, _pid_and_threads, 2, False)
+    assert {pid for pid, _ in done.values()} == {os.getpid()}
+
+
+def test_gate_sweep_pool_of_one_runs_here(monkeypatch):
+    monkeypatch.setattr(backends, "pool_processes", lambda workers: 1)
+    monkeypatch.setattr(gates, "_sweep_point", lambda job: {
+        "gate_time": job[2], "drive_ramp": job[3], "pid": os.getpid()})
+    rows = gates.error_vs_length(None, None, [30.0, 40.0], drive_ramps=(5.0,), workers=2)
+    assert [r["gate_time"] for r in rows] == [30.0, 40.0]
+    assert {r["pid"] for r in rows} == {os.getpid()}
 
 
 def test_worker_count_invisible_at_one_blas_thread(tmp_path):
