@@ -56,12 +56,8 @@ from .errors import (
     SearchError,
 )
 from .evolve import (
-    AmplitudeScanResult,
-    ChevronResult,
     ComputationalUnitary,
     EvolutionResult,
-    amplitude_scan,
-    chevron_scan,
     propagate_computational_unitary,
     propagate_state,
 )
@@ -79,7 +75,6 @@ from .gates import (
     GateMetrics,
     LeakageChannel,
     OptimizationResult,
-    error_vs_length,
     evaluate_gate,
     gate_metrics,
     gate_schedule,

@@ -2,11 +2,15 @@
 
 Each command reads one INI config, validates it fully before touching
 the filesystem, and writes a CSV (or JSON report) plus a versioned JSON
-sidecar into a content-addressed run directory. Grid commands process
-independent points through an optional process pool; per-point failures
-are logged and reflected in the exit code while the scan continues.
-Completed points are checkpointed, so an interrupted run can be resumed
-with ``--resume`` without recomputing finished work. A pool runs no more
+sidecar into a content-addressed run directory. Every grid command runs
+its points through ``_run_points``: a point fails when its worker raises
+a library error (``FluxgateError``), which is logged in the sidecar and
+reflected in the exit code while the scan continues; any other exception
+is a bug and propagates. Values and failures come back in job order, so
+output does not depend on the order in which points finish. Only
+finished points are checkpointed, each with the BLAS thread count it ran
+at, so ``--resume`` skips them without recomputing and retries failed
+points and points computed at another thread count. A pool runs no more
 processes than fit the cores at the live BLAS thread count (see
 ``backends.pool_processes``), which every point keeps, so results do not
 depend on ``--workers``; the sidecar records that count as
@@ -30,8 +34,9 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,26 +87,37 @@ class RunDirectory:
         self.command = command
         self.run_id = digest[:12]
         self.payload = payload
+        self.blas_threads = backends.blas_threads()
         self.path = root / f"{command}-{self.run_id}"
         self.path.mkdir(parents=True, exist_ok=True)
 
     def completed_points(self, resume: bool) -> dict[str, object]:
+        """Checkpointed values by key, keeping only points computed at the
+        live BLAS thread count: OpenBLAS results differ across counts."""
         progress = self.path / PROGRESS_NAME
         if not resume:
             progress.unlink(missing_ok=True)
             return {}
         done: dict[str, object] = {}
+        stale = 0
         if progress.exists():
             with open(progress, encoding="utf-8") as fh:
                 for line in fh:
                     if line.strip():
                         entry = json.loads(line)
-                        done[entry["key"]] = entry["value"]
+                        if entry.get("blas_threads") == self.blas_threads:
+                            done[entry["key"]] = entry["value"]
+                        else:
+                            stale += 1
+        if stale:
+            logger.info("recomputing %d checkpointed point(s) computed at another "
+                        "BLAS thread count", stale)
         return done
 
     def checkpoint(self, key: str, value) -> None:
         with open(self.path / PROGRESS_NAME, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "value": value}) + "\n")
+            entry = {"key": key, "value": value, "blas_threads": self.blas_threads}
+            fh.write(json.dumps(entry) + "\n")
             fh.flush()
 
     def clear_checkpoints(self) -> None:
@@ -135,7 +151,7 @@ class RunDirectory:
                 "n_points": n_points,
                 "failures": failures,
                 "outputs": outputs,
-                "blas_threads": backends.blas_threads(),
+                "blas_threads": self.blas_threads,
             },
         )
 
@@ -146,41 +162,38 @@ def _run_points(
     worker,
     workers: int,
     resume: bool,
-) -> tuple[dict[str, object], list[dict]]:
-    """Evaluate keyed jobs, checkpointing each completed point.
+) -> tuple[list, list[dict]]:
+    """Evaluate keyed jobs, checkpointing each finished point.
 
-    Returns all point values keyed by job key plus failure records.
-    Values must be JSON-serializable. Worker failures of the library's
-    error types are recorded; anything else propagates.
+    Returns one value per job in job order, None for a failed point, and
+    the failure records in job order. A point fails when ``worker``
+    raises a ``FluxgateError``; anything else propagates. Values must be
+    JSON-serializable.
     """
     done = run_dir.completed_points(resume)
-    pending = [(key, args) for key, args in jobs if key not in done]
-    failures: list[dict] = []
+    values = [done.get(key) for key, _ in jobs]
+    pending = [i for i, (key, _) in enumerate(jobs) if key not in done]
+    errors: dict[int, str] = {}
 
-    def record(key: str, outcome, error: str | None):
-        if error is None:
-            done[key] = outcome
-            run_dir.checkpoint(key, outcome)
+    def settle(i: int, compute) -> None:
+        try:
+            values[i] = compute()
+        except FluxgateError as exc:
+            errors[i] = str(exc)
         else:
-            failures.append({"point": key, "message": error})
+            run_dir.checkpoint(jobs[i][0], values[i])
 
     processes = backends.pool_processes(workers) if workers > 1 and len(pending) > 1 else 1
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = {pool.submit(worker, *args): key for key, args in pending}
+            futures = {pool.submit(worker, *jobs[i][1]): i for i in pending}
             for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    record(key, future.result(), None)
-                except FluxgateError as exc:
-                    record(key, None, str(exc))
+                settle(futures[future], future.result)
     else:
-        for key, args in pending:
-            try:
-                record(key, worker(*args), None)
-            except FluxgateError as exc:
-                record(key, None, str(exc))
-    return done, failures
+        for i in pending:
+            settle(i, partial(worker, *jobs[i][1]))
+    failures = [{"point": jobs[i][0], "message": errors[i]} for i in sorted(errors)]
+    return values, failures
 
 
 # Worker functions live at module scope so process pools can import them.
@@ -230,15 +243,14 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
 
 
 def _sweep_cell(params, gate_cfg, t_g, ramp, dt, final_dt, restarts, budget) -> list:
-    row = gates._sweep_point(
-        (params, gate_cfg, t_g, ramp, dt, final_dt, restarts, budget)
+    result = gates.optimize_cz(
+        params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp),
+        dt=dt, final_dt=final_dt, restarts=restarts, budget=budget,
     )
-    message = row["message"]
-    if not row["success"] and not message:
-        message = "optimizer stagnated above the objective limit"
+    message = "" if result.success else "optimizer stagnated above the objective limit"
     return [
-        row["error"], row["leakage"], row["omega_p"], row["drive_amp"],
-        bool(row["success"]), message,
+        result.metrics.error, result.metrics.leakage, result.omega_p,
+        result.drive_amp, result.success, message,
     ]
 
 
@@ -335,16 +347,12 @@ def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int
     scan = rc.require("shift_scan")
     grid = _grid(scan.flux_min, scan.flux_max, scan.points)
     jobs = [(_fmt(float(f)), (rc.params, float(f))) for f in grid]
-    done, failures = _run_points(run_dir, jobs, _shift_point, workers, resume)
+    values, failures = _run_points(run_dir, jobs, _shift_point, workers, resume)
 
     rows = []
-    for f in grid:
-        key = _fmt(float(f))
-        if key in done:
-            d0, d1, zz, ambiguous = done[key]
-            rows.append([float(f), d0, d1, zz, int(ambiguous)])
-        else:
-            rows.append([float(f), np.nan, np.nan, np.nan, 1])
+    for f, value in zip(grid, values):
+        d0, d1, zz, ambiguous = value if value is not None else (np.nan, np.nan, np.nan, 1)
+        rows.append([float(f), d0, d1, zz, int(ambiguous)])
     csv = run_dir.write_csv(
         "result.csv", ["flux", "shift_p0", "shift_p1", "zz", "ambiguous"], rows
     )
@@ -368,16 +376,14 @@ def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         (_fmt(float(f)), (rc.params, template, float(f), t_grid.tolist(), scan.psi0, dt, record))
         for f in freqs
     ]
-    done, failures = _run_points(run_dir, jobs, _chevron_point, workers, resume)
+    columns, failures = _run_points(run_dir, jobs, _chevron_point, workers, resume)
 
     label_keys = [_label_text(lab) for lab in record]
     header = ["freq", "time"] + [f"p{k}" for k in label_keys] + ["computational"]
     rows = []
     target_key = _label_text(scan.psi0)
     valley_freq, valley_pop = np.nan, np.inf
-    for f in freqs:
-        key = _fmt(float(f))
-        column = done.get(key)
+    for f, column in zip(freqs, columns):
         for ti, t in enumerate(t_grid):
             cells = [float(f), float(t)]
             if column is None:
@@ -411,21 +417,19 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         ramp_time=scan.ramp_time,
         gate_time=scan.fixed_time,
     )
+    cells = [(float(f), float(a)) for f in freqs for a in amps]
     jobs = [
         (
-            f"{_fmt(float(f))}|{_fmt(float(a))}",
-            (rc.params, template, float(f), float(a), scan.fixed_time, (1, 0, 1), dt),
+            f"{_fmt(f)}|{_fmt(a)}",
+            (rc.params, template, f, a, scan.fixed_time, (1, 0, 1), dt),
         )
-        for f in freqs
-        for a in amps
+        for f, a in cells
     ]
-    done, failures = _run_points(run_dir, jobs, _amplitude_cell, workers, resume)
+    values, failures = _run_points(run_dir, jobs, _amplitude_cell, workers, resume)
 
-    rows = []
-    for f in freqs:
-        for a in amps:
-            key = f"{_fmt(float(f))}|{_fmt(float(a))}"
-            rows.append([float(f), float(a), done.get(key, np.nan)])
+    rows = [
+        [f, a, np.nan if p101 is None else p101] for (f, a), p101 in zip(cells, values)
+    ]
     csv = run_dir.write_csv("result.csv", ["freq", "amp", "p101"], rows)
     return failures, [csv.name], len(jobs)
 
@@ -441,21 +445,17 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         )
         for amp in scan.amp_values
     ]
-    done, failures = _run_points(run_dir, jobs, _floquet_point, workers, resume)
+    values, failures = _run_points(run_dir, jobs, _floquet_point, workers, resume)
 
     rows = []
-    for amp in scan.amp_values:
-        key = _fmt(float(amp))
-        if key in done:
-            omega, strength, found = done[key]
-            rows.append([float(amp), omega, strength, int(found)])
-            if not found:
-                failures.append({
-                    "point": key,
-                    "message": "transition not found in the scan window",
-                })
-        else:
-            rows.append([float(amp), np.nan, np.nan, 0])
+    for (key, _), amp, value in zip(jobs, scan.amp_values, values):
+        omega, strength, found = value if value is not None else (np.nan, np.nan, 0)
+        rows.append([float(amp), omega, strength, int(found)])
+        if value is not None and not found:
+            failures.append({
+                "point": key,
+                "message": "transition not found in the scan window",
+            })
     csv = run_dir.write_csv(
         "result.csv", ["amp", "omega_res", "strength", "found"], rows
     )
@@ -494,34 +494,26 @@ def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
                    resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
-    sweep = rc.require("sweep")
-    jobs = []
-    for t_g in sweep.gate_times:
-        for ramp in sweep.drive_ramps:
-            if float(t_g) < 2.0 * float(ramp) + 10.0:
-                continue
-            key = f"{_fmt(float(t_g))}|{_fmt(float(ramp))}"
-            jobs.append(
-                (key, (rc.params, gate_cfg, float(t_g), float(ramp),
-                       max(dt, 0.001), dt, rc.gate_restarts, rc.gate_budget))
-            )
-    if not jobs:
-        raise ConfigError("no gate length satisfies t_g >= 2 drive_ramp + 10 ns",
-                          "gate_sweep.gate_times")
-    done, failures = _run_points(run_dir, jobs, _sweep_cell, workers, resume)
+    cells = rc.require("sweep").cells
+    jobs = [
+        (f"{_fmt(t_g)}|{_fmt(ramp)}",
+         (rc.params, gate_cfg, t_g, ramp, max(dt, 0.001), dt, rc.gate_restarts,
+          rc.gate_budget))
+        for t_g, ramp in cells
+    ]
+    values, raised = _run_points(run_dir, jobs, _sweep_cell, workers, resume)
 
-    rows = []
-    for key, _ in jobs:
-        t_text, ramp_text = key.split("|")
-        if key in done:
-            error, leakage, omega, amp, success, message = done[key]
-            if not success:
-                failures.append({"point": key, "message": message})
-            rows.append([float(t_text), float(ramp_text), error, leakage,
-                         omega, amp, bool(success)])
-        else:
-            rows.append([float(t_text), float(ramp_text), np.nan, np.nan,
-                         np.nan, np.nan, False])
+    # A cell that raised reads as an uncalibrated row; failures of either
+    # kind are listed in job order.
+    messages = {f["point"]: f["message"] for f in raised}
+    failures, rows = [], []
+    for (key, _), (t_g, ramp), value in zip(jobs, cells, values):
+        error, leakage, omega, amp, success, message = (
+            value if value is not None else (np.nan,) * 4 + (False, messages[key])
+        )
+        if not success:
+            failures.append({"point": key, "message": message})
+        rows.append([t_g, ramp, error, leakage, omega, amp, bool(success)])
     rows.sort(key=lambda r: (r[0], r[1]))
     csv = run_dir.write_csv(
         "result.csv",

@@ -133,6 +133,18 @@ class SweepConfig:
             raise ValueError("gate_times must be nonempty")
         if not self.drive_ramps or any(r < 0 for r in self.drive_ramps):
             raise ValueError("drive_ramps must be nonempty and non-negative")
+        if not self.cells:
+            raise ValueError("no gate length satisfies t_g >= 2 drive_ramp + 10 ns")
+
+    @property
+    def cells(self) -> tuple[tuple[float, float], ...]:
+        """(gate_time, drive_ramp) pairs with t_g >= 2 drive_ramp + 10 ns,
+        gate time major; a shorter gate has under 10 ns between its drive
+        ramps."""
+        return tuple(
+            (t_g, ramp) for t_g in self.gate_times for ramp in self.drive_ramps
+            if t_g >= 2.0 * ramp + 10.0
+        )
 
 
 @dataclass(frozen=True)

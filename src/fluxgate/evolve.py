@@ -41,7 +41,7 @@ import numpy as np
 
 from . import backends
 from .circuits import TransmonParams
-from .errors import DomainError, FluxgateError, IntegrationError, LabelingError
+from .errors import DomainError, IntegrationError, LabelingError
 from .pulses import BiasRamp, ParametricPulse, bias_flux, drive_flux, drive_window, total_duration
 from .system import (
     CompositeParams,
@@ -94,26 +94,6 @@ class ComputationalUnitary:
     duration: float
     final_populations: np.ndarray
     state_labels: tuple[Label, ...]
-
-
-@dataclass(frozen=True)
-class ChevronResult:
-    """Population maps on a (drive frequency) x (time) grid."""
-
-    freqs: np.ndarray
-    times: np.ndarray
-    populations: dict[object, np.ndarray]
-    failures: tuple[tuple[float, str], ...]
-
-
-@dataclass(frozen=True)
-class AmplitudeScanResult:
-    """Final |11> population on a (drive frequency) x (amplitude) grid."""
-
-    freqs: np.ndarray
-    amps: np.ndarray
-    population: np.ndarray
-    failures: tuple[tuple[float, float, str], ...]
 
 
 def oscillator_coefficients(
@@ -187,7 +167,7 @@ def _check_dt(pulse: ParametricPulse, dt: float):
     if pulse.drive_amp > 0 and pulse.drive_freq > 0:
         limit = 1.0 / (40.0 * pulse.drive_freq)
         if dt > limit:
-            raise ValueError(
+            raise DomainError(
                 f"dt = {dt} ns does not resolve the drive: need dt <= {limit:.2e} ns"
             )
 
@@ -503,71 +483,3 @@ def amplitude_point(
     )
     return float(res.populations[target][-1])
 
-
-def chevron_scan(
-    params: CompositeParams,
-    template: ParametricPulse,
-    freq_grid,
-    t_grid,
-    psi0=(1, 0, 1),
-    ramp: BiasRamp | None = None,
-    dt: float = DEFAULT_DT,
-    record=None,
-) -> ChevronResult:
-    """Populations versus drive frequency and time.
-
-    Each frequency column is one independent propagation of the template
-    pulse with that drive frequency, sampled on ``t_grid``. Failed
-    columns are reported and filled with NaN; the scan continues.
-    """
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if freq_grid.size == 0 or t_grid.size == 0:
-        raise ValueError("frequency and time grids must be nonempty")
-    if record is None:
-        record = DEFAULT_RECORD
-    record = tuple(record)
-
-    maps: dict[object, np.ndarray] = {
-        lab: np.full((freq_grid.size, t_grid.size), np.nan) for lab in record
-    }
-    maps["computational"] = np.full((freq_grid.size, t_grid.size), np.nan)
-    failures = []
-    for i, f in enumerate(freq_grid):
-        try:
-            column = chevron_column(params, template, f, t_grid, psi0, ramp, dt, record)
-        except FluxgateError as exc:
-            failures.append((float(f), str(exc)))
-            continue
-        for key, values in column.items():
-            maps[key][i] = values
-    return ChevronResult(freq_grid, t_grid, maps, tuple(failures))
-
-
-def amplitude_scan(
-    params: CompositeParams,
-    template: ParametricPulse,
-    freq_grid,
-    amp_grid,
-    fixed_time: float = 100.0,
-    psi0=(1, 0, 1),
-    ramp: BiasRamp | None = None,
-    dt: float = DEFAULT_DT,
-) -> AmplitudeScanResult:
-    """Final |11> population after ``fixed_time`` on an (ω_p, δ_Φ) grid."""
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    amp_grid = np.asarray(amp_grid, dtype=float)
-    if freq_grid.size == 0 or amp_grid.size == 0:
-        raise ValueError("frequency and amplitude grids must be nonempty")
-
-    pop = np.full((freq_grid.size, amp_grid.size), np.nan)
-    failures = []
-    for j, amp in enumerate(amp_grid):
-        for i, f in enumerate(freq_grid):
-            try:
-                pop[i, j] = amplitude_point(
-                    params, template, f, amp, fixed_time, psi0, ramp, dt
-                )
-            except FluxgateError as exc:
-                failures.append((float(f), float(amp), str(exc)))
-    return AmplitudeScanResult(freq_grid, amp_grid, pop, tuple(failures))

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 from .evolve import DEFAULT_DT, _flat_step, dressed_frame, oscillator_coefficients
 from .system import CompositeParams, assemble_operators, greedy_match
 
@@ -152,7 +152,7 @@ def monodromy(
     if drive_amp < 0:
         raise ValueError("drive_amp must be non-negative")
     if dt > 1.0 / (40.0 * drive_freq):
-        raise ValueError(f"dt = {dt} ns does not resolve one drive period")
+        raise DomainError(f"dt = {dt} ns does not resolve one drive period")
 
     period = 1.0 / drive_freq
     n = max(1, int(np.ceil(period / dt)))

@@ -4,9 +4,9 @@ Builds full gate schedules (bias ramp plus enveloped flux drive), scores
 the resulting truncated propagators with a state-average fidelity,
 leakage, and conditional phase, and calibrates the two drive parameters
 (frequency, amplitude) with a bounded derivative-free search seeded from
-the Floquet resonance. Sweeps over gate length and ranked reports of
-leakage channels support synchronization studies; an analytic
-white-noise estimate covers the incoherent error floor.
+the Floquet resonance. Ranked reports of leakage channels support
+synchronization studies; an analytic white-noise estimate covers the
+incoherent error floor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from . import backends
 from .errors import SearchError
 from .evolve import (
     COMPUTATIONAL_LABELS,
@@ -486,62 +485,3 @@ def optimize_cz(
         gate_time=cfg.gate_time,
     )
 
-
-def _sweep_point(args) -> dict:
-    params, cfg, t_g, ramp, dt, final_dt, restarts, budget = args
-    point_cfg = replace(cfg, gate_time=t_g, drive_ramp=ramp)
-    try:
-        res = optimize_cz(
-            params, point_cfg, dt=dt, final_dt=final_dt, restarts=restarts,
-            budget=budget,
-        )
-    except Exception as exc:  # noqa: BLE001  (sweep records and continues)
-        return {
-            "gate_time": t_g, "drive_ramp": ramp,
-            "error": math.nan, "leakage": math.nan,
-            "omega_p": math.nan, "drive_amp": math.nan,
-            "success": False, "message": str(exc),
-        }
-    return {
-        "gate_time": t_g, "drive_ramp": ramp,
-        "error": res.metrics.error, "leakage": res.metrics.leakage,
-        "omega_p": res.omega_p, "drive_amp": res.drive_amp,
-        "success": res.success, "message": "",
-    }
-
-
-def error_vs_length(
-    params: CompositeParams,
-    cfg: GateConfig,
-    gate_times,
-    drive_ramps=(5.0, 10.0),
-    dt: float = 0.001,
-    restarts: int = 3,
-    budget: int = OPTIMIZER_BUDGET,
-    workers: int = 1,
-) -> list[dict]:
-    """Optimized error and leakage per (gate length, drive ramp).
-
-    Each point is an independent calibration; failures are recorded in
-    the row and the sweep continues. Rows come back sorted by
-    (gate_time, drive_ramp) regardless of worker count.
-    """
-    jobs = [
-        (params, cfg, float(t_g), float(ramp), dt, None, restarts, budget)
-        for t_g in gate_times
-        for ramp in drive_ramps
-        if float(t_g) >= 2.0 * float(ramp) + 10.0
-    ]
-    if not jobs:
-        raise ValueError("no gate length satisfies t_g >= 2 drive_ramp + 10 ns")
-
-    processes = backends.pool_processes(workers) if workers > 1 and len(jobs) > 1 else 1
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(job) for job in jobs]
-    rows.sort(key=lambda r: (r["gate_time"], r["drive_ramp"]))
-    return rows

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -118,23 +119,30 @@ def test_points_run_at_the_live_blas_thread_count(tmp_path, monkeypatch):
     threads = backends.blas_threads()
     run_dir = RunDirectory(tmp_path, "probe", {})
     jobs = [(str(i), ()) for i in range(4)]
-    done, failures = _run_points(run_dir, jobs, _pid_and_threads, 2, False)
-    assert failures == [] and {t for _, t in done.values()} == {threads}
+    values, failures = _run_points(run_dir, jobs, _pid_and_threads, 2, False)
+    assert failures == [] and {t for _, t in values} == {threads}
     run_dir.write_sidecar(0.001, [], failures, len(jobs))
     assert run_json(run_dir.path)["blas_threads"] == threads
     # A pool of one process is no pool: the points run here.
     monkeypatch.setattr(backends, "pool_processes", lambda workers: 1)
-    done, _ = _run_points(RunDirectory(tmp_path, "one", {}), jobs, _pid_and_threads, 2, False)
-    assert {pid for pid, _ in done.values()} == {os.getpid()}
+    values, _ = _run_points(RunDirectory(tmp_path, "one", {}), jobs, _pid_and_threads, 2, False)
+    assert {pid for pid, _ in values} == {os.getpid()}
 
 
-def test_gate_sweep_pool_of_one_runs_here(monkeypatch):
-    monkeypatch.setattr(backends, "pool_processes", lambda workers: 1)
-    monkeypatch.setattr(gates, "_sweep_point", lambda job: {
-        "gate_time": job[2], "drive_ramp": job[3], "pid": os.getpid()})
-    rows = gates.error_vs_length(None, None, [30.0, 40.0], drive_ramps=(5.0,), workers=2)
-    assert [r["gate_time"] for r in rows] == [30.0, 40.0]
-    assert {r["pid"] for r in rows} == {os.getpid()}
+def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplog):
+    # OpenBLAS results differ across thread counts, so only checkpoints
+    # taken at the live count are reused; old lines without one are not.
+    run_dir = RunDirectory(tmp_path, "probe", {})
+    run_dir.checkpoint("a", "kept")
+    with open(run_dir.path / "progress.jsonl", "a", encoding="utf-8") as fh:
+        other = (backends.blas_threads() or 0) + 1
+        fh.write(json.dumps({"key": "b", "value": "stale", "blas_threads": other}) + "\n")
+        fh.write(json.dumps({"key": "c", "value": "stale"}) + "\n")
+    jobs = [(key, (key,)) for key in "abc"]
+    with caplog.at_level("INFO", logger="fluxgate.cli"):
+        values, failures = _run_points(run_dir, jobs, str.upper, 1, True)
+    assert values == ["kept", "B", "C"] and failures == []
+    assert "recomputing 2 checkpointed point(s)" in caplog.text
 
 
 def test_worker_count_invisible_at_one_blas_thread(tmp_path):
@@ -200,7 +208,7 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
     # A checkpointed point is trusted under --resume and recomputed without.
     fake = {k: [0.5, 0.5, 0.5] for k in ("000", "001", "100", "101", "202",
                                          "computational")}
-    entry = {"key": "10.78", "value": fake}
+    entry = {"key": "10.78", "value": fake, "blas_threads": backends.blas_threads()}
     (run_dir / "progress.jsonl").write_text(json.dumps(entry) + "\n")
     assert main(["chevron", "--config", cfg, "--out", str(out), "--resume"]) == 0
     resumed = (run_dir / "result.csv").read_text()
@@ -209,6 +217,42 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
 
     assert main(["chevron", "--config", cfg, "--out", str(out)]) == 0
     assert (run_dir / "result.csv").read_text() == first
+
+
+def test_amplitude_isolates_failures(tmp_path, capsys):
+    # delta_Phi 0.20 at flux 0.35 leaves the positive-E_J domain; the
+    # 0.03 cell must still be computed.
+    cfg = write_cfg(
+        tmp_path,
+        "[output]\ndt = 0.002\n\n[amplitude]\nflux_s = 0.35\nfixed_time = 30.0\n"
+        "freq_min = 10.79\nfreq_max = 10.79\nfreq_points = 1\n"
+        "amp_min = 0.03\namp_max = 0.20\namp_points = 2\n",
+    )
+    out = tmp_path / "o"
+    assert main(["amplitude", "--config", cfg, "--out", str(out)]) == 1
+    assert "point failed: 10.79|0.2" in capsys.readouterr().err
+
+    run_dir = only_run_dir(out, "amplitude")
+    assert [f["point"] for f in run_json(run_dir)["failures"]] == ["10.79|0.2"]
+    body = (run_dir / "result.csv").read_text().splitlines()
+    assert body[0] == "freq,amp,p101"
+    assert body[1].startswith("10.79,0.03,") and not body[1].endswith(",nan")
+    assert body[2] == "10.79,0.2,nan"
+
+
+def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
+    # 50 ps resolves neither the drive nor one Floquet period.
+    cfg = write_cfg(
+        tmp_path,
+        CHEVRON_TINY + "\n[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["chevron", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
+    failures = run_json(only_run_dir(out, "chevron"))["failures"]
+    assert [f["point"] for f in failures] == ["10.78", "10.8"]
+    assert all("does not resolve the drive" in f["message"] for f in failures)
+    assert main(["gate-opt", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
+    assert "error: dt = 0.05 ns does not resolve one drive period" in capsys.readouterr().err
 
 
 def test_floquet_not_found_is_a_failure(tmp_path, capsys):
@@ -268,6 +312,69 @@ def test_gate_sweep_rows(tmp_path):
     assert body[1].endswith(",0")
     meta = run_json(run_dir)
     assert meta["failures"][0]["point"] == "30|5"
+
+
+SWEEP = (
+    "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n\n"
+    "[gate_sweep]\ngate_times = 30.0, 40.0\ndrive_ramps = 5.0\n"
+)
+
+
+def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
+    # A cell whose calibration raised is a failed point and is retried on
+    # --resume; a stagnated calibration is finished and is checkpointed.
+    calls = []
+
+    def calibrate(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
+        calls.append(cfg.gate_time)
+        if cfg.gate_time == 30.0:
+            raise IntegrationError("norm drifted")
+        return SimpleNamespace(metrics=SimpleNamespace(error=0.5, leakage=0.25),
+                               omega_p=10.8, drive_amp=0.05, success=False)
+
+    monkeypatch.setattr(gates, "optimize_cz", calibrate)
+    cfg = write_cfg(tmp_path, SWEEP)
+    out = tmp_path / "o"
+    assert main(["gate-sweep", "--config", cfg, "--out", str(out)]) == 1
+    run_dir = only_run_dir(out, "gate-sweep")
+    assert run_json(run_dir)["failures"] == [
+        {"point": "30|5", "message": "norm drifted"},
+        {"point": "40|5", "message": "optimizer stagnated above the objective limit"},
+    ]
+    body = (run_dir / "result.csv").read_text().splitlines()[1:]
+    assert body == ["30,5,nan,nan,nan,nan,0", "40,5,0.5,0.25,10.8,0.05,0"]
+    lines = (run_dir / "progress.jsonl").read_text().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == ["40|5"]
+
+    assert main(["gate-sweep", "--config", cfg, "--out", str(out), "--resume"]) == 1
+    assert calls == [30.0, 40.0, 30.0]
+    assert (run_dir / "result.csv").read_text().splitlines()[1:] == body
+
+
+def test_gate_sweep_records_a_raised_cell(tmp_path):
+    # At flux 0.49 the calibration cannot run; the cell is a failed row.
+    cfg = write_cfg(
+        tmp_path,
+        "[output]\ndt = 0.002\n\n[gate]\nmode = static-bias\nflux_idle = 0.49\n"
+        "gate_time = 65.0\nrestarts = 1\nbudget = 10\n\n"
+        "[gate_sweep]\ngate_times = 65.0\ndrive_ramps = 5.0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["gate-sweep", "--config", cfg, "--out", str(out)]) == 1
+    run_dir = only_run_dir(out, "gate-sweep")
+    failures = run_json(run_dir)["failures"]
+    assert [f["point"] for f in failures] == ["65|5"] and failures[0]["message"]
+    body = (run_dir / "result.csv").read_text().splitlines()[1:]
+    assert body == ["65,5,nan,nan,nan,nan,0"]
+    assert not (run_dir / "progress.jsonl").exists()
+
+
+def test_gate_sweep_without_a_long_enough_gate_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP.replace("30.0, 40.0", "12.0"))
+    out = tmp_path / "o"
+    assert main(["gate-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "no gate length satisfies" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):

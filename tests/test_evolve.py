@@ -7,8 +7,6 @@ from fluxgate import (
     BiasRamp,
     DomainError,
     ParametricPulse,
-    amplitude_scan,
-    chevron_scan,
     propagate_computational_unitary,
     propagate_state,
 )
@@ -20,6 +18,8 @@ from fluxgate.evolve import (
     _orthonormal_states,
     _propagate_block,
     _ramped_up_block,
+    amplitude_point,
+    chevron_column,
     dressed_frame,
     idle_flux,
 )
@@ -172,49 +172,22 @@ def test_dt_and_bias_guards(params500):
         propagate_state(params500, RESONANT, ramp=ramp)
 
 
-def test_chevron_scan_shapes(params500):
+def test_chevron_column_shapes(params500):
     t_grid = np.linspace(0.0, total_duration(RESONANT, None), 5)
-    res = chevron_scan(params500, RESONANT, [10.70, 10.79], t_grid, dt=0.002)
-    assert res.failures == ()
-    assert res.populations[(2, 0, 2)].shape == (2, 5)
-    assert "computational" in res.populations
-    assert np.all(np.isfinite(res.populations["computational"]))
-    with pytest.raises(ValueError):
-        chevron_scan(params500, RESONANT, [], t_grid)
+    for freq in (10.70, 10.79):
+        column = chevron_column(params500, RESONANT, freq, t_grid, dt=0.002)
+        assert set(column) == set(DEFAULT_RECORD) | {"computational"}
+        for values in column.values():
+            assert values.shape == (5,)
+            assert np.all(np.isfinite(values))
 
 
-def test_chevron_scan_records_failures(params500):
-    bad = ParametricPulse(
-        flux_static=0.45, drive_amp=0.07, drive_freq=10.79,
-        ramp_time=2.0, gate_time=10.0,
-    )
-    t_grid = np.linspace(0.0, total_duration(bad, None), 3)
-    res = chevron_scan(params500, bad, [10.7, 10.8], t_grid, dt=0.002)
-    assert len(res.failures) == 2
-    assert np.all(np.isnan(res.populations["computational"]))
-
-
-def test_amplitude_scan_isolates_failures(params500):
+def test_amplitude_point_flat_limit(params500):
     template = ParametricPulse(
         flux_static=0.35, drive_amp=0.01, drive_freq=10.79,
         ramp_time=5.0, gate_time=30.0,
     )
-    res = amplitude_scan(
-        params500, template, [10.79], [0.03, 0.20], fixed_time=30.0, dt=0.002
-    )
-    assert np.isfinite(res.population[0, 0])
-    assert np.isnan(res.population[0, 1])
-    assert len(res.failures) == 1
-    assert res.failures[0][1] == 0.20
-
-
-def test_amplitude_scan_flat_limit(params500):
-    template = ParametricPulse(
-        flux_static=0.35, drive_amp=0.01, drive_freq=10.79,
-        ramp_time=5.0, gate_time=30.0,
-    )
-    res = amplitude_scan(params500, template, [10.79], [0.0], fixed_time=30.0, dt=0.002)
-    assert res.population[0, 0] > 1.0 - 1e-9
+    assert amplitude_point(params500, template, 10.79, 0.0, 30.0, dt=0.002) > 1.0 - 1e-9
 
 
 def test_domain_error_is_value_error(params500):

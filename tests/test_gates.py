@@ -18,7 +18,6 @@ from fluxgate import gates
 from fluxgate.floquet import TransitionResult
 from fluxgate.gates import (
     CZ_TARGET,
-    error_vs_length,
     gate_schedule,
     phase_distance,
     simplex_search,
@@ -364,19 +363,3 @@ def test_optimize_cz_seeds_at_final_dt(params500, monkeypatch):
     with pytest.raises(Seeded):
         optimize_cz(params500, STATIC35, dt=0.002)
     assert seen == [0.00075, 0.001]
-
-
-def test_error_vs_length_prefilter(params500):
-    with pytest.raises(ValueError):
-        error_vs_length(params500, STATIC35, [12.0], drive_ramps=(5.0,))
-
-
-def test_error_vs_length_records_failures(params500):
-    cfg = GateConfig(mode="static-bias", flux_idle=0.49, gate_time=65.0)
-    rows = error_vs_length(
-        params500, cfg, [65.0], drive_ramps=(5.0,), restarts=1, budget=4
-    )
-    assert len(rows) == 1
-    assert math.isnan(rows[0]["error"])
-    assert not rows[0]["success"]
-    assert rows[0]["message"]
