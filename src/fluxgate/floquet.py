@@ -64,7 +64,8 @@ import numpy as np
 
 from . import backends
 from .errors import DomainError, IntegrationError
-from .evolve import DEFAULT_DT, _flat_step, dressed_frame, oscillator_coefficients
+from .evolve import DEFAULT_DT, _flat_step, _step_samples, dressed_frame, oscillator_coefficients
+from .pulses import ParametricPulse
 from .system import CompositeParams, assemble_operators, greedy_match
 
 UNITARITY_LIMIT = 1e-10
@@ -144,22 +145,24 @@ def monodromy(
     docstring). This halves the step matmuls and matches the full step
     product to roundoff. Any other ``t_origin`` shifts the carrier phase
     and steps the whole period; the eigenphase spectrum is invariant
-    under it. Raises IntegrationError if the unitarity defect exceeds
-    1e-10.
+    under it. The steps and their midpoint drive samples follow
+    ``evolve._step_samples``, the rule of every gate-schedule interval.
+    Raises IntegrationError if the unitarity defect exceeds 1e-10.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
-    if drive_amp < 0:
-        raise ValueError("drive_amp must be non-negative")
+    period = 1.0 / drive_freq
+    # The steady drive as an unenveloped pulse one period long, carrier
+    # phase shifted to the origin; it rejects a negative amplitude.
+    steady = ParametricPulse(
+        flux_s, drive_amp, drive_freq, drive_phase=2.0 * np.pi * drive_freq * t_origin,
+        ramp_time=0.0, gate_time=period,
+    )
     if dt > 1.0 / (40.0 * drive_freq):
         raise DomainError(f"dt = {dt} ns does not resolve one drive period")
 
-    period = 1.0 / drive_freq
-    n = max(1, int(np.ceil(period / dt)))
-    h = period / n
-    mids = t_origin + (np.arange(n) + 0.5) * h
-    flux_full = flux_s + drive_amp * np.cos(2.0 * np.pi * drive_freq * mids)
-    c1, _ = oscillator_coefficients(params.coupler, np.full(n, flux_s), flux_full)
+    h, _, (c1, _) = _step_samples(params, steady, None, 0.0, period, dt)
+    n = c1.size
     c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
     dc1 = c1 - float(c1_flat)
 

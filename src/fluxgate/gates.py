@@ -12,7 +12,7 @@ incoherent error floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -361,6 +361,17 @@ def simplex_search(
     return best_x, best_f, summaries
 
 
+def _objective(metrics: GateMetrics) -> float:
+    """Calibration objective: leakage + (conditional phase error)^2 / pi^2."""
+    return metrics.leakage + phase_distance(metrics.conditional_phase, math.pi) ** 2 / math.pi**2
+
+
+def _amp_cap(flux_s: float) -> float:
+    """Largest drive amplitude that keeps the driven junction energy
+    positive over the swing."""
+    return 0.499 - abs(flux_s)
+
+
 def _seed_from_floquet(
     params: CompositeParams, cfg: GateConfig, dt: float = DEFAULT_DT
 ) -> tuple[float, float, float]:
@@ -393,8 +404,8 @@ def _seed_from_floquet(
     t_area = cfg.gate_time - cfg.drive_ramp
     target = 1.0 / t_area
     amp_seed = SEED_PROBE_AMP * target / probe.strength
-    # Cap keeps the driven junction energy positive; user bounds win.
-    amp_cap = 0.499 - abs(flux_s)
+    # User bounds win over the cap.
+    amp_cap = _amp_cap(flux_s)
     hi = min(amp_cap, cfg.amp_bounds[1]) if cfg.amp_bounds else amp_cap
     lo = cfg.amp_bounds[0] if cfg.amp_bounds else 0.0
     amp_seed = float(np.clip(amp_seed, lo, hi))
@@ -410,7 +421,6 @@ def _seed_from_floquet(
 def optimize_cz(
     params: CompositeParams,
     cfg: GateConfig,
-    gate_time: float | None = None,
     dt: float = 0.001,
     final_dt: float | None = None,
     restarts: int = 3,
@@ -424,18 +434,13 @@ def optimize_cz(
     (default dt/2). Stagnation above the failure threshold clears
     ``success`` instead of raising, so sweeps can continue.
     """
-    if gate_time is not None:
-        cfg = replace(cfg, gate_time=gate_time)
     if final_dt is None:
         final_dt = dt / 2.0
 
     omega_seed, amp_seed, _ = _seed_from_floquet(params, cfg, dt=final_dt)
 
-    flux_s = cfg.drive_flux
-    # Amplitude ceiling keeps the junction energy positive over the swing.
-    amp_cap = 0.499 - abs(flux_s)
     freq_bounds = cfg.freq_bounds or (omega_seed - 0.05, omega_seed + 0.05)
-    amp_bounds = cfg.amp_bounds or (0.25 * amp_seed, min(2.0 * amp_seed, amp_cap))
+    amp_bounds = cfg.amp_bounds or (0.25 * amp_seed, min(2.0 * amp_seed, _amp_cap(cfg.drive_flux)))
     seed = (
         float(np.clip(omega_seed, *freq_bounds)),
         float(np.clip(amp_seed, *amp_bounds)),
@@ -446,10 +451,7 @@ def optimize_cz(
     def objective(x) -> float:
         omega, amp = float(x[0]), float(x[1])
         metrics = evaluate_gate(params, cfg, omega, amp, dt=dt)
-        value = (
-            metrics.leakage
-            + phase_distance(metrics.conditional_phase, math.pi) ** 2 / math.pi**2
-        )
+        value = _objective(metrics)
         trace.append(
             {
                 "omega_p": omega,
@@ -468,10 +470,7 @@ def optimize_cz(
     )
 
     metrics = evaluate_gate(params, cfg, best_x[0], best_x[1], dt=final_dt)
-    best_f = (
-        metrics.leakage
-        + phase_distance(metrics.conditional_phase, math.pi) ** 2 / math.pi**2
-    )
+    best_f = _objective(metrics)
     return OptimizationResult(
         omega_p=float(best_x[0]),
         drive_amp=float(best_x[1]),

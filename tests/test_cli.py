@@ -253,6 +253,29 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     assert all("does not resolve the drive" in f["message"] for f in failures)
     assert main(["gate-opt", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
     assert "error: dt = 0.05 ns does not resolve one drive period" in capsys.readouterr().err
+    # The run directory is not left empty: its sidecar records the error.
+    meta = run_json(only_run_dir(out, "gate-opt"))
+    assert meta["failures"] == [
+        {"point": "gate-opt", "message": "dt = 0.05 ns does not resolve one drive period"}
+    ]
+    assert meta["outputs"] == []
+
+
+def test_floquet_failures_of_both_kinds_in_job_order(tmp_path, capsys):
+    # 0.1 is not found in the narrow window; 0.6 leaves the positive-E_J
+    # domain and raises.
+    cfg = write_cfg(
+        tmp_path,
+        "[output]\ndt = 0.002\n\n[floquet]\nflux_s = 0.35\namp_values = 0.1, 0.6\n"
+        "window = 0.001\nresolution = 5\n",
+    )
+    out = tmp_path / "o"
+    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 1
+    failures = run_json(only_run_dir(out, "floquet"))["failures"]
+    assert [f["point"] for f in failures] == ["0.1", "0.6"]
+    assert failures[0]["message"] == "transition not found in the scan window"
+    assert "positive-E_J" in failures[1]["message"]
+    capsys.readouterr()
 
 
 def test_floquet_not_found_is_a_failure(tmp_path, capsys):

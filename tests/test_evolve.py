@@ -13,10 +13,9 @@ from fluxgate import (
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_RECORD,
+    _advance,
     _computational_block,
     _flat_step,
-    _orthonormal_states,
-    _propagate_block,
     _ramped_up_block,
     amplitude_point,
     chevron_column,
@@ -134,7 +133,7 @@ def test_driveless_segment_is_exact(params500):
 def test_cached_frames_are_read_only(params500):
     frame = dressed_frame(params500, 0.35)
     cached = [frame.energies, frame.states, frame.overlaps, frame.ambiguous,
-              _orthonormal_states(params500, 0.35), _flat_step(params500, 0.35, 5e-4)]
+              dressed_frame(params500, 0.35).states, _flat_step(params500, 0.35, 5e-4)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = arr[1]
@@ -156,9 +155,10 @@ def test_ramp_up_block_is_shared(rc500):
 
     # The shared block is the one stepping the whole schedule from t = 0 reaches.
     block = _computational_block(dressed_frame(params, ramp.flux_idle))
-    direct = _propagate_block(params, pulse, ramp, dt, block, True, 0.0)
-    shared = _propagate_block(params, pulse, ramp, dt, _ramped_up_block(params, ramp, dt),
-                              True, ramp.ramp_time)
+    end = total_duration(pulse, ramp)
+    direct = _advance(params, pulse, ramp, dt, block, 0.0, end, True)
+    shared = _advance(params, pulse, ramp, dt, _ramped_up_block(params, ramp, dt),
+                      ramp.ramp_time, end, True)
     assert np.array_equal(direct, shared)
     with pytest.raises(ValueError):
         _ramped_up_block(params, ramp, dt)[0, 0] = 0.0

@@ -9,7 +9,6 @@ from scipy.linalg import schur
 from fluxgate import IntegrationError, ParametricPulse, backends, floquet, gates, propagate_state
 from fluxgate.evolve import (
     _flat_step,
-    _orthonormal_states,
     dressed_frame,
     oscillator_coefficients,
 )
@@ -266,7 +265,7 @@ def test_cayley_shift_clears_the_spectrum_at_strong_drive(params500):
 
 def _built_monodromy(params, eps, freq, scale=1.0):
     """Monodromy with quasienergies ``eps`` on the dressed states at 0.35."""
-    q = _orthonormal_states(params, 0.35)
+    q = dressed_frame(params, 0.35).states
     m = scale * (q * np.exp(-2j * np.pi * eps / freq)) @ q.conj().T
     return Monodromy(m, params, 0.35, 0.0, freq, 0.0)
 
