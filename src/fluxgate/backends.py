@@ -26,6 +26,16 @@ m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
 of the spectrally shifted Hamiltonian. Steps must keep theta modest (the
 order is capped at 64); callers enforce dt well below the fastest period.
 
+Every Hamiltonian the package steps conserves the total parity of
+``system``, so callers step each parity sector on its own, with the
+sector's slices of A, N and B: ``step_sequence`` is called once per
+sector, while ``strang_sequence`` also takes a stack of per-sector base
+steps and advances the sector pieces of a block in one batched product
+per step (on 2 vCPUs, two 75-state pieces of two columns take 24 us a
+step, against 30 us in two separate calls and 33 us as one 150-state
+block), and ``apply_power`` applies a stack of matrices to a stack of
+blocks.
+
 Every per-point LAPACK call in the package goes through ``numpy.linalg``,
 so a process runs one OpenBLAS thread pool, numpy's. Processes of a pool
 share the cores, so ``pool_processes`` sizes a pool to keep processes
@@ -150,7 +160,11 @@ def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
 
 
 def apply_power(m, n: int, block) -> np.ndarray:
-    """Apply matrix ``m`` to ``block`` ``n`` times (n >= 0)."""
+    """Apply matrix ``m`` to ``block`` ``n`` times (n >= 0).
+
+    A stack of matrices (S, d, d) applies to a stack of blocks (S, d, k),
+    matrix s to block s.
+    """
     if n < 0:
         raise ValueError("power must be non-negative")
     m = np.ascontiguousarray(m, dtype=np.complex128)
@@ -170,13 +184,24 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     roundoff; the splitting error is second order in dt like the
     midpoint kernel. ``dc1`` must hold midpoint values. Returns a fresh
     array.
+
+    ``u0`` may also be a stack of S independent base steps (S, m, m),
+    one per parity sector, with ``n_diag`` of shape (S, m); ``block`` is
+    then (m, S k), the S sector pieces of k columns side by side, and
+    piece s is stepped with U0[s]. The pieces step in one batched
+    product per step; a stack of one steps as its single base step.
     """
     u0 = np.ascontiguousarray(u0, dtype=np.complex128)
     n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
     dc1 = np.ascontiguousarray(dc1, dtype=np.float64)
     block = np.ascontiguousarray(block, dtype=np.complex128)
-    d = u0.shape[0]
+    if u0.ndim == 3 and u0.shape[0] == 1:
+        u0, n_diag = u0[0], n_diag[0]
+    d = u0.shape[-1]
     _check_block(block, d)
+    pieces = u0.shape[0] if u0.ndim == 3 else 1
+    if n_diag.shape != u0.shape[:-1] or block.shape[1] % pieces:
+        raise ValueError("n_diag and block must hold one piece per base step")
     n = dc1.shape[0]
     if n == 0:
         return block.copy()
@@ -185,20 +210,28 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     # step j-1 with the leading half of step j: exponent dc1[j-1] + dc1[j],
     # with dc1[n] = 0 for the closing half-phase. Phase 0 opens the call.
     levels, level_of = np.unique(n_diag, return_inverse=True)
+    level_of = level_of.reshape(n_diag.shape)
     w = -1j * np.pi * float(dt)
     phase0 = np.exp(w * dc1[0] * levels)[level_of]
-    # Width-1 blocks step as vectors: matvec instead of a one-column matmul.
-    x = phase0 * block[:, 0] if block.shape[1] == 1 else phase0[:, None] * block
+    if u0.ndim == 3:
+        x = phase0[:, :, None] * block.reshape(d, pieces, -1).transpose(1, 0, 2)
+    elif block.shape[1] == 1:
+        # Width-1 blocks step as vectors: matvec instead of a one-column matmul.
+        x = phase0 * block[:, 0]
+    else:
+        x = phase0[:, None] * block
     y = np.empty_like(x)
-    chunk = max(1, PHASE_CHUNK_BYTES // (16 * d))
+    chunk = max(1, PHASE_CHUNK_BYTES // (16 * n_diag.size))
     for start in range(1, n + 1, chunk):
         stop = min(start + chunk, n + 1)
         s = dc1[start - 1: stop - 1].copy()
         s[: min(stop, n) - start] += dc1[start:stop]
         phases = np.exp(w * np.multiply.outer(s, levels))[:, level_of]
-        if x.ndim == 2:
-            phases = phases[:, :, None]
+        if x.ndim == phases.ndim:
+            phases = phases[..., None]
         for phase in phases:
             np.matmul(u0, x, out=y)
             np.multiply(phase, y, out=x)
+    if u0.ndim == 3:
+        return x.transpose(1, 0, 2).reshape(d, -1)
     return x.reshape(d, -1)

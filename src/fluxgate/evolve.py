@@ -26,6 +26,14 @@ are advanced by powers of the one-period propagator, which is exact for
 a periodic Hamiltonian and removes most of the stepping cost of long
 gates.
 
+Every step conserves the total parity of ``system`` (the drive modulates
+only the coupler number N), so ``_advance`` splits its block into one
+piece per parity sector, skips a sector whose piece is exactly zero, and
+steps each piece with the sector's own 75 x 75 operators: a labelled
+initial state steps 75 states, and the four computational columns step
+as two columns in each sector, batched into one product per step.
+Off the symmetric point the one sector is the whole space.
+
 The stepping error falls 4x per halving of dt. The contract that halving
 dt moves recorded populations by less than 1e-6 holds at the default
 0.5 ps only for drives that leave the populations nearly idle. Measured
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,19 +135,23 @@ def oscillator_coefficients(
 def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     """Labeled dressed spectrum at a fixed coupler flux (cached, read-only).
 
-    ``states`` are the eigenvectors polar-corrected once per flux to
-    orthonormal columns (the factor u vh of their SVD u s vh), so step
-    products built on them (``_flat_step``) accumulate only matmul
-    roundoff, not the eigenbasis orthonormality defect. A grid command
-    visits at most two fluxes, the idle and the interaction bias: traced
-    on the benchmark (seed 1), a ``calibrate`` cell makes 120 lookups
-    with 2 misses and a ``propagate`` run 15 with 1, so 32 entries never
-    evict.
+    ``states`` are the eigenvectors polar-corrected once per flux, one
+    parity sector at a time, to orthonormal columns (the factor u vh of
+    the SVD u s vh of the sector's block), so step products built on them
+    (``_flat_step``) accumulate only matmul roundoff, not the eigenbasis
+    orthonormality defect, and stay exactly zero outside their sector.
+    A miss costs 7 ms on 2 vCPUs (13 ms with one 150-state solve). A grid
+    command visits at most two fluxes, the idle and the interaction bias:
+    traced on the benchmark (seed 1), a ``calibrate`` cell makes 120
+    lookups with 2 misses and a ``propagate`` run 15 with 1, so 32
+    entries never evict.
     """
     frame = label_eigenstates(build_hamiltonian(params, flux))
-    u, _, vh = np.linalg.svd(frame.states, full_matrices=False)
-    frame = replace(frame, states=u @ vh)
-    for arr in (frame.energies, frame.states, frame.overlaps, frame.ambiguous):
+    for rows, cols in zip(assemble_operators(params).sectors, frame.sectors):
+        block = np.ix_(rows, cols)
+        u, _, vh = np.linalg.svd(frame.states[block])
+        frame.states[block] = u @ vh
+    for arr in (frame.energies, frame.states, frame.overlaps, frame.ambiguous, *frame.sectors):
         arr.flags.writeable = False
     return frame
 
@@ -220,22 +233,86 @@ def _boundaries(pulse: ParametricPulse, ramp: BiasRamp | None) -> list[float]:
 
 @lru_cache(maxsize=8)
 def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
-    """Exact one-step propagator of the static Hamiltonian at ``flux``.
+    """Exact one-step propagators of the static Hamiltonian at ``flux``,
+    one per parity sector, stacked as (sectors, m, m).
 
-    Built as Q exp(-i 2 pi h E) Q^dag from the dressed energies E and the
-    orthonormal states Q of ``dressed_frame``: a new step length costs
-    one 150x150 product, about 1.5 ms on 2 vCPUs. Traced on the
-    benchmark (seed 1), a ``calibrate`` cell misses 60 of 70 lookups,
-    since each monodromy and flat-top period steps period / n, which no
-    other drive frequency repeats; its 10 hits are drive-flank steps
-    shared by one search's evaluations and simplex vertices at one
-    frequency. A ``propagate`` run misses 1 of 90. 8 entries keep every
-    hit; 64 held about 23 MB of steps never read again.
+    Sector s holds Q exp(-i 2 pi h E) Q^dag from the dressed energies E
+    and orthonormal states Q of that sector in ``dressed_frame``, on the
+    sector's rows of ``ModelOperators.sectors``; a sector smaller than
+    the widest, m, is padded with the identity. A new step length costs
+    two 75 x 75 products, 0.30 ms on 2 vCPUs (0.80 ms for one 150 x 150).
+    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 60 of
+    70 lookups, since each monodromy and flat-top period steps
+    period / n, which no other drive frequency repeats; its 10 hits are
+    drive-flank steps shared by one search's evaluations and simplex
+    vertices at one frequency. A ``propagate`` run misses 1 of 90. 8
+    entries keep every hit, in 1.4 MB.
     """
     frame = dressed_frame(params, flux)
-    u0 = (frame.states * np.exp(-2j * np.pi * h * frame.energies)) @ frame.states.conj().T
-    u0.flags.writeable = False
-    return u0
+    sectors = assemble_operators(params).sectors
+    width = max(rows.size for rows in sectors)
+    steps = np.zeros((len(sectors), width, width), dtype=complex)
+    for step, rows, cols in zip(steps, sectors, frame.sectors):
+        q = frame.states[np.ix_(rows, cols)]
+        phases = np.exp(-2j * np.pi * h * frame.energies[cols])
+        step[: rows.size, : rows.size] = (q * phases) @ q.conj().T
+        pad = np.arange(rows.size, width)
+        step[pad, pad] = 1.0
+    steps.flags.writeable = False
+    return steps
+
+
+def _by_sector(sectors, values: np.ndarray) -> np.ndarray:
+    """Per-state ``values`` gathered into one row per sector, zero-padded
+    to the widest sector: the (sectors, m) layout of ``_flat_step``."""
+    out = np.zeros((len(sectors), max(rows.size for rows in sectors)), dtype=values.dtype)
+    for row, rows in zip(out, sectors):
+        row[: rows.size] = values[rows]
+    return out
+
+
+class _Pieces(NamedTuple):
+    """A block of columns as per-sector pieces.
+
+    ``x[j]`` is the piece of sector ``active[j]``: that sector's rows of
+    the block columns ``cols[j]``, zero-padded to (widest sector, k).
+    """
+
+    active: tuple[int, ...]
+    cols: tuple[np.ndarray, ...]
+    x: np.ndarray
+
+
+def _split(sectors, block: np.ndarray) -> _Pieces:
+    """Pieces of ``block`` in the sectors where it has a nonzero entry."""
+    parts = []
+    for s, rows in enumerate(sectors):
+        cols = np.flatnonzero(np.any(block[rows], axis=0))
+        if cols.size:
+            parts.append((s, cols))
+    width = max(rows.size for rows in sectors)
+    k = max((cols.size for _, cols in parts), default=0)
+    x = np.zeros((len(parts), width, k), dtype=complex)
+    for piece, (s, cols) in zip(x, parts):
+        piece[: sectors[s].size, : cols.size] = block[np.ix_(sectors[s], cols)]
+    return _Pieces(tuple(s for s, _ in parts), tuple(cols for _, cols in parts), x)
+
+
+def _join(sectors, pieces: _Pieces, shape) -> np.ndarray:
+    """The full-space block of ``shape`` that ``pieces`` describe."""
+    out = np.zeros(shape, dtype=complex)
+    for piece, s, cols in zip(pieces.x, pieces.active, pieces.cols):
+        out[np.ix_(sectors[s], cols)] = piece[: sectors[s].size, : cols.size]
+    return out
+
+
+def _strang(u0, n_diag, dc1, h, x):
+    """``backends.strang_sequence`` on the stack of pieces ``x``
+    (pieces, m, k), which the kernel takes side by side, (m, pieces k)."""
+    pieces, width, k = x.shape
+    side = x.transpose(1, 0, 2).reshape(width, pieces * k)
+    side = backends.strang_sequence(u0, n_diag, dc1, h, side)
+    return side.reshape(width, pieces, k).transpose(1, 0, 2)
 
 
 def _step_samples(params, pulse, ramp, t_a, t_b, dt):
@@ -253,18 +330,20 @@ def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     return h, fb, oscillator_coefficients(params.coupler, fb, ff)
 
 
-def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
-    """Step ``block`` across [t_a, t_b] with the scheme the interval allows.
+def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
+    """Step the pieces ``x`` of the sectors ``active`` (as in ``_Pieces``)
+    across [t_a, t_b] with the scheme the interval allows.
 
     Constant-bias intervals use the split-operator kernel around the
-    exact static step (the drive enters as a diagonal perturbation);
-    bias ramps fall back to full midpoint-exponential steps. Intervals
-    without any drive carry no carrier to resolve and take steps
+    exact static step (the drive enters as a diagonal perturbation),
+    all pieces in one call; bias ramps fall back to full
+    midpoint-exponential steps, one call per sector. Intervals without
+    any drive carry no carrier to resolve and take steps
     DRIVELESS_DT_FACTOR times coarser. The module docstring says where
     the dt-halving contract holds.
     """
     if t_b <= t_a:
-        return block
+        return x
     t0, t1 = drive_window(pulse, ramp)
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
     dt_eff = dt if driven else dt * DRIVELESS_DT_FACTOR
@@ -273,16 +352,26 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, block):
     if np.ptp(fb) == 0.0:
         flux_b = float(fb[0])
         c1_flat, _ = oscillator_coefficients(params.coupler, flux_b, flux_b)
-        u0 = _flat_step(params, flux_b, h)
-        return backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, block)
-    return backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, h, block)
+        u0 = _flat_step(params, flux_b, h)[list(active)]
+        n_diag = _by_sector(ops.sectors, ops.n_diag)[list(active)]
+        return _strang(u0, n_diag, c1 - float(c1_flat), h, x)
+    x = x.copy()
+    for piece, s in zip(x, active):
+        rows = ops.sectors[s]
+        sub = np.ix_(rows, rows)
+        piece[: rows.size] = backends.step_sequence(
+            ops.a_fixed[sub], ops.n_diag[rows], ops.b_op[sub], c1, c2, h, piece[: rows.size]
+        )
+    return x
 
 
 def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
     """Advance ``block`` from ``t_a`` to ``t_b``, cut at every schedule
     boundary in between so each piece has one stepping scheme.
 
-    With ``stroboscopic``, a piece spanning the whole flat top advances
+    The block is split into its sector pieces once (see ``_Pieces``),
+    so only sectors where it is nonzero are stepped. With
+    ``stroboscopic``, a piece spanning the whole flat top advances
     its whole drive periods as powers of the one-period propagator, which
     is exact for a periodic Hamiltonian, and steps only the remainder.
     """
@@ -296,17 +385,21 @@ def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
         and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
     )
 
+    sectors = assemble_operators(params).sectors
+    pieces = _split(sectors, block)
+    active, x = pieces.active, pieces.x
     cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
     for s, e in zip(cuts[:-1], cuts[1:]):
         if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
             n_per = int(np.floor((flat_b - flat_a) / period))
-            eye = np.eye(block.shape[0], dtype=complex)
-            mono = _step_interval(params, pulse, ramp, flat_a, flat_a + period, dt, eye)
-            block = backends.apply_power(mono, n_per, block)
-            block = _step_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, block)
+            count, width, _ = x.shape
+            eye = np.broadcast_to(np.eye(width, dtype=complex), (count, width, width))
+            mono = _step_interval(params, pulse, ramp, flat_a, flat_a + period, dt, active, eye)
+            x = backends.apply_power(mono, n_per, x)
+            x = _step_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, active, x)
         else:
-            block = _step_interval(params, pulse, ramp, s, e, dt, block)
-    return block
+            x = _step_interval(params, pulse, ramp, s, e, dt, active, x)
+    return _join(sectors, pieces._replace(x=x), block.shape)
 
 
 def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
@@ -327,7 +420,7 @@ def _ramped_up_block(params: CompositeParams, ramp: BiasRamp, dt: float) -> np.n
         ramp.flux_interaction, drive_amp=0.0, drive_freq=0.0, ramp_time=0.0, gate_time=0.0
     )
     block = _computational_block(dressed_frame(params, ramp.flux_idle))
-    block = _step_interval(params, driveless, ramp, 0.0, ramp.ramp_time, dt, block)
+    block = _advance(params, driveless, ramp, dt, block, 0.0, ramp.ramp_time)
     block.flags.writeable = False
     return block
 

@@ -23,6 +23,14 @@ D U0 D sits between the halves, M = P X^T P U0 X with X = D V. This
 holds for a carrier phase origin of zero; other origins step the full
 period.
 
+The drive modulates only the coupler number, so M conserves the total
+parity of ``system`` and is block diagonal in its sectors. Each sector
+is stepped with its own 75 x 75 steps (both in one batched kernel call),
+mirrored with P restricted to the sector, and placed into the full
+matrix; the entries between sectors are exactly zero. ``quasienergies``
+solves each sector's block on its own and places its Floquet modes in
+the columns of that sector's dressed states.
+
 The Floquet modes come from a Hermitian eigensolve rather than a
 complex Schur form. For unitary U the Cayley transform
 C = i (I - U)(I + U)^-1 is Hermitian with the same eigenvectors, and an
@@ -62,11 +70,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
-from .errors import DomainError, IntegrationError
-from .evolve import DEFAULT_DT, _flat_step, _step_samples, dressed_frame, oscillator_coefficients
+from .errors import ConstructionError, DomainError, IntegrationError
+from .evolve import (
+    DEFAULT_DT,
+    _by_sector,
+    _flat_step,
+    _step_samples,
+    _strang,
+    dressed_frame,
+    oscillator_coefficients,
+)
 from .pulses import ParametricPulse
-from .system import CompositeParams, assemble_operators, greedy_match
+from .system import CompositeParams, assemble_operators, cross_sector_max, greedy_match
 
 UNITARITY_LIMIT = 1e-10
 DEGENERACY_TOL = 1e-9
@@ -147,7 +162,10 @@ def monodromy(
     and steps the whole period; the eigenphase spectrum is invariant
     under it. The steps and their midpoint drive samples follow
     ``evolve._step_samples``, the rule of every gate-schedule interval.
-    Raises IntegrationError if the unitarity defect exceeds 1e-10.
+    Every parity sector is stepped with its own steps, all in one kernel
+    call, and M is assembled block by block, exactly zero between
+    sectors. Raises IntegrationError if the unitarity defect exceeds
+    1e-10.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
@@ -166,27 +184,33 @@ def monodromy(
     c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
     dc1 = c1 - float(c1_flat)
 
+    # Per-sector steps (sectors, w, w), their coupler occupations, and
+    # the stack of w x w identities they step.
     ops = assemble_operators(params)
-    eye = np.eye(ops.a_fixed.shape[0], dtype=complex)
     u0 = _flat_step(params, flux_s, h)
+    n_diag = _by_sector(ops.sectors, ops.n_diag)
+    eye = np.broadcast_to(np.eye(n_diag.shape[1], dtype=complex), u0.shape)
     if t_origin == 0.0:
         half = n // 2
-        v = backends.strang_sequence(u0, ops.n_diag, dc1[:half], h, eye)
+        v = _strang(u0, n_diag, dc1[:half], h, eye)
         if n % 2:
-            v *= np.exp(-1j * np.pi * h * dc1[half] * ops.n_diag)[:, None]
+            v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
             forward = u0 @ v
         else:
             forward = v
-        parity = 1.0 - 2.0 * (ops.n_diag % 2)  # (-1)^(coupler occupation)
-        m = (parity[:, None] * v.T * parity) @ forward
+        parity = 1.0 - 2.0 * (n_diag % 2)  # (-1)^(coupler occupation)
+        blocks = (parity[:, :, None] * v.transpose(0, 2, 1) * parity[:, None, :]) @ forward
     else:
-        m = backends.strang_sequence(u0, ops.n_diag, dc1, h, eye)
+        blocks = _strang(u0, n_diag, dc1, h, eye)
 
-    defect = float(np.linalg.norm(m.conj().T @ m - eye))
+    defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))
     if defect > UNITARITY_LIMIT:
         raise IntegrationError(
             f"monodromy unitarity defect {defect:.3e} exceeds {UNITARITY_LIMIT:g}"
         )
+    m = np.zeros((params.dim, params.dim), dtype=complex)
+    for rows, block in zip(ops.sectors, blocks):
+        m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
     return Monodromy(m, params, flux_s, drive_amp, drive_freq, defect)
 
 
@@ -195,23 +219,11 @@ def fold(eps, drive_freq: float):
     return np.mod(np.asarray(eps) + 0.5 * drive_freq, drive_freq) - 0.5 * drive_freq
 
 
-def quasienergies(mono: Monodromy) -> FloquetSpectrum:
-    """Folded quasienergy spectrum with dressed-state labels.
-
-    The Floquet modes are the eigenvectors of the Hermitian Cayley
-    transform C = i (I - U)(I + U)^-1 of U = e^{i alpha} M, taken with
-    ``numpy.linalg.eigh`` after a ``numpy.linalg.solve``, so the whole
-    eigensolve stays on numpy's one OpenBLAS thread pool (see the module
-    docstring); alpha puts -1 in the widest gap of the phases of the
-    diagonal of M in the dressed basis, which keeps I + U well
-    conditioned. The eigenvalues are the Rayleigh quotients
-    z^dag M z. Raises IntegrationError if max |M Z - Z Lambda| or
-    max ||lambda| - 1| exceeds 1e-10, which is how an alpha that lands
-    next to an eigenvalue of M shows.
-    """
-    m = mono.matrix
-    frame = dressed_frame(mono.params, mono.flux_s)
-    dressed_diag = np.einsum("ij,ij->j", frame.states.conj(), m @ frame.states)
+def _sector_modes(m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of one sector block ``m``
+    of a monodromy, through the Hermitian Cayley transform (see
+    ``quasienergies``); ``q`` holds the sector's dressed states."""
+    dressed_diag = np.einsum("ij,ij->j", q.conj(), m @ q)
     phases = np.sort(np.angle(dressed_diag))
     gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
     widest = int(np.argmax(gaps))
@@ -230,13 +242,45 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
             f"Floquet eigensolve residual {residual:.3e}, eigenvalue modulus "
             f"defect {modulus:.3e}: exceeds {UNITARITY_LIMIT:g}"
         )
+    return lam, z
+
+
+def quasienergies(mono: Monodromy) -> FloquetSpectrum:
+    """Folded quasienergy spectrum with dressed-state labels.
+
+    The Floquet modes are the eigenvectors of the Hermitian Cayley
+    transform C = i (I - U)(I + U)^-1 of U = e^{i alpha} M, taken with
+    ``numpy.linalg.eigh`` after a ``numpy.linalg.solve``, so the whole
+    eigensolve stays on numpy's one OpenBLAS thread pool (see the module
+    docstring); alpha puts -1 in the widest gap of the phases of the
+    diagonal of M in the dressed basis, which keeps I + U well
+    conditioned. The eigenvalues are the Rayleigh quotients
+    z^dag M z. Raises IntegrationError if max |M Z - Z Lambda| or
+    max ||lambda| - 1| exceeds 1e-10, which is how an alpha that lands
+    next to an eigenvalue of M shows.
+
+    Each parity sector is solved on its own, with its own alpha, and
+    matched to its own dressed states; its modes take the columns of
+    those states. Raises ConstructionError if M couples two sectors.
+    """
+    m = mono.matrix
+    frame = dressed_frame(mono.params, mono.flux_s)
+    sectors = assemble_operators(mono.params).sectors
+    if cross_sector_max(m, sectors):
+        raise ConstructionError("monodromy couples parity sectors")
+
+    lam = np.empty(m.shape[0], dtype=complex)
+    z = np.zeros_like(m, dtype=complex)
+    dressed_for = np.empty(m.shape[0], dtype=int)
+    for rows, members in zip(sectors, frame.sectors):
+        q = frame.states[np.ix_(rows, members)]
+        lam[members], z_s = _sector_modes(m[np.ix_(rows, rows)], q)
+        z[np.ix_(rows, members)] = z_s
+        dressed_for[members] = members[greedy_match(np.abs(q.conj().T @ z_s) ** 2)]
 
     period = 1.0 / mono.drive_freq
     eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)
-
-    weights = np.abs(frame.states.conj().T @ z) ** 2
-    dressed_for = greedy_match(weights)
-    overlaps = np.sqrt(weights[dressed_for, np.arange(eps.size)])
+    overlaps = np.abs(np.einsum("ij,ij->j", frame.states[:, dressed_for].conj(), z))
     labels = tuple(frame.labels[d] for d in dressed_for)
 
     # Nearest neighbour of each mode on the folded circle.

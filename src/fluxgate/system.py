@@ -35,10 +35,24 @@ coupling matrices) are assembled once per parameter set and cached, so
 flux sweeps and time stepping only rescale two scalar coefficients:
 
     H(Phi) = A + omega_c(Phi) N + n_zpf(Phi) B
+
+At the symmetric point, both fluxonia at phi_ext a multiple of pi, each
+fluxonium potential is even about its minimum, level k has parity
+(-1)^k and the odd charge operator couples only levels of opposite
+parity. Every term of H, the modulated N included, then conserves the
+total parity Pi = (-1)^(k0 + kc + k1), and H is block diagonal in its
+two sectors (75 states each at the default 5 x 6 x 5 truncation).
+``assemble_operators`` sets the equal-parity charge elements, roundoff
+of the single-circuit solve, to exactly zero, so the blocks are exact,
+and lists the sectors in ``ModelOperators.sectors``; ``label_eigenstates``
+solves each sector on its own, and every propagation downstream steps
+per sector. Off the symmetric point there is one sector holding every
+state, and the same code runs on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +70,9 @@ from .errors import ConstructionError, LabelingError, SearchError
 AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
 GAUGE_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n by n % 4
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Largest equal-parity fluxonium charge element accepted as roundoff at
+# the symmetric point; the bundled devices have at most 2.1e-14.
+PARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,9 @@ class LabeledSpectrum:
     the bare triple (q0, coupler, q1) assigned to dressed state i,
     ``overlaps[i]`` the magnitude of the winning component, and
     ``ambiguous[i]`` is set when that magnitude squared falls below 0.5.
+    ``sectors[s]`` lists, ascending, the dressed states of the parity
+    sector ``ModelOperators.sectors[s]``; each of their ``states``
+    columns is exactly zero outside the rows of that sector.
     """
 
     energies: np.ndarray
@@ -114,6 +134,7 @@ class LabeledSpectrum:
     ambiguous: np.ndarray
     states: np.ndarray
     flux_c: float
+    sectors: tuple[np.ndarray, ...]
 
     def energy_of(self, label: tuple[int, int, int]) -> float:
         """Dressed energy of the state carrying ``label``.
@@ -148,6 +169,10 @@ class ModelOperators:
     product state and ``b_op`` the coupler-mediated coupling matrix
     without its n_zpf prefactor. Arrays are read-only; the composite
     Hamiltonian at flux Phi is A + omega_c(Phi) diag(N) + n_zpf(Phi) B.
+    ``sectors`` holds the ascending product-state indices of each
+    conserved-parity sector (see the module docstring): two at the
+    symmetric point, even total parity first, and one holding every
+    state otherwise. No entry of A, N or B couples two sectors.
     """
 
     a_fixed: np.ndarray
@@ -157,15 +182,41 @@ class ModelOperators:
     q1_data: SpectralData
     labels: tuple[tuple[int, int, int], ...]
     params: CompositeParams
+    sectors: tuple[np.ndarray, ...]
 
 
 def _embed(op0: np.ndarray, opc: np.ndarray, op1: np.ndarray) -> np.ndarray:
     return np.kron(op0, np.kron(opc, op1))
 
 
+def _symmetric(phi_ext: float) -> bool:
+    return abs(math.remainder(phi_ext, math.pi)) < 1e-12
+
+
+def _parity_selected(n_elements: np.ndarray, name: str) -> np.ndarray:
+    """Fluxonium charge elements at the symmetric point, with the
+    equal-parity ones, zero by symmetry, set to exactly zero.
+
+    Raises ConstructionError if one of them is above roundoff, which
+    means the levels do not alternate in parity.
+    """
+    k = np.arange(n_elements.shape[0])
+    same = (k[:, None] - k[None, :]) % 2 == 0
+    worst = float(np.max(np.abs(n_elements[same])))
+    if worst > PARITY_TOL:
+        raise ConstructionError(
+            f"{name} charge element between equal-parity levels is {worst:.3g} "
+            "at the symmetric point"
+        )
+    out = n_elements.copy()
+    out[same] = 0.0
+    return out
+
+
 @lru_cache(maxsize=8)
 def assemble_operators(params: CompositeParams) -> ModelOperators:
-    """Build and cache the flux-independent operator pieces."""
+    """Build and cache the flux-independent operator pieces and the
+    conserved-parity sectors."""
     nf, nc = params.n_flux_levels, params.n_coupler_levels
     q0 = diagonalize_fluxonium(params.q0, n_levels=nf)
     q1 = diagonalize_fluxonium(params.q1, n_levels=nf)
@@ -174,6 +225,20 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
             f"fluxonium operator dimensions {q0.n_elements.shape}, "
             f"{q1.n_elements.shape} do not match truncation {nf}"
         )
+
+    labels = tuple(
+        (int(i), int(j), int(l))
+        for i in range(nf)
+        for j in range(nc)
+        for l in range(nf)
+    )
+    n0, n1 = q0.n_elements, q1.n_elements
+    if _symmetric(params.q0.phi_ext) and _symmetric(params.q1.phi_ext):
+        n0, n1 = _parity_selected(n0, "q0"), _parity_selected(n1, "q1")
+        parity = np.array([sum(lab) % 2 for lab in labels])
+        sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+    else:
+        sectors = (np.arange(params.dim),)
 
     eye_f = np.eye(nf)
     eye_c = np.eye(nc)
@@ -186,23 +251,16 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
     a = _embed(np.diag(q0.energies), eye_c, eye_f).astype(complex)
     a += _embed(eye_f, eye_c, np.diag(q1.energies))
     a += _embed(eye_f, np.diag(kerr), eye_f)
-    a += params.j_01 * _embed(q0.n_elements, eye_c, q1.n_elements)
+    a += params.j_01 * _embed(n0, eye_c, n1)
 
-    b = params.j_c0 * _embed(q0.n_elements, x_c, eye_f)
-    b += params.j_c1 * _embed(eye_f, x_c, q1.n_elements)
+    b = params.j_c0 * _embed(n0, x_c, eye_f)
+    b += params.j_c1 * _embed(eye_f, x_c, n1)
 
     n_diag = _embed(eye_f, np.diag(k), eye_f).diagonal().copy()
 
-    labels = tuple(
-        (int(i), int(j), int(l))
-        for i in range(nf)
-        for j in range(nc)
-        for l in range(nf)
-    )
-
-    for arr in (a, b, n_diag):
+    for arr in (a, b, n_diag, *sectors):
         arr.flags.writeable = False
-    return ModelOperators(a, n_diag, b, q0, q1, labels, params)
+    return ModelOperators(a, n_diag, b, q0, q1, labels, params, sectors)
 
 
 def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperator:
@@ -212,6 +270,17 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
     h = ops.a_fixed + osc.omega_c * np.diag(ops.n_diag) + osc.n_zpf * ops.b_op
     h.flags.writeable = False
     return CompositeOperator(h, flux_c, params)
+
+
+def cross_sector_max(matrix: np.ndarray, sectors) -> float:
+    """Largest magnitude of an entry of ``matrix`` between two different
+    sectors (index arrays of its rows and columns); 0 for one sector."""
+    worst = 0.0
+    for s, rows in enumerate(sectors):
+        for cols in sectors[s + 1:]:
+            for block in (np.ix_(rows, cols), np.ix_(cols, rows)):
+                worst = max(worst, float(np.max(np.abs(matrix[block]))))
+    return worst
 
 
 def greedy_match(weights: np.ndarray) -> np.ndarray:
@@ -254,8 +323,11 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     on numpy's one OpenBLAS thread pool (see the module docstring).
     The rotation is exact, so any nonzero imaginary part left after it
     means the operator is not of the composite form and raises
-    ``ConstructionError``. The returned ``states`` are D times the real
-    eigenvectors, columns in the complex bare product basis; the gauge
+    ``ConstructionError``; so does any nonzero element between two
+    parity sectors. Each sector is then solved and matched on its own,
+    and the results are merged in ascending energy. The returned
+    ``states`` are D times the real eigenvectors, columns in the complex
+    bare product basis, exactly zero outside their sector; the gauge
     changes only phases, so overlaps and labels are read from the real
     eigenvectors directly.
     """
@@ -267,17 +339,40 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
             "composite Hamiltonian is not real in the coupler gauge "
             f"(largest imaginary part {np.max(np.abs(rotated.imag)):.3g})"
         )
-    evals, vecs = np.linalg.eigh(rotated.real)
-    bare_for = greedy_match(vecs**2)
+    real = rotated.real
+    cross = cross_sector_max(real, ops.sectors)
+    if cross:
+        raise ConstructionError(
+            f"composite Hamiltonian couples parity sectors (largest element {cross:.3g})"
+        )
 
-    overlap = np.abs(vecs[bare_for, np.arange(evals.size)])
+    solved = [np.linalg.eigh(real[np.ix_(rows, rows)]) for rows in ops.sectors]
+    evals = np.concatenate([e for e, _ in solved])
+    order = np.argsort(evals, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+
+    states = np.zeros(op.matrix.shape, dtype=complex)
+    bare = np.empty(evals.size, dtype=int)
+    overlap = np.empty(evals.size)
+    members = []
+    start = 0
+    for rows, (_, vecs) in zip(ops.sectors, solved):
+        cols = position[start:start + rows.size]
+        match = greedy_match(vecs**2)
+        states[np.ix_(rows, cols)] = phase[rows, None] * vecs
+        bare[cols] = rows[match]
+        overlap[cols] = np.abs(vecs[match, np.arange(rows.size)])
+        members.append(cols)
+        start += rows.size
     return LabeledSpectrum(
-        energies=evals,
-        labels=tuple(ops.labels[b] for b in bare_for),
+        energies=evals[order],
+        labels=tuple(ops.labels[b] for b in bare),
         overlaps=overlap,
         ambiguous=overlap**2 < AMBIGUITY_THRESHOLD,
-        states=phase[:, None] * vecs,
+        states=states,
         flux_c=op.flux_c,
+        sectors=tuple(members),
     )
 
 

@@ -70,6 +70,25 @@ def test_strang_sequence_matches_split_step_product(model, n):
         assert np.max(np.abs(got - ref @ block)) < 1e-10, f"width {width}"
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 2 * CHUNK + 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_strang_sequence_steps_each_piece_of_a_stack_with_its_own_step(model, n, k):
+    # The two parity sectors of set500 as a stack; pieces side by side.
+    ops, _, u0 = model
+    sectors = ops.sectors
+    stack = np.stack([u0[np.ix_(rows, rows)] for rows in sectors])
+    n_stack = np.stack([ops.n_diag[rows] for rows in sectors])
+    pieces = [_block(k, seed=s)[: rows.size] for s, rows in enumerate(sectors)]
+    dc1 = _drive(n)
+    got = backends.strang_sequence(stack, n_stack, dc1, DT, np.hstack(pieces))
+    assert got.shape == (75, 2 * k)
+    for s, piece in enumerate(pieces):
+        alone = backends.strang_sequence(stack[s], n_stack[s], dc1, DT, piece)
+        assert np.max(np.abs(got[:, s * k: (s + 1) * k] - alone)) <= 1e-13
+    one = backends.strang_sequence(stack[:1], n_stack[:1], dc1, DT, pieces[0])
+    assert np.array_equal(one, backends.strang_sequence(stack[0], n_stack[0], dc1, DT, pieces[0]))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 def test_step_sequence_matches_expm_product(model, params500, n):
     ops, _, _ = model

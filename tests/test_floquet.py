@@ -176,7 +176,8 @@ def test_coupler_parity_reverses_static_pieces(request, name):
 
 
 def _full_period_product(params, flux_s, amp, freq, dt):
-    """Reference monodromy: every Strang step of the period in order."""
+    """Reference monodromy: every Strang step of the period in order, on
+    the full space, around the full-space static step Q exp(-i 2 pi h E) Q^dag."""
     period = 1.0 / freq
     n = max(1, int(np.ceil(period / dt)))
     h = period / n
@@ -187,7 +188,8 @@ def _full_period_product(params, flux_s, amp, freq, dt):
     c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
     ops = assemble_operators(params)
     eye = np.eye(params.dim, dtype=complex)
-    u0 = _flat_step(params, flux_s, h)
+    frame = dressed_frame(params, flux_s)
+    u0 = (frame.states * np.exp(-2j * np.pi * h * frame.energies)) @ frame.states.conj().T
     return n, backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, eye)
 
 
@@ -209,8 +211,9 @@ def test_mirrored_monodromy_matches_full_period(params500, flux_s, amp, freq, dt
 @pytest.mark.parametrize("flux", [0.0, 0.35])
 @pytest.mark.parametrize("h", [5e-4, 4.99e-4, 2e-3])
 def test_flat_step_unitary(params500, flux, h):
-    u0 = _flat_step(params500, flux, h)
-    assert np.linalg.norm(u0.conj().T @ u0 - np.eye(params500.dim)) <= 1e-13
+    u0 = _flat_step(params500, flux, h)  # one step per parity sector
+    assert u0.shape == (2, params500.dim // 2, params500.dim // 2)
+    assert np.linalg.norm(u0.conj().transpose(0, 2, 1) @ u0 - np.eye(u0.shape[-1])) <= 1e-13
 
 
 def test_seed_monodromy_count(params500, rc500, monkeypatch):
