@@ -121,6 +121,8 @@ class FloquetConfig:
             raise ValueError("window must be positive")
         if self.resolution < 5:
             raise ValueError("resolution must be at least 5")
+        if self.pair[0] == self.pair[1]:
+            raise ValueError("pair must name two different states")
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,14 @@ period.
 
 The drive modulates only the coupler number, so M conserves the total
 parity of ``system`` and is block diagonal in its sectors. Each sector
-is stepped with its own 75 x 75 steps (both in one batched kernel call),
-mirrored with P restricted to the sector, and placed into the full
-matrix; the entries between sectors are exactly zero. ``quasienergies``
-solves each sector's block on its own and places its Floquet modes in
-the columns of that sector's dressed states.
+is stepped with its own 75 x 75 steps (all stepped sectors in one
+batched kernel call), mirrored with P restricted to the sector, and
+placed into the full matrix; the entries between sectors are exactly
+zero. ``monodromy`` may step only some sectors: their blocks are bit for
+bit those of the full matrix, and the rest of the matrix is zero.
+``quasienergies`` solves each stepped sector's block on its own and
+returns the Floquet modes of the stepped sectors only, one per dressed
+state of those sectors, in ascending dressed order.
 
 The Floquet modes come from a Hermitian eigensolve rather than a
 complex Schur form. For unitary U the Cayley transform
@@ -61,7 +64,11 @@ Transition extraction scans f_p across a window, tracks the driven pair
 by projecting Floquet modes onto the two target dressed states, then
 refines the crossing with a local rescan (reusing the three scan points
 it contains) and a parabolic fit of the squared gap, which is quadratic
-in detuning near a two-level avoided crossing.
+in detuning near a two-level avoided crossing. Modes of a sector that
+holds neither state of the pair have no overlap with it, so every scan
+point steps and solves only the sectors that hold the pair: one for
+|101> <-> |202> (both even), both for a pair of opposite parities, and
+the one sector off the symmetric point.
 """
 
 from __future__ import annotations
@@ -92,7 +99,13 @@ Label = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class Monodromy:
-    """One-period propagator of the driven system."""
+    """One-period propagator of the driven system.
+
+    ``sectors`` lists the indices into ``ModelOperators.sectors`` of the
+    stepped parity sectors (None, for a matrix built elsewhere, means
+    all of them); ``matrix`` is exactly zero outside their diagonal
+    blocks.
+    """
 
     matrix: np.ndarray
     params: CompositeParams
@@ -100,6 +113,7 @@ class Monodromy:
     drive_amp: float
     drive_freq: float
     defect: float
+    sectors: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,9 @@ class FloquetSpectrum:
     ``quasienergies`` lie in [-f_p/2, f_p/2) GHz. ``labels`` assigns each
     Floquet mode the dressed state (at the static bias) it overlaps most,
     as a one-to-one matching; ``degenerate`` flags modes whose folded
-    quasienergy sits within 1e-9 GHz of another.
+    quasienergy sits within 1e-9 GHz of another. There is one mode per
+    dressed state of the monodromy's stepped sectors, in ascending
+    dressed order; ``states`` holds them as columns in the bare basis.
     """
 
     quasienergies: np.ndarray
@@ -149,6 +165,7 @@ def monodromy(
     drive_freq: float,
     dt: float = DEFAULT_DT,
     t_origin: float = 0.0,
+    sectors: tuple[int, ...] | None = None,
 ) -> Monodromy:
     """Propagator over one drive period of the steady (unenveloped) drive.
 
@@ -162,10 +179,13 @@ def monodromy(
     and steps the whole period; the eigenphase spectrum is invariant
     under it. The steps and their midpoint drive samples follow
     ``evolve._step_samples``, the rule of every gate-schedule interval.
-    Every parity sector is stepped with its own steps, all in one kernel
-    call, and M is assembled block by block, exactly zero between
-    sectors. Raises IntegrationError if the unitarity defect exceeds
-    1e-10.
+    Every parity sector named in ``sectors`` (indices into
+    ``ModelOperators.sectors``; None steps all) is stepped with its own
+    steps, all in one kernel call, and M is assembled block by block,
+    exactly zero between sectors and in the sectors not stepped. A
+    stepped block is the same bit for bit whichever other sectors are
+    stepped with it. Raises IntegrationError if the unitarity defect of
+    the stepped blocks exceeds 1e-10.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
@@ -184,11 +204,15 @@ def monodromy(
     c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
     dc1 = c1 - float(c1_flat)
 
-    # Per-sector steps (sectors, w, w), their coupler occupations, and
-    # the stack of w x w identities they step.
+    # Per-sector steps (stepped sectors, w, w), their coupler occupations,
+    # and the stack of w x w identities they step.
     ops = assemble_operators(params)
-    u0 = _flat_step(params, flux_s, h)
-    n_diag = _by_sector(ops.sectors, ops.n_diag)
+    valid = range(len(ops.sectors))
+    stepped = list(valid if sectors is None else sectors)
+    if not stepped or len(set(stepped)) < len(stepped) or not set(stepped) <= set(valid):
+        raise ValueError(f"sectors must name distinct sectors of 0..{len(ops.sectors) - 1}")
+    u0 = _flat_step(params, flux_s, h)[stepped]
+    n_diag = _by_sector(ops.sectors, ops.n_diag)[stepped]
     eye = np.broadcast_to(np.eye(n_diag.shape[1], dtype=complex), u0.shape)
     if t_origin == 0.0:
         half = n // 2
@@ -209,9 +233,10 @@ def monodromy(
             f"monodromy unitarity defect {defect:.3e} exceeds {UNITARITY_LIMIT:g}"
         )
     m = np.zeros((params.dim, params.dim), dtype=complex)
-    for rows, block in zip(ops.sectors, blocks):
+    for s, block in zip(stepped, blocks):
+        rows = ops.sectors[s]
         m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
-    return Monodromy(m, params, flux_s, drive_amp, drive_freq, defect)
+    return Monodromy(m, params, flux_s, drive_amp, drive_freq, defect, tuple(stepped))
 
 
 def fold(eps, drive_freq: float):
@@ -259,9 +284,11 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     max ||lambda| - 1| exceeds 1e-10, which is how an alpha that lands
     next to an eigenvalue of M shows.
 
-    Each parity sector is solved on its own, with its own alpha, and
-    matched to its own dressed states; its modes take the columns of
-    those states. Raises ConstructionError if M couples two sectors.
+    Each stepped parity sector (``Monodromy.sectors``) is solved on its
+    own, with its own alpha, and matched to its own dressed states; its
+    modes take the places of those states among the dressed states of
+    the stepped sectors. Raises ConstructionError if M couples two
+    sectors.
     """
     m = mono.matrix
     frame = dressed_frame(mono.params, mono.flux_s)
@@ -269,14 +296,18 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     if cross_sector_max(m, sectors):
         raise ConstructionError("monodromy couples parity sectors")
 
-    lam = np.empty(m.shape[0], dtype=complex)
-    z = np.zeros_like(m, dtype=complex)
-    dressed_for = np.empty(m.shape[0], dtype=int)
-    for rows, members in zip(sectors, frame.sectors):
+    stepped = range(len(sectors)) if mono.sectors is None else mono.sectors
+    solved = np.sort(np.concatenate([frame.sectors[s] for s in stepped]))
+    lam = np.empty(solved.size, dtype=complex)
+    z = np.zeros((m.shape[0], solved.size), dtype=complex)
+    dressed_for = np.empty(solved.size, dtype=int)
+    for s in stepped:
+        rows, members = sectors[s], frame.sectors[s]
+        cols = np.searchsorted(solved, members)
         q = frame.states[np.ix_(rows, members)]
-        lam[members], z_s = _sector_modes(m[np.ix_(rows, rows)], q)
-        z[np.ix_(rows, members)] = z_s
-        dressed_for[members] = members[greedy_match(np.abs(q.conj().T @ z_s) ** 2)]
+        lam[cols], z_s = _sector_modes(m[np.ix_(rows, rows)], q)
+        z[np.ix_(rows, cols)] = z_s
+        dressed_for[cols] = members[greedy_match(np.abs(q.conj().T @ z_s) ** 2)]
 
     period = 1.0 / mono.drive_freq
     eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)
@@ -306,9 +337,11 @@ def _pair_gap(
     drive_freq: float,
     pair_vecs: np.ndarray,
     dt: float,
+    sectors: tuple[int, ...],
 ) -> tuple[float, float]:
-    """(circular gap, weaker subspace score) of the tracked pair."""
-    spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt))
+    """(circular gap, weaker subspace score) of the tracked pair, from
+    the Floquet modes of the parity ``sectors`` that hold it."""
+    spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt, sectors=sectors))
     scores = np.abs(pair_vecs.conj().T @ spec.states) ** 2
     total = scores.sum(axis=0)
     top2 = np.argsort(total)[-2:]
@@ -335,23 +368,31 @@ def extract_transition(
     plus a parabolic fit of gap squared. The result reports the scanned
     gap curve either way, each evaluated frequency once and in ascending
     order; ``found`` is False when the minimum sits on the window edge.
+
+    Every scan point steps and solves only the parity sectors that hold
+    a state of the pair (see the module docstring): one sector for
+    |101> <-> |202>, both for a pair of opposite parities. Raises
+    ValueError when the two labels of the pair are equal, which has no
+    transition.
     """
     lo, hi = omega_window
     if not (hi > lo > 0):
         raise ValueError("omega_window must satisfy 0 < lo < hi")
     if resolution < 5:
         raise ValueError("resolution must be at least 5")
+    if pair[0] == pair[1]:
+        raise ValueError(f"pair names one state twice: {pair[0]}")
 
     frame = dressed_frame(params, flux_s)
-    pair_vecs = np.stack(
-        [frame.states[:, frame.index_of(lab)] for lab in pair], axis=1
-    )
+    index = [frame.index_of(lab) for lab in pair]
+    pair_vecs = frame.states[:, index]
+    sectors = tuple(s for s, members in enumerate(frame.sectors) if np.isin(index, members).any())
 
     freqs = np.linspace(lo, hi, resolution)
     gaps = np.empty(resolution)
     scores = np.empty(resolution)
     for i, f in enumerate(freqs):
-        gaps[i], scores[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt)
+        gaps[i], scores[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sectors)
 
     i_min = int(np.argmin(gaps))
     if i_min == 0 or i_min == resolution - 1:
@@ -371,7 +412,9 @@ def extract_transition(
     s_ref[reused] = scores[i_min - 1 : i_min + 2]
     fresh = [i for i in range(REFINE_POINTS) if i not in reused]
     for i in fresh:
-        g_ref[i], s_ref[i] = _pair_gap(params, flux_s, drive_amp, f_ref[i], pair_vecs, dt)
+        g_ref[i], s_ref[i] = _pair_gap(
+            params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sectors
+        )
 
     j = int(np.argmin(g_ref))
     j = min(max(j, 1), REFINE_POINTS - 2)

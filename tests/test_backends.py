@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fluxgate import backends, evolve, floquet, system
+from fluxgate.errors import ConstructionError
 from fluxgate.evolve import oscillator_coefficients
-from fluxgate.system import assemble_operators
+from fluxgate.system import GAUGE_PHASES, assemble_operators
 
 DT = 5e-4
 FLUX = 0.35
@@ -103,6 +104,49 @@ def test_step_sequence_matches_expm_product(model, params500, n):
         got = backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, DT, block)
         _check_fresh(got, block)
         assert np.max(np.abs(got - ref @ block)) < 1e-10, f"width {width}"
+
+
+def test_step_sequence_rejects_a_hamiltonian_complex_in_the_gauge(model, params500):
+    ops, _, _ = model
+    # (0, 0, 0) and (1, 0, 0) share the coupler occupation, so an
+    # imaginary element between them stays imaginary in the gauge.
+    i, j = ops.labels.index((0, 0, 0)), ops.labels.index((1, 0, 0))
+    a = ops.a_fixed.copy()
+    a[i, j] += 1e-3j
+    a[j, i] -= 1e-3j
+    c1, c2 = oscillator_coefficients(params500.coupler, np.full(2, FLUX), np.full(2, FLUX))
+    with pytest.raises(ConstructionError, match="coupler gauge"):
+        backends.step_sequence(a, ops.n_diag, ops.b_op, c1, c2, DT, _block(1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    device=st.sampled_from(["set500", "small"]),
+    flux_a=st.floats(0.0, 0.4),
+    flux_b=st.floats(0.0, 0.4),
+    n=st.integers(1, 6),
+    dt=st.sampled_from([5e-4, 5e-3]),
+)
+@example(device="set500", flux_a=0.0, flux_b=0.35, n=6, dt=5e-3)  # a ramp-down step
+def test_reversed_ramp_is_the_transpose_in_the_gauge(
+    params500, params_small, device, flux_a, flux_b, n, dt
+):
+    # In the coupler gauge D every step exp(-i 2 pi dt H_i) is complex
+    # symmetric, so stepping the samples in reverse order gives the
+    # transpose: D^dag S(reversed) D = (D^dag S D)^T.
+    params = params500 if device == "set500" else params_small
+    ops = assemble_operators(params)
+    fb = np.linspace(flux_a, flux_b, n)
+    c1, c2 = oscillator_coefficients(params.coupler, fb, fb)
+    eye = np.eye(params.dim, dtype=complex)
+    forward = backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, dt, eye)
+    backward = backends.step_sequence(
+        ops.a_fixed, ops.n_diag, ops.b_op, c1[::-1], c2[::-1], dt, eye
+    )
+    d = GAUGE_PHASES[ops.n_diag.astype(int) % 4]
+    gauge = d.conj()[:, None] * forward * d
+    gauge_back = d.conj()[:, None] * backward * d
+    assert np.max(np.abs(gauge_back - gauge.T)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7])

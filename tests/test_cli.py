@@ -294,6 +294,14 @@ def test_floquet_not_found_is_a_failure(tmp_path, capsys):
     assert body[1].endswith(",0")
 
 
+def test_floquet_pair_of_one_state_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[floquet]\nflux_s = 0.35\namp_values = 0.03\npair = 101:101\n")
+    out = tmp_path / "o"
+    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 2
+    assert "two different states" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gate_opt_stagnation_report(tmp_path, capsys):
     # Search window pinned 100 MHz above the resonance: the conditional
     # phase cannot reach pi, so the calibration must report stagnation.

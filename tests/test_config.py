@@ -137,6 +137,12 @@ pair = 101:202
     assert err.value.field == "floquet.pair"
 
 
+def test_floquet_pair_of_one_state_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="two different states") as err:
+        load_config(write(tmp_path, "[floquet]\nflux_s = 0.35\namp_values = 0.03\npair = 101:101\n"))
+    assert err.value.field == "floquet"
+
+
 def test_gate_bounds_come_in_pairs(tmp_path):
     gate = """\
 [gate]

@@ -1,5 +1,7 @@
 """Quasienergy spectra, resonance extraction, and their dynamical meaning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -158,6 +160,96 @@ def test_window_guards(params500):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.8, 10.7))
     with pytest.raises(ValueError):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.7, 10.8), resolution=3)
+
+
+def test_pair_of_one_state_is_rejected(params500):
+    # Both tracked modes would be one state's: a zero "gap" at every
+    # frequency, reported as a resonance of strength 0.
+    with pytest.raises(ValueError, match="one state twice"):
+        extract_transition(
+            params500, 0.35, 0.03, ((1, 0, 1), (1, 0, 1)), (10.70, 10.86), 9, dt=2e-3
+        )
+
+
+# -- the seed steps only the sectors that hold its pair ----------------------
+
+@pytest.mark.parametrize("levels", [6, 5])  # sectors of 75 + 75 and 63 + 62 states
+@pytest.mark.parametrize("freq, dt, origin", [
+    (10.79, 5e-4, 0.0),  # n = 186, even
+    (10.7, 2e-3, 0.0),  # n = 47, odd
+    (10.7, 2e-3, 0.31),  # full-period stepping
+])
+def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, freq, dt, origin):
+    params = replace(params500, n_coupler_levels=levels)
+    kw = dict(dt=dt, t_origin=origin / freq)
+    full = monodromy(params, 0.35, 0.045, freq, **kw)
+    full_spec = quasienergies(full)
+    members_of = dressed_frame(params, 0.35).sectors
+    for s, rows in enumerate(assemble_operators(params).sectors):
+        part = monodromy(params, 0.35, 0.045, freq, sectors=(s,), **kw)
+        assert part.sectors == (s,)
+        block = np.ix_(rows, rows)
+        assert np.array_equal(part.matrix[block], full.matrix[block])
+        outside = np.ones(part.matrix.shape, dtype=bool)
+        outside[block] = False
+        assert np.all(part.matrix[outside] == 0.0)
+
+        # One mode per dressed state of the sector, in ascending order.
+        spec, members = quasienergies(part), members_of[s]
+        assert np.array_equal(spec.quasienergies, full_spec.quasienergies[members])
+        assert np.array_equal(spec.states, full_spec.states[:, members])
+        assert spec.labels == tuple(full_spec.labels[i] for i in members)
+
+
+def test_monodromy_rejects_unknown_sectors(params500):
+    for sectors in ((), (2,), (0, 0), (-1,)):
+        with pytest.raises(ValueError, match="sectors"):
+            monodromy(params500, 0.35, 0.045, 10.79, dt=2e-3, sectors=sectors)
+
+
+def _off_sweet_spot(params):
+    return replace(params, q0=replace(params.q0, phi_ext=np.pi - 0.05))
+
+
+@pytest.mark.parametrize("device, amp, pair, window, stepped", [
+    ("params500", 0.02, BSWAP, (10.736, 10.836), [(0,)]),
+    ("params500", 0.06, BSWAP, (10.736, 10.836), [(0,)]),
+    # |102> is odd: both sectors, whose modes cross without a gap.
+    ("params500", 0.06, ((1, 0, 1), (1, 0, 2)), (5.17, 5.27), [(0, 1)]),
+    ("off_sweet_spot", 0.03, BSWAP, (10.70, 10.80), [(0,)]),  # the one sector
+])
+def test_extraction_matches_full_spectrum_reference(
+    request, monkeypatch, device, amp, pair, window, stepped
+):
+    if device == "off_sweet_spot":
+        params = _off_sweet_spot(request.getfixturevalue("params_small"))
+        assert len(assemble_operators(params).sectors) == 1
+    else:
+        params = request.getfixturevalue(device)
+    full_monodromy = floquet.monodromy
+    seen = []
+
+    def recorded(*args, sectors=None, **kwargs):
+        seen.append(sectors)
+        return full_monodromy(*args, sectors=sectors, **kwargs)
+
+    def every_sector(*args, sectors=None, **kwargs):
+        return full_monodromy(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "monodromy", recorded)
+    got = extract_transition(params, 0.35, amp, pair, window, 9, dt=2e-3)
+    # The full-spectrum route: quasienergies(monodromy(...)) of every sector.
+    monkeypatch.setattr(floquet, "monodromy", every_sector)
+    ref = extract_transition(params, 0.35, amp, pair, window, 9, dt=2e-3)
+
+    assert sorted(set(seen)) == stepped
+    assert got.found == ref.found
+    assert np.array_equal(got.scan_freqs, ref.scan_freqs)
+    assert np.max(np.abs(got.gaps - ref.gaps)) <= 1e-12
+    assert np.max(np.abs(got.min_scores - ref.min_scores)) <= 1e-12
+    if ref.found:
+        assert abs(got.omega_res - ref.omega_res) <= 1e-12
+        assert abs(got.strength - ref.strength) <= 1e-12
 
 
 # -- time-reversal construction of the monodromy ----------------------------
