@@ -2,10 +2,9 @@
 
 Two heavy-fluxonium qubits coupled through a flux-tunable transmon are
 modeled from the circuit level up: exact single-circuit spectra, the
-truncated three-body Hamiltonian, analytic effective couplings,
-time-domain propagation under parametric flux drives, Floquet
-quasienergy analysis, and CZ gate tuning with coherent and incoherent
-error metrics.
+truncated three-body Hamiltonian, time-domain propagation under
+parametric flux drives, Floquet quasienergy analysis, and CZ gate
+calibration.
 
 Units throughout: energies and frequencies in GHz (h = 1), times in ns,
 fluxes in units of the flux quantum.
@@ -26,22 +25,9 @@ from .circuits import (
     OscillatorParams,
     SpectralData,
     TransmonParams,
-    coupler_flux_derivative,
     diagonalize_fluxonium,
     diagonalize_transmon_charge,
     transmon_oscillator_params,
-)
-from .effective import (
-    EffectiveCouplings,
-    ParametricCoupling,
-    PlasmonModeSelection,
-    TransitionCategory,
-    classify_transition,
-    parametric_strength,
-    plasmon_coupler_strengths,
-    squeezing_coefficients,
-    static_plasmon_coupling,
-    swt_dressed_shifts,
 )
 from .errors import (
     ConfigError,
@@ -50,7 +36,6 @@ from .errors import (
     CutoffError,
     DomainError,
     FluxgateError,
-    FluxgateWarning,
     IntegrationError,
     LabelingError,
     SearchError,
@@ -70,7 +55,6 @@ from .floquet import (
     quasienergies,
 )
 from .gates import (
-    CoherenceTimes,
     GateConfig,
     GateMetrics,
     LeakageChannel,
@@ -78,18 +62,16 @@ from .gates import (
     evaluate_gate,
     gate_metrics,
     gate_schedule,
-    incoherent_error,
     leakage_channels,
     optimize_cz,
     simplex_search,
 )
-from .pulses import BiasRamp, ParametricPulse, flux_waveform
+from .pulses import BiasRamp, ParametricPulse
 from .system import (
     CompositeParams,
     CompositeOperator,
     LabeledSpectrum,
     build_hamiltonian,
-    find_idle_point,
     label_eigenstates,
     state_dependent_shifts,
     zz_coupling,

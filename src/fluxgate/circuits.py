@@ -227,31 +227,3 @@ def transmon_oscillator_params(params: TransmonParams, flux: float | None = None
         phi_zpf=phi_zpf,
     )
 
-
-def coupler_flux_derivative(params: TransmonParams, flux: float, step: float = 1e-5) -> float:
-    """d omega_c / d Phi at the given flux, in GHz per flux quantum.
-
-    Central finite difference of the closed-form oscillator frequency,
-    Richardson-checked: the halved-step estimate must agree within
-    1e-6 GHz, and that estimate is returned.
-    """
-
-    def omega(ph: float) -> float:
-        return transmon_oscillator_params(params, ph).omega_c
-
-    estimates = []
-    for h in (step, step / 2.0):
-        lo, hi = omega(flux - h), omega(flux + h)
-        if abs(hi - lo) < 1e-12 and abs(flux) > 1e-9:
-            raise ConvergenceError(
-                f"finite-difference step {h} underflows at flux {flux}",
-                last_delta=abs(hi - lo),
-            )
-        estimates.append((hi - lo) / (2.0 * h))
-    if abs(estimates[1] - estimates[0]) > 1e-6:
-        raise ConvergenceError(
-            "flux derivative not Richardson-converged "
-            f"(delta {abs(estimates[1] - estimates[0]):.3e})",
-            last_delta=abs(estimates[1] - estimates[0]),
-        )
-    return estimates[1]

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError
-from .gates import GateConfig
+from .evolve import DEFAULT_DT
+from .gates import OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -164,8 +165,8 @@ class RunConfig:
     floquet: FloquetConfig | None = None
     sweep: SweepConfig | None = None
     reference: ReferenceValues | None = None
-    gate_restarts: int = 3
-    gate_budget: int = 400
+    gate_restarts: int = OPTIMIZER_RESTARTS
+    gate_budget: int = OPTIMIZER_BUDGET
 
     def require(self, name: str):
         """Section accessor that fails with a clear field path."""
@@ -351,6 +352,12 @@ def load_config(path) -> RunConfig:
     q1 = _build("qubit1", FluxoniumParams, parsed["qubit1"])
     coupler = _build("coupler", TransmonParams, parsed["coupler"])
     trunc = parsed.get("truncation", {})
+    levels = {
+        field: trunc[key]
+        for key, field in (("fluxonium_levels", "n_flux_levels"),
+                           ("coupler_levels", "n_coupler_levels"))
+        if key in trunc
+    }
     params = _build(
         "truncation",
         CompositeParams,
@@ -361,25 +368,24 @@ def load_config(path) -> RunConfig:
             "j_c0": parsed["couplings"]["j_c0"],
             "j_c1": parsed["couplings"]["j_c1"],
             "j_01": parsed["couplings"]["j_01"],
-            "n_flux_levels": trunc.get("fluxonium_levels", 5),
-            "n_coupler_levels": trunc.get("coupler_levels", 6),
+            **levels,
         },
     )
 
     out = parsed.get("output", {})
     workers = out.get("workers", 1)
-    dt = out.get("dt", 0.0005)
+    dt = out.get("dt", DEFAULT_DT)
     if workers < 1:
         raise ConfigError("workers must be at least 1", "output.workers")
     if dt <= 0:
         raise ConfigError("dt must be positive", "output.dt")
 
     gate = None
-    gate_restarts, gate_budget = 3, 400
+    gate_restarts, gate_budget = OPTIMIZER_RESTARTS, OPTIMIZER_BUDGET
     if "gate" in parsed:
         g = dict(parsed["gate"])
-        gate_restarts = g.pop("restarts", 3)
-        gate_budget = g.pop("budget", 400)
+        gate_restarts = g.pop("restarts", OPTIMIZER_RESTARTS)
+        gate_budget = g.pop("budget", OPTIMIZER_BUDGET)
         if gate_restarts < 1:
             raise ConfigError("restarts must be at least 1", "gate.restarts")
         if gate_budget < 10:

@@ -51,18 +51,3 @@ class ConfigError(FluxgateError):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
 
-
-class FluxgateWarning(UserWarning):
-    """Base class for package-specific warnings."""
-
-
-class ForbiddenTransitionWarning(FluxgateWarning):
-    """A selected matrix element is numerically zero."""
-
-
-class DispersiveWarning(FluxgateWarning):
-    """A perturbative formula is evaluated outside the dispersive regime."""
-
-
-class AmplitudeWarning(FluxgateWarning):
-    """A linearized-in-amplitude formula is used at large drive amplitude."""

@@ -66,9 +66,10 @@ refines the crossing with a local rescan (reusing the three scan points
 it contains) and a parabolic fit of the squared gap, which is quadratic
 in detuning near a two-level avoided crossing. Modes of a sector that
 holds neither state of the pair have no overlap with it, so every scan
-point steps and solves only the sectors that hold the pair: one for
-|101> <-> |202> (both even), both for a pair of opposite parities, and
-the one sector off the symmetric point.
+point steps and solves only the sector that holds the pair: the even
+one for |101> <-> |202>, and the one sector off the symmetric point. A
+pair of opposite parities at the symmetric point is refused: the drive
+conserves parity, so its two modes cross without a gap.
 """
 
 from __future__ import annotations
@@ -337,11 +338,11 @@ def _pair_gap(
     drive_freq: float,
     pair_vecs: np.ndarray,
     dt: float,
-    sectors: tuple[int, ...],
+    sector: int,
 ) -> tuple[float, float]:
     """(circular gap, weaker subspace score) of the tracked pair, from
-    the Floquet modes of the parity ``sectors`` that hold it."""
-    spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt, sectors=sectors))
+    the Floquet modes of the parity ``sector`` that holds it."""
+    spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt, sectors=(sector,)))
     scores = np.abs(pair_vecs.conj().T @ spec.states) ** 2
     total = scores.sum(axis=0)
     top2 = np.argsort(total)[-2:]
@@ -369,11 +370,10 @@ def extract_transition(
     gap curve either way, each evaluated frequency once and in ascending
     order; ``found`` is False when the minimum sits on the window edge.
 
-    Every scan point steps and solves only the parity sectors that hold
-    a state of the pair (see the module docstring): one sector for
-    |101> <-> |202>, both for a pair of opposite parities. Raises
-    ValueError when the two labels of the pair are equal, which has no
-    transition.
+    Every scan point steps and solves only the parity sector that holds
+    the pair (see the module docstring). Raises ValueError when the two
+    labels of the pair are equal, and DomainError (also a ValueError)
+    when they lie in different parity sectors: neither has a transition.
     """
     lo, hi = omega_window
     if not (hi > lo > 0):
@@ -386,13 +386,19 @@ def extract_transition(
     frame = dressed_frame(params, flux_s)
     index = [frame.index_of(lab) for lab in pair]
     pair_vecs = frame.states[:, index]
-    sectors = tuple(s for s, members in enumerate(frame.sectors) if np.isin(index, members).any())
+    held = [s for i in index for s, members in enumerate(frame.sectors) if i in members]
+    if held[0] != held[1]:
+        raise DomainError(
+            f"pair {pair[0]}, {pair[1]} spans both parity sectors, "
+            "which the drive does not couple"
+        )
+    sector = held[0]
 
     freqs = np.linspace(lo, hi, resolution)
     gaps = np.empty(resolution)
     scores = np.empty(resolution)
     for i, f in enumerate(freqs):
-        gaps[i], scores[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sectors)
+        gaps[i], scores[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
 
     i_min = int(np.argmin(gaps))
     if i_min == 0 or i_min == resolution - 1:
@@ -413,7 +419,7 @@ def extract_transition(
     fresh = [i for i in range(REFINE_POINTS) if i not in reused]
     for i in fresh:
         g_ref[i], s_ref[i] = _pair_gap(
-            params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sectors
+            params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sector
         )
 
     j = int(np.argmin(g_ref))

@@ -5,8 +5,7 @@ the resulting truncated propagators with a state-average fidelity,
 leakage, and conditional phase, and calibrates the two drive parameters
 (frequency, amplitude) with a bounded derivative-free search seeded from
 the Floquet resonance. Ranked reports of leakage channels support
-synchronization studies; an analytic white-noise estimate covers the
-incoherent error floor.
+synchronization studies.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ GATE_MODES = ("dynamic-bias", "static-bias")
 DIAGONAL_FLOOR = 1e-3
 CHANNEL_FLOOR = 1e-15
 OPTIMIZER_BUDGET = 400
+OPTIMIZER_RESTARTS = 3
 SEED_PROBE_AMP = 0.02
 STAGNATION_LIMIT = 1e-2
 
@@ -113,18 +113,6 @@ class GateMetrics:
     single_qubit_phases: tuple[float, float]
     channel_populations: dict[Label, dict[Label, float]] = field(default_factory=dict)
     phases_reliable: bool = True
-
-
-@dataclass(frozen=True)
-class CoherenceTimes:
-    """Relaxation and white-noise dephasing times of |202>, in us."""
-
-    t1_22: float
-    tphi_22: float
-
-    def __post_init__(self):
-        if self.t1_22 <= 0 or self.tphi_22 <= 0:
-            raise ValueError("coherence times must be positive")
 
 
 class LeakageChannel(NamedTuple):
@@ -289,14 +277,6 @@ def leakage_channels(
     return rows[:top_k]
 
 
-def incoherent_error(gate_time: float, times: CoherenceTimes) -> float:
-    """White-noise error of a CZ idled in |202> for ``gate_time`` ns."""
-    if gate_time < 0:
-        raise ValueError("gate_time must be non-negative")
-    t_us = gate_time * 1e-3
-    return (3.0 / 32.0) * (t_us / times.t1_22) + (13.0 / 80.0) * (t_us / times.tphi_22)
-
-
 def phase_distance(phi: float, target: float) -> float:
     """Signed angular distance from phi to target, wrapped to (-pi, pi]."""
     return float(np.angle(np.exp(1j * (phi - target))))
@@ -307,7 +287,7 @@ def simplex_search(
     seed,
     bounds,
     steps,
-    restarts: int = 3,
+    restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,
     xatol: float = 1e-6,
     fatol: float = 1e-10,
@@ -423,7 +403,7 @@ def optimize_cz(
     cfg: GateConfig,
     dt: float = 0.001,
     final_dt: float | None = None,
-    restarts: int = 3,
+    restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,
 ) -> OptimizationResult:
     """Calibrate (drive frequency, amplitude) of a CZ at fixed length.

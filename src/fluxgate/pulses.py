@@ -134,7 +134,3 @@ def drive_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
     out = pulse.drive_amp * env * np.cos(TWO_PI * pulse.drive_freq * tau + pulse.drive_phase)
     return out if np.ndim(out) else float(out)
 
-
-def flux_waveform(pulse: ParametricPulse, ramp: BiasRamp | None, t):
-    """Total coupler flux Phi(t); accepts scalars or arrays."""
-    return bias_flux(pulse, ramp, t) + drive_flux(pulse, ramp, t)

@@ -65,11 +65,10 @@ from .circuits import (
     diagonalize_fluxonium,
     transmon_oscillator_params,
 )
-from .errors import ConstructionError, LabelingError, SearchError
+from .errors import ConstructionError, LabelingError
 
 AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
 GAUGE_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n by n % 4
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Largest equal-parity fluxonium charge element accepted as roundoff at
 # the symmetric point; the bundled devices have at most 2.1e-14.
 PARITY_TOL = 1e-10
@@ -405,49 +404,3 @@ def zz_coupling(spec: LabeledSpectrum) -> float:
     e = _energy_table(spec, [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)])
     return e[(1, 0, 1)] - e[(1, 0, 0)] - e[(0, 0, 1)] + e[(0, 0, 0)]
 
-
-def _shift_cost(params: CompositeParams, flux: float) -> float:
-    try:
-        spec = label_eigenstates(build_hamiltonian(params, flux))
-        return max(state_dependent_shifts(spec))
-    except LabelingError:
-        return np.inf
-
-
-def find_idle_point(
-    params: CompositeParams,
-    flux_range: tuple[float, float] = (0.0, 0.4),
-    resolution: int = 41,
-) -> float:
-    """Coupler flux minimizing the worst state-dependent plasmon shift.
-
-    A uniform grid locates the basin; golden-section refines the minimum
-    to 1e-4 in flux. Grid points where labeling is ambiguous are skipped,
-    and the search fails if no point survives.
-    """
-    lo, hi = flux_range
-    if resolution < 3:
-        raise ValueError("resolution must be at least 3")
-    grid = np.linspace(lo, hi, resolution)
-    costs = np.array([_shift_cost(params, f) for f in grid])
-    if not np.any(np.isfinite(costs)):
-        raise SearchError(
-            f"state labeling ambiguous at every grid point in [{lo}, {hi}]"
-        )
-    best = int(np.argmin(costs))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, resolution - 1)]
-
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = _shift_cost(params, c), _shift_cost(params, d)
-    while b - a > 1e-4:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = _shift_cost(params, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = _shift_cost(params, d)
-    return float(0.5 * (a + b))

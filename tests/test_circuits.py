@@ -8,7 +8,6 @@ from fluxgate import (
     DomainError,
     FluxoniumParams,
     TransmonParams,
-    coupler_flux_derivative,
     diagonalize_fluxonium,
     diagonalize_transmon_charge,
     transmon_oscillator_params,
@@ -104,16 +103,6 @@ def test_oscillator_approximation_consistency():
     assert abs(osc.omega_c - exact.transition(0, 1)) < 0.015
     assert abs(osc.alpha_c - (-params.e_c)) < 1e-12
     assert abs(osc.phi_zpf * osc.n_zpf - 0.5) < 1e-12
-
-
-def test_flux_derivative_matches_finite_difference():
-    params = TransmonParams(e_c=0.32, e_j_max=55.0)
-    for flux in (0.1, 0.25, 0.35):
-        step = 1e-6
-        hi = transmon_oscillator_params(params, flux=flux + step).omega_c
-        lo = transmon_oscillator_params(params, flux=flux - step).omega_c
-        want = (hi - lo) / (2.0 * step)
-        assert abs(coupler_flux_derivative(params, flux) - want) < 1e-4 * abs(want)
 
 
 def test_domain_rejections():

@@ -1,6 +1,7 @@
 """Command line entry points, run directories, and determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -302,6 +303,22 @@ def test_floquet_pair_of_one_state_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_floquet_pair_of_opposite_parities_fails_its_point(tmp_path, capsys):
+    # |101> is even and |102> odd: at the symmetric point the drive does
+    # not couple them, so the point fails instead of reporting a crossing.
+    cfg = write_cfg(
+        tmp_path,
+        "[output]\ndt = 0.002\n\n[floquet]\nflux_s = 0.35\namp_values = 0.06\n"
+        "pair = 101:102\nresolution = 5\n",
+    )
+    out = tmp_path / "o"
+    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 1
+    failures = run_json(only_run_dir(out, "floquet"))["failures"]
+    assert [f["point"] for f in failures] == ["0.06"]
+    assert "parity sectors" in failures[0]["message"]
+    capsys.readouterr()
+
+
 def test_gate_opt_stagnation_report(tmp_path, capsys):
     # Search window pinned 100 MHz above the resonance: the conditional
     # phase cannot reach pi, so the calibration must report stagnation.
@@ -322,7 +339,11 @@ def test_gate_opt_stagnation_report(tmp_path, capsys):
     assert report["schema"] == "fluxgate.gate_opt/1"
     assert report["success"] is False
     assert report["n_evaluations"] >= 10
-    assert report["metrics"]["leakage"] >= 0.0
+    m = report["metrics"]
+    phase_error = gates.phase_distance(m["conditional_phase"], math.pi)
+    objective = m["leakage"] + phase_error**2 / math.pi**2
+    assert abs(report["objective"] - objective) <= 1e-15
+    assert report["objective"] > gates.STAGNATION_LIMIT
 
 
 def test_gate_sweep_rows(tmp_path):

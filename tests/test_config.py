@@ -1,8 +1,12 @@
 """Configuration parsing, schema validation, and field paths."""
 
+from dataclasses import fields
+
 import pytest
 
-from fluxgate import ConfigError, load_config
+from fluxgate import CompositeParams, ConfigError, load_config
+from fluxgate.evolve import DEFAULT_DT
+from fluxgate.gates import OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
 
 BASE = """\
 [qubit0]
@@ -40,6 +44,14 @@ def test_minimal_config_defaults(tmp_path):
     assert rc.gate is None and rc.chevron is None and rc.sweep is None
     assert rc.params.n_flux_levels == 5
     assert rc.params.n_coupler_levels == 6
+    assert rc.gate_restarts == 3 and rc.gate_budget == 400
+    # Each default is the value of the module that owns it.
+    assert rc.dt == DEFAULT_DT
+    assert rc.gate_restarts == OPTIMIZER_RESTARTS
+    assert rc.gate_budget == OPTIMIZER_BUDGET
+    defaults = {f.name: f.default for f in fields(CompositeParams)}
+    assert rc.params.n_flux_levels == defaults["n_flux_levels"]
+    assert rc.params.n_coupler_levels == defaults["n_coupler_levels"]
 
 
 def test_bundled_configs(rc500, rc300):

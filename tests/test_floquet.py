@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import schur
 
-from fluxgate import IntegrationError, ParametricPulse, backends, floquet, gates, propagate_state
+from fluxgate import (
+    DomainError,
+    IntegrationError,
+    ParametricPulse,
+    backends,
+    floquet,
+    gates,
+    propagate_state,
+)
 from fluxgate.evolve import (
     _flat_step,
     dressed_frame,
@@ -214,8 +222,8 @@ def _off_sweet_spot(params):
 @pytest.mark.parametrize("device, amp, pair, window, stepped", [
     ("params500", 0.02, BSWAP, (10.736, 10.836), [(0,)]),
     ("params500", 0.06, BSWAP, (10.736, 10.836), [(0,)]),
-    # |102> is odd: both sectors, whose modes cross without a gap.
-    ("params500", 0.06, ((1, 0, 1), (1, 0, 2)), (5.17, 5.27), [(0, 1)]),
+    # |100> <-> |201>, the same exchange in the odd sector.
+    ("params500", 0.06, ((1, 0, 0), (2, 0, 1)), (5.735, 5.835), [(1,)]),
     ("off_sweet_spot", 0.03, BSWAP, (10.70, 10.80), [(0,)]),  # the one sector
 ])
 def test_extraction_matches_full_spectrum_reference(
@@ -250,6 +258,19 @@ def test_extraction_matches_full_spectrum_reference(
     if ref.found:
         assert abs(got.omega_res - ref.omega_res) <= 1e-12
         assert abs(got.strength - ref.strength) <= 1e-12
+
+
+def test_extraction_rejects_a_pair_of_opposite_parities(params500, params_small):
+    # |102> is odd and |101> even: the drive conserves parity, so their
+    # modes cross without a gap and there is no transition to report.
+    with pytest.raises(DomainError, match="parity sectors"):
+        extract_transition(params500, 0.35, 0.06, ((1, 0, 1), (1, 0, 2)), (5.17, 5.27), 9,
+                           dt=2e-3)
+    # Off the symmetric point the one sector holds both, and the scan runs.
+    params = _off_sweet_spot(params_small)
+    got = extract_transition(params, 0.35, 0.06, ((1, 0, 1), (1, 0, 2)), (5.17, 5.27), 5,
+                             dt=2e-3)
+    assert got.scan_freqs.size >= 5
 
 
 # -- time-reversal construction of the monodromy ----------------------------

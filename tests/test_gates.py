@@ -1,4 +1,4 @@
-"""Gate scoring, calibration, and the analytic error floor."""
+"""Gate scoring and calibration."""
 
 import math
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from fluxgate import (
-    CoherenceTimes,
     GateConfig,
     evaluate_gate,
     gate_metrics,
-    incoherent_error,
     leakage_channels,
     optimize_cz,
 )
@@ -94,26 +92,6 @@ def test_phase_distance_wraps():
     assert phase_distance(math.pi + 0.1, math.pi) == pytest.approx(0.1)
     assert phase_distance(-math.pi + 0.1, math.pi) == pytest.approx(0.1)
     assert abs(phase_distance(0.0, math.pi)) == pytest.approx(math.pi)
-
-
-# -- incoherent error --------------------------------------------------------
-
-def test_incoherent_error_reference_point():
-    times = CoherenceTimes(t1_22=5.0, tphi_22=5.0)
-    assert incoherent_error(100.0, times) == pytest.approx(5.125e-3, rel=1e-14)
-
-
-def test_incoherent_error_limits():
-    times = CoherenceTimes(t1_22=5.0, tphi_22=5.0)
-    assert incoherent_error(0.0, times) == 0.0
-    assert incoherent_error(200.0, times) == pytest.approx(
-        2.0 * incoherent_error(100.0, times), rel=1e-14
-    )
-    assert incoherent_error(100.0, CoherenceTimes(math.inf, math.inf)) == 0.0
-    with pytest.raises(ValueError):
-        incoherent_error(-1.0, times)
-    with pytest.raises(ValueError):
-        CoherenceTimes(0.0, 5.0)
 
 
 # -- configuration and schedule ----------------------------------------------
