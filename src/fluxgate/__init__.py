@@ -22,12 +22,11 @@ from .config import (
 )
 from .circuits import (
     FluxoniumParams,
-    OscillatorParams,
     SpectralData,
     TransmonParams,
     diagonalize_fluxonium,
     diagonalize_transmon_charge,
-    transmon_oscillator_params,
+    oscillator_coefficients,
 )
 from .errors import (
     ConfigError,

@@ -90,16 +90,6 @@ class SpectralData:
         return float(self.energies[j] - self.energies[i])
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Anharmonic-oscillator reduction of the transmon at one flux."""
-
-    omega_c: float
-    alpha_c: float
-    n_zpf: float
-    phi_zpf: float
-
-
 def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
@@ -209,21 +199,23 @@ def diagonalize_transmon_charge(
     )
 
 
-def transmon_oscillator_params(params: TransmonParams, flux: float | None = None) -> OscillatorParams:
-    """Oscillator reduction at the given flux.
+def oscillator_coefficients(
+    params: TransmonParams, flux_bias, flux_full
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oscillator reduction of the coupler: the pair (c1, c2) of
+    H = A + c1 diag(N) + c2 B, vectorized over equally shaped bias and
+    full flux arrays.
 
-    omega_c = sqrt(8 E_C E_J(Phi)) - E_C, alpha_c = -E_C, and the
-    zero-point fluctuations satisfy phi_zpf * n_zpf = 1/2.
+    c1 = omega_c(Phi_b) + [E_J(Phi) - E_J(Phi_b)] phi_zpf^2(Phi_b), with
+    omega_c = sqrt(8 E_C E_J) - E_C, and c2 = n_zpf(Phi_b) =
+    1 / (2 phi_zpf), phi_zpf = (2 E_C / E_J)^(1/4); at Phi = Phi_b, c1 is
+    the oscillator frequency. Raises DomainError where E_J is not
+    positive at either flux.
     """
-    phi = params.flux if flux is None else flux
-    ej = params.effective_ej(phi)
-    if ej <= 0:
-        raise DomainError(f"no positive Josephson energy at flux {phi}")
-    phi_zpf = (2.0 * params.e_c / ej) ** 0.25
-    return OscillatorParams(
-        omega_c=np.sqrt(8.0 * params.e_c * ej) - params.e_c,
-        alpha_c=-params.e_c,
-        n_zpf=0.5 / phi_zpf,
-        phi_zpf=phi_zpf,
-    )
-
+    ej_b = params.effective_ej(flux_bias)
+    ej_f = params.effective_ej(flux_full)
+    if (ej_b <= 0).any() or (ej_f <= 0).any():
+        raise DomainError("coupler flux leaves the positive-E_J domain")
+    ratio = 2.0 * params.e_c / ej_b
+    c1 = np.sqrt(8.0 * params.e_c * ej_b) - params.e_c + (ej_f - ej_b) * np.sqrt(ratio)
+    return c1, 0.5 / ratio**0.25

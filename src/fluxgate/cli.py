@@ -585,6 +585,9 @@ def main(argv=None) -> int:
         }
         if args.command == "gate-sweep":
             payload["gate"] = asdict(rc.require("gate"))
+        if args.command in ("gate-opt", "gate-sweep"):
+            payload["restarts"] = rc.gate_restarts
+            payload["budget"] = rc.gate_budget
 
         root = Path(
             args.out

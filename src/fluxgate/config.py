@@ -17,7 +17,7 @@ from pathlib import Path
 from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError
 from .evolve import DEFAULT_DT
-from .gates import OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
+from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -386,8 +386,8 @@ def load_config(path) -> RunConfig:
         g = dict(parsed["gate"])
         gate_restarts = g.pop("restarts", OPTIMIZER_RESTARTS)
         gate_budget = g.pop("budget", OPTIMIZER_BUDGET)
-        if gate_restarts < 1:
-            raise ConfigError("restarts must be at least 1", "gate.restarts")
+        if not 1 <= gate_restarts <= len(OFFSET_TABLE):
+            raise ConfigError(f"restarts must lie in 1..{len(OFFSET_TABLE)}", "gate.restarts")
         if gate_budget < 10:
             raise ConfigError("budget must be at least 10", "gate.budget")
         freq_bounds = None

@@ -9,8 +9,9 @@ Phi_b(t) and the full waveform Phi(t) = Phi_b(t) + drive:
 
 so the static pieces follow the bias exactly while the fast modulation
 enters through the junction-energy swing linearized onto the coupler
-number operator. At zero drive this reduces to the static Hamiltonian
-at the bias flux, term by term.
+number operator. ``circuits.oscillator_coefficients`` gives (c1, c2)
+here and in the static Hamiltonian, so at zero drive this is the
+static Hamiltonian at the bias flux, term by term.
 
 Propagation is second-order stepping (see ``backends``): split-operator
 steps around the exact static step where the bias is constant, and
@@ -54,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .circuits import TransmonParams
+from .circuits import oscillator_coefficients
 from .errors import DomainError, IntegrationError, LabelingError
 from .pulses import BiasRamp, ParametricPulse, bias_flux, drive_flux, drive_window, total_duration
 from .system import (
@@ -110,27 +111,6 @@ class ComputationalUnitary:
     state_labels: tuple[Label, ...]
 
 
-def oscillator_coefficients(
-    coupler: TransmonParams, flux_bias, flux_full
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient pair (c1, c2) of the time-dependent Hamiltonian.
-
-    Vectorized over equally shaped bias and full flux arrays. c1 carries
-    the coupler frequency plus the linearized junction-energy swing; c2
-    is the charge zero-point fluctuation at the bias.
-    """
-    fb = np.asarray(flux_bias, dtype=float)
-    ff = np.asarray(flux_full, dtype=float)
-    ej_b = coupler.e_j_max * np.cos(np.pi * fb)
-    ej_f = coupler.e_j_max * np.cos(np.pi * ff)
-    if np.any(ej_b <= 0) or np.any(ej_f <= 0):
-        raise DomainError("flux schedule leaves the positive-E_J domain")
-    phi_zpf_sq = np.sqrt(2.0 * coupler.e_c / ej_b)
-    c1 = np.sqrt(8.0 * coupler.e_c * ej_b) - coupler.e_c + (ej_f - ej_b) * phi_zpf_sq
-    c2 = 0.5 / np.sqrt(phi_zpf_sq)
-    return c1, c2
-
-
 @lru_cache(maxsize=32)
 def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     """Labeled dressed spectrum at a fixed coupler flux (cached, read-only).
@@ -171,12 +151,16 @@ def _idle_frame(params, pulse, ramp, dt) -> LabeledSpectrum:
     if dt <= 0:
         raise ValueError("dt must be positive")
     if pulse.drive_amp > 0 and pulse.drive_freq > 0:
-        limit = 1.0 / (40.0 * pulse.drive_freq)
-        if dt > limit:
-            raise DomainError(
-                f"dt = {dt} ns does not resolve the drive: need dt <= {limit:.2e} ns"
-            )
+        _check_drive_resolved(dt, pulse.drive_freq)
     return dressed_frame(params, idle_flux(pulse, ramp))
+
+
+def _check_drive_resolved(dt: float, drive_freq: float) -> None:
+    """Raise DomainError unless ``dt`` takes at least 40 steps per drive
+    period, the resolution of every driven propagation and monodromy."""
+    limit = 1.0 / (40.0 * drive_freq)
+    if dt > limit:
+        raise DomainError(f"dt = {dt} ns does not resolve the drive: need dt <= {limit:.2e} ns")
 
 
 def _norm_drift(block: np.ndarray) -> float:
@@ -189,27 +173,6 @@ def _norm_drift(block: np.ndarray) -> float:
             "reduce dt or inspect the flux schedule"
         )
     return drift
-
-
-def _resolve_state(frame: LabeledSpectrum, psi0) -> np.ndarray:
-    """Initial state from a label, a label -> amplitude map, or a vector."""
-    if isinstance(psi0, np.ndarray):
-        v = psi0.astype(complex)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("initial state has zero norm")
-        return v / n
-    if isinstance(psi0, tuple) and len(psi0) == 3:
-        return frame.states[:, frame.index_of(psi0)].astype(complex)
-    if isinstance(psi0, dict):
-        v = np.zeros(frame.states.shape[0], dtype=complex)
-        for label, amp in psi0.items():
-            v += amp * frame.states[:, frame.index_of(label)]
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("initial superposition has zero norm")
-        return v / n
-    raise TypeError(f"cannot interpret initial state of type {type(psi0).__name__}")
 
 
 def _ambiguity_check(frame: LabeledSpectrum, labels) -> None:
@@ -226,8 +189,6 @@ def _boundaries(pulse: ParametricPulse, ramp: BiasRamp | None) -> list[float]:
     cuts = {0.0, total_duration(pulse, ramp), t0, t1}
     if pulse.ramp_time > 0:
         cuts.update((t0 + pulse.ramp_time, t1 - pulse.ramp_time))
-    if ramp is not None:
-        cuts.update((ramp.ramp_time, t1 + ramp.lag))
     return sorted(cuts)
 
 
@@ -436,10 +397,9 @@ def propagate_state(
 ) -> EvolutionResult:
     """Integrate the Schroedinger equation and record dressed populations.
 
-    ``psi0`` may be a dressed-state label, a label -> amplitude mapping,
-    or a raw vector in the bare product basis. ``record`` lists the
-    labels whose populations are tracked ("all" tracks the full dressed
-    basis); ``t_grid`` defaults to 201 evenly spaced snapshot times.
+    ``psi0`` is the dressed-state label of the initial state. ``record``
+    lists the labels whose populations are tracked; ``t_grid`` defaults
+    to 201 evenly spaced snapshot times.
 
     Raises IntegrationError when the final norm drifts from unity by
     more than 1e-8, and LabelingError when a requested dressed label is
@@ -447,15 +407,8 @@ def propagate_state(
     """
     frame = _idle_frame(params, pulse, ramp, dt)
 
-    if record is None:
-        record = DEFAULT_RECORD
-    elif isinstance(record, str) and record == "all":
-        record = frame.labels
-    record = tuple(record)
-    if isinstance(psi0, tuple):
-        _ambiguity_check(frame, [psi0])
-    elif isinstance(psi0, dict):
-        _ambiguity_check(frame, list(psi0))
+    record = DEFAULT_RECORD if record is None else tuple(record)
+    _ambiguity_check(frame, [psi0])
 
     duration = total_duration(pulse, ramp)
     if t_grid is None:
@@ -467,7 +420,7 @@ def propagate_state(
         if np.any(np.diff(t_grid) <= 0):
             raise ValueError("t_grid must be strictly increasing")
 
-    psi = _resolve_state(frame, psi0).reshape(-1, 1)
+    psi = frame.states[:, [frame.index_of(psi0)]].astype(complex)
     rec_vecs = {lab: frame.states[:, frame.index_of(lab)] for lab in record}
     pops = {lab: np.empty(t_grid.size) for lab in record}
 
@@ -552,16 +505,15 @@ def amplitude_point(
     psi0=(1, 0, 1),
     ramp: BiasRamp | None = None,
     dt: float = DEFAULT_DT,
-    target=(1, 0, 1),
 ) -> float:
-    """Final ``target`` population for one (frequency, amplitude) cell."""
+    """Final |101> population for one (frequency, amplitude) cell."""
     pulse = replace(
         template, drive_freq=float(freq), drive_amp=float(amp),
         gate_time=float(fixed_time),
     )
     res = propagate_state(
-        params, pulse, ramp, psi0, dt, (target,),
+        params, pulse, ramp, psi0, dt, ((1, 0, 1),),
         t_grid=np.array([0.0, total_duration(pulse, ramp)]),
     )
-    return float(res.populations[target][-1])
+    return float(res.populations[(1, 0, 1)][-1])
 

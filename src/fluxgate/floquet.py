@@ -19,9 +19,7 @@ one, so the coupler parity P = diag((-1)^{k_c}) gives P H0^T P = H0 and
 hence P S_k^T P = S_k: each step is its own time reverse. The second
 half of the period is therefore P V^T P, where V is the product of the
 first n // 2 steps, and M = P V^T P V; for odd n the middle step
-D U0 D sits between the halves, M = P X^T P U0 X with X = D V. This
-holds for a carrier phase origin of zero; other origins step the full
-period.
+D U0 D sits between the halves, M = P X^T P U0 X with X = D V.
 
 The drive modulates only the coupler number, so M conserves the total
 parity of ``system`` and is block diagonal in its sectors. Each sector
@@ -58,7 +56,7 @@ f_p 2-11.5 GHz) -1 stayed at least 0.012 from every rotated eigenvalue
 and the residual max |M Z - Z Lambda| at most 2e-13. That residual and
 the modulus defect max ||lambda| - 1| are checked against the unitarity
 limit, so an alpha that lands next to an eigenvalue raises instead of
-returning inaccurate modes. This holds for any carrier phase origin.
+returning inaccurate modes.
 
 Transition extraction scans f_p across a window, tracks the driven pair
 by projecting Floquet modes onto the two target dressed states, then
@@ -78,15 +76,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import oscillator_coefficients
 from .errors import ConstructionError, DomainError, IntegrationError
 from .evolve import (
     DEFAULT_DT,
     _by_sector,
+    _check_drive_resolved,
     _flat_step,
     _step_samples,
     _strang,
     dressed_frame,
-    oscillator_coefficients,
 )
 from .pulses import ParametricPulse
 from .system import CompositeParams, assemble_operators, cross_sector_max, greedy_match
@@ -165,20 +164,17 @@ def monodromy(
     drive_amp: float,
     drive_freq: float,
     dt: float = DEFAULT_DT,
-    t_origin: float = 0.0,
     sectors: tuple[int, ...] | None = None,
 ) -> Monodromy:
     """Propagator over one drive period of the steady (unenveloped) drive.
 
-    With ``t_origin`` zero the cosine drive is symmetric about half the
-    period, and the second half of the period is the time reverse of the
-    first: only the first n // 2 Strang steps are taken, and the full
-    period is assembled as P V^T P V (with the middle step in between
-    for odd n), where P is the coupler parity (see the module
-    docstring). This halves the step matmuls and matches the full step
-    product to roundoff. Any other ``t_origin`` shifts the carrier phase
-    and steps the whole period; the eigenphase spectrum is invariant
-    under it. The steps and their midpoint drive samples follow
+    The cosine drive is symmetric about half the period, and the second
+    half of the period is the time reverse of the first: only the first
+    n // 2 Strang steps are taken, and the full period is assembled as
+    P V^T P V (with the middle step in between for odd n), where P is the
+    coupler parity (see the module docstring). This halves the step
+    matmuls and matches the full step product to roundoff. The steps and
+    their midpoint drive samples follow
     ``evolve._step_samples``, the rule of every gate-schedule interval.
     Every parity sector named in ``sectors`` (indices into
     ``ModelOperators.sectors``; None steps all) is stepped with its own
@@ -191,14 +187,10 @@ def monodromy(
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
     period = 1.0 / drive_freq
-    # The steady drive as an unenveloped pulse one period long, carrier
-    # phase shifted to the origin; it rejects a negative amplitude.
-    steady = ParametricPulse(
-        flux_s, drive_amp, drive_freq, drive_phase=2.0 * np.pi * drive_freq * t_origin,
-        ramp_time=0.0, gate_time=period,
-    )
-    if dt > 1.0 / (40.0 * drive_freq):
-        raise DomainError(f"dt = {dt} ns does not resolve one drive period")
+    # The steady drive as an unenveloped pulse one period long; it
+    # rejects a negative amplitude.
+    steady = ParametricPulse(flux_s, drive_amp, drive_freq, ramp_time=0.0, gate_time=period)
+    _check_drive_resolved(dt, drive_freq)
 
     h, _, (c1, _) = _step_samples(params, steady, None, 0.0, period, dt)
     n = c1.size
@@ -215,18 +207,15 @@ def monodromy(
     u0 = _flat_step(params, flux_s, h)[stepped]
     n_diag = _by_sector(ops.sectors, ops.n_diag)[stepped]
     eye = np.broadcast_to(np.eye(n_diag.shape[1], dtype=complex), u0.shape)
-    if t_origin == 0.0:
-        half = n // 2
-        v = _strang(u0, n_diag, dc1[:half], h, eye)
-        if n % 2:
-            v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
-            forward = u0 @ v
-        else:
-            forward = v
-        parity = 1.0 - 2.0 * (n_diag % 2)  # (-1)^(coupler occupation)
-        blocks = (parity[:, :, None] * v.transpose(0, 2, 1) * parity[:, None, :]) @ forward
+    half = n // 2
+    v = _strang(u0, n_diag, dc1[:half], h, eye)
+    if n % 2:
+        v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
+        forward = u0 @ v
     else:
-        blocks = _strang(u0, n_diag, dc1, h, eye)
+        forward = v
+    parity = 1.0 - 2.0 * (n_diag % 2)  # (-1)^(coupler occupation)
+    blocks = (parity[:, :, None] * v.transpose(0, 2, 1) * parity[:, None, :]) @ forward
 
     defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))
     if defect > UNITARITY_LIMIT:

@@ -248,13 +248,10 @@ def evaluate_gate(
     omega_p: float,
     drive_amp: float,
     dt: float = DEFAULT_DT,
-    stroboscopic: bool = True,
 ) -> GateMetrics:
     """Run the full schedule and score the truncated propagator."""
     pulse, ramp = gate_schedule(cfg, omega_p, drive_amp)
-    cu = propagate_computational_unitary(
-        params, pulse, ramp, dt=dt, stroboscopic=stroboscopic
-    )
+    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
     return gate_metrics(cu.matrix, _channel_map(cu))
 
 
@@ -295,9 +292,10 @@ def simplex_search(
     """Bounded Nelder-Mead from deterministic restart points.
 
     ``steps`` sets the initial simplex edge per coordinate; restart k
-    displaces the seed by a fixed table entry scaled to ten steps, then
-    clips into bounds. Returns the best point, its objective, and one
-    summary dict per restart.
+    displaces the seed by ``OFFSET_TABLE[k]`` scaled to ten steps, then
+    clips into bounds, so there are at most ``len(OFFSET_TABLE)``
+    restarts: another would repeat a search. Returns the best point, its
+    objective, and one summary dict per restart.
     """
     seed = np.asarray(seed, dtype=float)
     steps = np.asarray(steps, dtype=float)
@@ -305,13 +303,13 @@ def simplex_search(
     hi = np.asarray([b[1] for b in bounds], dtype=float)
     if np.any(lo >= hi):
         raise ValueError("each bound must satisfy low < high")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if not 1 <= restarts <= len(OFFSET_TABLE):
+        raise ValueError(f"restarts must lie in 1..{len(OFFSET_TABLE)}")
 
     best_x, best_f = None, np.inf
     summaries = []
     for k in range(restarts):
-        off = np.asarray(OFFSET_TABLE[k % len(OFFSET_TABLE)], dtype=float)
+        off = np.asarray(OFFSET_TABLE[k], dtype=float)
         x0 = np.clip(seed + 10.0 * steps * off, lo, hi)
         simplex = np.vstack([x0, x0 + np.diag(steps)])
         simplex = np.clip(simplex, lo, hi)

@@ -3,15 +3,14 @@
 The coupler flux is the sum of a slow bias schedule and a fast
 parametric modulation,
 
-    Phi(t) = Phi_bias(t) + delta_Phi env(tau) cos(2 pi f_p tau + phi_0)
+    Phi(t) = Phi_bias(t) + delta_Phi env(tau) cos(2 pi f_p tau)
 
 where tau is time measured from the start of the drive window. The
 envelope rises and falls with half-cosine flanks of length ``ramp_time``
 and is flat in between, so the waveform and its first derivative are
 continuous at every junction. An optional bias ramp carries the coupler
-from its idle flux to the interaction flux (and back) with the same
-half-cosine shape, with ``lead`` and ``lag`` hold padding around the
-drive window.
+from its idle flux to the interaction flux before the drive window, and
+back after it, with the same half-cosine shape.
 
 Times are in ns, frequencies in GHz, fluxes in units of the flux
 quantum.
@@ -37,7 +36,6 @@ class ParametricPulse:
     flux_static: float
     drive_amp: float
     drive_freq: float
-    drive_phase: float = 0.0
     ramp_time: float = 5.0
     gate_time: float = 100.0
 
@@ -52,21 +50,17 @@ class ParametricPulse:
 class BiasRamp:
     """Slow excursion from the idle flux to the interaction flux.
 
-    ``lead`` and ``lag`` hold the interaction flux before and after the
-    drive window; the outer flanks take ``ramp_time`` each.
+    The interaction flux is held over the drive window; the outer flanks
+    take ``ramp_time`` each.
     """
 
     flux_idle: float
     flux_interaction: float
     ramp_time: float = 3.0
-    lead: float = 0.0
-    lag: float = 0.0
 
     def __post_init__(self):
         if self.ramp_time <= 0:
             raise ValueError("ramp_time must be positive")
-        if self.lead < 0 or self.lag < 0:
-            raise ValueError("lead and lag must be non-negative")
 
 
 def envelope(tau, ramp_time: float, gate_time: float):
@@ -87,14 +81,14 @@ def envelope(tau, ramp_time: float, gate_time: float):
 
 def drive_window(pulse: ParametricPulse, ramp: BiasRamp | None) -> tuple[float, float]:
     """Absolute start and end times of the parametric drive."""
-    t0 = 0.0 if ramp is None else ramp.ramp_time + ramp.lead
+    t0 = 0.0 if ramp is None else ramp.ramp_time
     return t0, t0 + pulse.gate_time
 
 
 def total_duration(pulse: ParametricPulse, ramp: BiasRamp | None) -> float:
     if ramp is None:
         return pulse.gate_time
-    return 2.0 * ramp.ramp_time + ramp.lead + ramp.lag + pulse.gate_time
+    return 2.0 * ramp.ramp_time + pulse.gate_time
 
 
 def bias_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
@@ -107,7 +101,7 @@ def bias_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
         )
     t_arr = np.asarray(t, dtype=float)
     tr = ramp.ramp_time
-    t_fall = tr + ramp.lead + pulse.gate_time + ramp.lag
+    t_fall = tr + pulse.gate_time
     span = ramp.flux_interaction - ramp.flux_idle
 
     out = np.full_like(t_arr, ramp.flux_idle)
@@ -126,11 +120,12 @@ def drive_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
     """Fast modulation component, zero outside the drive window.
 
     The carrier phase is referenced to the start of the drive window, so
-    lead padding does not change the waveform seen by the coupler.
+    a bias ramp before it does not change the waveform seen by the
+    coupler.
     """
     t0, _ = drive_window(pulse, ramp)
     tau = np.asarray(t, dtype=float) - t0
     env = envelope(tau, pulse.ramp_time, pulse.gate_time)
-    out = pulse.drive_amp * env * np.cos(TWO_PI * pulse.drive_freq * tau + pulse.drive_phase)
+    out = pulse.drive_amp * env * np.cos(TWO_PI * pulse.drive_freq * tau)
     return out if np.ndim(out) else float(out)
 

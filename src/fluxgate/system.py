@@ -63,7 +63,7 @@ from .circuits import (
     SpectralData,
     TransmonParams,
     diagonalize_fluxonium,
-    transmon_oscillator_params,
+    oscillator_coefficients,
 )
 from .errors import ConstructionError, LabelingError
 
@@ -265,8 +265,8 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
 def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperator:
     """Composite Hamiltonian at a fixed coupler flux."""
     ops = assemble_operators(params)
-    osc = transmon_oscillator_params(params.coupler, flux_c)
-    h = ops.a_fixed + osc.omega_c * np.diag(ops.n_diag) + osc.n_zpf * ops.b_op
+    omega_c, n_zpf = oscillator_coefficients(params.coupler, flux_c, flux_c)
+    h = ops.a_fixed + omega_c * np.diag(ops.n_diag) + n_zpf * ops.b_op
     h.flags.writeable = False
     return CompositeOperator(h, flux_c, params)
 

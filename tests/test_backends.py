@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from fluxgate import backends, evolve, floquet, system
 from fluxgate.errors import ConstructionError
-from fluxgate.evolve import oscillator_coefficients
+from fluxgate.circuits import oscillator_coefficients
 from fluxgate.system import GAUGE_PHASES, assemble_operators
 
 DT = 5e-4

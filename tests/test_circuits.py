@@ -10,7 +10,7 @@ from fluxgate import (
     TransmonParams,
     diagonalize_fluxonium,
     diagonalize_transmon_charge,
-    transmon_oscillator_params,
+    oscillator_coefficients,
 )
 
 # Parity-allowed ladder reported for each fluxonium.
@@ -97,12 +97,24 @@ def test_coupler_charge_elements_scale():
 
 
 def test_oscillator_approximation_consistency():
+    # omega_c = sqrt(8 E_C E_J) - E_C matches the exact 0-1 transition to
+    # O(E_C sqrt(E_C / E_J)), and n_zpf = (E_J / 8 E_C)^(1/4) / sqrt(2)
+    # the exact |<0|n|1>| to a relative O(sqrt(E_C / E_J)).
     params = TransmonParams(e_c=0.32, e_j_max=55.0)
-    osc = transmon_oscillator_params(params)
-    exact = diagonalize_transmon_charge(params)
-    assert abs(osc.omega_c - exact.transition(0, 1)) < 0.015
-    assert abs(osc.alpha_c - (-params.e_c)) < 1e-12
-    assert abs(osc.phi_zpf * osc.n_zpf - 0.5) < 1e-12
+    fluxes = np.array([0.0, 0.2, 0.35])
+    omega_c, n_zpf = oscillator_coefficients(params, fluxes, fluxes)
+    for flux, w, n in zip(fluxes, omega_c, n_zpf):
+        exact = diagonalize_transmon_charge(params, flux=flux)
+        small = np.sqrt(params.e_c / params.effective_ej(flux))
+        assert abs(w - exact.transition(0, 1)) < 0.5 * params.e_c * small
+        assert abs(n - abs(exact.n_elements[0, 1])) < 0.25 * small * n
+    # The junction-energy swing enters c1 with weight phi_zpf^2 = 1 / (4 n_zpf^2).
+    c1, c2 = oscillator_coefficients(params, 0.35, 0.36)
+    swing = params.effective_ej(0.36) - params.effective_ej(0.35)
+    assert c2 == n_zpf[2]
+    assert c1 - omega_c[2] == pytest.approx(swing / (4.0 * n_zpf[2] ** 2), rel=1e-12)
+    with pytest.raises(DomainError, match="positive-E_J"):
+        oscillator_coefficients(params, 0.35, np.array([0.4, 0.6]))
 
 
 def test_domain_rejections():

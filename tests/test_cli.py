@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -253,11 +254,12 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     assert [f["point"] for f in failures] == ["10.78", "10.8"]
     assert all("does not resolve the drive" in f["message"] for f in failures)
     assert main(["gate-opt", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
-    assert "error: dt = 0.05 ns does not resolve one drive period" in capsys.readouterr().err
+    gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.62e-03 ns"
+    assert f"error: {gate_message}" in capsys.readouterr().err
     # The run directory is not left empty: its sidecar records the error.
     meta = run_json(only_run_dir(out, "gate-opt"))
     assert meta["failures"] == [
-        {"point": "gate-opt", "message": "dt = 0.05 ns does not resolve one drive period"}
+        {"point": "gate-opt", "message": gate_message}
     ]
     assert meta["outputs"] == []
 
@@ -448,6 +450,39 @@ def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out), "--dt", "2"]) == 1
     assert seen == [(0.002, 0.002), (0.002, 0.002)]
+
+
+@pytest.mark.parametrize("command", ["gate-opt", "gate-sweep"])
+def test_gate_run_id_hashes_restarts_and_budget(tmp_path, monkeypatch, command):
+    # Runs calibrated with another search effort must not share a run
+    # directory, nor a gate-sweep --resume reuse their cells.
+    def stop(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
+        raise IntegrationError("stop before calibrating")
+
+    monkeypatch.setattr(gates, "optimize_cz", stop)
+    gate = (
+        "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n{}\n\n"
+        "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n"
+    )
+    out = tmp_path / "o"
+    for i, setting in enumerate(["", "budget = 10", "restarts = 1"]):
+        cfg = write_cfg(tmp_path, gate.format(setting), name=f"run{i}.cfg")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert len([p for p in out.iterdir() if p.name.startswith(command + "-")]) == 3
+
+
+def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
+    # The committed spectrum runs pin both the run id (the hash of the
+    # inputs) and every byte of the result.
+    committed = Path(__file__).resolve().parent.parent / "runs"
+    data = resources.files("fluxgate.data")
+    for name, run in [("set500.cfg", "spectrum-99c1a9bfcc5f"),
+                      ("set300.cfg", "spectrum-a24337282694")]:
+        out = tmp_path / name
+        assert main(["spectrum", "--config", str(data / name), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [run]
+        fresh = (out / run / "result.csv").read_bytes()
+        assert fresh == (committed / run / "result.csv").read_bytes()
 
 
 def test_output_root_priority(tmp_path, monkeypatch, capsys):

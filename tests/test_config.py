@@ -6,7 +6,7 @@ import pytest
 
 from fluxgate import CompositeParams, ConfigError, load_config
 from fluxgate.evolve import DEFAULT_DT
-from fluxgate.gates import OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
+from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
 
 BASE = """\
 [qubit0]
@@ -178,6 +178,18 @@ def test_gate_budget_floor(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, gate))
     assert err.value.field == "gate.budget"
+
+
+def test_gate_restarts_within_the_offset_table(tmp_path):
+    # Restart k starts from OFFSET_TABLE[k]; one past the table would
+    # repeat restart 0's search.
+    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\nrestarts = {}\n"
+    rc = load_config(write(tmp_path, gate.format(len(OFFSET_TABLE))))
+    assert rc.gate_restarts == len(OFFSET_TABLE)
+    for bad in (0, len(OFFSET_TABLE) + 1):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, gate.format(bad)))
+        assert err.value.field == "gate.restarts"
 
 
 def test_require_accessor(tmp_path):

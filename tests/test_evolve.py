@@ -91,18 +91,9 @@ def test_unitary_bookkeeping(params500):
     assert np.max(np.abs(total - 1.0)) < 1e-8
 
 
-def test_initial_state_forms_agree(params500):
-    frame = dressed_frame(params500, idle_flux(RESONANT, None))
-    vec = frame.states[:, frame.index_of((1, 0, 1))].astype(complex)
-    by_label = propagate_state(params500, RESONANT, psi0=(1, 0, 1), dt=0.002)
-    by_map = propagate_state(params500, RESONANT, psi0={(1, 0, 1): 1.0}, dt=0.002)
-    by_vector = propagate_state(params500, RESONANT, psi0=vec, dt=0.002)
-    assert np.linalg.norm(by_label.final_state - by_map.final_state) < 1e-12
-    assert np.linalg.norm(by_label.final_state - by_vector.final_state) < 1e-12
-
-
 def test_record_all_and_snapshot_grid(params500):
-    res = propagate_state(params500, RESONANT, record="all", dt=0.002)
+    labels = dressed_frame(params500, idle_flux(RESONANT, None)).labels
+    res = propagate_state(params500, RESONANT, record=labels, dt=0.002)
     assert res.times.shape == (201,)
     totals = sum(res.populations.values())
     assert np.max(np.abs(totals - 1.0)) < 1e-8

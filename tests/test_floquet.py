@@ -17,11 +17,8 @@ from fluxgate import (
     gates,
     propagate_state,
 )
-from fluxgate.evolve import (
-    _flat_step,
-    dressed_frame,
-    oscillator_coefficients,
-)
+from fluxgate.circuits import oscillator_coefficients
+from fluxgate.evolve import _flat_step, dressed_frame
 from fluxgate.floquet import (
     Monodromy,
     extract_transition,
@@ -67,15 +64,6 @@ def test_fold_window():
     assert np.all(folded < f / 2)
     shifted = fold(eps + 3 * f, f)
     assert np.max(np.abs(shifted - folded)) < 1e-9
-
-
-def test_time_origin_invariance(params500):
-    period = 1.0 / 10.79
-    a = quasienergies(monodromy(params500, 0.35, 0.045, 10.79, dt=0.002))
-    b = quasienergies(
-        monodromy(params500, 0.35, 0.045, 10.79, dt=0.002, t_origin=0.31 * period)
-    )
-    assert np.max(np.abs(np.sort(a.quasienergies) - np.sort(b.quasienergies))) < 1e-9
 
 
 def test_zero_amplitude_reduces_to_dressed(params500):
@@ -182,19 +170,19 @@ def test_pair_of_one_state_is_rejected(params500):
 # -- the seed steps only the sectors that hold its pair ----------------------
 
 @pytest.mark.parametrize("levels", [6, 5])  # sectors of 75 + 75 and 63 + 62 states
-@pytest.mark.parametrize("freq, dt, origin", [
-    (10.79, 5e-4, 0.0),  # n = 186, even
-    (10.7, 2e-3, 0.0),  # n = 47, odd
-    (10.7, 2e-3, 0.31),  # full-period stepping
+# The last id field is the carrier phase at the start of the stepped
+# period: 0, the symmetric point that the mirrored half period needs.
+@pytest.mark.parametrize("freq, dt", [
+    pytest.param(10.79, 5e-4, id="10.79-0.0005-0.0"),  # n = 186, even
+    pytest.param(10.7, 2e-3, id="10.7-0.002-0.0"),  # n = 47, odd
 ])
-def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, freq, dt, origin):
+def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, freq, dt):
     params = replace(params500, n_coupler_levels=levels)
-    kw = dict(dt=dt, t_origin=origin / freq)
-    full = monodromy(params, 0.35, 0.045, freq, **kw)
+    full = monodromy(params, 0.35, 0.045, freq, dt=dt)
     full_spec = quasienergies(full)
     members_of = dressed_frame(params, 0.35).sectors
     for s, rows in enumerate(assemble_operators(params).sectors):
-        part = monodromy(params, 0.35, 0.045, freq, sectors=(s,), **kw)
+        part = monodromy(params, 0.35, 0.045, freq, dt=dt, sectors=(s,))
         assert part.sectors == (s,)
         block = np.ix_(rows, rows)
         assert np.array_equal(part.matrix[block], full.matrix[block])
@@ -351,12 +339,11 @@ def test_seed_monodromy_count(params500, rc500, monkeypatch):
     flux_s=st.floats(0.0, 0.4),
     amp=st.floats(0.0, 0.09),
     freq=st.floats(2.0, 11.5),
-    origin=st.floats(0.0, 0.99),
 )
-@example(flux_s=0.35, amp=0.045, freq=10.79, origin=0.31)
-@example(flux_s=0.0, amp=0.09, freq=2.0, origin=0.0)
-def test_cayley_modes_match_schur(params500, flux_s, amp, freq, origin):
-    mono = monodromy(params500, flux_s, amp, freq, dt=2e-3, t_origin=origin / freq)
+@example(flux_s=0.35, amp=0.045, freq=10.79)
+@example(flux_s=0.0, amp=0.09, freq=2.0)
+def test_cayley_modes_match_schur(params500, flux_s, amp, freq):
+    mono = monodromy(params500, flux_s, amp, freq, dt=2e-3)
     spec = quasienergies(mono)
     lam = np.exp(-2j * np.pi * spec.quasienergies / freq)
     ref = np.diag(schur(mono.matrix, output="complex")[0])

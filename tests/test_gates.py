@@ -20,7 +20,7 @@ from fluxgate.gates import (
     phase_distance,
     simplex_search,
 )
-from fluxgate.evolve import propagate_state
+from fluxgate.evolve import dressed_frame, propagate_state
 
 STATIC35 = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=65.0)
 
@@ -218,6 +218,13 @@ def test_simplex_validation():
         simplex_search(
             _sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001), restarts=0
         )
+    # Restart k starts from OFFSET_TABLE[k]: one restart more than the
+    # table would repeat a search.
+    with pytest.raises(ValueError, match="restarts"):
+        simplex_search(
+            _sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001),
+            restarts=len(gates.OFFSET_TABLE) + 1,
+        )
 
 
 # -- gate evaluation -----------------------------------------------------------
@@ -239,9 +246,8 @@ def test_bias_pulse_without_carrier(params500):
     assert m.leakage < 1e-6
 
     pulse, ramp = gate_schedule(cfg, 0.0, FROZEN65[1])
-    res = propagate_state(
-        params500, pulse, ramp, psi0=(1, 0, 1), record="all", dt=0.001
-    )
+    labels = dressed_frame(params500, cfg.flux_idle).labels
+    res = propagate_state(params500, pulse, ramp, psi0=(1, 0, 1), record=labels, dt=0.001)
     computational = {(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)}
     noncomp = sum(v for k, v in res.populations.items() if k not in computational)
     assert np.max(noncomp) > 1e-4

@@ -65,14 +65,13 @@ def test_static_schedule_without_ramp():
 def test_bias_ramp_geometry():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.0, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)
-    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0,
-                    lead=1.0, lag=2.0)
-    assert total_duration(pulse, ramp) == pytest.approx(3.0 + 1.0 + 60.0 + 2.0 + 3.0)
-    assert drive_window(pulse, ramp) == (4.0, 64.0)
+    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0)
+    assert total_duration(pulse, ramp) == pytest.approx(3.0 + 60.0 + 3.0)
+    assert drive_window(pulse, ramp) == (3.0, 63.0)
     t = np.linspace(0.0, total_duration(pulse, ramp), 20001)
     bias = bias_flux(pulse, ramp, t)
     assert bias[0] == 0.0 and abs(bias[-1]) < 1e-12
-    hold = (t >= 3.0) & (t < 3.0 + 1.0 + 60.0 + 2.0)
+    hold = (t >= 3.0) & (t < 3.0 + 60.0)
     assert np.all(bias[hold] == 0.35)
     assert np.max(np.abs(np.diff(bias))) < 0.35 * np.pi / 2.0 * (t[1] - t[0]) / 3.0 * 1.01
 
@@ -81,9 +80,9 @@ def test_drive_phase_referenced_to_window_start():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.03, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)
     bare = drive_flux(pulse, None, np.linspace(0.0, 60.0, 1201))
-    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0, lead=2.0)
-    t0, _ = drive_window(pulse, ramp)
-    shifted = drive_flux(pulse, ramp, t0 + np.linspace(0.0, 60.0, 1201))
+    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0)
+    assert drive_window(pulse, ramp) == (ramp.ramp_time, ramp.ramp_time + 60.0)
+    shifted = drive_flux(pulse, ramp, ramp.ramp_time + np.linspace(0.0, 60.0, 1201))
     assert np.allclose(bare, shifted, atol=1e-12)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxgate import backends, propagate_computational_unitary, propagate_state
-from fluxgate.circuits import FluxoniumParams, TransmonParams
+from fluxgate.circuits import FluxoniumParams, TransmonParams, oscillator_coefficients
 from fluxgate.errors import ConstructionError
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
@@ -21,7 +21,6 @@ from fluxgate.evolve import (
     amplitude_point,
     chevron_column,
     dressed_frame,
-    oscillator_coefficients,
 )
 from fluxgate.floquet import monodromy
 from fluxgate.gates import gate_schedule
