@@ -62,12 +62,18 @@ class TransmonParams:
     def __post_init__(self):
         if self.e_c <= 0 or self.e_j_max <= 0:
             raise ValueError("transmon energies e_c, e_j_max must be positive")
-        if self.effective_ej(self.flux) <= 0:
-            raise DomainError("flux bias leaves no positive Josephson energy")
+        self.effective_ej(self.flux)
 
-    def effective_ej(self, flux: float) -> float:
-        """Flux-tuned Josephson energy E_J_max * cos(pi * flux)."""
-        return self.e_j_max * np.cos(np.pi * flux)
+    def effective_ej(self, flux):
+        """Flux-tuned Josephson energy E_J_max * cos(pi * flux), elementwise.
+
+        The one check of the transmon's domain: raises DomainError where
+        the energy is not positive.
+        """
+        ej = self.e_j_max * np.cos(np.pi * flux)
+        if (ej <= 0).any():
+            raise DomainError("coupler flux leaves the positive-E_J domain")
+        return ej
 
 
 @dataclass(frozen=True)
@@ -171,10 +177,7 @@ def diagonalize_transmon_charge(
     """
     if n_charge_cutoff < 20:
         raise ValueError("n_charge_cutoff must be at least 20")
-    phi = params.flux if flux is None else flux
-    ej = params.effective_ej(phi)
-    if ej <= 0:
-        raise DomainError(f"no positive Josephson energy at flux {phi}")
+    ej = params.effective_ej(params.flux if flux is None else flux)
 
     n = np.arange(-n_charge_cutoff, n_charge_cutoff + 1)
     evals, evecs = eigh_tridiagonal(4.0 * params.e_c * n.astype(float) ** 2,
@@ -214,8 +217,6 @@ def oscillator_coefficients(
     """
     ej_b = params.effective_ej(flux_bias)
     ej_f = params.effective_ej(flux_full)
-    if (ej_b <= 0).any() or (ej_f <= 0).any():
-        raise DomainError("coupler flux leaves the positive-E_J domain")
     ratio = 2.0 * params.e_c / ej_b
     c1 = np.sqrt(8.0 * params.e_c * ej_b) - params.e_c + (ej_f - ej_b) * np.sqrt(ratio)
     return c1, 0.5 / ratio**0.25

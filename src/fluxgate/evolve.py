@@ -35,6 +35,20 @@ initial state steps 75 states, and the four computational columns step
 as two columns in each sector, batched into one product per step.
 Off the symmetric point the one sector is the whole space.
 
+A gate's bias ramp-down is the ramp-up run backwards: it carries no
+drive, and ``_step_samples`` gives both ramps the same step count, so
+the ramp-down samples the ramp-up's biases in reverse order. Each ramp
+step is its own time reverse under the coupler parity
+P = diag((-1)^n_c), by the argument the ``floquet`` module docstring
+makes for the monodromy, so U_down = P U_up^T P. The dressed idle states
+c are D = diag(i^n_c) times real vectors (``label_eigenstates``), so
+P conj(c) = c, and after the ramp-down the computational amplitudes of
+the end-of-drive block psi are <c_i|U_down|psi_j> = (R^T P psi)_ij,
+where R = U_up c is the cached ramped-up block (``_ramped_up_block``).
+``propagate_computational_unitary`` therefore steps only to the end of
+the drive window; the ramp-down is stepped only when the
+end-of-schedule populations of every dressed state are read.
+
 The stepping error falls 4x per halving of dt. The contract that halving
 dt moves recorded populations by less than 1e-6 holds at the default
 0.5 ps only for drives that leave the populations nearly idle. Measured
@@ -48,9 +62,9 @@ A resonant strong drive needs a dt about 16x finer for 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,16 +113,29 @@ class ComputationalUnitary:
     ``matrix[i, j]`` is the idle-frame amplitude on dressed state i after
     preparing dressed state j, with each row's free phase e^{-i 2 pi E_i t}
     removed. ``residuals[j]`` is the leaked population 1 - ||column j||^2.
+    ``norm_drift`` is the largest deviation of a column norm from one at
+    the end of the drive window, the last block every call steps (the
+    end of the schedule when there is no bias ramp).
+
     ``final_populations[k, j]`` is the end-of-schedule population of the
-    dressed state ``state_labels[k]`` when column j was prepared.
+    dressed state ``state_labels[k]`` when column j was prepared. A bias
+    ramp-down enters ``matrix`` through the ramp-up (U_down = P U_up^T P,
+    see the module docstring) and is stepped only on the first read of
+    ``final_populations``, which checks the end-of-schedule norm drift
+    against the same limit; later reads return the cached array.
     """
 
     matrix: np.ndarray
     residuals: np.ndarray
     labels: tuple[Label, ...]
     duration: float
-    final_populations: np.ndarray
     state_labels: tuple[Label, ...]
+    norm_drift: float
+    _end_populations: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def final_populations(self) -> np.ndarray:
+        return self._end_populations()
 
 
 @lru_cache(maxsize=32)
@@ -281,9 +308,12 @@ def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     longer than ``dt``, and the step midpoints' bias flux and (c1, c2).
 
     The one sampling rule of every propagation, the gate schedule's
-    intervals and the Floquet monodromy's period alike.
+    intervals and the Floquet monodromy's period alike. A span within
+    roundoff of a whole number of steps takes that number: the ramp-down
+    span (2 tau + t_g) - (tau + t_g) can round above tau, and must take
+    the ramp-up's count for U_down = P U_up^T P to hold.
     """
-    n = max(1, int(np.ceil((t_b - t_a) / dt)))
+    n = max(1, int(np.ceil(round((t_b - t_a) / dt, 9))))
     h = (t_b - t_a) / n
     mids = t_a + (np.arange(n) + 0.5) * h
     fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
@@ -375,7 +405,8 @@ def _ramped_up_block(params: CompositeParams, ramp: BiasRamp, dt: float) -> np.n
 
     No drive acts before the drive window, so the block does not depend
     on the pulse: a driveless stand-in steps the interval exactly as any
-    pulse of the schedule would, with the same coarse undriven step.
+    pulse of the schedule would, with the same coarse undriven step. The
+    same block scores the ramp-down (see the module docstring).
     """
     driveless = ParametricPulse(
         ramp.flux_interaction, drive_amp=0.0, drive_freq=0.0, ramp_time=0.0, gate_time=0.0
@@ -444,33 +475,46 @@ def propagate_computational_unitary(
 ) -> ComputationalUnitary:
     """Truncated propagator over the four dressed computational states.
 
-    Columns are propagated together through the full schedule; whole
-    drive periods in the flat-top region are applied as powers of the
-    one-period propagator. The bias ramp-up of a dynamic-bias schedule
-    carries no drive, so its block is propagated once per
-    (params, ramp, dt) and shared by every drive frequency and amplitude.
-    Row phases rotate at the idle dressed energies, so an idle system
-    yields the identity.
+    Columns are propagated together to the end of the drive window;
+    whole drive periods in the flat-top region are applied as powers of
+    the one-period propagator. The bias ramp-up of a dynamic-bias
+    schedule carries no drive, so its block R is propagated once per
+    (params, ramp, dt) and shared by every drive frequency and amplitude,
+    and it also scores the ramp-down: the amplitudes at the end of the
+    schedule are R^T P psi for the end-of-drive block psi (see the module
+    docstring). The ramp-down is stepped only when
+    ``final_populations`` is first read. Row phases rotate at the idle
+    dressed energies, so an idle system yields the identity.
     """
     frame = _idle_frame(params, pulse, ramp, dt)
     _ambiguity_check(frame, COMPUTATIONAL_LABELS)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
 
     duration = total_duration(pulse, ramp)
+    t_end = drive_window(pulse, ramp)[1]
+    # bras[i] is <c_i| carried back from the end of the schedule to t_end.
     if ramp is None:
         block, t_start = _computational_block(frame), 0.0
+        bras = block.conj().T
     else:
         block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
-    out = _advance(params, pulse, ramp, dt, block, t_start, duration, stroboscopic)
-    _norm_drift(out)
+        parity = 1.0 - 2.0 * (assemble_operators(params).n_diag % 2)
+        bras = block.T * parity
+    psi = _advance(params, pulse, ramp, dt, block, t_start, t_end, stroboscopic)
+    drift = _norm_drift(psi)
 
-    full = frame.states.conj().T @ out
     phases = np.exp(2j * np.pi * frame.energies[idx] * duration)
-    u = phases[:, None] * full[idx, :]
+    u = phases[:, None] * (bras @ psi)
     residuals = 1.0 - np.linalg.norm(u, axis=0) ** 2
+
+    def end_populations() -> np.ndarray:
+        out = _advance(params, pulse, ramp, dt, psi, t_end, duration)
+        _norm_drift(out)
+        return np.abs(frame.states.conj().T @ out) ** 2
+
     return ComputationalUnitary(
-        u, residuals, COMPUTATIONAL_LABELS, duration,
-        np.abs(full) ** 2, frame.labels,
+        u, residuals, COMPUTATIONAL_LABELS, duration, frame.labels, drift,
+        end_populations,
     )
 
 

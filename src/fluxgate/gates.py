@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -100,10 +101,13 @@ class GateMetrics:
     """Scores of one evaluated gate.
 
     ``channel_populations`` maps each prepared computational label to the
-    final dressed-state populations it produced. ``single_qubit_phases``
-    are the Z rotation angles removed before the fidelity trace; when any
-    truncated-propagator diagonal falls below 1e-3 those extractions are
-    unreliable and ``phases_reliable`` is cleared.
+    final dressed-state populations it produced. It is built on first
+    read, so a gate scored from a bias-ramped propagator steps its
+    ramp-down only if the map is read (see ``ComputationalUnitary``).
+    ``single_qubit_phases`` are the Z rotation angles removed before the
+    fidelity trace; when any truncated-propagator diagonal falls below
+    1e-3 those extractions are unreliable and ``phases_reliable`` is
+    cleared.
     """
 
     fidelity: float
@@ -111,8 +115,14 @@ class GateMetrics:
     leakage: float
     conditional_phase: float
     single_qubit_phases: tuple[float, float]
-    channel_populations: dict[Label, dict[Label, float]] = field(default_factory=dict)
+    _channels: Callable[[], dict[Label, dict[Label, float]]] = field(
+        default=dict, repr=False, compare=False
+    )
     phases_reliable: bool = True
+
+    @cached_property
+    def channel_populations(self) -> dict[Label, dict[Label, float]]:
+        return self._channels()
 
 
 class LeakageChannel(NamedTuple):
@@ -171,9 +181,12 @@ class OptimizationResult:
 
 
 def gate_metrics(
-    u, channel_populations: dict[Label, dict[Label, float]] | None = None
+    u, channels: Callable[[], dict[Label, dict[Label, float]]] = dict
 ) -> GateMetrics:
     """Score a truncated 4x4 propagator against the ideal CZ.
+
+    ``channels`` builds ``GateMetrics.channel_populations`` when it is
+    first read.
 
     Single-qubit Z freedom is removed analytically by zeroing the phases
     of the |001> and |100> diagonals relative to |000>; the fidelity is
@@ -209,7 +222,7 @@ def gate_metrics(
         leakage=float(leakage),
         conditional_phase=conditional,
         single_qubit_phases=(float(theta1), float(theta2)),
-        channel_populations=channel_populations or {},
+        _channels=channels,
         phases_reliable=reliable,
     )
 
@@ -249,10 +262,11 @@ def evaluate_gate(
     drive_amp: float,
     dt: float = DEFAULT_DT,
 ) -> GateMetrics:
-    """Run the full schedule and score the truncated propagator."""
+    """Run the full schedule and score the truncated propagator. The
+    bias ramp-down is stepped only if ``channel_populations`` is read."""
     pulse, ramp = gate_schedule(cfg, omega_p, drive_amp)
     cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
-    return gate_metrics(cu.matrix, _channel_map(cu))
+    return gate_metrics(cu.matrix, partial(_channel_map, cu))
 
 
 def leakage_channels(

@@ -1,29 +1,41 @@
 """Time-domain propagation: accuracy, unitarity, scan plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxgate import (
     BiasRamp,
     DomainError,
+    IntegrationError,
     ParametricPulse,
+    evaluate_gate,
+    leakage_channels,
     propagate_computational_unitary,
     propagate_state,
 )
+from fluxgate import backends, evolve
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_RECORD,
+    DRIVELESS_DT_FACTOR,
     _advance,
     _computational_block,
     _flat_step,
     _ramped_up_block,
+    _split,
+    _step_samples,
     amplitude_point,
     chevron_column,
     dressed_frame,
     idle_flux,
 )
 from fluxgate.gates import gate_schedule
-from fluxgate.pulses import total_duration
+from fluxgate.pulses import drive_window, total_duration
+from fluxgate.system import assemble_operators
 
 RESONANT = ParametricPulse(
     flux_static=0.35, drive_amp=0.045, drive_freq=10.79, ramp_time=5.0, gate_time=60.0
@@ -153,6 +165,101 @@ def test_ramp_up_block_is_shared(rc500):
     assert np.array_equal(direct, shared)
     with pytest.raises(ValueError):
         _ramped_up_block(params, ramp, dt)[0, 0] = 0.0
+
+
+def _stepped_whole_schedule(params, pulse, ramp, dt):
+    """The 4 x 4 and the end-of-schedule populations from stepping every
+    interval of the schedule, the ramp-down included, from t = 0."""
+    frame = dressed_frame(params, ramp.flux_idle)
+    idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
+    end = total_duration(pulse, ramp)
+    out = _advance(params, pulse, ramp, dt, _computational_block(frame), 0.0, end, True)
+    full = frame.states.conj().T @ out
+    matrix = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
+    return matrix, np.abs(full) ** 2
+
+
+@pytest.mark.parametrize("bias_ramp, gate_time, dt", [
+    pytest.param(None, None, 1e-3, id="gate-1ps"),
+    pytest.param(None, None, 5e-4, id="gate-0.5ps"),
+    pytest.param(0.6, 31.0, 1e-3, id="ramp0.6-tg31-1ps"),
+])
+def test_ramp_down_is_the_parity_transposed_ramp_up(rc500, bias_ramp, gate_time, dt):
+    # U_down = P U_up^T P: the gate read through the cached ramp-up equals
+    # the one stepped through the ramp-down. At ramp 0.6 ns / 31 ns the
+    # ramp-down span rounds above 60 steps of 10 ps.
+    cfg = rc500.require("gate")
+    if bias_ramp is not None:
+        cfg = replace(cfg, bias_ramp=bias_ramp, gate_time=gate_time)
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
+    cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=dt)
+    matrix, populations = _stepped_whole_schedule(rc500.params, pulse, ramp, dt)
+    assert np.max(np.abs(cu.matrix - matrix)) <= 1e-12
+    assert np.max(np.abs(cu.final_populations - populations)) <= 1e-12
+    rows = [cu.state_labels.index(lab) for lab in COMPUTATIONAL_LABELS]
+    assert np.max(np.abs(cu.final_populations[rows] - np.abs(cu.matrix) ** 2)) <= 1e-12
+    assert 0.0 <= cu.norm_drift <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.floats(0.5, 10.0),
+    gate_time=st.floats(20.0, 150.0),
+    dt=st.floats(2.5e-4, 2e-3),
+    flux=st.floats(0.05, 0.45),
+)
+@example(tau=0.6, gate_time=31.0, dt=1e-3, flux=0.35)  # 60 and 61 steps before
+@example(tau=0.6, gate_time=31.0, dt=5e-4, flux=0.35)  # 120 and 121
+def test_ramps_take_equal_steps_and_mirror_biases(params500, tau, gate_time, dt, flux):
+    pulse = ParametricPulse(flux, 0.03, 10.8, ramp_time=5.0, gate_time=gate_time)
+    ramp = BiasRamp(0.0, flux, tau)
+    t0, t1 = drive_window(pulse, ramp)
+    end = total_duration(pulse, ramp)
+    step = dt * DRIVELESS_DT_FACTOR
+    _, up, _ = _step_samples(params500, pulse, ramp, 0.0, t0, step)
+    _, down, _ = _step_samples(params500, pulse, ramp, t1, end, step)
+    assert up.size == down.size
+    # The ramp-down's sample times are absolute, near `end`, so they carry
+    # roundoff of order spacing(end); the bias moves at most
+    # flux * pi / (2 tau) per ns.
+    bound = 2.0 * flux * np.pi / (2.0 * tau) * np.spacing(end) + 1e-15
+    assert np.max(np.abs(up - down[::-1])) <= bound
+
+
+def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch):
+    params, cfg, dt = rc500.params, replace(rc500.require("gate"), gate_time=20.0), 2e-3
+    evaluate_gate(params, cfg, 10.78, 0.05, dt=dt)  # warms the cached ramp-up
+    calls = []
+    stepped = backends.step_sequence
+
+    def counting(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    monkeypatch.setattr(backends, "step_sequence", counting)
+    m = evaluate_gate(params, cfg, 10.78, 0.05, dt=dt)
+    assert calls == []
+    _, ramp = gate_schedule(cfg, 10.78, 0.05)
+    block = _ramped_up_block(params, ramp, dt)
+    active = _split(assemble_operators(params).sectors, block).active
+    channels = m.channel_populations
+    assert len(calls) == len(active) >= 1
+    assert m.channel_populations is channels
+    assert leakage_channels(m, top_k=8)
+    assert len(calls) == len(active)
+
+
+def test_norm_drift_is_recorded_and_guarded(rc500, monkeypatch):
+    params, cfg, dt = rc500.params, replace(rc500.require("gate"), gate_time=20.0), 2e-3
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
+    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
+    assert 0.0 < cu.norm_drift <= evolve.NORM_DRIFT_LIMIT
+    # The end-of-schedule block is checked when the ramp-down is stepped.
+    monkeypatch.setattr(evolve, "NORM_DRIFT_LIMIT", 0.0)
+    with pytest.raises(IntegrationError):
+        cu.final_populations
+    with pytest.raises(IntegrationError):
+        propagate_computational_unitary(params, pulse, ramp, dt=dt)
 
 
 def test_dt_and_bias_guards(params500):

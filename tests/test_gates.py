@@ -129,7 +129,7 @@ def test_gate_schedule_modes():
 # -- leakage channel reports ---------------------------------------------------
 
 def _metrics_with_channels(channels):
-    return gate_metrics(CZ_TARGET, channel_populations=channels)
+    return gate_metrics(CZ_TARGET, lambda: channels)
 
 
 def test_leakage_channels_ranked_and_filtered():
