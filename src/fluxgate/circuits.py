@@ -88,7 +88,6 @@ class SpectralData:
 
     energies: np.ndarray
     n_elements: np.ndarray
-    n_levels: int
     basis_size: int
 
     def transition(self, i: int, j: int) -> float:
@@ -152,7 +151,7 @@ def diagonalize_fluxonium(
         energies2, n_el2 = _fluxonium_once(params, 2 * size, n_levels)
         delta = float(np.max(np.abs(energies2 - energies)))
         if delta < FLUXONIUM_ENERGY_TOL:
-            return SpectralData(energies, n_el, n_levels, size)
+            return SpectralData(energies, n_el, size)
         size *= 2
         energies, n_el = energies2, n_el2
         if 2 * size > MAX_FLUXONIUM_BASIS:
@@ -197,7 +196,6 @@ def diagonalize_transmon_charge(
     return SpectralData(
         evals[:n_levels] - evals[0],
         n_el.astype(complex),
-        n_levels,
         2 * n_charge_cutoff + 1,
     )
 

@@ -96,22 +96,35 @@ class RunDirectory:
 
     def completed_points(self, resume: bool) -> dict[str, object]:
         """Checkpointed values by key, keeping only points computed at the
-        live BLAS thread count: OpenBLAS results differ across counts."""
+        live BLAS thread count: OpenBLAS results differ across counts.
+
+        An interrupted append leaves a torn last line. It is logged and
+        dropped from the file, which is rewritten to end in a newline so
+        the next append starts a line of its own, and its point is
+        recomputed.
+        """
         progress = self.path / PROGRESS_NAME
         if not resume:
             progress.unlink(missing_ok=True)
             return {}
         done: dict[str, object] = {}
         stale = 0
-        if progress.exists():
-            with open(progress, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        entry = json.loads(line)
-                        if entry.get("blas_threads") == self.blas_threads:
-                            done[entry["key"]] = entry["value"]
-                        else:
-                            stale += 1
+        text = progress.read_text(encoding="utf-8") if progress.exists() else ""
+        kept = []
+        for line in filter(str.strip, text.splitlines()):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                logger.warning("dropping a torn checkpoint line: %.60s", line)
+                continue
+            kept.append(line)
+            if entry.get("blas_threads") == self.blas_threads:
+                done[entry["key"]] = entry["value"]
+            else:
+                stale += 1
+        clean = "".join(line + "\n" for line in kept)
+        if clean != text:
+            progress.write_text(clean, encoding="utf-8")
         if stale:
             logger.info("recomputing %d checkpointed point(s) computed at another "
                         "BLAS thread count", stale)
@@ -233,8 +246,9 @@ def _amplitude_cell(params, template, freq, amp, fixed_time, psi0, dt) -> float:
 
 
 def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
+    # Either order of the pair names the same resonance.
     frame = dressed_frame(params, flux_s)
-    split = frame.energy_of(pair[1]) - frame.energy_of(pair[0])
+    split = abs(frame.energy_of(pair[1]) - frame.energy_of(pair[0]))
     result = extract_transition(
         params, flux_s, amp, pair,
         (split - window, split + window), resolution, dt=dt,

@@ -30,7 +30,8 @@ zero. ``monodromy`` may step only some sectors: their blocks are bit for
 bit those of the full matrix, and the rest of the matrix is zero.
 ``quasienergies`` solves each stepped sector's block on its own and
 returns the Floquet modes of the stepped sectors only, one per dressed
-state of those sectors, in ascending dressed order.
+state of those sectors, in ascending dressed order, with their folded
+quasienergies.
 
 The Floquet modes come from a Hermitian eigensolve rather than a
 complex Schur form. For unitary U the Cayley transform
@@ -88,10 +89,9 @@ from .evolve import (
     dressed_frame,
 )
 from .pulses import ParametricPulse
-from .system import CompositeParams, assemble_operators, cross_sector_max, greedy_match
+from .system import CompositeParams, assemble_operators, cross_sector_max
 
 UNITARITY_LIMIT = 1e-10
-DEGENERACY_TOL = 1e-9
 REFINE_POINTS = 9
 
 Label = tuple[int, int, int]
@@ -110,7 +110,6 @@ class Monodromy:
     matrix: np.ndarray
     params: CompositeParams
     flux_s: float
-    drive_amp: float
     drive_freq: float
     defect: float
     sectors: tuple[int, ...] | None = None
@@ -118,44 +117,34 @@ class Monodromy:
 
 @dataclass(frozen=True)
 class FloquetSpectrum:
-    """Folded quasienergies with dressed-state labels.
+    """Folded quasienergies and Floquet modes.
 
-    ``quasienergies`` lie in [-f_p/2, f_p/2) GHz. ``labels`` assigns each
-    Floquet mode the dressed state (at the static bias) it overlaps most,
-    as a one-to-one matching; ``degenerate`` flags modes whose folded
-    quasienergy sits within 1e-9 GHz of another. There is one mode per
+    ``quasienergies`` lie in [-f_p/2, f_p/2) GHz. There is one mode per
     dressed state of the monodromy's stepped sectors, in ascending
     dressed order; ``states`` holds them as columns in the bare basis.
     """
 
     quasienergies: np.ndarray
-    labels: tuple[Label, ...]
-    overlaps: np.ndarray
-    degenerate: np.ndarray
     states: np.ndarray
-    drive: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class TransitionResult:
     """Resonance location and strength of one parametric transition.
 
-    When no interior gap minimum exists in the scanned window, ``found``
-    is False and the scanned gap curve remains attached for inspection.
     ``strength`` is the minimum quasienergy splitting of the tracked
     pair; its inverse is the full population-exchange period on
-    resonance.
+    resonance. ``gaps`` is the pair's splitting at each evaluated drive
+    frequency ``scan_freqs``, ascending; when no interior gap minimum
+    exists in the scanned window, ``found`` is False, ``omega_res`` and
+    ``strength`` are NaN, and the gap curve shows why.
     """
 
     found: bool
     omega_res: float
     strength: float
-    pair: tuple[Label, Label]
     scan_freqs: np.ndarray
     gaps: np.ndarray
-    min_scores: np.ndarray
-    flux_s: float
-    drive_amp: float
 
 
 def monodromy(
@@ -226,7 +215,7 @@ def monodromy(
     for s, block in zip(stepped, blocks):
         rows = ops.sectors[s]
         m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
-    return Monodromy(m, params, flux_s, drive_amp, drive_freq, defect, tuple(stepped))
+    return Monodromy(m, params, flux_s, drive_freq, defect, tuple(stepped))
 
 
 def fold(eps, drive_freq: float):
@@ -261,7 +250,7 @@ def _sector_modes(m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def quasienergies(mono: Monodromy) -> FloquetSpectrum:
-    """Folded quasienergy spectrum with dressed-state labels.
+    """Folded quasienergies and Floquet modes of a monodromy.
 
     The Floquet modes are the eigenvectors of the Hermitian Cayley
     transform C = i (I - U)(I + U)^-1 of U = e^{i alpha} M, taken with
@@ -275,10 +264,9 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     next to an eigenvalue of M shows.
 
     Each stepped parity sector (``Monodromy.sectors``) is solved on its
-    own, with its own alpha, and matched to its own dressed states; its
-    modes take the places of those states among the dressed states of
-    the stepped sectors. Raises ConstructionError if M couples two
-    sectors.
+    own, with its own alpha taken from its own dressed states; its modes
+    take the places of those states among the dressed states of the
+    stepped sectors. Raises ConstructionError if M couples two sectors.
     """
     m = mono.matrix
     frame = dressed_frame(mono.params, mono.flux_s)
@@ -290,34 +278,15 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     solved = np.sort(np.concatenate([frame.sectors[s] for s in stepped]))
     lam = np.empty(solved.size, dtype=complex)
     z = np.zeros((m.shape[0], solved.size), dtype=complex)
-    dressed_for = np.empty(solved.size, dtype=int)
     for s in stepped:
         rows, members = sectors[s], frame.sectors[s]
         cols = np.searchsorted(solved, members)
         q = frame.states[np.ix_(rows, members)]
-        lam[cols], z_s = _sector_modes(m[np.ix_(rows, rows)], q)
-        z[np.ix_(rows, cols)] = z_s
-        dressed_for[cols] = members[greedy_match(np.abs(q.conj().T @ z_s) ** 2)]
+        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(m[np.ix_(rows, rows)], q)
 
     period = 1.0 / mono.drive_freq
     eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)
-    overlaps = np.abs(np.einsum("ij,ij->j", frame.states[:, dressed_for].conj(), z))
-    labels = tuple(frame.labels[d] for d in dressed_for)
-
-    # Nearest neighbour of each mode on the folded circle.
-    order = np.argsort(eps)
-    spacing = np.diff(eps[order], append=eps[order[0]] + mono.drive_freq)
-    degenerate = np.empty(eps.size, dtype=bool)
-    degenerate[order] = np.minimum(spacing, np.roll(spacing, 1)) < DEGENERACY_TOL
-
-    return FloquetSpectrum(
-        quasienergies=eps,
-        labels=labels,
-        overlaps=overlaps,
-        degenerate=degenerate,
-        states=z,
-        drive=(mono.flux_s, mono.drive_amp, mono.drive_freq),
-    )
+    return FloquetSpectrum(quasienergies=eps, states=z)
 
 
 def _pair_gap(
@@ -328,17 +297,15 @@ def _pair_gap(
     pair_vecs: np.ndarray,
     dt: float,
     sector: int,
-) -> tuple[float, float]:
-    """(circular gap, weaker subspace score) of the tracked pair, from
-    the Floquet modes of the parity ``sector`` that holds it."""
+) -> float:
+    """Circular quasienergy gap of the two Floquet modes of the parity
+    ``sector`` that project most onto the tracked pair."""
     spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt, sectors=(sector,)))
-    scores = np.abs(pair_vecs.conj().T @ spec.states) ** 2
-    total = scores.sum(axis=0)
+    total = (np.abs(pair_vecs.conj().T @ spec.states) ** 2).sum(axis=0)
     top2 = np.argsort(total)[-2:]
     e1, e2 = spec.quasienergies[top2[0]], spec.quasienergies[top2[1]]
     d = abs(e1 - e2) % drive_freq
-    gap = min(d, drive_freq - d)
-    return float(gap), float(total[top2].min())
+    return float(min(d, drive_freq - d))
 
 
 def extract_transition(
@@ -362,11 +329,14 @@ def extract_transition(
     Every scan point steps and solves only the parity sector that holds
     the pair (see the module docstring). Raises ValueError when the two
     labels of the pair are equal, and DomainError (also a ValueError)
-    when they lie in different parity sectors: neither has a transition.
+    when they lie in different parity sectors, neither of which has a
+    transition, or when the window reaches 0 GHz or below.
     """
     lo, hi = omega_window
-    if not (hi > lo > 0):
-        raise ValueError("omega_window must satisfy 0 < lo < hi")
+    if not hi > lo:
+        raise ValueError("omega_window must satisfy lo < hi")
+    if not lo > 0:
+        raise DomainError(f"omega_window {lo:g}..{hi:g} GHz reaches 0 GHz or below")
     if resolution < 5:
         raise ValueError("resolution must be at least 5")
     if pair[0] == pair[1]:
@@ -384,16 +354,12 @@ def extract_transition(
     sector = held[0]
 
     freqs = np.linspace(lo, hi, resolution)
-    gaps = np.empty(resolution)
-    scores = np.empty(resolution)
-    for i, f in enumerate(freqs):
-        gaps[i], scores[i] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
+    gaps = np.array([_pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
+                     for f in freqs])
 
     i_min = int(np.argmin(gaps))
     if i_min == 0 or i_min == resolution - 1:
-        return TransitionResult(
-            False, np.nan, np.nan, pair, freqs, gaps, scores, flux_s, drive_amp
-        )
+        return TransitionResult(False, np.nan, np.nan, freqs, gaps)
 
     # The refine grid's ends are the scan points either side of i_min and,
     # REFINE_POINTS being odd, its middle is freqs[i_min] to 1 ulp: those
@@ -402,14 +368,10 @@ def extract_transition(
     reused = [0, REFINE_POINTS // 2, REFINE_POINTS - 1]
     f_ref[reused] = freqs[i_min - 1 : i_min + 2]
     g_ref = np.empty(REFINE_POINTS)
-    s_ref = np.empty(REFINE_POINTS)
     g_ref[reused] = gaps[i_min - 1 : i_min + 2]
-    s_ref[reused] = scores[i_min - 1 : i_min + 2]
     fresh = [i for i in range(REFINE_POINTS) if i not in reused]
     for i in fresh:
-        g_ref[i], s_ref[i] = _pair_gap(
-            params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sector
-        )
+        g_ref[i] = _pair_gap(params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sector)
 
     j = int(np.argmin(g_ref))
     j = min(max(j, 1), REFINE_POINTS - 2)
@@ -428,16 +390,5 @@ def extract_transition(
 
     all_freqs = np.concatenate([freqs, f_ref[fresh]])
     all_gaps = np.concatenate([gaps, g_ref[fresh]])
-    all_scores = np.concatenate([scores, s_ref[fresh]])
     order = np.argsort(all_freqs)
-    return TransitionResult(
-        True,
-        omega_res,
-        strength,
-        pair,
-        all_freqs[order],
-        all_gaps[order],
-        all_scores[order],
-        flux_s,
-        drive_amp,
-    )
+    return TransitionResult(True, omega_res, strength, all_freqs[order], all_gaps[order])

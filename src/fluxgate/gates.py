@@ -4,15 +4,16 @@ Builds full gate schedules (bias ramp plus enveloped flux drive), scores
 the resulting truncated propagators with a state-average fidelity,
 leakage, and conditional phase, and calibrates the two drive parameters
 (frequency, amplitude) with a bounded derivative-free search seeded from
-the Floquet resonance. Ranked reports of leakage channels support
-synchronization studies.
+the Floquet resonance. The calibrated gate's report ranks its leakage
+channels, read from the end-of-schedule populations of its propagator;
+only the report reads them, so no search evaluation steps a bias
+ramp-down.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import SearchError
 from .evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_DT,
+    ComputationalUnitary,
     dressed_frame,
     propagate_computational_unitary,
 )
@@ -33,7 +35,6 @@ Label = tuple[int, int, int]
 
 GATE_MODES = ("dynamic-bias", "static-bias")
 DIAGONAL_FLOOR = 1e-3
-CHANNEL_FLOOR = 1e-15
 OPTIMIZER_BUDGET = 400
 OPTIMIZER_RESTARTS = 3
 SEED_PROBE_AMP = 0.02
@@ -98,12 +99,8 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class GateMetrics:
-    """Scores of one evaluated gate.
+    """Scores of one truncated 4 x 4 propagator.
 
-    ``channel_populations`` maps each prepared computational label to the
-    final dressed-state populations it produced. It is built on first
-    read, so a gate scored from a bias-ramped propagator steps its
-    ramp-down only if the map is read (see ``ComputationalUnitary``).
     ``single_qubit_phases`` are the Z rotation angles removed before the
     fidelity trace; when any truncated-propagator diagonal falls below
     1e-3 those extractions are unreliable and ``phases_reliable`` is
@@ -115,14 +112,7 @@ class GateMetrics:
     leakage: float
     conditional_phase: float
     single_qubit_phases: tuple[float, float]
-    _channels: Callable[[], dict[Label, dict[Label, float]]] = field(
-        default=dict, repr=False, compare=False
-    )
     phases_reliable: bool = True
-
-    @cached_property
-    def channel_populations(self) -> dict[Label, dict[Label, float]]:
-        return self._channels()
 
 
 class LeakageChannel(NamedTuple):
@@ -135,14 +125,18 @@ class LeakageChannel(NamedTuple):
 class OptimizationResult:
     """Outcome of one CZ calibration run.
 
-    ``trace`` holds every objective evaluation in order; ``success`` is
-    cleared when the best objective stays above the stagnation limit
-    after the full restart budget.
+    ``metrics`` scores ``unitary``, the optimum's propagator at the final
+    step; ``report`` reads its leakage channels, which steps a bias
+    ramp-down (see ``ComputationalUnitary``). ``trace`` holds every
+    objective evaluation in order; ``success`` is cleared when the best
+    objective stays above the stagnation limit after the full restart
+    budget.
     """
 
     omega_p: float
     drive_amp: float
     metrics: GateMetrics
+    unitary: ComputationalUnitary
     objective: float
     success: bool
     trace: tuple[dict, ...]
@@ -156,7 +150,7 @@ class OptimizationResult:
         m = self.metrics
         channels = [
             {"label": list(ch.label), "population": ch.population, "source": list(ch.source)}
-            for ch in leakage_channels(m, top_k=8)
+            for ch in leakage_channels(self.unitary, top_k=8)
         ]
         return {
             "schema": "fluxgate.gate_opt/1",
@@ -180,13 +174,8 @@ class OptimizationResult:
         }
 
 
-def gate_metrics(
-    u, channels: Callable[[], dict[Label, dict[Label, float]]] = dict
-) -> GateMetrics:
+def gate_metrics(u) -> GateMetrics:
     """Score a truncated 4x4 propagator against the ideal CZ.
-
-    ``channels`` builds ``GateMetrics.channel_populations`` when it is
-    first read.
 
     Single-qubit Z freedom is removed analytically by zeroing the phases
     of the |001> and |100> diagonals relative to |000>; the fidelity is
@@ -222,7 +211,6 @@ def gate_metrics(
         leakage=float(leakage),
         conditional_phase=conditional,
         single_qubit_phases=(float(theta1), float(theta2)),
-        _channels=channels,
         phases_reliable=reliable,
     )
 
@@ -244,17 +232,6 @@ def gate_schedule(
     return pulse, ramp
 
 
-def _channel_map(cu) -> dict[Label, dict[Label, float]]:
-    channels: dict[Label, dict[Label, float]] = {}
-    for j, init in enumerate(cu.labels):
-        col = cu.final_populations[:, j]
-        channels[init] = {
-            cu.state_labels[k]: float(col[k])
-            for k in np.nonzero(col > CHANNEL_FLOOR)[0]
-        }
-    return channels
-
-
 def evaluate_gate(
     params: CompositeParams,
     cfg: GateConfig,
@@ -262,27 +239,28 @@ def evaluate_gate(
     drive_amp: float,
     dt: float = DEFAULT_DT,
 ) -> GateMetrics:
-    """Run the full schedule and score the truncated propagator. The
-    bias ramp-down is stepped only if ``channel_populations`` is read."""
+    """Run the full schedule and score the truncated propagator; the
+    bias ramp-down is never stepped."""
     pulse, ramp = gate_schedule(cfg, omega_p, drive_amp)
-    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
-    return gate_metrics(cu.matrix, partial(_channel_map, cu))
+    return gate_metrics(propagate_computational_unitary(params, pulse, ramp, dt=dt).matrix)
 
 
 def leakage_channels(
-    metrics: GateMetrics, top_k: int = 5, threshold: float = 1e-10
+    unitary: ComputationalUnitary, top_k: int = 5, threshold: float = 1e-10
 ) -> list[LeakageChannel]:
-    """Non-computational final populations ranked descending.
+    """Non-computational end-of-schedule populations ranked descending.
 
     Each entry carries the computational state that produced it; entries
-    at or below ``threshold`` are dropped.
+    at or below ``threshold`` are dropped. Reads
+    ``unitary.final_populations``, which steps a bias ramp-down.
     """
     computational = set(COMPUTATIONAL_LABELS)
+    pops = unitary.final_populations
     rows = [
-        LeakageChannel(lab, pop, init)
-        for init, finals in metrics.channel_populations.items()
-        for lab, pop in finals.items()
-        if lab not in computational and pop > threshold
+        LeakageChannel(lab, float(pops[k, j]), source)
+        for j, source in enumerate(COMPUTATIONAL_LABELS)
+        for k, lab in enumerate(unitary.state_labels)
+        if lab not in computational and pops[k, j] > threshold
     ]
     rows.sort(key=lambda r: (-r.population, r.label, r.source))
     return rows[:top_k]
@@ -300,16 +278,14 @@ def simplex_search(
     steps,
     restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,
-    xatol: float = 1e-6,
-    fatol: float = 1e-10,
-) -> tuple[np.ndarray, float, list[dict]]:
+) -> np.ndarray:
     """Bounded Nelder-Mead from deterministic restart points.
 
     ``steps`` sets the initial simplex edge per coordinate; restart k
     displaces the seed by ``OFFSET_TABLE[k]`` scaled to ten steps, then
     clips into bounds, so there are at most ``len(OFFSET_TABLE)``
-    restarts: another would repeat a search. Returns the best point, its
-    objective, and one summary dict per restart.
+    restarts: another would repeat a search. Returns the point of lowest
+    objective over all restarts (the first on a tie).
     """
     seed = np.asarray(seed, dtype=float)
     steps = np.asarray(steps, dtype=float)
@@ -321,7 +297,6 @@ def simplex_search(
         raise ValueError(f"restarts must lie in 1..{len(OFFSET_TABLE)}")
 
     best_x, best_f = None, np.inf
-    summaries = []
     for k in range(restarts):
         off = np.asarray(OFFSET_TABLE[k], dtype=float)
         x0 = np.clip(seed + 10.0 * steps * off, lo, hi)
@@ -335,22 +310,13 @@ def simplex_search(
             options={
                 "initial_simplex": simplex,
                 "maxfev": budget,
-                "xatol": xatol,
-                "fatol": fatol,
+                "xatol": 1e-6,
+                "fatol": 1e-10,
             },
-        )
-        summaries.append(
-            {
-                "start": x0.tolist(),
-                "x": np.asarray(res.x).tolist(),
-                "objective": float(res.fun),
-                "n_evaluations": int(res.nfev),
-                "converged": bool(res.success),
-            }
         )
         if res.fun < best_f:
             best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
-    return best_x, best_f, summaries
+    return best_x
 
 
 def _objective(metrics: GateMetrics) -> float:
@@ -366,8 +332,8 @@ def _amp_cap(flux_s: float) -> float:
 
 def _seed_from_floquet(
     params: CompositeParams, cfg: GateConfig, dt: float = DEFAULT_DT
-) -> tuple[float, float, float]:
-    """Drive-parameter seed (omega, amplitude) plus the probe strength.
+) -> tuple[float, float]:
+    """Drive-parameter seed (omega, amplitude).
 
     The amplitude targets one full population cycle of |101> <-> |202>
     over the effective drive area gate_time - drive_ramp; the frequency
@@ -407,7 +373,7 @@ def _seed_from_floquet(
         (probe.omega_res - 0.03, probe.omega_res + 0.03), resolution=13, dt=dt,
     )
     omega_seed = refined.omega_res if refined.found else probe.omega_res
-    return float(omega_seed), float(amp_seed), float(probe.strength)
+    return float(omega_seed), float(amp_seed)
 
 
 def optimize_cz(
@@ -429,7 +395,7 @@ def optimize_cz(
     if final_dt is None:
         final_dt = dt / 2.0
 
-    omega_seed, amp_seed, _ = _seed_from_floquet(params, cfg, dt=final_dt)
+    omega_seed, amp_seed = _seed_from_floquet(params, cfg, dt=final_dt)
 
     freq_bounds = cfg.freq_bounds or (omega_seed - 0.05, omega_seed + 0.05)
     amp_bounds = cfg.amp_bounds or (0.25 * amp_seed, min(2.0 * amp_seed, _amp_cap(cfg.drive_flux)))
@@ -456,17 +422,22 @@ def optimize_cz(
         return value
 
     steps = (0.0025, 0.04 * seed[1])
-    best_x, _, _ = simplex_search(
+    best_x = simplex_search(
         objective, seed, (freq_bounds, amp_bounds), steps,
         restarts=restarts, budget=budget,
     )
 
-    metrics = evaluate_gate(params, cfg, best_x[0], best_x[1], dt=final_dt)
+    # Scored like a search evaluation, keeping the propagator for the
+    # report's leakage channels.
+    pulse, ramp = gate_schedule(cfg, best_x[0], best_x[1])
+    unitary = propagate_computational_unitary(params, pulse, ramp, dt=final_dt)
+    metrics = gate_metrics(unitary.matrix)
     best_f = _objective(metrics)
     return OptimizationResult(
         omega_p=float(best_x[0]),
         drive_amp=float(best_x[1]),
         metrics=metrics,
+        unitary=unitary,
         objective=float(best_f),
         success=bool(best_f <= STAGNATION_LIMIT),
         trace=tuple(trace),

@@ -60,7 +60,6 @@ import numpy as np
 
 from .circuits import (
     FluxoniumParams,
-    SpectralData,
     TransmonParams,
     diagonalize_fluxonium,
     oscillator_coefficients,
@@ -109,7 +108,6 @@ class CompositeOperator:
     """Dense Hermitian Hamiltonian in the bare product basis."""
 
     matrix: np.ndarray
-    flux_c: float
     params: CompositeParams
 
 
@@ -132,31 +130,34 @@ class LabeledSpectrum:
     overlaps: np.ndarray
     ambiguous: np.ndarray
     states: np.ndarray
-    flux_c: float
     sectors: tuple[np.ndarray, ...]
 
     def energy_of(self, label: tuple[int, int, int]) -> float:
-        """Dressed energy of the state carrying ``label``.
-
-        Raises LabelingError if the label is missing or was flagged
-        ambiguous, listing the flagged states involved.
-        """
-        try:
-            idx = self.labels.index(label)
-        except ValueError:
-            raise LabelingError(f"label {label} not present in spectrum") from None
-        if self.ambiguous[idx]:
-            raise LabelingError(
-                f"label {label} is ambiguous (overlap {self.overlaps[idx]:.3f})",
-                flagged=(label,),
-            )
-        return float(self.energies[idx])
+        """Dressed energy of the state carrying ``label``; raises
+        LabelingError as ``unambiguous`` does."""
+        return float(self.energies[self.unambiguous([label])[0]])
 
     def index_of(self, label: tuple[int, int, int]) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise LabelingError(f"label {label} not present in spectrum") from None
+
+    def unambiguous(self, labels) -> list[int]:
+        """Indices of the dressed states carrying ``labels``, the one
+        ambiguity guard of every caller.
+
+        Raises LabelingError if a label is missing, or if any was flagged
+        ambiguous, listing all the flagged ones.
+        """
+        idx = [self.index_of(lab) for lab in labels]
+        flagged = tuple(lab for lab, i in zip(labels, idx) if self.ambiguous[i])
+        if flagged:
+            raise LabelingError(
+                f"dressed states {', '.join(map(str, flagged))} are ambiguously labeled",
+                flagged=flagged,
+            )
+        return idx
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,7 @@ class ModelOperators:
     a_fixed: np.ndarray
     n_diag: np.ndarray
     b_op: np.ndarray
-    q0_data: SpectralData
-    q1_data: SpectralData
     labels: tuple[tuple[int, int, int], ...]
-    params: CompositeParams
     sectors: tuple[np.ndarray, ...]
 
 
@@ -259,7 +257,7 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
 
     for arr in (a, b, n_diag, *sectors):
         arr.flags.writeable = False
-    return ModelOperators(a, n_diag, b, q0, q1, labels, params, sectors)
+    return ModelOperators(a, n_diag, b, labels, sectors)
 
 
 def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperator:
@@ -268,7 +266,7 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
     omega_c, n_zpf = oscillator_coefficients(params.coupler, flux_c, flux_c)
     h = ops.a_fixed + omega_c * np.diag(ops.n_diag) + n_zpf * ops.b_op
     h.flags.writeable = False
-    return CompositeOperator(h, flux_c, params)
+    return CompositeOperator(h, params)
 
 
 def cross_sector_max(matrix: np.ndarray, sectors) -> float:
@@ -370,19 +368,12 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
         overlaps=overlap,
         ambiguous=overlap**2 < AMBIGUITY_THRESHOLD,
         states=states,
-        flux_c=op.flux_c,
         sectors=tuple(members),
     )
 
 
 def _energy_table(spec: LabeledSpectrum, needed) -> dict:
-    flagged = [lab for lab in needed if lab in spec.labels
-               and spec.ambiguous[spec.labels.index(lab)]]
-    if flagged:
-        raise LabelingError(
-            "required states are ambiguously labeled", flagged=tuple(flagged)
-        )
-    return {lab: spec.energy_of(lab) for lab in needed}
+    return {lab: float(spec.energies[i]) for lab, i in zip(needed, spec.unambiguous(needed))}
 
 
 def state_dependent_shifts(spec: LabeledSpectrum) -> tuple[float, float]:

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 from fluxgate import backends, gates
-from fluxgate.cli import RunDirectory, _run_points, main
+from fluxgate.cli import RunDirectory, _run_points, _shift_point, main
+from fluxgate.config import load_config
 from fluxgate.errors import IntegrationError
 
 BASE = """\
@@ -145,6 +146,36 @@ def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplo
         values, failures = _run_points(run_dir, jobs, str.upper, 1, True)
     assert values == ["kept", "B", "C"] and failures == []
     assert "recomputing 2 checkpointed point(s)" in caplog.text
+
+
+def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
+    # An interrupted append leaves a torn last line: --resume keeps the
+    # good line, recomputes the torn point and matches a clean run.
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+    clean, torn = tmp_path / "clean", tmp_path / "torn"
+    assert main(["shift-scan", "--config", cfg, "--out", str(clean)]) == 0
+    assert main(["shift-scan", "--config", cfg, "--out", str(torn)]) == 0
+    run_dir = only_run_dir(torn, "shift-scan")
+    good = {"key": "0", "value": _shift_point(load_config(cfg).params, 0.0),
+            "blas_threads": backends.blas_threads()}
+    progress = run_dir / "progress.jsonl"
+    progress.write_text(json.dumps(good) + "\n" + '{"key": "0.1", "value": [0.0')
+    with caplog.at_level("WARNING", logger="fluxgate.cli"):
+        assert main(["shift-scan", "--config", cfg, "--out", str(torn), "--resume"]) == 0
+    assert "torn checkpoint line" in caplog.text
+    fresh = (run_dir / "result.csv").read_bytes()
+    assert fresh == (only_run_dir(clean, "shift-scan") / "result.csv").read_bytes()
+
+    # The torn line is dropped from the file, so a later append, here one
+    # of a resumed run that fails a point and keeps its checkpoints,
+    # starts a line of its own instead of joining the torn one.
+    probe = RunDirectory(tmp_path, "probe", {})
+    probe.checkpoint("a", 1)
+    with open(probe.path / "progress.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"key": "b", "val')
+    assert probe.completed_points(True) == {"a": 1}
+    probe.checkpoint("b", 2)
+    assert probe.completed_points(True) == {"a": 1, "b": 2}
 
 
 def test_worker_count_invisible_at_one_blas_thread(tmp_path):
@@ -318,6 +349,44 @@ def test_floquet_pair_of_opposite_parities_fails_its_point(tmp_path, capsys):
     failures = run_json(only_run_dir(out, "floquet"))["failures"]
     assert [f["point"] for f in failures] == ["0.06"]
     assert "parity sectors" in failures[0]["message"]
+    capsys.readouterr()
+
+
+def test_floquet_pair_in_either_order_scans_one_resonance(tmp_path, capsys):
+    # The window is centred on |split|: 202:101 scans the resonance that
+    # 101:202 does, instead of a window below 0 GHz.
+    rows = {}
+    for pair in ("101:202", "202:101"):
+        cfg = write_cfg(
+            tmp_path,
+            "[floquet]\nflux_s = 0.35\namp_values = 0.03\n"
+            f"pair = {pair}\nresolution = 5\n",
+            name=f"{pair.replace(':', '-')}.cfg",
+        )
+        out = tmp_path / pair.replace(":", "-")
+        assert main(["floquet", "--config", cfg, "--out", str(out), "--dt", "2"]) == 0
+        run_dir = only_run_dir(out, "floquet")
+        assert run_json(run_dir)["failures"] == []
+        rows[pair] = (run_dir / "result.csv").read_text().splitlines()
+    assert rows["101:202"] == rows["202:101"]
+    assert rows["101:202"][1].endswith(",1")
+    capsys.readouterr()
+
+
+def test_floquet_window_past_zero_fails_its_point(tmp_path, capsys):
+    # A window wider than the split would reach below 0 GHz: the point
+    # fails and is listed, instead of crashing the run.
+    cfg = write_cfg(
+        tmp_path,
+        "[floquet]\nflux_s = 0.35\namp_values = 0.03\nwindow = 11.0\nresolution = 5\n",
+    )
+    out = tmp_path / "o"
+    assert main(["floquet", "--config", cfg, "--out", str(out), "--dt", "2"]) == 1
+    run_dir = only_run_dir(out, "floquet")
+    failures = run_json(run_dir)["failures"]
+    assert [f["point"] for f in failures] == ["0.03"]
+    assert "0 GHz" in failures[0]["message"]
+    assert (run_dir / "result.csv").read_text().splitlines()[1] == "0.03,nan,nan,0"
     capsys.readouterr()
 
 

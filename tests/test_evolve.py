@@ -31,9 +31,8 @@ from fluxgate.evolve import (
     amplitude_point,
     chevron_column,
     dressed_frame,
-    idle_flux,
 )
-from fluxgate.gates import gate_schedule
+from fluxgate.gates import OptimizationResult, gate_metrics, gate_schedule
 from fluxgate.pulses import drive_window, total_duration
 from fluxgate.system import assemble_operators
 
@@ -86,27 +85,25 @@ def test_zero_amplitude_is_identity(params500):
     )
     cu = propagate_computational_unitary(params500, pulse)
     assert np.max(np.abs(cu.matrix - np.eye(4))) < 1e-7
-    assert np.max(cu.residuals) < 1e-10
+    assert np.max(1.0 - np.linalg.norm(cu.matrix, axis=0) ** 2) < 1e-10
 
 
 def test_unitary_bookkeeping(params500):
     cu = propagate_computational_unitary(params500, RESONANT, dt=0.001)
-    assert cu.labels == COMPUTATIONAL_LABELS
-    assert cu.duration == total_duration(RESONANT, None)
     assert np.all(cu.final_populations >= 0.0)
-    # Column norm and recorded computational population describe the same
-    # leakage, so they must agree to rounding.
+    # Squared column norm and recorded computational population describe
+    # the same leakage, so they must agree to rounding.
     comp_rows = [cu.state_labels.index(lab) for lab in COMPUTATIONAL_LABELS]
     comp_pop = cu.final_populations[comp_rows, :].sum(axis=0)
-    assert np.max(np.abs((1.0 - cu.residuals) - comp_pop)) < 1e-10
+    assert np.max(np.abs(np.linalg.norm(cu.matrix, axis=0) ** 2 - comp_pop)) < 1e-10
     total = cu.final_populations.sum(axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-8
 
 
 def test_record_all_and_snapshot_grid(params500):
-    labels = dressed_frame(params500, idle_flux(RESONANT, None)).labels
+    labels = dressed_frame(params500, RESONANT.flux_static).labels
     res = propagate_state(params500, RESONANT, record=labels, dt=0.002)
-    assert res.times.shape == (201,)
+    assert {v.shape for v in res.populations.values()} == {(201,)}
     totals = sum(res.populations.values())
     assert np.max(np.abs(totals - 1.0)) < 1e-8
 
@@ -237,16 +234,29 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
         return stepped(*args)
 
     monkeypatch.setattr(backends, "step_sequence", counting)
-    m = evaluate_gate(params, cfg, 10.78, 0.05, dt=dt)
+    evaluate_gate(params, cfg, 10.78, 0.05, dt=dt)
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
+    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
     assert calls == []
-    _, ramp = gate_schedule(cfg, 10.78, 0.05)
+    # One ramp-down step sequence per sector the computational block spans.
     block = _ramped_up_block(params, ramp, dt)
-    active = _split(assemble_operators(params).sectors, block).active
-    channels = m.channel_populations
-    assert len(calls) == len(active) >= 1
-    assert m.channel_populations is channels
-    assert leakage_channels(m, top_k=8)
-    assert len(calls) == len(active)
+    per_ramp_down = len(_split(assemble_operators(params).sectors, block).active)
+    populations = cu.final_populations
+    assert len(calls) == per_ramp_down >= 1
+    assert cu.final_populations is populations
+    assert leakage_channels(cu, top_k=8)
+    assert len(calls) == per_ramp_down
+
+    # A calibration result steps its ramp-down in report() alone.
+    fresh = propagate_computational_unitary(params, pulse, ramp, dt=dt)
+    result = OptimizationResult(
+        omega_p=10.78, drive_amp=0.05, metrics=gate_metrics(fresh.matrix), unitary=fresh,
+        objective=1.0, success=False, trace=(), seed=(10.78, 0.05),
+        bounds=((10.7, 10.9), (0.01, 0.1)), restarts=1, gate_time=cfg.gate_time,
+    )
+    assert len(calls) == per_ramp_down
+    assert result.report()["leakage_channels"]
+    assert len(calls) == 2 * per_ramp_down
 
 
 def test_norm_drift_is_recorded_and_guarded(rc500, monkeypatch):

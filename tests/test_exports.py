@@ -1,11 +1,16 @@
-"""Every exported function and class is used by the package itself.
+"""Every exported function and class is used by the package itself, and
+every field of a result type is read by it or by the benchmark.
 
 A public name that only ``__init__`` and the tests reach is code no
-command runs; this keeps such names from accumulating.
+command runs, and a field only tests read is work no command needs;
+this keeps both from accumulating.
 """
 
 import ast
+import dataclasses
+import importlib
 import inspect
+import typing
 from pathlib import Path
 
 import fluxgate
@@ -50,3 +55,84 @@ def test_every_exported_function_and_class_is_used_by_the_package():
     exported = _exported_names()
     assert exported  # the parse found the exports
     assert sorted(exported - used) == []
+
+
+# -- every result field has a reader ------------------------------------------
+
+FIELD_MODULES = ("circuits", "system", "evolve", "floquet", "gates")
+BENCH = PACKAGE.parents[1] / "bench"
+
+# Fields no code reads, kept because tests check the physics through them.
+READ_BY_TESTS = {
+    ("EvolutionResult", "final_state"): "test_sectors checks sector confinement with it",
+    ("TransitionResult", "scan_freqs"): "pins the one-sector scan to the full one",
+    ("TransitionResult", "gaps"): "pins the one-sector scan, explains a not-found",
+}
+
+
+def _hashed_into_run_id() -> set:
+    """Dataclasses that ``cli.main`` hashes into ``run_id`` through
+    ``asdict``: the device parameters and the [gate] section, with the
+    dataclasses they nest. Their fields are inputs, read or not."""
+    from fluxgate import gates, system
+
+    found, todo = set(), [system.CompositeParams, gates.GateConfig]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo += [t for t in typing.get_type_hints(cls).values()
+                 if dataclasses.is_dataclass(t) and t not in found]
+    return found
+
+
+def _result_types():
+    """Dataclasses and NamedTuples defined in the layers, with their fields."""
+    for name in FIELD_MODULES:
+        module = importlib.import_module(f"fluxgate.{name}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(cls):
+                yield cls, [f.name for f in dataclasses.fields(cls)]
+            elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                yield cls, list(cls._fields)
+
+
+def _attribute_reads(tree: ast.AST) -> list[tuple[str, str | None, str | None]]:
+    """(attribute, enclosing class, enclosing method) of every attribute
+    read under ``tree``."""
+    reads = []
+
+    def visit(node, cls, method):
+        if isinstance(node, ast.ClassDef):
+            cls, method = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if cls is not None and method is None:
+                method = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, cls, method))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, method)
+
+    visit(tree, None, None)
+    return reads
+
+
+def test_every_result_field_is_read_outside_its_class():
+    # A field counts as read when its name is read as an attribute in
+    # the package or the benchmark outside its own class, or inside a
+    # method of its class whose name is read so. Names are matched, not
+    # types, so a field shares the reads of every attribute of its name.
+    assert BENCH.is_dir()
+    sources = [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]
+    reads = [r for path in sources for r in _attribute_reads(ast.parse(path.read_text()))]
+    exempt = _hashed_into_run_id()
+    unread = set()
+    for cls, fields in _result_types():
+        if cls in exempt:
+            continue
+        outside = {attr for attr, owner, _ in reads if owner != cls.__name__}
+        via_methods = {attr for attr, owner, method in reads
+                       if owner == cls.__name__ and method in outside}
+        unread |= {(cls.__name__, f) for f in fields if f not in outside | via_methods}
+    assert sorted(unread) == sorted(READ_BY_TESTS)

@@ -70,17 +70,11 @@ def test_zero_amplitude_reduces_to_dressed(params500):
     f_p = 10.79
     spec = quasienergies(monodromy(params500, 0.35, 0.0, f_p, dt=0.002))
     frame = dressed_frame(params500, 0.35)
-    worst = 0.0
-    for eps, lab in zip(spec.quasienergies, spec.labels):
-        expected = frame.energies[frame.index_of(lab)]
-        worst = max(worst, abs(fold(eps - expected, f_p)))
+    # Undriven, each Floquet mode is the dressed state it overlaps most.
+    dressed_for = np.argmax(np.abs(frame.states.conj().T @ spec.states), axis=0)
+    assert np.array_equal(np.sort(dressed_for), np.arange(params500.dim))
+    worst = np.max(np.abs(fold(spec.quasienergies - frame.energies[dressed_for], f_p)))
     assert worst < 1e-9
-
-
-def test_labels_are_a_permutation(params500):
-    spec = quasienergies(monodromy(params500, 0.35, 0.045, 10.79, dt=0.002))
-    frame = dressed_frame(params500, 0.35)
-    assert sorted(spec.labels) == sorted(frame.labels)
 
 
 @pytest.mark.parametrize("amp", sorted(FROZEN))
@@ -156,6 +150,9 @@ def test_window_guards(params500):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.8, 10.7))
     with pytest.raises(ValueError):
         extract_transition(params500, 0.35, 0.03, BSWAP, (10.7, 10.8), resolution=3)
+    # A window reaching 0 GHz is a domain error, a failed point for the CLI.
+    with pytest.raises(DomainError, match="0 GHz"):
+        extract_transition(params500, 0.35, 0.03, BSWAP, (-0.1, 10.8))
 
 
 def test_pair_of_one_state_is_rejected(params500):
@@ -194,7 +191,6 @@ def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, f
         spec, members = quasienergies(part), members_of[s]
         assert np.array_equal(spec.quasienergies, full_spec.quasienergies[members])
         assert np.array_equal(spec.states, full_spec.states[:, members])
-        assert spec.labels == tuple(full_spec.labels[i] for i in members)
 
 
 def test_monodromy_rejects_unknown_sectors(params500):
@@ -242,7 +238,6 @@ def test_extraction_matches_full_spectrum_reference(
     assert got.found == ref.found
     assert np.array_equal(got.scan_freqs, ref.scan_freqs)
     assert np.max(np.abs(got.gaps - ref.gaps)) <= 1e-12
-    assert np.max(np.abs(got.min_scores - ref.min_scores)) <= 1e-12
     if ref.found:
         assert abs(got.omega_res - ref.omega_res) <= 1e-12
         assert abs(got.strength - ref.strength) <= 1e-12
@@ -370,25 +365,13 @@ def _built_monodromy(params, eps, freq, scale=1.0):
     """Monodromy with quasienergies ``eps`` on the dressed states at 0.35."""
     q = dressed_frame(params, 0.35).states
     m = scale * (q * np.exp(-2j * np.pi * eps / freq)) @ q.conj().T
-    return Monodromy(m, params, 0.35, 0.0, freq, 0.0)
-
-
-def test_degenerate_flags_equal_and_wrapped_pairs(params500):
-    f = 10.79
-    eps = np.linspace(-f / 2, f / 2, params500.dim, endpoint=False) + 0.01
-    eps[20] = eps[10]  # equal
-    eps[0], eps[-1] = -f / 2 + 2e-10, f / 2 - 3e-10  # 5e-10 apart through the wrap
-    eps[40] = eps[30] + 5e-9  # close, but beyond the tolerance
-    spec = quasienergies(_built_monodromy(params500, eps, f))
-    flagged = np.sort(spec.quasienergies[spec.degenerate])
-    expected = np.sort(eps[[0, 10, 20, -1]])
-    assert flagged.shape == expected.shape
-    assert np.max(np.abs(flagged - expected)) <= 1e-12
+    return Monodromy(m, params, 0.35, freq, 0.0)
 
 
 def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):
     f = 10.79
     eps = np.linspace(-f / 2, f / 2, params500.dim, endpoint=False)
-    assert not quasienergies(_built_monodromy(params500, eps, f)).degenerate.any()
+    spec = quasienergies(_built_monodromy(params500, eps, f))
+    assert np.max(np.abs(np.sort(spec.quasienergies) - eps)) <= 1e-9
     with pytest.raises(IntegrationError, match="modulus"):
         quasienergies(_built_monodromy(params500, eps, f, scale=1.0 + 1e-8))

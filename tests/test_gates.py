@@ -1,18 +1,21 @@
 """Gate scoring and calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluxgate import (
+    ComputationalUnitary,
     GateConfig,
     evaluate_gate,
     gate_metrics,
     leakage_channels,
     optimize_cz,
+    propagate_computational_unitary,
 )
-from fluxgate import gates
+from fluxgate import backends, gates
 from fluxgate.floquet import TransitionResult
 from fluxgate.gates import (
     CZ_TARGET,
@@ -20,7 +23,12 @@ from fluxgate.gates import (
     phase_distance,
     simplex_search,
 )
-from fluxgate.evolve import dressed_frame, propagate_state
+from fluxgate.evolve import (
+    COMPUTATIONAL_LABELS,
+    _ramped_up_block,
+    dressed_frame,
+    propagate_state,
+)
 
 STATIC35 = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=65.0)
 
@@ -128,26 +136,40 @@ def test_gate_schedule_modes():
 
 # -- leakage channel reports ---------------------------------------------------
 
-def _metrics_with_channels(channels):
-    return gate_metrics(CZ_TARGET, lambda: channels)
+def _unitary_with_populations(finals):
+    """A CZ whose end-of-schedule populations are ``finals``, a map from
+    each prepared computational label to {final label: population}."""
+    labels = COMPUTATIONAL_LABELS + ((2, 0, 2), (1, 2, 1), (0, 2, 0))
+    pops = np.zeros((len(labels), len(COMPUTATIONAL_LABELS)))
+    for j, source in enumerate(COMPUTATIONAL_LABELS):
+        for lab, pop in finals.get(source, {}).items():
+            pops[labels.index(lab), j] = pop
+    return ComputationalUnitary(CZ_TARGET, labels, 0.0, lambda: pops)
+
+
+def _scored(params, cfg, omega_p, drive_amp, dt):
+    """Metrics and propagator of one gate, as a calibration's final scoring."""
+    pulse, ramp = gate_schedule(cfg, omega_p, drive_amp)
+    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
+    return gate_metrics(cu.matrix), cu
 
 
 def test_leakage_channels_ranked_and_filtered():
-    m = _metrics_with_channels(
+    cu = _unitary_with_populations(
         {
             (1, 0, 1): {(1, 0, 1): 0.99, (2, 0, 2): 5e-4, (1, 2, 1): 1e-5},
             (0, 0, 1): {(0, 2, 0): 2e-4},
         }
     )
-    rows = leakage_channels(m)
+    rows = leakage_channels(cu)
     assert [(r.label, r.source) for r in rows] == [
         ((2, 0, 2), (1, 0, 1)),
         ((0, 2, 0), (0, 0, 1)),
         ((1, 2, 1), (1, 0, 1)),
     ]
-    assert leakage_channels(m, top_k=1)[0].label == (2, 0, 2)
-    assert len(leakage_channels(m, threshold=1e-4)) == 2
-    assert leakage_channels(_metrics_with_channels({})) == []
+    assert leakage_channels(cu, top_k=1)[0].label == (2, 0, 2)
+    assert len(leakage_channels(cu, threshold=1e-4)) == 2
+    assert leakage_channels(_unitary_with_populations({})) == []
 
 
 # -- simplex search ------------------------------------------------------------
@@ -159,7 +181,7 @@ def _sync_toy(x):
 
 
 def test_simplex_finds_toy_optimum():
-    best, f, summaries = simplex_search(
+    best = simplex_search(
         _sync_toy,
         seed=(0.05, 0.016),
         bounds=((-0.1, 0.1), (0.012, 0.028)),
@@ -167,12 +189,9 @@ def test_simplex_finds_toy_optimum():
         restarts=3,
         budget=200,
     )
-    assert f < 1e-9
+    assert _sync_toy(best) < 1e-9
     assert best[0] == pytest.approx(0.0, abs=1e-4)
     assert best[1] == pytest.approx(0.02, abs=1e-4)
-    assert len(summaries) == 3
-    for s in summaries:
-        assert set(s) == {"start", "x", "objective", "n_evaluations", "converged"}
 
 
 def test_simplex_deterministic():
@@ -185,8 +204,7 @@ def test_simplex_deterministic():
     )
     a = simplex_search(_sync_toy, **kw)
     b = simplex_search(_sync_toy, **kw)
-    assert np.array_equal(a[0], b[0])
-    assert a[1] == b[1]
+    assert np.array_equal(a, b)
 
 
 def test_simplex_respects_bounds_and_budget():
@@ -196,7 +214,7 @@ def test_simplex_respects_bounds_and_budget():
         calls.append(np.array(x))
         return _sync_toy(x)
 
-    best, _, summaries = simplex_search(
+    best = simplex_search(
         counting,
         seed=(0.05, 0.016),
         bounds=((-0.1, 0.1), (0.012, 0.028)),
@@ -231,10 +249,10 @@ def test_simplex_validation():
 
 def test_zero_amplitude_gate_is_trivial(params500):
     cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=40.0)
-    m = evaluate_gate(params500, cfg, 10.79, 0.0, dt=0.002)
+    m, cu = _scored(params500, cfg, 10.79, 0.0, dt=0.002)
     assert m.leakage < 1e-8
     assert abs(m.conditional_phase) < 1e-6
-    assert leakage_channels(m, threshold=1e-10) == []
+    assert leakage_channels(cu, threshold=1e-10) == []
 
 
 def test_bias_pulse_without_carrier(params500):
@@ -255,12 +273,13 @@ def test_bias_pulse_without_carrier(params500):
 
 
 def test_frozen_optimum_scores(params500):
-    m = evaluate_gate(params500, STATIC35, *FROZEN65, dt=0.001)
+    m, cu = _scored(params500, STATIC35, *FROZEN65, dt=0.001)
+    assert evaluate_gate(params500, STATIC35, *FROZEN65, dt=0.001) == m
     assert m.error < 2e-5
     assert m.leakage < 2e-5
     assert abs(phase_distance(m.conditional_phase, math.pi)) < 5e-4
     assert m.phases_reliable
-    channels = leakage_channels(m, top_k=8)
+    channels = leakage_channels(cu, top_k=8)
     assert all(ch.population < 1e-4 for ch in channels)
 
 
@@ -286,13 +305,13 @@ def test_unsynchronized_gate_leaks_from_101(params500):
     # exchange incomplete: leakage is dominated by the gate transition
     # itself, stranded in |202> out of |101>.
     cfg45 = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=45.0)
-    m = evaluate_gate(params500, cfg45, *FROZEN65, dt=0.001)
+    m, cu = _scored(params500, cfg45, *FROZEN65, dt=0.001)
     assert m.error > 0.1
-    top = leakage_channels(m, top_k=1)[0]
+    top = leakage_channels(cu, top_k=1)[0]
     assert top.source == (1, 0, 1)
     assert top.label == (2, 0, 2)
     assert top.population > 0.5
-    rest = leakage_channels(m, top_k=8)[1:]
+    rest = leakage_channels(cu, top_k=8)[1:]
     assert all(ch.population < 1e-3 for ch in rest)
 
 
@@ -318,13 +337,12 @@ def test_optimize_cz_report_and_stagnation(params500):
 
 
 def test_floquet_seed_runs_at_the_given_dt(params500, monkeypatch):
-    pair = ((1, 0, 1), (2, 0, 2))
     seen = []
 
-    def recorded(params, flux_s, amp, pair_, window, resolution=21, dt=None):
+    def recorded(params, flux_s, amp, pair, window, resolution=21, dt=None):
         seen.append(dt)
         empty = np.empty(0)
-        return TransitionResult(True, 10.79, 6e-3, pair, empty, empty, empty, flux_s, amp)
+        return TransitionResult(True, 10.79, 6e-3, empty, empty)
 
     monkeypatch.setattr(gates, "extract_transition", recorded)
     gates._seed_from_floquet(params500, STATIC35, dt=0.00125)
@@ -347,3 +365,27 @@ def test_optimize_cz_seeds_at_final_dt(params500, monkeypatch):
     with pytest.raises(Seeded):
         optimize_cz(params500, STATIC35, dt=0.002)
     assert seen == [0.00075, 0.001]
+
+
+def test_calibration_steps_no_ramp_down(rc500, monkeypatch):
+    # A gate-sweep cell reads only the metrics: neither its search nor its
+    # final scoring steps a bias ramp-down; the report's channels do.
+    params, cfg = rc500.params, replace(rc500.require("gate"), gate_time=20.0)
+    assert cfg.mode == "dynamic-bias"
+    monkeypatch.setattr(gates, "_seed_from_floquet", lambda params, cfg, dt: (10.78, 0.05))
+    _, ramp = gate_schedule(cfg, 10.78, 0.05)
+    for dt in (2e-3, 1e-3):
+        _ramped_up_block(params, ramp, dt)  # the cached ramp-ups
+    calls = []
+    stepped = backends.step_sequence
+
+    def counting(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    monkeypatch.setattr(backends, "step_sequence", counting)
+    res = optimize_cz(params, cfg, dt=2e-3, final_dt=1e-3, restarts=1, budget=4)
+    assert len(res.trace) >= 4
+    assert calls == []
+    res.report()
+    assert calls

@@ -117,7 +117,7 @@ def test_guard_rejects_a_real_cross_sector_element(params_small):
     h[i, j] += 1e-3
     h[j, i] += 1e-3
     with pytest.raises(ConstructionError, match="parity sectors"):
-        label_eigenstates(CompositeOperator(h, op.flux_c, params_small))
+        label_eigenstates(CompositeOperator(h, params_small))
 
 
 # -- full-space references ----------------------------------------------------

@@ -13,7 +13,7 @@ from fluxgate import (
     state_dependent_shifts,
     zz_coupling,
 )
-from fluxgate.errors import ConstructionError
+from fluxgate.errors import ConstructionError, LabelingError
 from fluxgate.system import (
     AMBIGUITY_THRESHOLD,
     GAUGE_PHASES,
@@ -179,4 +179,19 @@ def test_gauge_guard_rejects_a_complex_block(params_small):
     h[1, 0] -= 1e-3j
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     with pytest.raises(ConstructionError, match="coupler gauge"):
-        label_eigenstates(CompositeOperator(h, op.flux_c, params_small))
+        label_eigenstates(CompositeOperator(h, params_small))
+
+
+def test_ambiguity_guard_lists_every_flagged_label(params500):
+    spec = _spectrum(params500, 0.35)
+    flagged = [lab for lab, amb in zip(spec.labels, spec.ambiguous) if amb][:2]
+    assert len(flagged) == 2
+    clear = (1, 0, 1)
+    assert spec.unambiguous([clear]) == [spec.index_of(clear)]
+    with pytest.raises(LabelingError) as err:
+        spec.unambiguous([flagged[0], clear, flagged[1]])
+    assert err.value.flagged == tuple(flagged)
+    with pytest.raises(LabelingError):
+        spec.energy_of(flagged[0])
+    with pytest.raises(LabelingError, match="not present"):
+        spec.unambiguous([(9, 9, 9)])
