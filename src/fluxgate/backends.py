@@ -48,39 +48,40 @@ block), and ``apply_power`` applies a stack of matrices to a stack of
 blocks.
 
 Every per-point LAPACK call in the package goes through ``numpy.linalg``,
-so a process runs one OpenBLAS thread pool, numpy's. Processes of a pool
-share the cores, so ``pool_processes`` sizes a pool to keep processes
-times BLAS threads within them; ``blas_threads`` reads the live count.
-At OpenBLAS's default of one thread per core that is one process.
+so a process runs one OpenBLAS thread pool, numpy's, whose live count
+``blas_threads`` reads and ``set_blas_threads`` sets.
 """
 
 from __future__ import annotations
 
 import ctypes
-import logging
-import os
+import functools
 
 import numpy as np
 
 from .errors import ConstructionError
 from .system import GAUGE_PHASES
 
-logger = logging.getLogger(__name__)
-
 TAYLOR_TOL = 1e-16
 MAX_TAYLOR_ORDER = 64
 # Size of one chunk of gathered phase diagonals; larger chunks raised the
 # peak memory of a calibration without making steps faster.
 PHASE_CHUNK_BYTES = 1 << 18
-# Thread-count getters of the 64-bit-integer OpenBLAS builds numpy wheels
-# ship (numpy 2 and numpy 1); scipy's own OpenBLAS exports neither.
-BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+# Thread-count getters and setters of the 64-bit-integer OpenBLAS builds
+# numpy wheels ship (numpy 2 and numpy 1); scipy's own OpenBLAS exports
+# none of them.
+BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
 
 
-def blas_threads() -> int | None:
-    """Live thread count of numpy's OpenBLAS, or None if it is not found.
+@functools.cache
+def _openblas():
+    """Thread-count getter and setter of numpy's OpenBLAS, or None if it
+    is not found.
 
-    The library is located through /proc/self/maps and read with ctypes.
+    The library is located through /proc/self/maps and opened with ctypes.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -92,40 +93,28 @@ def blas_threads() -> int | None:
             lib = ctypes.CDLL(path)
         except OSError:  # not a loadable path, e.g. a "(deleted)" mapping
             continue
-        for symbol in BLAS_GETTERS:
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.restype = ctypes.c_int
-                return int(getter())
+        for get, put in BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                getter, setter = getattr(lib, get), getattr(lib, put)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
     return None
 
 
-def pool_processes(workers: int) -> int:
-    """Size of a pool for ``workers``: the most processes, at least one
-    and at most ``workers``, whose BLAS threads fit the cores of this
-    process.
+def blas_threads() -> int | None:
+    """Live thread count of numpy's OpenBLAS, or None if it is not found."""
+    found = _openblas()
+    return None if found is None else int(found[0]())
 
-    Workers keep the thread count they start with, this process's:
-    OpenBLAS products and eigensolves are not bitwise reproducible across
-    thread counts, so a worker given fewer threads would return other
-    bits for a point than a serial run. At OpenBLAS's default count, one
-    thread per core, the pool is therefore a single process; only a
-    process started with fewer BLAS threads runs several.
-    """
-    threads = blas_threads()
-    if threads is None:
-        logger.info("no OpenBLAS thread count found; assuming one thread per process")
-        threads = 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    processes = max(1, min(workers, cores // threads))
-    if processes < workers:
-        logger.info("%d workers requested: running %d process(es) of %d BLAS threads on "
-                    "%d cores, so that every point keeps this process's thread count",
-                    workers, processes, threads, cores)
-    return processes
+
+def set_blas_threads(count: int) -> int | None:
+    """Set numpy's OpenBLAS to ``count`` threads; returns the count it
+    replaced, or None, changing nothing, if the library is not found."""
+    previous = blas_threads()
+    if previous is not None:
+        _openblas()[1](count)
+    return previous
 
 
 def _check_block(block, d: int) -> None:

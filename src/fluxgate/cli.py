@@ -10,12 +10,16 @@ is a bug and propagates. Values and failures come back in job order, so
 output does not depend on the order in which points finish. Only
 finished points are checkpointed, each with the BLAS thread count it ran
 at, so ``--resume`` skips them without recomputing and retries failed
-points and points computed at another thread count. A pool runs no more
-processes than fit the cores at the live BLAS thread count (see
-``backends.pool_processes``), which every point keeps, so results do not
-depend on ``--workers``; the sidecar records that count as
-``blas_threads``. At OpenBLAS's default of one thread per core that is a
-single process, and a pool of one is run in this process instead.
+points and points computed at another thread count: OpenBLAS results
+are not bitwise reproducible across counts.
+
+``main`` runs every command at one thread of numpy's OpenBLAS and
+restores the caller's count when it returns. A pool runs
+min(workers, cores, pending points) processes, each started at the
+run's thread count, so results do not depend on ``--workers``, and a
+pool of one runs in this process. The sidecar records the count as
+``blas_threads``. Importing the package pins nothing: library callers
+keep their own count.
 
 A library error raised outside the point runner fails the whole run:
 the sidecar lists it as the run's one failure, under the command's name.
@@ -200,9 +204,12 @@ def _run_points(
         else:
             run_dir.checkpoint(jobs[i][0], values[i])
 
-    processes = backends.pool_processes(workers) if workers > 1 and len(pending) > 1 else 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, cores or 1, len(pending))
     if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        # Workers run at the count their checkpoints are tagged with.
+        with ProcessPoolExecutor(max_workers=processes, initializer=backends.set_blas_threads,
+                                 initargs=(run_dir.blas_threads or 1,)) as pool:
             futures = {pool.submit(worker, *jobs[i][1]): i for i in pending}
             for future in as_completed(futures):
                 settle(futures[future], future.result)
@@ -557,10 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to an INI config")
         cmd.add_argument("--out", default=None, help="output root directory")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="most processes for independent points; a pool "
-                         "runs no more than fit the cores at this process's BLAS "
-                         "thread count, so one at OpenBLAS's default of a thread "
-                         "per core")
+                         help="most processes for independent points")
         cmd.add_argument("--dt", type=float, default=None,
                          help="integrator step in picoseconds (ps); overrides "
                          "[output] dt, which is in nanoseconds (ns)")
@@ -580,6 +584,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, section = _COMMANDS[args.command]
 
+    previous_threads = backends.set_blas_threads(1)
     try:
         rc = load_config(args.config)
         if args.workers is not None and args.workers < 1:
@@ -631,6 +636,9 @@ def main(argv=None) -> int:
     except FluxgateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous_threads is not None:
+            backends.set_blas_threads(previous_threads)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Propagation kernels against independent step products built with expm,
 and the one-OpenBLAS-pool rule with its thread-count helper."""
 
+import functools
 import inspect
 import os
 import subprocess
@@ -214,20 +215,7 @@ def test_blas_threads_skips_an_unloadable_mapping(monkeypatch):
         raise OSError(f"cannot load {path}")
 
     monkeypatch.setattr(backends.ctypes, "CDLL", refuse)
+    # A fresh cache, so the lookup runs again and the session's is kept.
+    monkeypatch.setattr(backends, "_openblas", functools.cache(backends._openblas.__wrapped__))
     assert backends.blas_threads() is None
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, None])
-def test_pool_processes_keep_threads_within_the_cores(monkeypatch, caplog, threads):
-    monkeypatch.setattr(backends, "blas_threads", lambda: threads)
-    cores = len(os.sched_getaffinity(0))
-    per = threads or 1  # an unknown count is taken as one thread
-    for workers in (1, 2, 3, 4 * cores):
-        with caplog.at_level("INFO", logger="fluxgate.backends"):
-            processes = backends.pool_processes(workers)
-        assert 1 <= processes <= workers
-        # Within the cores unless one process alone exceeds them, and as
-        # many as fit.
-        assert processes * per <= cores or processes == 1
-        assert processes == workers or (processes + 1) * per > cores
-    assert ("no OpenBLAS thread count found" in caplog.text) == (threads is None)
+    assert backends.set_blas_threads(1) is None

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -116,9 +117,14 @@ def _pid_and_threads():
     return [os.getpid(), backends.blas_threads()]
 
 
-def test_points_run_at_the_live_blas_thread_count(tmp_path, monkeypatch):
-    # Pooled or not, every point keeps this process's BLAS thread count,
-    # and run.json records it.
+def _pid_and_threads_after_a_nap():
+    # The nap keeps a worker busy, so the next point goes to another.
+    time.sleep(0.1)
+    return _pid_and_threads()
+
+
+def test_points_run_at_the_live_blas_thread_count(tmp_path):
+    # Pooled or not, every point runs at the count the run records.
     threads = backends.blas_threads()
     run_dir = RunDirectory(tmp_path, "probe", {})
     jobs = [(str(i), ()) for i in range(4)]
@@ -126,10 +132,77 @@ def test_points_run_at_the_live_blas_thread_count(tmp_path, monkeypatch):
     assert failures == [] and {t for _, t in values} == {threads}
     run_dir.write_sidecar(0.001, [], failures, len(jobs))
     assert run_json(run_dir.path)["blas_threads"] == threads
-    # A pool of one process is no pool: the points run here.
-    monkeypatch.setattr(backends, "pool_processes", lambda workers: 1)
-    values, _ = _run_points(RunDirectory(tmp_path, "one", {}), jobs, _pid_and_threads, 2, False)
-    assert {pid for pid, _ in values} == {os.getpid()}
+    # A pool of one process is no pool: the points run here, whether one
+    # worker is asked for or one point is pending.
+    for workers, n_jobs in ((1, 4), (2, 1)):
+        probe = RunDirectory(tmp_path, f"one-{workers}", {})
+        values, _ = _run_points(probe, jobs[:n_jobs], _pid_and_threads, workers, False)
+        assert {pid for pid, _ in values} == {os.getpid()}
+
+
+def test_pooled_points_run_in_processes_of_one_blas_thread(tmp_path):
+    # Under main's pin a pool runs min(workers, cores, points) processes,
+    # each at one thread, whatever the count its start method hands it.
+    cores = len(os.sched_getaffinity(0))
+    jobs = [(str(i), ()) for i in range(2 * cores + 2)]
+    previous = backends.set_blas_threads(1)
+    try:
+        values, failures = _run_points(RunDirectory(tmp_path, "two", {}), jobs[:4],
+                                       _pid_and_threads_after_a_nap, 2, False)
+        capped, _ = _run_points(RunDirectory(tmp_path, "capped", {}), jobs,
+                                _pid_and_threads_after_a_nap, cores + 1, False)
+    finally:
+        backends.set_blas_threads(previous)
+    assert failures == [] and {t for _, t in values + capped} == {1}
+    assert len({pid for pid, _ in values}) == min(2, cores)
+    assert len({pid for pid, _ in capped}) <= cores
+
+
+def test_main_restores_the_callers_blas_thread_count(tmp_path):
+    # Commands run at one thread; the caller keeps its own count, here one
+    # above the session's so that no command leaves it behind by chance.
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+    callers = backends.blas_threads() + 1
+    previous = backends.set_blas_threads(callers)
+    try:
+        assert main(["shift-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert run_json(only_run_dir(tmp_path / "o", "shift-scan"))["blas_threads"] == 1
+        assert backends.blas_threads() == callers
+        assert main(["shift-scan", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert backends.blas_threads() == callers
+    finally:
+        backends.set_blas_threads(previous)
+
+
+def test_commands_run_when_openblas_is_not_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(backends, "_openblas", lambda: None)
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+    out = tmp_path / "o"
+    assert main(["shift-scan", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
+    assert run_json(only_run_dir(out, "shift-scan"))["blas_threads"] is None
+
+
+def test_importing_the_library_keeps_the_blas_thread_count():
+    # Only main pins the count. The benchmark imports these modules and
+    # measures the library at the count a bare numpy import leaves.
+    modules = ("circuits", "system", "evolve", "floquet", "gates", "backends", "cli",
+               "config", "errors", "pulses")
+    probe = (
+        "import ctypes, importlib, numpy\n"
+        "paths = sorted({l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l})\n"
+        "libs = [ctypes.CDLL(path) for path in paths]\n"
+        f"get = next(getattr(lib, g) for lib in libs for g, _ in {backends.BLAS_SYMBOLS!r}\n"
+        "           if hasattr(lib, g))\n"
+        "bare = get()\n"
+        "import fluxgate\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('fluxgate.' + name)\n"
+        "print(bare, get())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == out[1]
 
 
 def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplog):
@@ -157,7 +230,7 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     assert main(["shift-scan", "--config", cfg, "--out", str(torn)]) == 0
     run_dir = only_run_dir(torn, "shift-scan")
     good = {"key": "0", "value": _shift_point(load_config(cfg).params, 0.0),
-            "blas_threads": backends.blas_threads()}
+            "blas_threads": run_json(run_dir)["blas_threads"]}
     progress = run_dir / "progress.jsonl"
     progress.write_text(json.dumps(good) + "\n" + '{"key": "0.1", "value": [0.0')
     with caplog.at_level("WARNING", logger="fluxgate.cli"):
@@ -179,11 +252,13 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
 
 
 def test_worker_count_invisible_at_one_blas_thread(tmp_path):
-    # At one BLAS thread a 2-worker pool runs two processes on two or more
-    # cores; its output must still equal the serial run byte for byte.
+    # The command pins one BLAS thread itself, so no thread-count variable
+    # is set: a 2-worker pool runs two processes on two or more cores, and
+    # its output must still equal the serial run byte for byte.
     cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(backends.__file__).parents[1])
     runs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
@@ -241,7 +316,7 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
     # A checkpointed point is trusted under --resume and recomputed without.
     fake = {k: [0.5, 0.5, 0.5] for k in ("000", "001", "100", "101", "202",
                                          "computational")}
-    entry = {"key": "10.78", "value": fake, "blas_threads": backends.blas_threads()}
+    entry = {"key": "10.78", "value": fake, "blas_threads": run_json(run_dir)["blas_threads"]}
     (run_dir / "progress.jsonl").write_text(json.dumps(entry) + "\n")
     assert main(["chevron", "--config", cfg, "--out", str(out), "--resume"]) == 0
     resumed = (run_dir / "result.csv").read_text()
