@@ -26,16 +26,11 @@ m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
 of the spectrally shifted Hamiltonian. Steps must keep theta modest (the
 order is capped at 64); callers enforce dt well below the fastest period.
 
-``step_sequence`` works in the coupler gauge D = diag(i^N) of
-``system`` (its ``GAUGE_PHASES`` table), where A and B, and so every
-H_i, are real: A is real and each term of B is purely imaginary and
-moves the coupler occupation by one. It rotates A, B and the block into
-the gauge once per call, which is exact (multiplications by 0, +-1 and
-+-i), and raises ``ConstructionError`` if an imaginary part survives,
+``step_sequence`` takes the real A and B of ``system``, so every H_i
+is real, and raises ``ConstructionError`` on a nonzero imaginary part,
 as ``system.label_eigenstates`` does. Each Taylor term is then one real
 product: the real H_i times the complex columns viewed as interleaved
 real columns, (m, 2k) float64, half the arithmetic of a complex product.
-The result is rotated back into the bare basis.
 
 Every Hamiltonian the package steps conserves the total parity of
 ``system``, so callers step each parity sector on its own, with the
@@ -60,7 +55,6 @@ import functools
 import numpy as np
 
 from .errors import ConstructionError
-from .system import GAUGE_PHASES
 
 TAYLOR_TOL = 1e-16
 MAX_TAYLOR_ORDER = 64
@@ -127,33 +121,25 @@ def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
 
     Step i applies exp(-i 2 pi dt H_i) with
     H_i = a + c1[i] diag(n_diag) + c2[i] b evaluated at the step
-    midpoint by the caller. ``n_diag`` holds coupler occupations, and
-    the steps are taken in real arithmetic in the coupler gauge
-    diag(i^n_diag) (see the module docstring); raises ConstructionError
-    if ``a`` or ``b`` is not real there. Returns a fresh array in the
-    bare basis.
+    midpoint by the caller; ``a`` and ``b`` must be real (see the module
+    docstring), or ConstructionError is raised. Returns a fresh array.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+    worst = max(float(np.max(np.abs(np.imag(m)))) for m in (a, b))
+    if worst:
+        raise ConstructionError(
+            f"step Hamiltonian is not real (largest imaginary part {worst:.3g})"
+        )
+    a = np.ascontiguousarray(np.real(a), dtype=np.float64)
     n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
+    b = np.ascontiguousarray(np.real(b), dtype=np.float64)
     c1 = np.ascontiguousarray(c1, dtype=np.float64)
     c2 = np.ascontiguousarray(c2, dtype=np.float64)
-    block = np.ascontiguousarray(block, dtype=np.complex128)
+    out = np.array(block, dtype=np.complex128, order="C")
     if c1.shape != c2.shape:
         raise ValueError("coefficient arrays c1, c2 must have equal length")
-    _check_block(block, a.shape[0])
-    phase = GAUGE_PHASES[n_diag.astype(int) % 4]
-    a = phase.conj()[:, None] * a * phase
-    b = phase.conj()[:, None] * b * phase
-    if np.any(a.imag) or np.any(b.imag):
-        worst = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)))
-        raise ConstructionError(
-            f"step Hamiltonian is not real in the coupler gauge (largest imaginary part {worst:.3g})"
-        )
-    a, b = a.real.copy(), b.real.copy()
+    _check_block(out, a.shape[0])
     idx = np.arange(a.shape[0])
     w = -2j * np.pi * float(dt)
-    out = phase.conj()[:, None] * block
     for i in range(c1.shape[0]):
         h = a + c2[i] * b
         h[idx, idx] += c1[i] * n_diag
@@ -173,7 +159,7 @@ def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
             term = (w / j) * (h @ term.view(np.float64)).view(np.complex128)
             acc += term
         out = np.exp(w * mu) * acc
-    return phase[:, None] * out
+    return out
 
 
 def apply_power(m, n: int, block) -> np.ndarray:

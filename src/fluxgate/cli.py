@@ -59,7 +59,6 @@ from .evolve import (
     dressed_frame,
 )
 from .floquet import extract_transition
-from .pulses import ParametricPulse
 from .system import build_hamiltonian, label_eigenstates, state_dependent_shifts, zz_coupling
 
 logger = logging.getLogger(__name__)
@@ -375,13 +374,7 @@ def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     scan = rc.require("chevron")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
     t_grid = _grid(0.0, scan.time_max, scan.time_points)
-    template = ParametricPulse(
-        flux_static=scan.flux_s,
-        drive_amp=scan.drive_amp,
-        drive_freq=freqs[0],
-        ramp_time=scan.ramp_time,
-        gate_time=scan.time_max,
-    )
+    template = scan.template()
     record = DEFAULT_RECORD
     jobs = [
         (_fmt(float(f)), (rc.params, template, float(f), t_grid.tolist(), scan.psi0, dt, record))
@@ -421,13 +414,7 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     scan = rc.require("amplitude")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
     amps = _grid(scan.amp_min, scan.amp_max, scan.amp_points)
-    template = ParametricPulse(
-        flux_static=scan.flux_s,
-        drive_amp=amps[0],
-        drive_freq=freqs[0],
-        ramp_time=scan.ramp_time,
-        gate_time=scan.fixed_time,
-    )
+    template = scan.template()
     cells = [(float(f), float(a)) for f in freqs for a in amps]
     jobs = [
         (

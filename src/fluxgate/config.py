@@ -18,6 +18,7 @@ from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError
 from .evolve import DEFAULT_DT
 from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
+from .pulses import ParametricPulse
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -78,8 +79,14 @@ class ChevronConfig:
     def __post_init__(self):
         _require_grid(self.freq_points, self.freq_min, self.freq_max, "frequency")
         _require_grid(self.time_points, 0.0, self.time_max, "time")
-        if self.drive_amp < 0:
-            raise ValueError("drive_amp must be non-negative")
+        self.template()  # the pulse checks the amplitude and that both ramps fit
+
+    def template(self) -> ParametricPulse:
+        """The scan's drive at its first frequency, over a window of
+        ``time_max``; each column replaces the frequency."""
+        return ParametricPulse(
+            self.flux_s, self.drive_amp, self.freq_min, self.ramp_time, self.time_max
+        )
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,14 @@ class AmplitudeConfig:
         _require_grid(self.amp_points, self.amp_min, self.amp_max, "amplitude")
         if self.fixed_time <= 0:
             raise ValueError("fixed_time must be positive")
-        if self.amp_min < 0:
-            raise ValueError("amplitudes must be non-negative")
+        self.template()  # the pulse checks the amplitude and that both ramps fit
+
+    def template(self) -> ParametricPulse:
+        """The scan's drive at its first frequency and amplitude, over a
+        window of ``fixed_time``; each cell replaces both."""
+        return ParametricPulse(
+            self.flux_s, self.amp_min, self.freq_min, self.ramp_time, self.fixed_time
+        )
 
 
 @dataclass(frozen=True)

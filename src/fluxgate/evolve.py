@@ -38,13 +38,11 @@ Off the symmetric point the one sector is the whole space.
 A gate's bias ramp-down is the ramp-up run backwards: it carries no
 drive, and ``_step_samples`` gives both ramps the same step count, so
 the ramp-down samples the ramp-up's biases in reverse order. Each ramp
-step is its own time reverse under the coupler parity
-P = diag((-1)^n_c), by the argument the ``floquet`` module docstring
-makes for the monodromy, so U_down = P U_up^T P. The dressed idle states
-c are D = diag(i^n_c) times real vectors (``label_eigenstates``), so
-P conj(c) = c, and after the ramp-down the computational amplitudes of
-the end-of-drive block psi are <c_i|U_down|psi_j> = (R^T P psi)_ij,
-where R = U_up c is the cached ramped-up block (``_ramped_up_block``).
+step is complex symmetric (``system``), so U_down = U_up^T. The dressed
+idle states c are real, so after the ramp-down the computational
+amplitudes of the end-of-drive block psi are
+<c_i|U_down|psi_j> = (R^T psi)_ij, where R = U_up c is the cached
+ramped-up block (``_ramped_up_block``).
 ``propagate_computational_unitary`` therefore steps only to the end of
 the drive window; the ramp-down is stepped only when the
 end-of-schedule populations of every dressed state are read.
@@ -97,7 +95,8 @@ class EvolutionResult:
 
     ``populations`` maps each recorded label to its |overlap|^2 series on
     the snapshot times; ``final_state`` is the state at the end of the
-    schedule, and ``norm_drift`` the deviation of its norm from one.
+    schedule, as a column of the product basis of ``system``, and
+    ``norm_drift`` the deviation of its norm from one.
     """
 
     populations: dict[Label, np.ndarray]
@@ -119,7 +118,7 @@ class ComputationalUnitary:
 
     ``final_populations[k, j]`` is the end-of-schedule population of the
     dressed state ``state_labels[k]`` when column j was prepared. A bias
-    ramp-down enters ``matrix`` through the ramp-up (U_down = P U_up^T P,
+    ramp-down enters ``matrix`` through the ramp-up (U_down = U_up^T,
     see the module docstring) and is stepped only on the first read of
     ``final_populations``, which checks the end-of-schedule norm drift
     against the same limit; later reads return the cached array.
@@ -208,7 +207,7 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     """Exact one-step propagators of the static Hamiltonian at ``flux``,
     one per parity sector, stacked as (sectors, m, m).
 
-    Sector s holds Q exp(-i 2 pi h E) Q^dag from the dressed energies E
+    Sector s holds Q exp(-i 2 pi h E) Q^T from the dressed energies E
     and orthonormal states Q of that sector in ``dressed_frame``, on the
     sector's rows of ``ModelOperators.sectors``; a sector smaller than
     the widest, m, is padded with the identity. A new step length costs
@@ -227,7 +226,7 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     for step, rows, cols in zip(steps, sectors, frame.sectors):
         q = frame.states[np.ix_(rows, cols)]
         phases = np.exp(-2j * np.pi * h * frame.energies[cols])
-        step[: rows.size, : rows.size] = (q * phases) @ q.conj().T
+        step[: rows.size, : rows.size] = (q * phases) @ q.T
         pad = np.arange(rows.size, width)
         step[pad, pad] = 1.0
     steps.flags.writeable = False
@@ -295,7 +294,7 @@ def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     intervals and the Floquet monodromy's period alike. A span within
     roundoff of a whole number of steps takes that number: the ramp-down
     span (2 tau + t_g) - (tau + t_g) can round above tau, and must take
-    the ramp-up's count for U_down = P U_up^T P to hold.
+    the ramp-up's count for U_down = U_up^T to hold.
     """
     n = max(1, int(np.ceil(round((t_b - t_a) / dt, 9))))
     h = (t_b - t_a) / n
@@ -468,7 +467,7 @@ def propagate_computational_unitary(
     schedule carries no drive, so its block R is propagated once per
     (params, ramp, dt) and shared by every drive frequency and amplitude,
     and it also scores the ramp-down: the amplitudes at the end of the
-    schedule are R^T P psi for the end-of-drive block psi (see the module
+    schedule are R^T psi for the end-of-drive block psi (see the module
     docstring). The ramp-down is stepped only when
     ``final_populations`` is first read. Row phases rotate at the idle
     dressed energies, so an idle system yields the identity.
@@ -478,14 +477,13 @@ def propagate_computational_unitary(
 
     duration = total_duration(pulse, ramp)
     t_end = drive_window(pulse, ramp)[1]
-    # bras[i] is <c_i| carried back from the end of the schedule to t_end.
     if ramp is None:
         block, t_start = _computational_block(frame), 0.0
-        bras = block.conj().T
     else:
         block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
-        parity = 1.0 - 2.0 * (assemble_operators(params).n_diag % 2)
-        bras = block.T * parity
+    # bras[i] is <c_i| carried back from the end of the schedule to t_end:
+    # c_i is real, and the ramp-down is the transposed ramp-up.
+    bras = block.T
     psi = _advance(params, pulse, ramp, dt, block, t_start, t_end, stroboscopic)
     drift = _norm_drift(psi)
 
@@ -495,7 +493,7 @@ def propagate_computational_unitary(
     def end_populations() -> np.ndarray:
         out = _advance(params, pulse, ramp, dt, psi, t_end, duration)
         _norm_drift(out)
-        return np.abs(frame.states.conj().T @ out) ** 2
+        return np.abs(frame.states.T @ out) ** 2
 
     return ComputationalUnitary(u, frame.labels, drift, end_populations)
 

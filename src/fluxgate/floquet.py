@@ -12,22 +12,19 @@ full-exchange-and-return time.
 
 The drive is symmetric about the middle of its period, so the
 monodromy needs only half of it. Write one period as Strang steps
-S_k = D_k U0 D_k, with D_k diagonal in the coupler occupation and
-D_k = D_{n-1-k}. The static Hamiltonian H0 = A + c1 N + c2 B has A real
-symmetric and B purely imaginary, and B changes the coupler number by
-one, so the coupler parity P = diag((-1)^{k_c}) gives P H0^T P = H0 and
-hence P S_k^T P = S_k: each step is its own time reverse. The second
-half of the period is therefore P V^T P, where V is the product of the
-first n // 2 steps, and M = P V^T P V; for odd n the middle step
-D U0 D sits between the halves, M = P X^T P U0 X with X = D V.
+S_k = D_k U0 D_k, with D_k diagonal and D_k = D_{n-1-k}. The static
+step U0 is complex symmetric (``system``), so each S_k is too: the
+second half of the period is V^T, where V is the product of the first
+n // 2 steps, and M = V^T V; for odd n the middle step D U0 D sits
+between the halves, M = X^T U0 X with X = D V.
 
 The drive modulates only the coupler number, so M conserves the total
 parity of ``system`` and is block diagonal in its sectors. Each sector
 is stepped with its own 75 x 75 steps (all stepped sectors in one
-batched kernel call), mirrored with P restricted to the sector, and
-placed into the full matrix; the entries between sectors are exactly
-zero. ``monodromy`` may step only some sectors: their blocks are bit for
-bit those of the full matrix, and the rest of the matrix is zero.
+batched kernel call), mirrored, and placed into the full matrix; the
+entries between sectors are exactly zero. ``monodromy`` may step only
+some sectors: their blocks are bit for bit those of the full matrix,
+and the rest of the matrix is zero.
 ``quasienergies`` solves each stepped sector's block on its own and
 returns the Floquet modes of the stepped sectors only, one per dressed
 state of those sectors, in ascending dressed order, with their folded
@@ -121,7 +118,8 @@ class FloquetSpectrum:
 
     ``quasienergies`` lie in [-f_p/2, f_p/2) GHz. There is one mode per
     dressed state of the monodromy's stepped sectors, in ascending
-    dressed order; ``states`` holds them as columns in the bare basis.
+    dressed order; ``states`` holds them as columns in the product basis
+    of ``system``.
     """
 
     quasienergies: np.ndarray
@@ -160,11 +158,11 @@ def monodromy(
     The cosine drive is symmetric about half the period, and the second
     half of the period is the time reverse of the first: only the first
     n // 2 Strang steps are taken, and the full period is assembled as
-    P V^T P V (with the middle step in between for odd n), where P is the
-    coupler parity (see the module docstring). This halves the step
-    matmuls and matches the full step product to roundoff. The steps and
-    their midpoint drive samples follow
-    ``evolve._step_samples``, the rule of every gate-schedule interval.
+    V^T V (with the middle step in between for odd n; see the module
+    docstring). This halves the step matmuls and matches the full step
+    product to roundoff. The steps and their midpoint drive samples
+    follow ``evolve._step_samples``, the rule of every gate-schedule
+    interval.
     Every parity sector named in ``sectors`` (indices into
     ``ModelOperators.sectors``; None steps all) is stepped with its own
     steps, all in one kernel call, and M is assembled block by block,
@@ -203,8 +201,7 @@ def monodromy(
         forward = u0 @ v
     else:
         forward = v
-    parity = 1.0 - 2.0 * (n_diag % 2)  # (-1)^(coupler occupation)
-    blocks = (parity[:, :, None] * v.transpose(0, 2, 1) * parity[:, None, :]) @ forward
+    blocks = v.transpose(0, 2, 1) @ forward
 
     defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))
     if defect > UNITARITY_LIMIT:

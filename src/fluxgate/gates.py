@@ -90,6 +90,11 @@ class GateConfig:
             raise ValueError("bias_ramp must be positive")
         if self.drive_ramp < 0 or 2.0 * self.drive_ramp > self.gate_time:
             raise ValueError("need 0 <= 2 drive_ramp <= gate_time")
+        for name, bounds in (("freq", self.freq_bounds), ("amp", self.amp_bounds)):
+            if bounds is not None and not bounds[0] < bounds[1]:
+                raise ValueError(f"need {name}_min < {name}_max")
+        if self.amp_bounds is not None and self.amp_bounds[0] < 0:
+            raise ValueError("amp_min must be non-negative")
 
     @property
     def drive_flux(self) -> float:
@@ -181,7 +186,7 @@ def gate_metrics(u) -> GateMetrics:
     of the |001> and |100> diagonals relative to |000>; the fidelity is
     the state-average trace formula on the corrected matrix. Leakage is
     the average population lost per column, and the conditional phase is
-    read off the raw diagonal, where it is gauge invariant.
+    read off the raw diagonal, which those Z rotations leave unchanged.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):

@@ -3,32 +3,32 @@
 The three-body model lives on the tensor product Q0 (x) C (x) Q1 of
 single-circuit eigenbases, with the coupler reduced to an anharmonic
 oscillator whose frequency and charge zero-point fluctuation depend on
-its flux bias:
+its flux bias. The fluxonium eigenvectors are real, so each fluxonium
+charge operator is purely imaginary at any external flux, n_k = i m_k
+with m_k real antisymmetric. The coupler charge operator is taken purely
+imaginary too, n_c = i (a - a^dag). A coupling of two charges is then
+minus the product of two real antisymmetric factors, and
 
     H(Phi) = sum_k diag(fluxonium energies)
            + omega_c(Phi) a^dag a + (alpha_c / 2) a^dag a^dag a a
-           + n_zpf(Phi) [J_c0 n0 (a + a^dag) + J_c1 (a + a^dag) n1]
-           + J_01 n0 n1
+           + n_zpf(Phi) [J_c0 m0 (a^dag - a) + J_c1 (a^dag - a) m1]
+           - J_01 m0 m1
 
-The coupler charge operator is taken in the rotated gauge where
-(a + a^dag) is real, which pairs with the purely imaginary fluxonium
-charge operators (imaginary at any external flux, since the fluxonium
-eigenvectors are real) to give a complex Hermitian matrix: A is real
-(the J_01 term is a product of two imaginary charges) and B is purely
-imaginary, each of its terms moving the coupler occupation n_c by one.
+is real symmetric. Every matrix, dressed state and propagated block of
+the package lives in this one real basis. (Taking the coupler charge as
+(a + a^dag) instead gives the complex Hermitian D H D^dag, with D the
+coupler gauge diag(i^n_c).) A step exp(-i 2 pi h H) of a real
+symmetric H is complex symmetric, so a product of steps taken in
+reverse order is the transpose of the forward product: the bias
+ramp-down of a gate is the transposed ramp-up (``evolve``), and the
+second half of a symmetric drive period the transposed first half
+(``floquet``).
 
-``label_eigenstates`` solves it as a real symmetric matrix. In the
-coupler gauge D = diag(i^n_c), the entry (j, k) of D^dag H D picks up
-i^(n_c[k] - n_c[j]), which is 1 on the blocks of A and +-i on those of
-B, so D^dag H D is real. Multiplying by 0, +-1 and +-i is exact in
-floating point, so the rotated matrix is checked for an imaginary part
-of exactly zero (``ConstructionError`` otherwise), diagonalised with
-``numpy.linalg.eigh`` (LAPACK's divide-and-conquer ``syevd``), and its
-eigenvectors are rotated back by D: the returned states are in the
-complex bare basis, as every caller expects. The eigensolve goes
-through numpy rather than scipy so that a process runs one OpenBLAS
-thread pool: scipy loads a second OpenBLAS whose threads would contend
-with numpy's for the cores.
+``label_eigenstates`` solves H with ``numpy.linalg.eigh`` (LAPACK's
+divide-and-conquer ``syevd``), so the dressed states are real. The
+eigensolve goes through numpy rather than scipy so that a process runs
+one OpenBLAS thread pool: scipy loads a second OpenBLAS whose threads
+would contend with numpy's for the cores.
 
 The flux-independent pieces (fluxonium diagonals, Kerr term, the bare
 coupling matrices) are assembled once per parameter set and cached, so
@@ -67,7 +67,6 @@ from .circuits import (
 from .errors import ConstructionError, LabelingError
 
 AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
-GAUGE_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n by n % 4
 # Largest equal-parity fluxonium charge element accepted as roundoff at
 # the symmetric point; the bundled devices have at most 2.1e-14.
 PARITY_TOL = 1e-10
@@ -105,7 +104,7 @@ class CompositeParams:
 
 @dataclass(frozen=True)
 class CompositeOperator:
-    """Dense Hermitian Hamiltonian in the bare product basis."""
+    """Dense real symmetric Hamiltonian in the product basis."""
 
     matrix: np.ndarray
     params: CompositeParams
@@ -120,9 +119,10 @@ class LabeledSpectrum:
     the bare triple (q0, coupler, q1) assigned to dressed state i,
     ``overlaps[i]`` the magnitude of the winning component, and
     ``ambiguous[i]`` is set when that magnitude squared falls below 0.5.
-    ``sectors[s]`` lists, ascending, the dressed states of the parity
-    sector ``ModelOperators.sectors[s]``; each of their ``states``
-    columns is exactly zero outside the rows of that sector.
+    ``states`` holds the real dressed states as columns in the product
+    basis. ``sectors[s]`` lists, ascending, the dressed states of the
+    parity sector ``ModelOperators.sectors[s]``; each of their
+    ``states`` columns is exactly zero outside the rows of that sector.
     """
 
     energies: np.ndarray
@@ -167,8 +167,9 @@ class ModelOperators:
     ``a_fixed`` collects fluxonium diagonals, the coupler Kerr term, and
     the direct J_01 coupling. ``n_diag`` is the coupler occupation per
     product state and ``b_op`` the coupler-mediated coupling matrix
-    without its n_zpf prefactor. Arrays are read-only; the composite
-    Hamiltonian at flux Phi is A + omega_c(Phi) diag(N) + n_zpf(Phi) B.
+    without its n_zpf prefactor. Arrays are real and read-only; the
+    composite Hamiltonian at flux Phi is A + omega_c(Phi) diag(N) +
+    n_zpf(Phi) B.
     ``sectors`` holds the ascending product-state indices of each
     conserved-parity sector (see the module docstring): two at the
     symmetric point, even total parity first, and one holding every
@@ -213,7 +214,12 @@ def _parity_selected(n_elements: np.ndarray, name: str) -> np.ndarray:
 @lru_cache(maxsize=8)
 def assemble_operators(params: CompositeParams) -> ModelOperators:
     """Build and cache the flux-independent operator pieces and the
-    conserved-parity sectors."""
+    conserved-parity sectors.
+
+    Raises ConstructionError if a fluxonium charge element has a nonzero
+    real part: the real basis of the module docstring needs them purely
+    imaginary.
+    """
     nf, nc = params.n_flux_levels, params.n_coupler_levels
     q0 = diagonalize_fluxonium(params.q0, n_levels=nf)
     q1 = diagonalize_fluxonium(params.q1, n_levels=nf)
@@ -222,6 +228,11 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
             f"fluxonium operator dimensions {q0.n_elements.shape}, "
             f"{q1.n_elements.shape} do not match truncation {nf}"
         )
+    worst = max(float(np.max(np.abs(q.n_elements.real))) for q in (q0, q1))
+    if worst:
+        raise ConstructionError(
+            f"fluxonium charge element has a real part {worst:.3g}; it must be purely imaginary"
+        )
 
     labels = tuple(
         (int(i), int(j), int(l))
@@ -229,9 +240,9 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
         for j in range(nc)
         for l in range(nf)
     )
-    n0, n1 = q0.n_elements, q1.n_elements
+    m0, m1 = q0.n_elements.imag, q1.n_elements.imag
     if _symmetric(params.q0.phi_ext) and _symmetric(params.q1.phi_ext):
-        n0, n1 = _parity_selected(n0, "q0"), _parity_selected(n1, "q1")
+        m0, m1 = _parity_selected(m0, "q0"), _parity_selected(m1, "q1")
         parity = np.array([sum(lab) % 2 for lab in labels])
         sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
     else:
@@ -241,17 +252,16 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
     eye_c = np.eye(nc)
     k = np.arange(nc, dtype=float)
     kerr = 0.5 * (-params.coupler.e_c) * k * (k - 1.0)
-    x_c = np.zeros((nc, nc))
-    x_c[np.arange(1, nc), np.arange(nc - 1)] = np.sqrt(k[1:])
-    x_c += x_c.T
+    raise_c = np.diag(np.sqrt(k[1:]), -1)
+    y_c = raise_c - raise_c.T  # a^dag - a
 
-    a = _embed(np.diag(q0.energies), eye_c, eye_f).astype(complex)
+    a = _embed(np.diag(q0.energies), eye_c, eye_f)
     a += _embed(eye_f, eye_c, np.diag(q1.energies))
     a += _embed(eye_f, np.diag(kerr), eye_f)
-    a += params.j_01 * _embed(n0, eye_c, n1)
+    a -= params.j_01 * _embed(m0, eye_c, m1)
 
-    b = params.j_c0 * _embed(n0, x_c, eye_f)
-    b += params.j_c1 * _embed(eye_f, x_c, n1)
+    b = params.j_c0 * _embed(m0, y_c, eye_f)
+    b += params.j_c1 * _embed(eye_f, y_c, m1)
 
     n_diag = _embed(eye_f, np.diag(k), eye_f).diagonal().copy()
 
@@ -315,28 +325,22 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     assignment is a permutation even through avoided crossings. States
     whose winning overlap squared is below 0.5 are flagged ambiguous.
 
-    The matrix is rotated into the coupler gauge D = diag(i^n_c), where
-    it is real symmetric, and solved there with ``numpy.linalg.eigh``
-    on numpy's one OpenBLAS thread pool (see the module docstring).
-    The rotation is exact, so any nonzero imaginary part left after it
-    means the operator is not of the composite form and raises
-    ``ConstructionError``; so does any nonzero element between two
-    parity sectors. Each sector is then solved and matched on its own,
-    and the results are merged in ascending energy. The returned
-    ``states`` are D times the real eigenvectors, columns in the complex
-    bare product basis, exactly zero outside their sector; the gauge
-    changes only phases, so overlaps and labels are read from the real
-    eigenvectors directly.
+    The matrix is solved as real symmetric with ``numpy.linalg.eigh`` on
+    numpy's one OpenBLAS thread pool (see the module docstring). A
+    nonzero imaginary part means the operator is not of the composite
+    form and raises ``ConstructionError``; so does any nonzero element
+    between two parity sectors. Each sector is then solved and matched
+    on its own, and the results are merged in ascending energy. The
+    returned ``states`` are real, exactly zero outside their sector.
     """
     ops = assemble_operators(op.params)
-    phase = GAUGE_PHASES[ops.n_diag.astype(int) % 4]
-    rotated = phase.conj()[:, None] * op.matrix * phase
-    if np.any(rotated.imag):
+    imag = np.imag(op.matrix)
+    if np.any(imag):
         raise ConstructionError(
-            "composite Hamiltonian is not real in the coupler gauge "
-            f"(largest imaginary part {np.max(np.abs(rotated.imag)):.3g})"
+            "composite Hamiltonian is not real "
+            f"(largest imaginary part {np.max(np.abs(imag)):.3g})"
         )
-    real = rotated.real
+    real = np.real(op.matrix)
     cross = cross_sector_max(real, ops.sectors)
     if cross:
         raise ConstructionError(
@@ -349,7 +353,7 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
 
-    states = np.zeros(op.matrix.shape, dtype=complex)
+    states = np.zeros(real.shape)
     bare = np.empty(evals.size, dtype=int)
     overlap = np.empty(evals.size)
     members = []
@@ -357,7 +361,7 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     for rows, (_, vecs) in zip(ops.sectors, solved):
         cols = position[start:start + rows.size]
         match = greedy_match(vecs**2)
-        states[np.ix_(rows, cols)] = phase[rows, None] * vecs
+        states[np.ix_(rows, cols)] = vecs
         bare[cols] = rows[match]
         overlap[cols] = np.abs(vecs[match, np.arange(rows.size)])
         members.append(cols)

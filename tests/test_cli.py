@@ -616,17 +616,44 @@ def test_gate_run_id_hashes_restarts_and_budget(tmp_path, monkeypatch, command):
 
 
 def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
-    # The committed spectrum runs pin both the run id (the hash of the
-    # inputs) and every byte of the result.
+    # The committed runs pin both the run id (the hash of the inputs) and
+    # every byte of the result: the single-circuit spectra, and through
+    # shift-scan the composite Hamiltonian and its labelled eigensolve.
     committed = Path(__file__).resolve().parent.parent / "runs"
     data = resources.files("fluxgate.data")
-    for name, run in [("set500.cfg", "spectrum-99c1a9bfcc5f"),
-                      ("set300.cfg", "spectrum-a24337282694")]:
-        out = tmp_path / name
-        assert main(["spectrum", "--config", str(data / name), "--out", str(out)]) == 0
+    for command, name, run in [("spectrum", "set500.cfg", "spectrum-99c1a9bfcc5f"),
+                               ("spectrum", "set300.cfg", "spectrum-a24337282694"),
+                               ("shift-scan", "set500.cfg", "shift-scan-f6b822ef5231"),
+                               ("shift-scan", "set300.cfg", "shift-scan-aa67d4a593f6")]:
+        out = tmp_path / command / name
+        assert main([command, "--config", str(data / name), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [run]
         fresh = (out / run / "result.csv").read_bytes()
         assert fresh == (committed / run / "result.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, section, old, new", [
+    pytest.param("chevron", "chevron", "ramp_time = 5.0", "ramp_time = 200.0", id="chevron"),
+    pytest.param("amplitude", "amplitude", "ramp_time = 5.0", "ramp_time = 60.0", id="amplitude"),
+    pytest.param("gate-opt", "gate", "gate_time = 65.0",
+                 "gate_time = 65.0\nfreq_min = 10.9\nfreq_max = 10.7", id="gate-opt"),
+])
+def test_settings_a_command_cannot_run_fail_at_load(
+    cfg500_path, tmp_path, capsys, command, section, old, new
+):
+    # Drive ramps longer than half the window, or reversed search bounds,
+    # are configuration errors: exit 2 before any run directory exists.
+    text = Path(cfg500_path).read_text()
+    start = text.index(f"[{section}]")
+    end = text.find("\n[", start)
+    edited = text[:start] + text[start:end].replace(old, new) + text[end:]
+    assert edited != text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(edited)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_root_priority(tmp_path, monkeypatch, capsys):

@@ -173,6 +173,40 @@ freq_min = 10.7
     assert err.value.field == "gate.amp_min"
 
 
+@pytest.mark.parametrize("bounds", [
+    pytest.param("freq_min = 10.9\nfreq_max = 10.7\n", id="freq-reversed"),
+    pytest.param("freq_min = 10.8\nfreq_max = 10.8\n", id="freq-empty"),
+    pytest.param("amp_min = 0.2\namp_max = 0.1\n", id="amp-reversed"),
+    pytest.param("amp_min = -0.01\namp_max = 0.1\n", id="amp-negative"),
+])
+def test_gate_bounds_ordered_and_amplitudes_non_negative(tmp_path, bounds):
+    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\n" + bounds
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, gate))
+    assert err.value.field == "gate"
+
+
+SCAN_PULSES = {
+    "chevron": "[chevron]\nflux_s = 0.35\ndrive_amp = {amp}\nfreq_min = 10.7\nfreq_max = 10.9\n"
+               "freq_points = 5\ntime_max = 100.0\ntime_points = 5\nramp_time = {ramp}\n",
+    "amplitude": "[amplitude]\nflux_s = 0.35\nfixed_time = 100.0\nfreq_min = 10.7\n"
+                 "freq_max = 10.9\nfreq_points = 5\namp_min = {amp}\namp_max = 0.05\n"
+                 "amp_points = 3\nramp_time = {ramp}\n",
+}
+
+
+@pytest.mark.parametrize("section", sorted(SCAN_PULSES))
+def test_scan_pulse_checked_at_load(tmp_path, section):
+    # Both drive ramps must fit in the 100 ns window and the amplitude be
+    # non-negative; the scan's pulse template checks both.
+    body = SCAN_PULSES[section]
+    assert getattr(load_config(write(tmp_path, body.format(amp=0.0, ramp=50.0))), section)
+    for amp, ramp in ((0.01, 50.5), (-0.01, 5.0)):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, body.format(amp=amp, ramp=ramp)))
+        assert err.value.field == section
+
+
 def test_gate_budget_floor(tmp_path):
     gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\nbudget = 5\n"
     with pytest.raises(ConfigError) as err:

@@ -182,7 +182,7 @@ def _stepped_whole_schedule(params, pulse, ramp, dt):
     pytest.param(0.6, 31.0, 1e-3, id="ramp0.6-tg31-1ps"),
 ])
 def test_ramp_down_is_the_parity_transposed_ramp_up(rc500, bias_ramp, gate_time, dt):
-    # U_down = P U_up^T P: the gate read through the cached ramp-up equals
+    # U_down = U_up^T: the gate read through the cached ramp-up equals
     # the one stepped through the ramp-down. At ramp 0.6 ns / 31 ns the
     # ramp-down span rounds above 60 steps of 10 ps.
     cfg = rc500.require("gate")

@@ -136,3 +136,28 @@ def test_every_result_field_is_read_outside_its_class():
                        if owner == cls.__name__ and method in outside}
         unread |= {(cls.__name__, f) for f in fields if f not in outside | via_methods}
     assert sorted(unread) == sorted(READ_BY_TESTS)
+
+
+# -- layering -------------------------------------------------------------------
+
+def _package_imports(module: str) -> set[str]:
+    """Package modules that ``module`` imports from, by relative or
+    absolute import anywhere in its source."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif node.module and node.module.split(".")[0] == "fluxgate":
+                parts = node.module.split(".")
+                found |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("fluxgate.")}
+    return found
+
+
+def test_backends_depends_on_the_package_only_through_errors():
+    # The kernels take plain arrays: the physics modules build on them,
+    # never the reverse.
+    assert _package_imports("backends") == {"errors"}
