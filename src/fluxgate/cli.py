@@ -1,17 +1,19 @@
 """Command-line entry points for every bundled experiment.
 
 Each command reads one INI config, validates it fully before touching
-the filesystem, and writes a CSV (or JSON report) plus a versioned JSON
-sidecar into a content-addressed run directory. Every grid command runs
-its points through ``_run_points``: a point fails when its worker raises
-a library error (``FluxgateError``), which is logged in the sidecar and
-reflected in the exit code while the scan continues; any other exception
-is a bug and propagates. Values and failures come back in job order, so
-output does not depend on the order in which points finish. Only
-finished points are checkpointed, each with the BLAS thread count it ran
-at, so ``--resume`` skips them without recomputing and retries failed
-points and points computed at another thread count: OpenBLAS results
-are not bitwise reproducible across counts.
+the filesystem, and writes a CSV (or, for ``gate-opt``, a JSON report
+and ``trace.jsonl``, one JSON line per objective evaluation in order)
+plus a versioned JSON sidecar into a content-addressed run directory.
+Every grid command runs its points through ``_run_points``: a point
+fails when its worker raises a library error (``FluxgateError``), which
+is logged in the sidecar and reflected in the exit code while the scan
+continues; any other exception is a bug and propagates. Values and
+failures come back in job order, so output does not depend on the order
+in which points finish. Only finished points are checkpointed, each with
+the BLAS thread count it ran at, so ``--resume`` skips them without
+recomputing and retries failed points and points computed at another
+thread count: OpenBLAS results are not bitwise reproducible across
+counts.
 
 ``main`` runs every command at one thread of numpy's OpenBLAS and
 restores the caller's count when it returns. A pool runs
@@ -38,6 +40,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -153,6 +156,13 @@ class RunDirectory:
         target = self.path / name
         target.write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        return target
+
+    def write_jsonl(self, name: str, records) -> Path:
+        target = self.path / name
+        target.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
         )
         return target
 
@@ -478,8 +488,8 @@ def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         rc.params, gate_cfg, dt=max(dt, 0.001), final_dt=dt,
         restarts=rc.gate_restarts, budget=rc.gate_budget,
     )
-    report = result.report()
-    out = run_dir.write_json("report.json", report)
+    out = run_dir.write_json("report.json", result.report())
+    trace = run_dir.write_jsonl("trace.jsonl", result.trace)
     m = result.metrics
     print(
         f"optimum: omega_p {result.omega_p:.6f} GHz, amplitude {result.drive_amp:.5f}"
@@ -491,7 +501,7 @@ def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     failures = [] if result.success else [
         {"point": "optimization", "message": "stagnated above the objective limit"}
     ]
-    return failures, [out.name], 1
+    return failures, [out.name, trace.name], 1
 
 
 def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
@@ -576,8 +586,8 @@ def main(argv=None) -> int:
         rc = load_config(args.config)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("workers must be at least 1", "--workers")
-        if args.dt is not None and args.dt <= 0:
-            raise ConfigError("dt must be positive", "--dt")
+        if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
+            raise ConfigError("dt must be a positive finite number", "--dt")
         workers = args.workers if args.workers is not None else rc.workers
         dt = args.dt / 1000.0 if args.dt is not None else rc.dt
         logger.info("integrator step dt = %g ns (from %s)", dt,

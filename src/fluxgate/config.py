@@ -11,6 +11,7 @@ starts. Frequencies are GHz, times ns, fluxes in flux quanta.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,7 +191,10 @@ class RunConfig:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -205,7 +209,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     items = [s for s in (part.strip() for part in text.split(",")) if s]
     if not items:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(s) for s in items)
+    return tuple(_parse_float(s) for s in items)
 
 
 def _parse_label(text: str) -> Label:

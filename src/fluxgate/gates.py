@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import SearchError
 from .evolve import (
@@ -276,6 +275,84 @@ def phase_distance(phi: float, target: float) -> float:
     return float(np.angle(np.exp(1j * (phi - target))))
 
 
+class _BudgetSpent(Exception):
+    """Raised in place of an objective call once the budget is spent."""
+
+
+def _nelder_mead(
+    objective: Callable[[np.ndarray], float],
+    simplex: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    budget: int,
+) -> tuple[np.ndarray, float]:
+    """One bounded Nelder-Mead run from ``simplex`` (n + 1 rows inside
+    [lo, hi]), as ``simplex_search`` describes it. Returns the best
+    vertex and the lowest simplex value.
+
+    Every comparison, argsort and clip is scipy's, in scipy's order, and
+    the objective gets a copy of x: the reference test holds the two to
+    the same points, values and call counts.
+    """
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return objective(x.copy())
+
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as scipy does: argsort is not stable, so the second
+    # sort may still reorder ties.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    while calls < budget:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
+
+
 def simplex_search(
     objective: Callable[[np.ndarray], float],
     seed,
@@ -284,13 +361,30 @@ def simplex_search(
     restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,
 ) -> np.ndarray:
-    """Bounded Nelder-Mead from deterministic restart points.
+    """Bounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965))
+    from deterministic restart points.
 
     ``steps`` sets the initial simplex edge per coordinate; restart k
     displaces the seed by ``OFFSET_TABLE[k]`` scaled to ten steps, then
     clips into bounds, so there are at most ``len(OFFSET_TABLE)``
     restarts: another would repeat a search. Returns the point of lowest
     objective over all restarts (the first on a tie).
+
+    Each restart's simplex is its start and the start plus one step per
+    coordinate, clipped into the bounds. Reflection, expansion,
+    contraction and shrink use the coefficients 1, 2, 1/2 and 1/2, and
+    every trial point is clipped into the bounds. A restart stops when
+    every vertex lies within 1e-6 of the best in each coordinate and
+    1e-10 in objective, or once it has made ``budget`` objective calls:
+    the call past the budget is never made, the step it belonged to is
+    dropped, and the best vertex of the simplex is the restart's result.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with
+    ``initial_simplex``, ``maxfev=budget``, ``xatol=1e-6`` and
+    ``fatol=1e-10``, bit for bit. scipy's warning for a start outside the
+    bounds and its reflection of the initial simplex into the interior
+    are left out: the start and simplex are clipped already, so both
+    would be no-ops.
     """
     seed = np.asarray(seed, dtype=float)
     steps = np.asarray(steps, dtype=float)
@@ -305,22 +399,10 @@ def simplex_search(
     for k in range(restarts):
         off = np.asarray(OFFSET_TABLE[k], dtype=float)
         x0 = np.clip(seed + 10.0 * steps * off, lo, hi)
-        simplex = np.vstack([x0, x0 + np.diag(steps)])
-        simplex = np.clip(simplex, lo, hi)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=Bounds(lo, hi),
-            options={
-                "initial_simplex": simplex,
-                "maxfev": budget,
-                "xatol": 1e-6,
-                "fatol": 1e-10,
-            },
-        )
-        if res.fun < best_f:
-            best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
+        simplex = np.clip(np.vstack([x0, x0 + np.diag(steps)]), lo, hi)
+        x, fun = _nelder_mead(objective, simplex, lo, hi, budget)
+        if fun < best_f:
+            best_x, best_f = x, fun
     return best_x
 
 

@@ -53,6 +53,8 @@ time_max = 20.0
 time_points = 3
 """
 
+SCAN3 = "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n"
+
 
 def write_cfg(tmp_path, extra="", name="run.cfg"):
     path = tmp_path / name
@@ -203,6 +205,23 @@ def test_importing_the_library_keeps_the_blas_thread_count():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out[0] == out[1]
+
+
+def test_no_command_loads_scipy_optimize():
+    # scipy.optimize costs every process about 20 MiB and 0.3 s to import;
+    # the calibration's simplex search is the package's own.
+    probe = (
+        "import sys\n"
+        "import fluxgate, fluxgate.cli\n"
+        "from fluxgate.gates import simplex_search\n"
+        "best = simplex_search(lambda x: float((x[0] - 0.3) ** 2 + x[1] ** 2), (0.0, 0.5),\n"
+        "                      ((-1.0, 1.0), (-1.0, 1.0)), (0.1, 0.1), restarts=2, budget=60)\n"
+        "print(abs(best[0] - 0.3) < 1e-3, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["True", "False"]
 
 
 def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplog):
@@ -481,10 +500,21 @@ def test_gate_opt_stagnation_report(tmp_path, capsys):
     assert "optimum:" in text.out
     assert "stagnated" in text.err
 
-    report = json.loads((only_run_dir(out, "gate-opt") / "report.json").read_text())
+    run_dir = only_run_dir(out, "gate-opt")
+    report = json.loads((run_dir / "report.json").read_text())
     assert report["schema"] == "fluxgate.gate_opt/1"
     assert report["success"] is False
     assert report["n_evaluations"] >= 10
+    # The optimiser trace: one line per evaluation, starting at the seed.
+    assert run_json(run_dir)["outputs"] == ["report.json", "trace.jsonl"]
+    trace = [json.loads(line) for line in (run_dir / "trace.jsonl").read_text().splitlines()]
+    assert len(trace) == report["n_evaluations"]
+    assert set(trace[0]) == {
+        "omega_p", "drive_amp", "objective", "leakage", "conditional_phase",
+    }
+    assert [trace[0]["omega_p"], trace[0]["drive_amp"]] == [
+        report["seed"]["omega_p"], report["seed"]["drive_amp"],
+    ]
     m = report["metrics"]
     phase_error = gates.phase_distance(m["conditional_phase"], math.pi)
     objective = m["leakage"] + phase_error**2 / math.pi**2
@@ -695,3 +725,21 @@ def test_config_errors_leave_no_output(tmp_path, capsys):
     assert main(["spectrum", "--config", good, "--out", str(out), "--workers", "0"]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("old, new, flags, field", [
+    pytest.param("j_01 = 0.035", "j_01 = nan", [], "couplings.j_01", id="j_01-nan"),
+    pytest.param("e_j = 4.75", "e_j = nan", [], "qubit0.e_j", id="e_j-nan"),
+    pytest.param(SCAN3, SCAN3 + "\n[output]\ndt = inf\n", [], "output.dt", id="dt-inf"),
+    pytest.param(SCAN3, SCAN3, ["--dt", "nan"], "--dt", id="dt-flag-nan"),
+])
+def test_non_finite_numbers_are_configuration_errors(tmp_path, capsys, old, new, flags,
+                                                     field):
+    # Non-finite inputs fail at load: a NaN coupling would otherwise fill
+    # every row with nan and exit 0.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((BASE + SCAN3).replace(old, new, 1))
+    out = tmp_path / "o"
+    assert main(["shift-scan", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert f"configuration error: {field}: " in capsys.readouterr().err
+    assert not out.exists()

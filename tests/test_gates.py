@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from fluxgate import (
     ComputationalUnitary,
@@ -243,6 +246,83 @@ def test_simplex_validation():
             _sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001),
             restarts=len(gates.OFFSET_TABLE) + 1,
         )
+
+
+def _corner_bound(x):
+    # Unconstrained minimum at (0.5, -0.3), outside the bounds below:
+    # the search ends on the corner (0.1, 0.012).
+    return (x[0] - 0.5) ** 2 + (x[1] + 0.3) ** 2
+
+
+def _terraced(x):
+    # Piecewise constant: whole simplices of equal values, so every sort
+    # meets ties.
+    return float(math.floor(abs(x[0]) * 20.0) + math.floor(abs(x[1] - 0.02) * 500.0))
+
+
+def _assert_matches_scipy(objective, seed, bounds, steps, budget):
+    """simplex_search (one restart) and _nelder_mead against scipy's
+    bounded Nelder-Mead on the same initial simplex: the same points in
+    the same order, the same optimum, value and call count."""
+    lo, hi = np.array(bounds, dtype=float).T
+    x0 = np.clip(np.asarray(seed, dtype=float), lo, hi)
+    simplex = np.clip(np.vstack([x0, x0 + np.diag(steps)]), lo, hi)
+
+    def recorded(calls):
+        def wrapped(x):
+            calls.append(tuple(x))
+            value = objective(x)
+            x[:] = np.nan  # the search must hand over a copy
+            return value
+        return wrapped
+
+    ref_calls, calls, direct_calls = [], [], []
+    ref = minimize(
+        recorded(ref_calls), x0, method="Nelder-Mead", bounds=list(bounds),
+        options={"initial_simplex": simplex, "maxfev": budget, "xatol": 1e-6,
+                 "fatol": 1e-10},
+    )
+    best = simplex_search(recorded(calls), seed, bounds, steps, restarts=1, budget=budget)
+    x, fun = gates._nelder_mead(recorded(direct_calls), simplex, lo, hi, budget)
+
+    assert calls == direct_calls == ref_calls
+    assert len(ref_calls) == ref.nfev <= budget
+    assert np.array_equal(best, ref.x)
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 13, 40, 400])
+@pytest.mark.parametrize("objective", [_sync_toy, _corner_bound, _terraced])
+def test_simplex_matches_scipy_nelder_mead(objective, budget):
+    _assert_matches_scipy(
+        objective, (0.05, 0.016), ((-0.1, 0.1), (0.012, 0.028)), (0.01, 0.001), budget
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    curvature=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    skew=st.floats(-0.9, 0.9),
+    centre=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    low=st.tuples(st.floats(-1.0, 0.0), st.floats(-1.0, 0.0)),
+    width=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    seed=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    steps=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)),
+    budget=st.integers(1, 80),
+)
+def test_simplex_matches_scipy_on_random_quadratics(
+    curvature, skew, centre, low, width, seed, steps, budget
+):
+    a, c = curvature
+    b = skew * math.sqrt(a * c)
+
+    def quadratic(x):
+        u, v = x[0] - centre[0], x[1] - centre[1]
+        return a * u * u + 2.0 * b * u * v + c * v * v
+
+    bounds = tuple((lo, lo + w) for lo, w in zip(low, width))
+    _assert_matches_scipy(quadratic, seed, bounds, steps, budget)
 
 
 # -- gate evaluation -----------------------------------------------------------
