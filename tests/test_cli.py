@@ -667,12 +667,17 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     pytest.param("amplitude", "amplitude", "ramp_time = 5.0", "ramp_time = 60.0", id="amplitude"),
     pytest.param("gate-opt", "gate", "gate_time = 65.0",
                  "gate_time = 65.0\nfreq_min = 10.9\nfreq_max = 10.7", id="gate-opt"),
+    pytest.param("chevron", "chevron", "psi0 = 101", "psi0 = 909", id="chevron-psi0"),
+    pytest.param("floquet", "floquet", "resolution = 41",
+                 "resolution = 41\npair = 101:909", id="floquet-pair"),
 ])
 def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
 ):
-    # Drive ramps longer than half the window, or reversed search bounds,
-    # are configuration errors: exit 2 before any run directory exists.
+    # Drive ramps longer than half the window, reversed search bounds, and
+    # state labels beyond a circuit's levels (set500 keeps 5 fluxonium and
+    # 6 coupler levels) are configuration errors: exit 2 before any run
+    # directory exists.
     text = Path(cfg500_path).read_text()
     start = text.index(f"[{section}]")
     end = text.find("\n[", start)

@@ -68,10 +68,18 @@ def test_dt_halving_is_second_order(params500):
     assert deltas[1] < 1e-4
 
 
-def test_stroboscopic_matches_direct(params500):
+@pytest.mark.parametrize("freq, ramp_time", [
+    pytest.param(10.79, 5.0, id="lead-in-0.05-period"),
+    pytest.param(10.79, 0.0, id="no-ramp"),
+    pytest.param(10.0, 5.0, id="ramp-of-whole-periods"),
+    pytest.param(10.79, 5.005, id="lead-in-0.996-period"),
+])
+def test_stroboscopic_matches_direct(params500, freq, ramp_time):
+    # The whole periods start at the first carrier zero of the flat top,
+    # ramp_time * freq periods into the drive, rounded up.
     pulse = ParametricPulse(
-        flux_static=0.35, drive_amp=0.045, drive_freq=10.79,
-        ramp_time=5.0, gate_time=45.0,
+        flux_static=0.35, drive_amp=0.045, drive_freq=freq,
+        ramp_time=ramp_time, gate_time=45.0,
     )
     strobe = propagate_computational_unitary(params500, pulse, stroboscopic=True)
     direct = propagate_computational_unitary(params500, pulse, stroboscopic=False)

@@ -161,3 +161,17 @@ def test_backends_depends_on_the_package_only_through_errors():
     # The kernels take plain arrays: the physics modules build on them,
     # never the reverse.
     assert _package_imports("backends") == {"errors"}
+
+
+def test_floquet_takes_from_evolve_only_the_period_and_the_frame():
+    # The monodromy is evolve._period; floquet reaches no other stepping
+    # internal of evolve. _flat_step is bound only for the benchmark
+    # tracer's binding check (bench/tests/test_tracer.py).
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "floquet.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "evolve":
+            names |= {a.name for a in node.names}
+        elif isinstance(node, (ast.ImportFrom, ast.Import)):
+            assert "evolve" not in {a.name.split(".")[-1] for a in node.names}
+    assert names == {"DEFAULT_DT", "_check_drive_resolved", "_period", "dressed_frame",
+                     "_flat_step"}

@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 from fluxgate import (
     ComputationalUnitary,
     GateConfig,
+    SearchError,
     evaluate_gate,
     gate_metrics,
     leakage_channels,
@@ -246,6 +247,13 @@ def test_simplex_validation():
             _sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001),
             restarts=len(gates.OFFSET_TABLE) + 1,
         )
+
+
+def test_simplex_with_no_finite_value_is_a_search_error():
+    # A NaN never compares lower than the best so far, so no restart wins.
+    with pytest.raises(SearchError, match="finite"):
+        simplex_search(lambda x: float("nan"), (0.1, 0.2), ((-1, 1), (-1, 1)), (0.1, 0.1),
+                       restarts=2, budget=20)
 
 
 def _corner_bound(x):

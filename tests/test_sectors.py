@@ -160,11 +160,15 @@ def _full_advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
     cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
     for s, e in zip(cuts[:-1], cuts[1:]):
         if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
-            n_per = int(np.floor((flat_b - flat_a) / period))
+            # Whole periods from the first carrier zero of the flat top; the
+            # period is stepped through in full here, not mirrored.
+            lead = t0 + np.ceil(round(pulse.ramp_time * pulse.drive_freq, 9)) / pulse.drive_freq
+            n_per = int(np.floor((flat_b - lead) / period))
+            block = _full_interval(params, pulse, ramp, flat_a, lead, dt, block)
             eye = np.eye(params.dim, dtype=complex)
-            mono = _full_interval(params, pulse, ramp, flat_a, flat_a + period, dt, eye)
+            mono = _full_interval(params, pulse, ramp, lead, lead + period, dt, eye)
             block = backends.apply_power(mono, n_per, block)
-            block = _full_interval(params, pulse, ramp, flat_a + n_per * period, flat_b, dt, block)
+            block = _full_interval(params, pulse, ramp, lead + n_per * period, flat_b, dt, block)
         else:
             block = _full_interval(params, pulse, ramp, s, e, dt, block)
     return block
