@@ -4,16 +4,19 @@ Each command reads one INI config, validates it fully before touching
 the filesystem, and writes a CSV (or, for ``gate-opt``, a JSON report
 and ``trace.jsonl``, one JSON line per objective evaluation in order)
 plus a versioned JSON sidecar into a content-addressed run directory.
-Every grid command runs its points through ``_run_points``: a point
-fails when its worker raises a library error (``FluxgateError``), which
-is logged in the sidecar and reflected in the exit code while the scan
-continues; any other exception is a bug and propagates. Values and
-failures come back in job order, so output does not depend on the order
-in which points finish. Only finished points are checkpointed, each with
-the BLAS thread count it ran at, so ``--resume`` skips them without
-recomputing and retries failed points and points computed at another
-thread count: OpenBLAS results are not bitwise reproducible across
-counts.
+Every grid command runs its points through ``_run_points``, which holds
+the one failure rule: a point fails when its worker raises a library
+error (``FluxgateError``), or when it finishes with a value the
+command's rule marks unmet (a Floquet transition not found, a
+calibration that stagnated). Failures are logged in the sidecar and
+reflected in the exit code while the scan continues; any other
+exception is a bug and propagates. Values and failures of both kinds
+come back in job order, fresh or resumed, so output does not depend on
+the order in which points finish. Every finished point, met or not, is
+checkpointed with the BLAS thread count it ran at, so ``--resume``
+skips it without recomputing and retries raised points and points
+computed at another thread count: OpenBLAS results are not bitwise
+reproducible across counts.
 
 ``main`` runs every command at one thread of numpy's OpenBLAS and
 restores the caller's count when it returns. A pool runs
@@ -30,6 +33,7 @@ Exit codes: 0 clean, 1 at least one point or optimization failed,
 2 configuration or usage errors (nothing is written).
 
 Output files use GHz, ns, and flux quanta, matching the config format.
+The integrator step comes from ``[output] dt``, in ns, alone.
 The default output root comes from ``--out``, the config, or the
 ``FLUXGATE_OUTPUT_ROOT`` environment variable, in that order.
 """
@@ -40,7 +44,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -53,13 +56,14 @@ import numpy as np
 
 from . import backends, gates
 from .circuits import diagonalize_fluxonium, diagonalize_transmon_charge
-from .config import RunConfig, load_config
+from .config import LADDER, RunConfig, load_config
 from .errors import ConfigError, FluxgateError, LabelingError
 from .evolve import (
     DEFAULT_RECORD,
     amplitude_point,
     chevron_column,
     dressed_frame,
+    label_key,
 )
 from .floquet import extract_transition
 from .system import build_hamiltonian, label_eigenstates, state_dependent_shifts, zz_coupling
@@ -69,6 +73,7 @@ logger = logging.getLogger(__name__)
 SIDECAR_SCHEMA = "fluxgate.run/1"
 OUTPUT_ROOT_ENV = "FLUXGATE_OUTPUT_ROOT"
 PROGRESS_NAME = "progress.jsonl"
+STAGNATED = "optimizer stagnated above the objective limit"
 
 
 def _fmt(value) -> str:
@@ -82,10 +87,6 @@ def _fmt(value) -> str:
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def _label_text(label) -> str:
-    return "".join(str(d) for d in label)
 
 
 class RunDirectory:
@@ -191,14 +192,16 @@ def _run_points(
     worker,
     workers: int,
     resume: bool,
+    unmet=lambda value: None,
 ) -> tuple[list, list[dict]]:
     """Evaluate keyed jobs, checkpointing each finished point.
 
-    Returns one value per job in job order, None for a failed point, and
-    the failure records in job order, one for each None, so a caller
-    walking the jobs takes the next record at each None. A point fails
-    when ``worker`` raises a ``FluxgateError``; anything else propagates.
-    Values must be JSON-serializable and not None.
+    Returns one value per job in job order, None for a point whose
+    ``worker`` raised a ``FluxgateError`` (anything else propagates), and
+    the failure records of all failed points in job order. A finished
+    point fails too when ``unmet(value)`` returns a message; it keeps its
+    value and its checkpoint, so ``--resume`` lists it again without
+    recomputing it. Values must be JSON-serializable and not None.
     """
     done = run_dir.completed_points(resume)
     values = [done.get(key) for key, _ in jobs]
@@ -225,7 +228,11 @@ def _run_points(
     else:
         for i in pending:
             settle(i, partial(worker, *jobs[i][1]))
-    failures = [{"point": jobs[i][0], "message": errors[i]} for i in sorted(errors)]
+    failures = []
+    for i, (key, _) in enumerate(jobs):
+        message = errors[i] if i in errors else unmet(values[i])
+        if message is not None:
+            failures.append({"point": key, "message": message})
     return values, failures
 
 
@@ -243,18 +250,6 @@ def _shift_point(params, flux: float) -> list:
     return [d0, d1, zz, 0]
 
 
-def _chevron_point(params, template, freq, t_grid, psi0, dt, record) -> dict:
-    column = chevron_column(
-        params, template, freq, np.asarray(t_grid), tuple(psi0), None, dt, record
-    )
-    return {
-        ("computational" if key == "computational" else _label_text(key)): [
-            float(v) for v in values
-        ]
-        for key, values in column.items()
-    }
-
-
 def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     # Either order of the pair names the same resonance.
     frame = dressed_frame(params, flux_s)
@@ -270,38 +265,35 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     ]
 
 
-def _sweep_cell(params, gate_cfg, t_g, ramp, dt, final_dt, restarts, budget) -> list:
-    result = gates.optimize_cz(
-        params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp),
-        dt=dt, final_dt=final_dt, restarts=restarts, budget=budget,
+def _calibrate(params, gate_cfg, dt, restarts, budget):
+    # Both gate commands search at max(dt, 1 ps) and score at dt.
+    return gates.optimize_cz(
+        params, gate_cfg, dt=max(dt, 0.001), final_dt=dt, restarts=restarts, budget=budget,
     )
-    message = "" if result.success else "optimizer stagnated above the objective limit"
+
+
+def _sweep_cell(params, gate_cfg, t_g, ramp, dt, restarts, budget) -> list:
+    result = _calibrate(
+        params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp), dt, restarts, budget
+    )
     return [
         result.metrics.error, result.metrics.leakage, result.omega_p,
-        result.drive_amp, result.success, message,
+        result.drive_amp, result.success,
     ]
-
-
-def _params_payload(rc: RunConfig) -> dict:
-    return asdict(rc.params)
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(float(lo), float(hi), int(n))
 
 
-def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, workers: int,
                  resume: bool) -> tuple[list[dict], list[str], int]:
     rows: list[list] = []
-
-    # The reported ladder pairs the parity-allowed transitions with their
-    # charge matrix elements: 0-1, 1-2, 0-3, 1-4.
-    ladder = ((0, 1), (1, 2), (0, 3), (1, 4))
     for name, qubit in (("q0", rc.params.q0), ("q1", rc.params.q1)):
         data = diagonalize_fluxonium(qubit, n_levels=6)
-        for i, j in ladder:
+        for i, j in LADDER:
             rows.append([name, "transition", i, j, data.transition(i, j)])
-        for i, j in ladder:
+        for i, j in LADDER:
             rows.append([name, "element", i, j, abs(data.n_elements[i, j])])
 
     flux_points = [0.0]
@@ -335,7 +327,7 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
             for name, values in zip(("q0", "q1"), per_qubit):
                 pairs += [
                     (f"{name} {symbol}{i}{j}", computed[name, kind, i, j], v)
-                    for (i, j), v in zip(ladder, values or ())
+                    for (i, j), v in zip(LADDER, values or ())
                 ]
         coupler_refs = [("", 0.0, (ref.coupler_w01, ref.coupler_w12))]
         if flux_s is not None:
@@ -356,7 +348,7 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     return [], [csv.name], n_points
 
 
-def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, workers: int,
                    resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("shift_scan")
     grid = _grid(scan.flux_min, scan.flux_max, scan.points)
@@ -373,7 +365,7 @@ def cmd_shift_scan(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int
     return failures, [csv.name], len(jobs)
 
 
-def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, workers: int,
                 resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("chevron")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
@@ -381,15 +373,15 @@ def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     template = scan.template()
     record = DEFAULT_RECORD
     jobs = [
-        (_fmt(float(f)), (rc.params, template, float(f), t_grid.tolist(), scan.psi0, dt, record))
+        (_fmt(float(f)), (rc.params, template, float(f), t_grid, scan.psi0, None, rc.dt, record))
         for f in freqs
     ]
-    columns, failures = _run_points(run_dir, jobs, _chevron_point, workers, resume)
+    columns, failures = _run_points(run_dir, jobs, chevron_column, workers, resume)
 
-    label_keys = [_label_text(lab) for lab in record]
+    label_keys = [label_key(lab) for lab in record]
     header = ["freq", "time"] + [f"p{k}" for k in label_keys] + ["computational"]
     rows = []
-    target_key = _label_text(scan.psi0)
+    target_key = label_key(scan.psi0)
     valley_freq, valley_pop = np.nan, np.inf
     for f, column in zip(freqs, columns):
         for ti, t in enumerate(t_grid):
@@ -413,7 +405,7 @@ def cmd_chevron(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     return failures, [csv.name], len(jobs)
 
 
-def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, workers: int,
                   resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("amplitude")
     freqs = _grid(scan.freq_min, scan.freq_max, scan.freq_points)
@@ -423,7 +415,7 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     jobs = [
         (
             f"{_fmt(f)}|{_fmt(a)}",
-            (rc.params, template, f, a, scan.fixed_time, (1, 0, 1), None, dt),
+            (rc.params, template, f, a, scan.fixed_time, (1, 0, 1), None, rc.dt),
         )
         for f, a in cells
     ]
@@ -436,32 +428,25 @@ def cmd_amplitude(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     return failures, [csv.name], len(jobs)
 
 
-def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, workers: int,
                 resume: bool) -> tuple[list[dict], list[str], int]:
     scan = rc.require("floquet")
     jobs = [
         (
             _fmt(float(amp)),
             (rc.params, scan.flux_s, float(amp), scan.pair, scan.window,
-             scan.resolution, dt),
+             scan.resolution, rc.dt),
         )
         for amp in scan.amp_values
     ]
-    values, raised = _run_points(run_dir, jobs, _floquet_point, workers, resume)
+    values, failures = _run_points(
+        run_dir, jobs, _floquet_point, workers, resume,
+        unmet=lambda value: None if value[2] else "transition not found in the scan window",
+    )
 
-    # Failures of either kind are listed in job order.
-    raised = iter(raised)
-    rows, failures = [], []
-    for (key, _), amp, value in zip(jobs, scan.amp_values, values):
-        if value is None:
-            failures.append(next(raised))
-            value = (np.nan, np.nan, 0)
-        elif not value[2]:
-            failures.append({
-                "point": key,
-                "message": "transition not found in the scan window",
-            })
-        omega, strength, found = value
+    rows = []
+    for amp, value in zip(scan.amp_values, values):
+        omega, strength, found = value if value is not None else (np.nan, np.nan, 0)
         rows.append([float(amp), omega, strength, int(found)])
     csv = run_dir.write_csv(
         "result.csv", ["amp", "omega_res", "strength", "found"], rows
@@ -475,13 +460,10 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
     return failures, [csv.name], len(jobs)
 
 
-def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, workers: int,
                  resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
-    result = gates.optimize_cz(
-        rc.params, gate_cfg, dt=max(dt, 0.001), final_dt=dt,
-        restarts=rc.gate_restarts, budget=rc.gate_budget,
-    )
+    result = _calibrate(rc.params, gate_cfg, rc.dt, rc.gate_restarts, rc.gate_budget)
     out = run_dir.write_json("report.json", result.report())
     trace = run_dir.write_jsonl("trace.jsonl", result.trace)
     m = result.metrics
@@ -492,35 +474,30 @@ def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
         f"error {m.error:.3e}, leakage {m.leakage:.3e}, "
         f"conditional phase {m.conditional_phase:+.5f} rad"
     )
-    failures = [] if result.success else [
-        {"point": "optimization", "message": "stagnated above the objective limit"}
-    ]
+    failures = [] if result.success else [{"point": "optimization", "message": STAGNATED}]
     return failures, [out.name, trace.name], 1
 
 
-def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, dt: float, workers: int,
+def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, workers: int,
                    resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
     cells = rc.require("sweep").cells
     jobs = [
         (f"{_fmt(t_g)}|{_fmt(ramp)}",
-         (rc.params, gate_cfg, t_g, ramp, max(dt, 0.001), dt, rc.gate_restarts,
-          rc.gate_budget))
+         (rc.params, gate_cfg, t_g, ramp, rc.dt, rc.gate_restarts, rc.gate_budget))
         for t_g, ramp in cells
     ]
-    values, raised = _run_points(run_dir, jobs, _sweep_cell, workers, resume)
+    values, failures = _run_points(
+        run_dir, jobs, _sweep_cell, workers, resume,
+        unmet=lambda value: None if value[4] else STAGNATED,
+    )
 
-    # A cell that raised reads as an uncalibrated row; failures of either
-    # kind are listed in job order.
-    raised = iter(raised)
-    failures, rows = [], []
-    for (key, _), (t_g, ramp), value in zip(jobs, cells, values):
+    # A cell that raised reads as an uncalibrated row.
+    rows = []
+    for (t_g, ramp), value in zip(cells, values):
         if value is None:
-            failures.append(next(raised))
-            value = (np.nan,) * 4 + (False, "")
-        elif not value[4]:
-            failures.append({"point": key, "message": value[5]})
-        error, leakage, omega, amp, success, _ = value
+            value = (np.nan,) * 4 + (False,)
+        error, leakage, omega, amp, success = value
         rows.append([t_g, ramp, error, leakage, omega, amp, bool(success)])
     rows.sort(key=lambda r: (r[0], r[1]))
     csv = run_dir.write_csv(
@@ -556,19 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output root directory")
         cmd.add_argument("--workers", type=int, default=None,
                          help="most processes for independent points")
-        cmd.add_argument("--dt", type=float, default=None,
-                         help="integrator step in picoseconds (ps); overrides "
-                         "[output] dt, which is in nanoseconds (ns)")
         cmd.add_argument("--resume", action="store_true",
                          help="skip points already checkpointed in the run directory")
     return parser
-
-
-def _section_payload(rc: RunConfig, section: str | None):
-    if section is None:
-        return None
-    value = rc.require(section)
-    return asdict(value)
 
 
 def main(argv=None) -> int:
@@ -580,18 +547,13 @@ def main(argv=None) -> int:
         rc = load_config(args.config)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("workers must be at least 1", "--workers")
-        if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
-            raise ConfigError("dt must be a positive finite number", "--dt")
         workers = args.workers if args.workers is not None else rc.workers
-        dt = args.dt / 1000.0 if args.dt is not None else rc.dt
-        logger.info("integrator step dt = %g ns (from %s)", dt,
-                    "--dt" if args.dt is not None else "[output] dt")
 
         payload = {
             "command": args.command,
-            "params": _params_payload(rc),
-            "section": _section_payload(rc, section),
-            "dt": dt,
+            "params": asdict(rc.params),
+            "section": None if section is None else asdict(rc.require(section)),
+            "dt": rc.dt,
         }
         if args.command == "gate-sweep":
             payload["gate"] = asdict(rc.require("gate"))
@@ -607,13 +569,13 @@ def main(argv=None) -> int:
         )
         run_dir = RunDirectory(root, args.command, payload)
         try:
-            failures, outputs, n_points = handler(rc, run_dir, dt, workers, bool(args.resume))
+            failures, outputs, n_points = handler(rc, run_dir, workers, bool(args.resume))
         except FluxgateError as exc:
             # The directory exists already: its sidecar records the error
             # as the run's one failure.
-            run_dir.write_sidecar(dt, [], [{"point": args.command, "message": str(exc)}], 1)
+            run_dir.write_sidecar(rc.dt, [], [{"point": args.command, "message": str(exc)}], 1)
             raise
-        run_dir.write_sidecar(dt, outputs, failures, n_points)
+        run_dir.write_sidecar(rc.dt, outputs, failures, n_points)
         if not failures:
             run_dir.clear_checkpoints()
         print(f"run directory: {run_dir.path}")

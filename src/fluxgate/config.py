@@ -5,7 +5,9 @@ couplings, truncation, and one section per command that needs grids or
 gate settings. Keys are validated against a fixed schema; unknown
 sections or keys are rejected with their field path, and every numeric
 constraint of the underlying modules is checked before any computation
-starts. Frequencies are GHz, times ns, fluxes in flux quanta.
+starts. Frequencies are GHz, times ns, fluxes in flux quanta; the
+integrator step ``[output] dt`` is in ns too, and is the only place a
+run's step is set.
 """
 
 from __future__ import annotations
@@ -17,20 +19,25 @@ from pathlib import Path
 
 from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError
-from .evolve import DEFAULT_DT
+from .evolve import DEFAULT_DT, label_key
 from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
 from .pulses import ParametricPulse
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
 
+# The fluxonium transitions the spectrum command reports: the
+# parity-allowed ones with their charge matrix elements.
+LADDER = ((0, 1), (1, 2), (0, 3), (1, 4))
+
 
 @dataclass(frozen=True)
 class ReferenceValues:
     """Expected single-circuit values for the spectrum comparison block.
 
-    Transitions are measured from the ground state; elements are the
-    charge matrix elements (|<0|n|1>|, |<1|n|2>|, |<0|n|3>|, |<1|n|4>|).
+    Each qubit list holds one value per ``LADDER`` transition: the
+    transitions are f01, f12, f03 and f14; the elements are the charge
+    matrix elements |<0|n|1>|, |<1|n|2>|, |<0|n|3>| and |<1|n|4>|.
     Coupler frequencies refer to zero flux; the ``_interaction`` pair to
     ``interaction_flux``.
     """
@@ -212,6 +219,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(s) for s in items)
 
 
+def _parse_ladder(text: str) -> tuple[float, ...]:
+    values = _parse_floats(text)
+    if len(values) != len(LADDER):
+        ladder = ", ".join(f"{i}-{j}" for i, j in LADDER)
+        raise ValueError(f"expected one value per transition {ladder}; got {len(values)}")
+    return values
+
+
 def _parse_label(text: str) -> Label:
     digits = text.strip()
     if len(digits) != 3 or not digits.isdigit():
@@ -249,10 +264,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "dt": (_parse_float, False),
     },
     "reference": {
-        "q0_transitions": (_parse_floats, False),
-        "q1_transitions": (_parse_floats, False),
-        "q0_elements": (_parse_floats, False),
-        "q1_elements": (_parse_floats, False),
+        "q0_transitions": (_parse_ladder, False),
+        "q1_transitions": (_parse_ladder, False),
+        "q0_elements": (_parse_ladder, False),
+        "q1_elements": (_parse_ladder, False),
         "coupler_w01": (_parse_float, False),
         "coupler_w12": (_parse_float, False),
         "interaction_flux": (_parse_float, False),
@@ -354,6 +369,18 @@ def _validate_keys(sections: dict[str, dict[str, str]]) -> dict[str, dict]:
     return parsed
 
 
+# RunConfig field, INI section, and type of each optional section that
+# is built from its keys as they are.
+_SECTIONS = (
+    ("shift_scan", "shift_scan", ShiftScanConfig),
+    ("chevron", "chevron", ChevronConfig),
+    ("amplitude", "amplitude", AmplitudeConfig),
+    ("floquet", "floquet", FloquetConfig),
+    ("sweep", "gate_sweep", SweepConfig),
+    ("reference", "reference", ReferenceValues),
+)
+
+
 def _build(section: str, factory, kwargs):
     try:
         return factory(**kwargs)
@@ -407,53 +434,32 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"restarts must lie in 1..{len(OFFSET_TABLE)}", "gate.restarts")
         if gate_budget < 10:
             raise ConfigError("budget must be at least 10", "gate.budget")
-        freq_bounds = None
-        if "freq_min" in g or "freq_max" in g:
-            if not ("freq_min" in g and "freq_max" in g):
-                raise ConfigError("freq_min and freq_max come together", "gate.freq_min")
-            freq_bounds = (g.pop("freq_min"), g.pop("freq_max"))
-        amp_bounds = None
-        if "amp_min" in g or "amp_max" in g:
-            if not ("amp_min" in g and "amp_max" in g):
-                raise ConfigError("amp_min and amp_max come together", "gate.amp_min")
-            amp_bounds = (g.pop("amp_min"), g.pop("amp_max"))
-        gate = _build(
-            "gate", GateConfig, {**g, "freq_bounds": freq_bounds, "amp_bounds": amp_bounds}
-        )
+        bounds = {}
+        for name in ("freq", "amp"):
+            lo, hi = f"{name}_min", f"{name}_max"
+            if (lo in g) != (hi in g):
+                raise ConfigError(f"{lo} and {hi} come together", f"gate.{lo}")
+            bounds[f"{name}_bounds"] = (g.pop(lo), g.pop(hi)) if lo in g else None
+        gate = _build("gate", GateConfig, {**g, **bounds})
 
-    scans = {}
-    for section, factory in (
-        ("shift_scan", ShiftScanConfig),
-        ("chevron", ChevronConfig),
-        ("amplitude", AmplitudeConfig),
-        ("floquet", FloquetConfig),
-    ):
-        if section in parsed:
-            scans[section] = _build(section, factory, parsed[section])
-        else:
-            scans[section] = None
+    sections = {
+        field: _build(name, factory, parsed[name])
+        for field, name, factory in _SECTIONS if name in parsed
+    }
 
     # A label names a level of each circuit: qubit 0, coupler, qubit 1.
     counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)
     named = []
-    if scans["chevron"] is not None:
-        named.append(("chevron.psi0", scans["chevron"].psi0))
-    if scans["floquet"] is not None:
-        named += [("floquet.pair", label) for label in scans["floquet"].pair]
+    if "chevron" in sections:
+        named.append(("chevron.psi0", sections["chevron"].psi0))
+    if "floquet" in sections:
+        named += [("floquet.pair", label) for label in sections["floquet"].pair]
     for field, label in named:
         if any(k >= n for k, n in zip(label, counts)):
             raise ConfigError(
-                f"state {''.join(map(str, label))} lies outside the "
+                f"state {label_key(label)} lies outside the "
                 f"{' x '.join(map(str, counts))} truncation", field
             )
-
-    sweep = None
-    if "gate_sweep" in parsed:
-        sweep = _build("gate_sweep", SweepConfig, parsed["gate_sweep"])
-
-    reference = None
-    if "reference" in parsed:
-        reference = _build("reference", ReferenceValues, parsed["reference"])
 
     return RunConfig(
         params=params,
@@ -461,12 +467,7 @@ def load_config(path) -> RunConfig:
         workers=workers,
         dt=dt,
         gate=gate,
-        shift_scan=scans["shift_scan"],
-        chevron=scans["chevron"],
-        amplitude=scans["amplitude"],
-        floquet=scans["floquet"],
-        sweep=sweep,
-        reference=reference,
         gate_restarts=gate_restarts,
         gate_budget=gate_budget,
+        **sections,
     )

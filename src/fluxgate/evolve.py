@@ -538,6 +538,11 @@ def propagate_computational_unitary(
     return ComputationalUnitary(u, frame.labels, drift, end_populations)
 
 
+def label_key(label) -> str:
+    """A dressed-state label as text, e.g. ``"101"``."""
+    return "".join(map(str, label))
+
+
 def chevron_column(
     params: CompositeParams,
     template: ParametricPulse,
@@ -547,16 +552,17 @@ def chevron_column(
     ramp: BiasRamp | None = None,
     dt: float = DEFAULT_DT,
     record=None,
-) -> dict[object, np.ndarray]:
-    """One chevron column: populations on ``t_grid`` at a single drive
-    frequency, keyed by recorded label plus the aggregate
-    ``"computational"`` when any computational label is recorded."""
+) -> dict[str, list[float]]:
+    """One chevron column, JSON-ready: the populations on ``t_grid`` at a
+    single drive frequency as lists keyed by each recorded label's digits
+    (``"101"``), in ``record`` order, then ``"computational"``, their sum
+    over the recorded computational labels, when any is recorded."""
     pulse = replace(template, drive_freq=float(freq))
-    res = propagate_state(params, pulse, ramp, psi0, dt, record, t_grid)
-    column: dict[object, np.ndarray] = dict(res.populations)
-    comp_in_record = [lab for lab in COMPUTATIONAL_LABELS if lab in column]
-    if comp_in_record:
-        column["computational"] = sum(column[lab] for lab in comp_in_record)
+    pops = propagate_state(params, pulse, ramp, psi0, dt, record, t_grid).populations
+    column = {label_key(lab): p.tolist() for lab, p in pops.items()}
+    computational = [pops[lab] for lab in COMPUTATIONAL_LABELS if lab in pops]
+    if computational:
+        column["computational"] = sum(computational).tolist()
     return column
 
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fluxgate import backends, gates
+from fluxgate import backends, cli, gates
 from fluxgate.cli import RunDirectory, _run_points, _shift_point, main
 from fluxgate.config import load_config
 from fluxgate.errors import IntegrationError
@@ -371,14 +371,15 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     # 50 ps resolves neither the drive nor one Floquet period.
     cfg = write_cfg(
         tmp_path,
-        CHEVRON_TINY + "\n[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n",
+        CHEVRON_TINY.replace("dt = 0.002", "dt = 0.05")
+        + "\n[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n",
     )
     out = tmp_path / "o"
-    assert main(["chevron", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
+    assert main(["chevron", "--config", cfg, "--out", str(out)]) == 1
     failures = run_json(only_run_dir(out, "chevron"))["failures"]
     assert [f["point"] for f in failures] == ["10.78", "10.8"]
     assert all("does not resolve the drive" in f["message"] for f in failures)
-    assert main(["gate-opt", "--config", cfg, "--out", str(out), "--dt", "50"]) == 1
+    assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
     gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.62e-03 ns"
     assert f"error: {gate_message}" in capsys.readouterr().err
     # The run directory is not left empty: its sidecar records the error.
@@ -389,7 +390,7 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     assert meta["outputs"] == []
 
 
-def test_floquet_failures_of_both_kinds_in_job_order(tmp_path, capsys):
+def test_floquet_failures_of_both_kinds_in_job_order(tmp_path, capsys, monkeypatch):
     # 0.1 is not found in the narrow window; 0.6 leaves the positive-E_J
     # domain and raises.
     cfg = write_cfg(
@@ -399,10 +400,27 @@ def test_floquet_failures_of_both_kinds_in_job_order(tmp_path, capsys):
     )
     out = tmp_path / "o"
     assert main(["floquet", "--config", cfg, "--out", str(out)]) == 1
-    failures = run_json(only_run_dir(out, "floquet"))["failures"]
+    run_dir = only_run_dir(out, "floquet")
+    failures = run_json(run_dir)["failures"]
     assert [f["point"] for f in failures] == ["0.1", "0.6"]
     assert failures[0]["message"] == "transition not found in the scan window"
     assert "positive-E_J" in failures[1]["message"]
+    body = (run_dir / "result.csv").read_text()
+
+    # Under --resume the not-found point comes back from its checkpoint,
+    # only the raised one is recomputed, and both are listed as before.
+    computed = []
+    point = cli._floquet_point
+
+    def recorded(params, flux_s, amp, *args):
+        computed.append(amp)
+        return point(params, flux_s, amp, *args)
+
+    monkeypatch.setattr(cli, "_floquet_point", recorded)
+    assert main(["floquet", "--config", cfg, "--out", str(out), "--resume"]) == 1
+    assert computed == [0.6]
+    assert run_json(run_dir)["failures"] == failures
+    assert (run_dir / "result.csv").read_text() == body
     capsys.readouterr()
 
 
@@ -453,12 +471,12 @@ def test_floquet_pair_in_either_order_scans_one_resonance(tmp_path, capsys):
     for pair in ("101:202", "202:101"):
         cfg = write_cfg(
             tmp_path,
-            "[floquet]\nflux_s = 0.35\namp_values = 0.03\n"
+            "[output]\ndt = 0.002\n\n[floquet]\nflux_s = 0.35\namp_values = 0.03\n"
             f"pair = {pair}\nresolution = 5\n",
             name=f"{pair.replace(':', '-')}.cfg",
         )
         out = tmp_path / pair.replace(":", "-")
-        assert main(["floquet", "--config", cfg, "--out", str(out), "--dt", "2"]) == 0
+        assert main(["floquet", "--config", cfg, "--out", str(out)]) == 0
         run_dir = only_run_dir(out, "floquet")
         assert run_json(run_dir)["failures"] == []
         rows[pair] = (run_dir / "result.csv").read_text().splitlines()
@@ -472,10 +490,11 @@ def test_floquet_window_past_zero_fails_its_point(tmp_path, capsys):
     # fails and is listed, instead of crashing the run.
     cfg = write_cfg(
         tmp_path,
+        "[output]\ndt = 0.002\n\n"
         "[floquet]\nflux_s = 0.35\namp_values = 0.03\nwindow = 11.0\nresolution = 5\n",
     )
     out = tmp_path / "o"
-    assert main(["floquet", "--config", cfg, "--out", str(out), "--dt", "2"]) == 1
+    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 1
     run_dir = only_run_dir(out, "floquet")
     failures = run_json(run_dir)["failures"]
     assert [f["point"] for f in failures] == ["0.03"]
@@ -573,10 +592,14 @@ def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
     assert body == ["30,5,nan,nan,nan,nan,0", "40,5,0.5,0.25,10.8,0.05,0"]
     lines = (run_dir / "progress.jsonl").read_text().splitlines()
     assert [json.loads(line)["key"] for line in lines] == ["40|5"]
+    failures = run_json(run_dir)["failures"]
 
+    # The stagnated cell comes back from its checkpoint and is still
+    # listed after the retried one, in job order.
     assert main(["gate-sweep", "--config", cfg, "--out", str(out), "--resume"]) == 1
     assert calls == [30.0, 40.0, 30.0]
     assert (run_dir / "result.csv").read_text().splitlines()[1:] == body
+    assert run_json(run_dir)["failures"] == failures
 
 
 def test_gate_sweep_records_a_raised_cell(tmp_path):
@@ -617,12 +640,13 @@ def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
     monkeypatch.setattr(gates, "optimize_cz", recorded)
     cfg = write_cfg(
         tmp_path,
+        "[output]\ndt = 0.002\n\n"
         "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n\n"
         "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n",
     )
     for command in ("gate-opt", "gate-sweep"):
         out = tmp_path / command
-        assert main([command, "--config", cfg, "--out", str(out), "--dt", "2"]) == 1
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert seen == [(0.002, 0.002), (0.002, 0.002)]
 
 
@@ -704,15 +728,28 @@ def test_output_root_priority(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_dt_flag_is_picoseconds(tmp_path, capsys, caplog):
-    cfg = write_cfg(tmp_path)
+def test_dt_is_set_only_in_the_config(tmp_path, capsys):
+    # [output] dt, in ns, is the one source of the step: a --dt flag is a
+    # usage error that writes nothing.
+    cfg = write_cfg(tmp_path, SCAN3)
     out = tmp_path / "o"
-    with caplog.at_level("INFO", logger="fluxgate.cli"):
-        assert main(["spectrum", "--config", cfg, "--out", str(out), "--dt", "2.0"]) == 0
-    meta = run_json(only_run_dir(out, "spectrum"))
-    assert meta["dt"] == 0.002
-    assert "dt = 0.002 ns (from --dt)" in caplog.text
-    assert "0.002 ns" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shift-scan", "--config", cfg, "--out", str(out), "--dt", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["4.0, 5.0, 6.0", "4.0, 5.0, 6.0, 7.0, 8.0"],
+                         ids=["3-values", "5-values"])
+def test_reference_lists_hold_one_value_per_ladder_transition(tmp_path, capsys, values):
+    # The spectrum compares each list against the ladder 0-1, 1-2, 0-3,
+    # 1-4: another length would be truncated, so it fails at load.
+    cfg = write_cfg(tmp_path, f"[reference]\nq0_transitions = {values}\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error: reference.q0_transitions: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_errors_leave_no_output(tmp_path, capsys):
@@ -732,19 +769,17 @@ def test_config_errors_leave_no_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("old, new, flags, field", [
-    pytest.param("j_01 = 0.035", "j_01 = nan", [], "couplings.j_01", id="j_01-nan"),
-    pytest.param("e_j = 4.75", "e_j = nan", [], "qubit0.e_j", id="e_j-nan"),
-    pytest.param(SCAN3, SCAN3 + "\n[output]\ndt = inf\n", [], "output.dt", id="dt-inf"),
-    pytest.param(SCAN3, SCAN3, ["--dt", "nan"], "--dt", id="dt-flag-nan"),
+@pytest.mark.parametrize("old, new, field", [
+    pytest.param("j_01 = 0.035", "j_01 = nan", "couplings.j_01", id="j_01-nan"),
+    pytest.param("e_j = 4.75", "e_j = nan", "qubit0.e_j", id="e_j-nan"),
+    pytest.param(SCAN3, SCAN3 + "\n[output]\ndt = inf\n", "output.dt", id="dt-inf"),
 ])
-def test_non_finite_numbers_are_configuration_errors(tmp_path, capsys, old, new, flags,
-                                                     field):
+def test_non_finite_numbers_are_configuration_errors(tmp_path, capsys, old, new, field):
     # Non-finite inputs fail at load: a NaN coupling would otherwise fill
     # every row with nan and exit 0.
     cfg = tmp_path / "run.cfg"
     cfg.write_text((BASE + SCAN3).replace(old, new, 1))
     out = tmp_path / "o"
-    assert main(["shift-scan", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert main(["shift-scan", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"configuration error: {field}: " in capsys.readouterr().err
     assert not out.exists()

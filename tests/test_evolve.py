@@ -292,9 +292,9 @@ def test_chevron_column_shapes(params500):
     t_grid = np.linspace(0.0, total_duration(RESONANT, None), 5)
     for freq in (10.70, 10.79):
         column = chevron_column(params500, RESONANT, freq, t_grid, dt=0.002)
-        assert set(column) == set(DEFAULT_RECORD) | {"computational"}
+        assert list(column) == ["000", "001", "100", "101", "202", "computational"]
         for values in column.values():
-            assert values.shape == (5,)
+            assert isinstance(values, list) and len(values) == 5
             assert np.all(np.isfinite(values))
 
 
