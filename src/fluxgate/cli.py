@@ -13,10 +13,11 @@ reflected in the exit code while the scan continues; any other
 exception is a bug and propagates. Values and failures of both kinds
 come back in job order, fresh or resumed, so output does not depend on
 the order in which points finish. Every finished point, met or not, is
-checkpointed with the BLAS thread count it ran at, so ``--resume``
-skips it without recomputing and retries raised points and points
-computed at another thread count: OpenBLAS results are not bitwise
-reproducible across counts.
+checkpointed with the BLAS thread count it ran at and the checkpoint
+``format``, so ``--resume`` skips it without recomputing and retries
+raised points and points computed at another thread count or format:
+OpenBLAS results are not bitwise reproducible across counts, and
+``CHECKPOINT_FORMAT`` changes whenever a command's values do.
 
 ``main`` runs every command at one thread of numpy's OpenBLAS and
 restores the caller's count when it returns. A pool runs
@@ -73,6 +74,11 @@ logger = logging.getLogger(__name__)
 SIDECAR_SCHEMA = "fluxgate.run/1"
 OUTPUT_ROOT_ENV = "FLUXGATE_OUTPUT_ROOT"
 PROGRESS_NAME = "progress.jsonl"
+# Bumped whenever checkpointed values change shape or bits. 2: gate
+# carriers centred on the drive window (gate-sweep values moved by about
+# 1e-8). Lines without a format predate it, among them gate-sweep values
+# that still carried a sixth element, the message.
+CHECKPOINT_FORMAT = 2
 STAGNATED = "optimizer stagnated above the objective limit"
 
 
@@ -103,7 +109,8 @@ class RunDirectory:
 
     def completed_points(self, resume: bool) -> dict[str, object]:
         """Checkpointed values by key, keeping only points computed at the
-        live BLAS thread count: OpenBLAS results differ across counts.
+        live BLAS thread count, since OpenBLAS results differ across
+        counts, and in the live ``CHECKPOINT_FORMAT``.
 
         An interrupted append leaves a torn last line. It is logged and
         dropped from the file, which is rewritten to end in a newline so
@@ -125,7 +132,8 @@ class RunDirectory:
                 logger.warning("dropping a torn checkpoint line: %.60s", line)
                 continue
             kept.append(line)
-            if entry.get("blas_threads") == self.blas_threads:
+            current = (entry.get("blas_threads"), entry.get("format"))
+            if current == (self.blas_threads, CHECKPOINT_FORMAT):
                 done[entry["key"]] = entry["value"]
             else:
                 stale += 1
@@ -134,12 +142,13 @@ class RunDirectory:
             progress.write_text(clean, encoding="utf-8")
         if stale:
             logger.info("recomputing %d checkpointed point(s) computed at another "
-                        "BLAS thread count", stale)
+                        "BLAS thread count or checkpoint format", stale)
         return done
 
     def checkpoint(self, key: str, value) -> None:
         with open(self.path / PROGRESS_NAME, "a", encoding="utf-8") as fh:
-            entry = {"key": key, "value": value, "blas_threads": self.blas_threads}
+            entry = {"key": key, "value": value, "blas_threads": self.blas_threads,
+                     "format": CHECKPOINT_FORMAT}
             fh.write(json.dumps(entry) + "\n")
             fh.flush()
 

@@ -27,12 +27,20 @@ Over the flat top, where the drive envelope is flat and the bias
 constant, the Hamiltonian is periodic, so the propagator over whole
 drive periods is a power of the one-period propagator, the Floquet
 monodromy. One function, ``_period``, builds it for ``floquet`` and for
-the flat top of a gate alike, from carrier phase 0. The whole periods
-therefore start where the carrier phase 2 pi f_p (t - t0), with t0 the
-start of the drive window, first reaches a whole number of turns inside
-the flat top: at t0 + ceil(ramp_time f_p) / f_p. The lead-in before it
-and the remainder after the last whole period are stepped. This removes
-most of the stepping cost of long gates.
+the flat top of a gate alike, from carrier phase 0.
+
+A gate's drive window [t0, t1] is time-symmetric: ``gates.gate_schedule``
+centres the carrier on the window centre t_c (``ParametricPulse.phase``),
+so H(t_c + s) = H(t_c - s). ``propagate_computational_unitary`` takes
+the n = 2 floor((t_c - t0 - ramp_time) f_p) whole periods centred on
+t_c, which start at carrier phase 0, and steps only G, the propagator
+over the up-flank and the lead-in [t0, t_c - nP/2]. ``_step_samples``
+gives mirrored spans equal step counts at mirrored midpoints, so the
+steps after the periods are G's steps in reverse order, and by the
+mirror identity of ``system`` the window is W = G^T M^n G. A gate
+evaluation thus steps one flank and less than one period, and takes
+one power; a window whose carrier is not symmetric about t_c raises
+ValueError. Chevron and amplitude propagations step every interval.
 
 Every step conserves the total parity of ``system`` (the drive modulates
 only the coupler number N), so ``_advance`` splits its block into one
@@ -44,14 +52,15 @@ Off the symmetric point the one sector is the whole space.
 
 A gate's bias ramp-down is the ramp-up run backwards: it carries no
 drive, and ``_step_samples`` gives both ramps the same step count, so
-the ramp-down samples the ramp-up's biases in reverse order. Each ramp
-step is complex symmetric (``system``), so U_down = U_up^T. The dressed
-idle states c are real, so after the ramp-down the computational
-amplitudes of the end-of-drive block psi are
-<c_i|U_down|psi_j> = (R^T psi)_ij, where R = U_up c is the cached
-ramped-up block (``_ramped_up_block``).
-``propagate_computational_unitary`` therefore steps only to the end of
-the drive window; the ramp-down is stepped only when the
+the ramp-down samples the ramp-up's biases in reverse order, and by the
+same mirror identity U_down = U_up^T. The dressed idle states c are
+real, so with R = U_up c the cached ramped-up block
+(``_ramped_up_block``) the gate's computational amplitudes are
+
+    <c_i| U_down W U_up |c_j> = (R^T G^T M^n G R)_ij = (x^T y)_ij,
+
+with x = G R and y = M^n x. The remainder after the periods, the
+down-flank and the ramp-down are stepped, from y, only when the
 end-of-schedule populations of every dressed state are read.
 
 The stepping error falls 4x per halving of dt. The contract that halving
@@ -87,7 +96,6 @@ from .system import (
 
 DEFAULT_DT = 0.0005
 NORM_DRIFT_LIMIT = 1e-8
-MIN_STROBE_PERIODS = 3
 DRIVELESS_DT_FACTOR = 10.0
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
@@ -119,16 +127,19 @@ class ComputationalUnitary:
     ``COMPUTATIONAL_LABELS[i]`` after preparing ``COMPUTATIONAL_LABELS[j]``,
     with each row's free phase e^{-i 2 pi E_i t} removed, so
     1 - ||column j||^2 is the population leaked from state j.
-    ``norm_drift`` is the largest deviation of a column norm from one at
-    the end of the drive window, the last block every call steps (the
-    end of the schedule when there is no bias ramp).
+    ``norm_drift`` is the largest deviation of a column norm from one
+    after the whole drive periods, at t_c + nP/2 (see the module
+    docstring), the last block every call computes. Every later step is
+    unitary to roundoff, so it equals the end-of-window drift to
+    roundoff.
 
     ``final_populations[k, j]`` is the end-of-schedule population of the
-    dressed state ``state_labels[k]`` when column j was prepared. A bias
-    ramp-down enters ``matrix`` through the ramp-up (U_down = U_up^T,
-    see the module docstring) and is stepped only on the first read of
-    ``final_populations``, which checks the end-of-schedule norm drift
-    against the same limit; later reads return the cached array.
+    dressed state ``state_labels[k]`` when column j was prepared. The
+    second half of the drive window and a bias ramp-down enter
+    ``matrix`` through their mirrors (see the module docstring) and are
+    stepped only on the first read of ``final_populations``, which
+    checks the end-of-schedule norm drift against the same limit; later
+    reads return the cached array.
     """
 
     matrix: np.ndarray
@@ -355,12 +366,12 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
 
     The period is cut by ``_step_samples`` into n Strang steps
     S_k = D_k U0 D_k, with D_k diagonal. The cosine drive is symmetric
-    about the middle of its period, so D_k = D_{n-1-k}, and the static
-    step U0 is complex symmetric (``system``), so each S_k is too: the
-    second half of the period is V^T, where V is the product of the
-    first n // 2 steps, and M = V^T V; for odd n the middle step D U0 D
-    sits between the halves, M = X^T U0 X with X = D V. Only half the
-    period is stepped, and M matches the full step product to roundoff.
+    about the middle of its period, so D_k = D_{n-1-k}, and by the mirror
+    identity of ``system`` the second half of the period is V^T, where V
+    is the product of the first n // 2 steps, and M = V^T V; for odd n
+    the middle step D U0 D sits between the halves, M = X^T U0 X with
+    X = D V. Only half the period is stepped, and M matches the full
+    step product to roundoff.
     """
     period = 1.0 / drive_freq
     # The steady drive as an unenveloped pulse one period long; it
@@ -379,41 +390,49 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
     return v.transpose(0, 2, 1) @ forward
 
 
-def _advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
+def _advance(params, pulse, ramp, dt, block, t_a, t_b):
     """Advance ``block`` from ``t_a`` to ``t_b``, cut at every schedule
     boundary in between so each piece has one stepping scheme.
 
     The block is split into its sector pieces once (see ``_Pieces``),
-    so only sectors where it is nonzero are stepped. With
-    ``stroboscopic``, a piece spanning the whole flat top advances its
-    whole drive periods as powers of ``_period`` (the module docstring
-    gives the rule).
+    so only sectors where it is nonzero are stepped.
     """
-    t0, t1 = drive_window(pulse, ramp)
-    # The flat top: drive envelope 1 and bias constant.
-    flat_a, flat_b = t0 + pulse.ramp_time, t1 - pulse.ramp_time
-    period = 1.0 / pulse.drive_freq if pulse.drive_freq > 0 else np.inf
-    use_strobe = (
-        stroboscopic
-        and pulse.drive_amp > 0
-        and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
-    )
-
     sectors = assemble_operators(params).sectors
     pieces = _split(sectors, block)
-    active, x = pieces.active, pieces.x
+    x = pieces.x
     cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
     for s, e in zip(cuts[:-1], cuts[1:]):
-        if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
-            lead = t0 + np.ceil(round(pulse.ramp_time * pulse.drive_freq, 9)) / pulse.drive_freq
-            n_per = int(np.floor((flat_b - lead) / period))
-            x = _step_interval(params, pulse, ramp, flat_a, lead, dt, active, x)
-            mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt, active)
-            x = backends.apply_power(mono, n_per, x)
-            x = _step_interval(params, pulse, ramp, lead + n_per * period, flat_b, dt, active, x)
-        else:
-            x = _step_interval(params, pulse, ramp, s, e, dt, active, x)
+        x = _step_interval(params, pulse, ramp, s, e, dt, pieces.active, x)
     return _join(sectors, pieces._replace(x=x), block.shape)
+
+
+def _centred_periods(pulse: ParametricPulse, ramp: BiasRamp | None):
+    """The whole drive periods of the flat top centred on the window
+    centre t_c: their count n and their span [t_c - nP/2, t_c + nP/2].
+
+    The periods must start at carrier phase 0 for ``_period`` to apply.
+    The carrier phase at t_c is a whole number k of half turns in a
+    symmetric window, so n is the most periods that fit with n - k even
+    (n = 2 floor((t_c - t0 - ramp_time) f_p) for a ``gates.gate_schedule``
+    pulse, where k is even). A window without a drive or a carrier takes
+    no periods. Raises ValueError when the carrier is not symmetric
+    about t_c.
+    """
+    t0, t1 = drive_window(pulse, ramp)
+    t_c = 0.5 * (t0 + t1)
+    if pulse.drive_amp == 0 or pulse.drive_freq == 0:
+        return 0, t_c, t_c
+    turns = (pulse.phase + np.pi * pulse.drive_freq * pulse.gate_time) / np.pi
+    k = round(turns)
+    if abs(turns - k) > 1e-9:
+        raise ValueError(
+            "the drive window is not time-symmetric: the carrier phase at its "
+            "centre must be a multiple of pi (gates.gate_schedule sets it)"
+        )
+    n = int(np.floor(round(2.0 * (t_c - t0 - pulse.ramp_time) * pulse.drive_freq, 9)))
+    n = max(n - (n - k) % 2, 0)
+    half = 0.5 * n / pulse.drive_freq
+    return n, t_c - half, t_c + half
 
 
 def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
@@ -497,41 +516,45 @@ def propagate_computational_unitary(
     pulse: ParametricPulse,
     ramp: BiasRamp | None = None,
     dt: float = DEFAULT_DT,
-    stroboscopic: bool = True,
 ) -> ComputationalUnitary:
     """Truncated propagator over the four dressed computational states.
 
-    Columns are propagated together to the end of the drive window;
-    whole drive periods in the flat-top region are applied as powers of
-    the one-period propagator. The bias ramp-up of a dynamic-bias
-    schedule carries no drive, so its block R is propagated once per
-    (params, ramp, dt) and shared by every drive frequency and amplitude,
-    and it also scores the ramp-down: the amplitudes at the end of the
-    schedule are R^T psi for the end-of-drive block psi (see the module
-    docstring). The ramp-down is stepped only when
-    ``final_populations`` is first read. Row phases rotate at the idle
-    dressed energies, so an idle system yields the identity.
+    The drive window must be time-symmetric, as ``gates.gate_schedule``
+    builds it (ValueError otherwise). Columns are propagated together
+    through the first half of the window, x = G R, and the whole drive
+    periods centred on the window as y = M^n x; the 4 x 4 is x^T y (see
+    the module docstring). The bias ramp-up of a dynamic-bias schedule
+    carries no drive, so its block R is propagated once per (params,
+    ramp, dt) and shared by every drive frequency and amplitude; without
+    a ramp R is the idle computational block. The rest of the schedule is
+    stepped only when ``final_populations`` is first read. Row phases
+    rotate at the idle dressed energies, so an idle system yields the
+    identity.
     """
     frame = _idle_frame(params, pulse, ramp, dt)
     idx = frame.unambiguous(COMPUTATIONAL_LABELS)
+    n, t_a, t_b = _centred_periods(pulse, ramp)
 
     duration = total_duration(pulse, ramp)
-    t_end = drive_window(pulse, ramp)[1]
     if ramp is None:
         block, t_start = _computational_block(frame), 0.0
     else:
         block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
-    # bras[i] is <c_i| carried back from the end of the schedule to t_end:
-    # c_i is real, and the ramp-down is the transposed ramp-up.
-    bras = block.T
-    psi = _advance(params, pulse, ramp, dt, block, t_start, t_end, stroboscopic)
-    drift = _norm_drift(psi)
+    x = _advance(params, pulse, ramp, dt, block, t_start, t_a)
+    y = x
+    if n:
+        sectors = assemble_operators(params).sectors
+        pieces = _split(sectors, x)
+        mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt,
+                       pieces.active)
+        y = _join(sectors, pieces._replace(x=backends.apply_power(mono, n, pieces.x)), x.shape)
+    drift = _norm_drift(y)
 
     phases = np.exp(2j * np.pi * frame.energies[idx] * duration)
-    u = phases[:, None] * (bras @ psi)
+    u = phases[:, None] * (x.T @ y)
 
     def end_populations() -> np.ndarray:
-        out = _advance(params, pulse, ramp, dt, psi, t_end, duration)
+        out = _advance(params, pulse, ramp, dt, y, t_b, duration)
         _norm_drift(out)
         return np.abs(frame.states.T @ out) ** 2
 

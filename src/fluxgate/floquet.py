@@ -11,8 +11,8 @@ population oscillates at exactly that rate, so its inverse is the
 full-exchange-and-return time.
 
 The monodromy is ``evolve._period``, the one-period propagator that a
-gate's flat top also takes powers of: half the period is stepped and
-mirrored (its docstring gives the argument).
+gate's flat top also takes powers of: half the period V is stepped and
+M = V^T V by the mirror identity of ``system``.
 
 The drive modulates only the coupler number, so M conserves the total
 parity of ``system`` and is block diagonal in its sectors. Each sector

@@ -222,13 +222,19 @@ def gate_metrics(u) -> GateMetrics:
 def gate_schedule(
     cfg: GateConfig, omega_p: float, drive_amp: float
 ) -> tuple[ParametricPulse, BiasRamp | None]:
-    """Pulse and optional bias ramp realizing the configured gate."""
+    """Pulse and optional bias ramp realizing the configured gate.
+
+    The carrier is centred on the drive window, cos(2 pi f_p (tau - t_g / 2)),
+    so the window is time-symmetric and ``propagate_computational_unitary``
+    steps only its first half.
+    """
     pulse = ParametricPulse(
         flux_static=cfg.drive_flux,
         drive_amp=drive_amp,
         drive_freq=omega_p,
         ramp_time=cfg.drive_ramp,
         gate_time=cfg.gate_time,
+        phase=math.remainder(-math.pi * omega_p * cfg.gate_time, 2.0 * math.pi),
     )
     ramp = None
     if cfg.mode == "dynamic-bias":

@@ -3,9 +3,11 @@
 The coupler flux is the sum of a slow bias schedule and a fast
 parametric modulation,
 
-    Phi(t) = Phi_bias(t) + delta_Phi env(tau) cos(2 pi f_p tau)
+    Phi(t) = Phi_bias(t) + delta_Phi env(tau) cos(2 pi f_p tau + phase)
 
-where tau is time measured from the start of the drive window. The
+where tau is time measured from the start of the drive window and
+``phase`` is the carrier phase there, 0 unless set: a gate sets it to
+centre the carrier on the window (``ParametricPulse``). The
 envelope rises and falls with half-cosine flanks of length ``ramp_time``
 and is flat in between, so the waveform and its first derivative are
 continuous at every junction. An optional bias ramp carries the coupler
@@ -30,7 +32,11 @@ class ParametricPulse:
     """Flat-top cosine flux modulation around a static bias.
 
     ``gate_time`` spans the whole drive window including both envelope
-    flanks of ``ramp_time`` each.
+    flanks of ``ramp_time`` each. ``phase`` is the carrier phase at the
+    window start, in rad. Chevron, amplitude and Floquet drives leave it
+    at 0; ``gates.gate_schedule`` sets it to -pi f_p gate_time (mod 2 pi),
+    so the carrier is cos(2 pi f_p (tau - gate_time / 2)), centred on the
+    window, and the waveform is symmetric about the window centre.
     """
 
     flux_static: float
@@ -38,6 +44,7 @@ class ParametricPulse:
     drive_freq: float
     ramp_time: float = 5.0
     gate_time: float = 100.0
+    phase: float = 0.0
 
     def __post_init__(self):
         if self.drive_amp < 0:
@@ -119,13 +126,14 @@ def bias_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
 def drive_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
     """Fast modulation component, zero outside the drive window.
 
-    The carrier phase is referenced to the start of the drive window, so
-    a bias ramp before it does not change the waveform seen by the
-    coupler.
+    The carrier, cos(2 pi f_p tau + phase), is referenced to the start of
+    the drive window, so a bias ramp before it does not change the
+    waveform seen by the coupler. ``phase`` is 0 except in a gate, which
+    centres the carrier on the window.
     """
     t0, _ = drive_window(pulse, ramp)
     tau = np.asarray(t, dtype=float) - t0
     env = envelope(tau, pulse.ramp_time, pulse.gate_time)
-    out = pulse.drive_amp * env * np.cos(TWO_PI * pulse.drive_freq * tau)
+    out = pulse.drive_amp * env * np.cos(TWO_PI * pulse.drive_freq * tau + pulse.phase)
     return out if np.ndim(out) else float(out)
 

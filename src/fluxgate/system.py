@@ -17,12 +17,18 @@ minus the product of two real antisymmetric factors, and
 is real symmetric. Every matrix, dressed state and propagated block of
 the package lives in this one real basis. (Taking the coupler charge as
 (a + a^dag) instead gives the complex Hermitian D H D^dag, with D the
-coupler gauge diag(i^n_c).) A step exp(-i 2 pi h H) of a real
-symmetric H is complex symmetric, so a product of steps taken in
-reverse order is the transpose of the forward product: the bias
-ramp-down of a gate is the transposed ramp-up (``evolve``), and the
-second half of a symmetric drive period the transposed first half
-(``floquet``).
+coupler gauge diag(i^n_c).)
+
+The mirror identity. A step exp(-i 2 pi h H) of a real symmetric H is
+complex symmetric, S^T = S, and so is a split step D U0 D with D
+diagonal. Complex-symmetric steps taken in reverse order therefore
+multiply to the transpose of the forward product,
+S_1 S_2 ... S_n = (S_n ... S_2 S_1)^T. Wherever a schedule samples the
+same Hamiltonians in reverse order, its propagator is a transpose
+(``evolve`` and ``floquet``): the bias ramp-down of a gate is the
+transposed ramp-up, U_up^T; a symmetric drive period is V^T V, with V
+its first half; and a gate's time-symmetric drive window is
+G^T M^n G, with G its first half up to the whole periods M^n.
 
 ``label_eigenstates`` solves H with ``numpy.linalg.eigh`` (LAPACK's
 divide-and-conquer ``syevd``), so the dressed states are real. The

@@ -249,7 +249,7 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     assert main(["shift-scan", "--config", cfg, "--out", str(torn)]) == 0
     run_dir = only_run_dir(torn, "shift-scan")
     good = {"key": "0", "value": _shift_point(load_config(cfg).params, 0.0),
-            "blas_threads": run_json(run_dir)["blas_threads"]}
+            "blas_threads": run_json(run_dir)["blas_threads"], "format": cli.CHECKPOINT_FORMAT}
     progress = run_dir / "progress.jsonl"
     progress.write_text(json.dumps(good) + "\n" + '{"key": "0.1", "value": [0.0')
     with caplog.at_level("WARNING", logger="fluxgate.cli"):
@@ -335,7 +335,8 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
     # A checkpointed point is trusted under --resume and recomputed without.
     fake = {k: [0.5, 0.5, 0.5] for k in ("000", "001", "100", "101", "202",
                                          "computational")}
-    entry = {"key": "10.78", "value": fake, "blas_threads": run_json(run_dir)["blas_threads"]}
+    entry = {"key": "10.78", "value": fake, "blas_threads": run_json(run_dir)["blas_threads"],
+             "format": cli.CHECKPOINT_FORMAT}
     (run_dir / "progress.jsonl").write_text(json.dumps(entry) + "\n")
     assert main(["chevron", "--config", cfg, "--out", str(out), "--resume"]) == 0
     resumed = (run_dir / "result.csv").read_text()
@@ -600,6 +601,38 @@ def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
     assert calls == [30.0, 40.0, 30.0]
     assert (run_dir / "result.csv").read_text().splitlines()[1:] == body
     assert run_json(run_dir)["failures"] == failures
+
+
+def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeypatch, caplog):
+    # A line without a format predates the tag: here a gate-sweep value
+    # of six elements, the last the message, which no longer unpacks. It
+    # is recomputed; a line of the live format is reused.
+    calls = []
+
+    def calibrate(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
+        calls.append(cfg.gate_time)
+        return SimpleNamespace(metrics=SimpleNamespace(error=cfg.gate_time * 1e-6, leakage=1e-6),
+                               omega_p=10.8, drive_amp=0.05, success=True)
+
+    monkeypatch.setattr(gates, "optimize_cz", calibrate)
+    cfg = write_cfg(tmp_path, SWEEP)
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main(["gate-sweep", "--config", cfg, "--out", str(fresh)]) == 0
+    assert main(["gate-sweep", "--config", cfg, "--out", str(resumed)]) == 0
+    run_dir = only_run_dir(resumed, "gate-sweep")
+    threads = run_json(run_dir)["blas_threads"]
+    old = {"key": "30|5", "value": [0.5, 0.25, 10.7, 0.04, False, "stale"],
+           "blas_threads": threads}
+    live = {"key": "40|5", "value": [40e-6, 1e-6, 10.8, 0.05, True],
+            "blas_threads": threads, "format": cli.CHECKPOINT_FORMAT}
+    (run_dir / "progress.jsonl").write_text(json.dumps(old) + "\n" + json.dumps(live) + "\n")
+    calls.clear()
+    with caplog.at_level("INFO", logger="fluxgate.cli"):
+        assert main(["gate-sweep", "--config", cfg, "--out", str(resumed), "--resume"]) == 0
+    assert calls == [30.0]
+    assert "recomputing 1 checkpointed point(s)" in caplog.text
+    expected = (only_run_dir(fresh, "gate-sweep") / "result.csv").read_bytes()
+    assert (run_dir / "result.csv").read_bytes() == expected
 
 
 def test_gate_sweep_records_a_raised_cell(tmp_path):

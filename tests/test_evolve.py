@@ -20,9 +20,11 @@ from fluxgate import (
 from fluxgate import backends, evolve
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
+    DEFAULT_DT,
     DEFAULT_RECORD,
     DRIVELESS_DT_FACTOR,
     _advance,
+    _centred_periods,
     _computational_block,
     _flat_step,
     _ramped_up_block,
@@ -32,13 +34,41 @@ from fluxgate.evolve import (
     chevron_column,
     dressed_frame,
 )
-from fluxgate.gates import OptimizationResult, gate_metrics, gate_schedule
-from fluxgate.pulses import drive_window, total_duration
+from fluxgate.floquet import monodromy
+from fluxgate.gates import GateConfig, OptimizationResult, gate_metrics, gate_schedule
+from fluxgate.pulses import drive_flux, drive_window, total_duration
 from fluxgate.system import assemble_operators
 
 RESONANT = ParametricPulse(
     flux_static=0.35, drive_amp=0.045, drive_freq=10.79, ramp_time=5.0, gate_time=60.0
 )
+
+
+def _static_gate(freq, amp, gate_time, ramp_time=5.0):
+    """A static-bias gate pulse at flux 0.35: carrier centred on the window."""
+    cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=gate_time, drive_ramp=ramp_time)
+    pulse, _ = gate_schedule(cfg, freq, amp)
+    return pulse
+
+
+def _stepped_schedule(params, pulse, ramp, dt, powered):
+    """The 4 x 4 and the end-of-schedule populations from stepping the
+    whole schedule from t = 0 through ``_advance``, the second half of
+    the drive window and any ramp-down included. ``powered`` applies the
+    whole periods centred on the window as a power of the full-space
+    monodromy, as the gate does; otherwise every interval is stepped."""
+    frame = dressed_frame(params, pulse.flux_static if ramp is None else ramp.flux_idle)
+    idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
+    end = total_duration(pulse, ramp)
+    block, t_start = _computational_block(frame), 0.0
+    if powered:
+        n, t_a, t_start = _centred_periods(pulse, ramp)
+        block = _advance(params, pulse, ramp, dt, block, 0.0, t_a)
+        mono = monodromy(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt=dt)
+        block = backends.apply_power(mono.matrix, n, block)
+    full = frame.states.T @ _advance(params, pulse, ramp, dt, block, t_start, end)
+    matrix = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
+    return matrix, np.abs(full) ** 2
 
 
 def test_norm_drift_long_drive(params500):
@@ -68,22 +98,78 @@ def test_dt_halving_is_second_order(params500):
     assert deltas[1] < 1e-4
 
 
-@pytest.mark.parametrize("freq, ramp_time", [
-    pytest.param(10.79, 5.0, id="lead-in-0.05-period"),
-    pytest.param(10.79, 0.0, id="no-ramp"),
-    pytest.param(10.0, 5.0, id="ramp-of-whole-periods"),
-    pytest.param(10.79, 5.005, id="lead-in-0.996-period"),
+# The lead-in, from the end of the up-flank to the first of the whole
+# periods centred on the window, is frac((gate_time / 2 - ramp_time) freq)
+# periods long.
+@pytest.mark.parametrize("freq, ramp_time, gate_time, carrier", [
+    pytest.param(10.79, 5.0, 44.8563, 0.0, id="lead-in-0.05-period"),
+    pytest.param(10.79, 0.0, 45.0, 0.0, id="no-ramp"),  # lead-in 0.775
+    pytest.param(10.0, 5.0, 45.0, 0.0, id="ramp-of-whole-periods"),  # lead-in 0
+    pytest.param(10.79, 5.005, 45.0417, 0.0, id="lead-in-0.996-period"),
+    # Carrier phase pi at the centre: an odd number of periods, lead-in 0.325.
+    pytest.param(10.79, 5.0, 45.0, np.pi, id="carrier-pi-at-centre"),
 ])
-def test_stroboscopic_matches_direct(params500, freq, ramp_time):
-    # The whole periods start at the first carrier zero of the flat top,
-    # ramp_time * freq periods into the drive, rounded up.
-    pulse = ParametricPulse(
-        flux_static=0.35, drive_amp=0.045, drive_freq=freq,
-        ramp_time=ramp_time, gate_time=45.0,
-    )
-    strobe = propagate_computational_unitary(params500, pulse, stroboscopic=True)
-    direct = propagate_computational_unitary(params500, pulse, stroboscopic=False)
-    assert np.max(np.abs(strobe.matrix - direct.matrix)) < 5e-6
+def test_stroboscopic_matches_direct(params500, freq, ramp_time, gate_time, carrier):
+    pulse = _static_gate(freq, 0.045, gate_time, ramp_time)
+    pulse = replace(pulse, phase=pulse.phase + carrier)
+    strobe = propagate_computational_unitary(params500, pulse)
+    direct, _ = _stepped_schedule(params500, pulse, None, DEFAULT_DT, powered=False)
+    assert np.max(np.abs(strobe.matrix - direct)) < 5e-6
+
+
+@pytest.mark.parametrize("mode", ["dynamic-bias", "static-bias"])
+def test_mirrored_window_matches_direct_stepping(rc500, mode):
+    # A 0.1 ns flat top holds no two whole periods, so n = 0 and the gate
+    # is x^T x with x the first half of the window. Both halves of the
+    # flat top take 50 steps of 1 ps, as the whole flat top stepped at
+    # once takes 100, so the direct steps are the mirrored ones.
+    cfg = replace(rc500.require("gate"), mode=mode, gate_time=10.1)
+    if mode == "static-bias":
+        cfg = replace(cfg, flux_idle=cfg.flux_interaction)
+    pulse, ramp = gate_schedule(cfg, 10.79, 0.06)
+    assert _centred_periods(pulse, ramp)[0] == 0
+    cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=1e-3)
+    direct, populations = _stepped_schedule(rc500.params, pulse, ramp, 1e-3, powered=False)
+    assert np.max(np.abs(cu.matrix - direct)) <= 1e-12
+    assert np.max(np.abs(cu.final_populations - populations)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    freq=st.floats(10.5, 11.0),
+    gate_time=st.floats(1.0, 4.0),
+    ramp_share=st.floats(0.0, 0.5),
+    mode=st.sampled_from(["dynamic-bias", "static-bias"]),
+)
+def test_gate_window_is_symmetric_and_its_gate_complex_symmetric(
+    rc500, freq, gate_time, ramp_share, mode
+):
+    cfg = replace(rc500.require("gate"), mode=mode, gate_time=gate_time,
+                  drive_ramp=ramp_share * gate_time)
+    if mode == "static-bias":
+        cfg = replace(cfg, flux_idle=cfg.flux_interaction)
+    pulse, ramp = gate_schedule(cfg, freq, 0.05)
+    t0, t1 = drive_window(pulse, ramp)
+    # The window edges are left out: a square envelope jumps there, and
+    # roundoff in t_c - s decides on which side of t0 a sample falls.
+    s = np.linspace(0.0, 0.5 * gate_time, 101)[:-1]
+    t_c = 0.5 * (t0 + t1)
+    later, earlier = drive_flux(pulse, ramp, t_c + s), drive_flux(pulse, ramp, t_c - s)
+    assert np.max(np.abs(later - earlier)) <= 1e-12
+
+    cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=2e-3)
+    frame = dressed_frame(rc500.params, cfg.flux_idle)
+    energies = frame.energies[frame.unambiguous(COMPUTATIONAL_LABELS)]
+    window = np.exp(-2j * np.pi * energies * total_duration(pulse, ramp))[:, None] * cu.matrix
+    assert np.max(np.abs(window - window.T)) <= 1e-12
+
+
+def test_asymmetric_window_is_refused(params500):
+    # A carrier referenced to the window start: 10.79 GHz * 45 ns puts
+    # 0.55 of a half turn at the centre.
+    pulse = ParametricPulse(0.35, 0.045, 10.79, ramp_time=5.0, gate_time=45.0)
+    with pytest.raises(ValueError, match="time-symmetric"):
+        propagate_computational_unitary(params500, pulse)
 
 
 def test_zero_amplitude_is_identity(params500):
@@ -97,7 +183,8 @@ def test_zero_amplitude_is_identity(params500):
 
 
 def test_unitary_bookkeeping(params500):
-    cu = propagate_computational_unitary(params500, RESONANT, dt=0.001)
+    pulse = _static_gate(RESONANT.drive_freq, RESONANT.drive_amp, RESONANT.gate_time)
+    cu = propagate_computational_unitary(params500, pulse, dt=0.001)
     assert np.all(cu.final_populations >= 0.0)
     # Squared column norm and recorded computational population describe
     # the same leakage, so they must agree to rounding.
@@ -164,24 +251,12 @@ def test_ramp_up_block_is_shared(rc500):
     # The shared block is the one stepping the whole schedule from t = 0 reaches.
     block = _computational_block(dressed_frame(params, ramp.flux_idle))
     end = total_duration(pulse, ramp)
-    direct = _advance(params, pulse, ramp, dt, block, 0.0, end, True)
+    direct = _advance(params, pulse, ramp, dt, block, 0.0, end)
     shared = _advance(params, pulse, ramp, dt, _ramped_up_block(params, ramp, dt),
-                      ramp.ramp_time, end, True)
+                      ramp.ramp_time, end)
     assert np.array_equal(direct, shared)
     with pytest.raises(ValueError):
         _ramped_up_block(params, ramp, dt)[0, 0] = 0.0
-
-
-def _stepped_whole_schedule(params, pulse, ramp, dt):
-    """The 4 x 4 and the end-of-schedule populations from stepping every
-    interval of the schedule, the ramp-down included, from t = 0."""
-    frame = dressed_frame(params, ramp.flux_idle)
-    idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
-    end = total_duration(pulse, ramp)
-    out = _advance(params, pulse, ramp, dt, _computational_block(frame), 0.0, end, True)
-    full = frame.states.conj().T @ out
-    matrix = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
-    return matrix, np.abs(full) ** 2
 
 
 @pytest.mark.parametrize("bias_ramp, gate_time, dt", [
@@ -190,19 +265,21 @@ def _stepped_whole_schedule(params, pulse, ramp, dt):
     pytest.param(0.6, 31.0, 1e-3, id="ramp0.6-tg31-1ps"),
 ])
 def test_ramp_down_is_the_parity_transposed_ramp_up(rc500, bias_ramp, gate_time, dt):
-    # U_down = U_up^T: the gate read through the cached ramp-up equals
-    # the one stepped through the ramp-down. At ramp 0.6 ns / 31 ns the
-    # ramp-down span rounds above 60 steps of 10 ps.
+    # U_down = U_up^T and W = G^T M^n G: the gate read through the cached
+    # ramp-up and the first half of the window equals the one stepped
+    # through the second half and the ramp-down. At ramp 0.6 ns / 31 ns
+    # the ramp-down span rounds above 60 steps of 10 ps.
     cfg = rc500.require("gate")
     if bias_ramp is not None:
         cfg = replace(cfg, bias_ramp=bias_ramp, gate_time=gate_time)
     pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
     cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=dt)
-    matrix, populations = _stepped_whole_schedule(rc500.params, pulse, ramp, dt)
+    matrix, populations = _stepped_schedule(rc500.params, pulse, ramp, dt, powered=True)
     assert np.max(np.abs(cu.matrix - matrix)) <= 1e-12
     assert np.max(np.abs(cu.final_populations - populations)) <= 1e-12
     rows = [cu.state_labels.index(lab) for lab in COMPUTATIONAL_LABELS]
-    assert np.max(np.abs(cu.final_populations[rows] - np.abs(cu.matrix) ** 2)) <= 1e-12
+    # The square of the first bound: ||a|^2 - |b|^2| <= (|a| + |b|) |a - b|.
+    assert np.max(np.abs(cu.final_populations[rows] - np.abs(cu.matrix) ** 2)) <= 2e-12
     assert 0.0 <= cu.norm_drift <= 1e-8
 
 

@@ -371,6 +371,15 @@ def test_frozen_optimum_scores(params500):
     assert all(ch.population < 1e-4 for ch in channels)
 
 
+def test_calibrated_gate_objective_is_pinned(rc500):
+    # The bundled [gate] (65/5, dynamic bias) at its calibrated point,
+    # scored at 0.5 ps like a calibration's final scoring. The benchmark
+    # references allow 1e-6, so this bound is what catches a small drift
+    # in the gate path.
+    m = evaluate_gate(rc500.params, rc500.require("gate"), 10.787538, 0.081226, dt=5e-4)
+    assert abs(gates._objective(m) - 2.26940e-4) <= 1e-7
+
+
 def test_ramp_change_insignificant_at_threshold_scale(params500):
     # Calibrated optima for 5 ns and 10 ns ramps at equal flat-top
     # (65/5 and 75/10, both 55 ns flat), frozen from this code. Both

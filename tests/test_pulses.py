@@ -86,6 +86,14 @@ def test_drive_phase_referenced_to_window_start():
     assert np.allclose(bare, shifted, atol=1e-12)
 
 
+def test_default_phase_is_the_window_start_cosine():
+    pulse = ParametricPulse(flux_static=0.35, drive_amp=0.03, drive_freq=10.8,
+                            ramp_time=5.0, gate_time=60.0)
+    tau = np.linspace(-1.0, 61.0, 2481)
+    expected = 0.03 * envelope(tau, 5.0, 60.0) * np.cos(2.0 * np.pi * 10.8 * tau)
+    assert np.array_equal(drive_flux(pulse, None, tau), expected)
+
+
 def test_drive_silent_outside_window():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.03, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)

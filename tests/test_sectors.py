@@ -15,8 +15,8 @@ from fluxgate.errors import ConstructionError
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DRIVELESS_DT_FACTOR,
-    MIN_STROBE_PERIODS,
     _boundaries,
+    _centred_periods,
     _step_samples,
     amplitude_point,
     chevron_column,
@@ -151,26 +151,11 @@ def _full_interval(params, pulse, ramp, t_a, t_b, dt, block):
     return backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, h, block)
 
 
-def _full_advance(params, pulse, ramp, dt, block, t_a, t_b, stroboscopic=False):
+def _full_advance(params, pulse, ramp, dt, block, t_a, t_b):
     """The schedule walk of ``evolve`` on the full space, sectors ignored."""
-    t0, t1 = drive_window(pulse, ramp)
-    flat_a, flat_b = t0 + pulse.ramp_time, t1 - pulse.ramp_time
-    period = 1.0 / pulse.drive_freq
-    use_strobe = stroboscopic and (flat_b - flat_a) > MIN_STROBE_PERIODS * period
     cuts = [t_a] + [b for b in _boundaries(pulse, ramp) if t_a < b < t_b] + [t_b]
     for s, e in zip(cuts[:-1], cuts[1:]):
-        if use_strobe and abs(s - flat_a) < 1e-12 and abs(e - flat_b) < 1e-12:
-            # Whole periods from the first carrier zero of the flat top; the
-            # period is stepped through in full here, not mirrored.
-            lead = t0 + np.ceil(round(pulse.ramp_time * pulse.drive_freq, 9)) / pulse.drive_freq
-            n_per = int(np.floor((flat_b - lead) / period))
-            block = _full_interval(params, pulse, ramp, flat_a, lead, dt, block)
-            eye = np.eye(params.dim, dtype=complex)
-            mono = _full_interval(params, pulse, ramp, lead, lead + period, dt, eye)
-            block = backends.apply_power(mono, n_per, block)
-            block = _full_interval(params, pulse, ramp, lead + n_per * period, flat_b, dt, block)
-        else:
-            block = _full_interval(params, pulse, ramp, s, e, dt, block)
+        block = _full_interval(params, pulse, ramp, s, e, dt, block)
     return block
 
 
@@ -201,17 +186,27 @@ def test_amplitude_cell_matches_full_space(params500):
     assert abs(got - ref) <= ROUNDOFF_PER_STEP * 12000
 
 
-@pytest.mark.parametrize("stroboscopic", [True, False])
-def test_dynamic_bias_unitary_matches_full_space(rc500, stroboscopic):
+# With whole periods, a 20 ns gate takes n = 106 of them; without, the
+# 10.1 ns gate's 0.1 ns flat top holds none.
+@pytest.mark.parametrize("periods", [True, False])
+def test_dynamic_bias_unitary_matches_full_space(rc500, periods):
     params, dt = rc500.params, 2e-3
-    pulse, ramp = gate_schedule(replace(rc500.require("gate"), gate_time=20.0), 10.78, 0.05)
-    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt, stroboscopic=stroboscopic)
+    cfg = replace(rc500.require("gate"), gate_time=20.0 if periods else 10.1)
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
+    cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
 
+    # Stepped forward through the whole schedule, the second half of the
+    # drive window and the ramp-down included; the centred whole periods
+    # are one full-space period, stepped through in full, not mirrored.
     frame = dressed_frame(params, ramp.flux_idle)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
     end = total_duration(pulse, ramp)
-    out = _full_advance(params, pulse, ramp, dt, frame.states[:, idx].astype(complex),
-                        0.0, end, stroboscopic)
+    n, t_a, t_b = _centred_periods(pulse, ramp)
+    assert (n > 0) == periods
+    out = _full_advance(params, pulse, ramp, dt, frame.states[:, idx].astype(complex), 0.0, t_a)
+    eye = np.eye(params.dim, dtype=complex)
+    mono = _full_interval(params, pulse, ramp, t_a, t_a + 1.0 / pulse.drive_freq, dt, eye)
+    out = _full_advance(params, pulse, ramp, dt, backends.apply_power(mono, n, out), t_b, end)
     full = frame.states.conj().T @ out
     ref = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
     bound = ROUNDOFF_PER_STEP * end / dt
