@@ -39,7 +39,7 @@ gives mirrored spans equal step counts at mirrored midpoints, so the
 steps after the periods are G's steps in reverse order, and by the
 mirror identity of ``system`` the window is W = G^T M^n G. A gate
 evaluation thus steps one flank and less than one period, and takes
-one power; a window whose carrier is not symmetric about t_c raises
+one power; a window whose carrier does not peak at t_c raises
 ValueError. Chevron and amplitude propagations step every interval.
 
 Every step conserves the total parity of ``system`` (the drive modulates
@@ -76,6 +76,7 @@ A resonant strong drive needs a dt about 16x finer for 1e-6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -230,12 +231,12 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     sector's rows of ``ModelOperators.sectors``; a sector smaller than
     the widest, m, is padded with the identity. A new step length costs
     two 75 x 75 products, 0.30 ms on 2 vCPUs (0.80 ms for one 150 x 150).
-    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 64 of
-    75 lookups, since each monodromy, and each flat top's lead-in and
-    remainder, steps a length that no other drive frequency repeats; its
-    11 hits are drive-flank steps shared by one search's evaluations and
-    the flat-top steps of simplex vertices at one frequency. A
-    ``propagate`` run misses 1 of 90. 8 entries keep every hit, in 1.4 MB.
+    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 60 of
+    65 lookups, since each monodromy and each flat top's lead-in steps a
+    length that no other drive frequency repeats; its 5 hits are
+    drive-flank steps shared by one search's evaluations and the
+    flat-top steps of simplex vertices at one frequency. A ``propagate``
+    run misses 1 of 90. 8 entries keep every hit, in 1.4 MB.
     """
     frame = dressed_frame(params, flux)
     sectors = assemble_operators(params).sectors
@@ -407,30 +408,26 @@ def _advance(params, pulse, ramp, dt, block, t_a, t_b):
 
 
 def _centred_periods(pulse: ParametricPulse, ramp: BiasRamp | None):
-    """The whole drive periods of the flat top centred on the window
-    centre t_c: their count n and their span [t_c - nP/2, t_c + nP/2].
+    """The n = 2 floor((t_c - t0 - ramp_time) f_p) whole drive periods of
+    the flat top centred on the window centre t_c: their count and their
+    span [t_c - nP/2, t_c + nP/2].
 
-    The periods must start at carrier phase 0 for ``_period`` to apply.
-    The carrier phase at t_c is a whole number k of half turns in a
-    symmetric window, so n is the most periods that fit with n - k even
-    (n = 2 floor((t_c - t0 - ramp_time) f_p) for a ``gates.gate_schedule``
-    pulse, where k is even). A window without a drive or a carrier takes
-    no periods. Raises ValueError when the carrier is not symmetric
-    about t_c.
+    The carrier must peak at t_c, as ``gates.gate_schedule`` sets it, so
+    the window is time-symmetric and the periods start at carrier phase
+    0, where ``_period`` starts; ValueError otherwise. A window without a
+    drive or a carrier takes no periods.
     """
     t0, t1 = drive_window(pulse, ramp)
     t_c = 0.5 * (t0 + t1)
     if pulse.drive_amp == 0 or pulse.drive_freq == 0:
         return 0, t_c, t_c
-    turns = (pulse.phase + np.pi * pulse.drive_freq * pulse.gate_time) / np.pi
-    k = round(turns)
-    if abs(turns - k) > 1e-9:
+    if abs(math.remainder(pulse.phase + np.pi * pulse.drive_freq * pulse.gate_time,
+                          2.0 * np.pi)) > 1e-9:
         raise ValueError(
-            "the drive window is not time-symmetric: the carrier phase at its "
-            "centre must be a multiple of pi (gates.gate_schedule sets it)"
+            "the drive window is not time-symmetric about a carrier peak: the "
+            "carrier phase at its centre must be 0 (gates.gate_schedule sets it)"
         )
-    n = int(np.floor(round(2.0 * (t_c - t0 - pulse.ramp_time) * pulse.drive_freq, 9)))
-    n = max(n - (n - k) % 2, 0)
+    n = 2 * int(np.floor(round((t_c - t0 - pulse.ramp_time) * pulse.drive_freq, 9)))
     half = 0.5 * n / pulse.drive_freq
     return n, t_c - half, t_c + half
 
@@ -519,8 +516,9 @@ def propagate_computational_unitary(
 ) -> ComputationalUnitary:
     """Truncated propagator over the four dressed computational states.
 
-    The drive window must be time-symmetric, as ``gates.gate_schedule``
-    builds it (ValueError otherwise). Columns are propagated together
+    The carrier must peak at the centre of the drive window, as
+    ``gates.gate_schedule`` sets it, so the window is time-symmetric
+    (ValueError otherwise). Columns are propagated together
     through the first half of the window, x = G R, and the whole drive
     periods centred on the window as y = M^n x; the 4 x 4 is x^T y (see
     the module docstring). The bias ramp-up of a dynamic-bias schedule

@@ -6,8 +6,8 @@ leakage, and conditional phase, and calibrates the two drive parameters
 (frequency, amplitude) with a bounded derivative-free search seeded from
 the Floquet resonance. The calibrated gate's report ranks its leakage
 channels, read from the end-of-schedule populations of its propagator;
-only the report reads them, so no search evaluation steps a bias
-ramp-down.
+only the report reads them, so no search evaluation steps the second
+half of the drive window or a bias ramp-down.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ class OptimizationResult:
     """Outcome of one CZ calibration run.
 
     ``metrics`` scores ``unitary``, the optimum's propagator at the final
-    step; ``report`` reads its leakage channels, which steps a bias
-    ramp-down (see ``ComputationalUnitary``). ``trace`` holds every
+    step; ``report`` reads its leakage channels, which steps the second
+    half of the drive window and a bias ramp-down (see
+    ``ComputationalUnitary``). ``trace`` holds every
     objective evaluation in order; ``success`` is cleared when the best
     objective stays above the stagnation limit after the full restart
     budget.
@@ -250,7 +251,8 @@ def evaluate_gate(
     dt: float = DEFAULT_DT,
 ) -> GateMetrics:
     """Run the full schedule and score the truncated propagator; the
-    bias ramp-down is never stepped."""
+    second half of the drive window and the bias ramp-down are never
+    stepped."""
     pulse, ramp = gate_schedule(cfg, omega_p, drive_amp)
     return gate_metrics(propagate_computational_unitary(params, pulse, ramp, dt=dt).matrix)
 
@@ -262,7 +264,9 @@ def leakage_channels(
 
     Each entry carries the computational state that produced it; entries
     at or below ``threshold`` are dropped. Reads
-    ``unitary.final_populations``, which steps a bias ramp-down.
+    ``unitary.final_populations``, which steps the rest of the drive
+    window (the remainder after the whole periods and the down-flank)
+    and a bias ramp-down.
     """
     computational = set(COMPUTATIONAL_LABELS)
     pops = unitary.final_populations
