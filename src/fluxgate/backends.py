@@ -53,9 +53,9 @@ step, against 30 us in two separate calls and 33 us as one 150-state
 block), and ``apply_power`` applies a stack of matrices to a stack of
 blocks.
 
-Every per-point LAPACK call in the package goes through ``numpy.linalg``,
-so a process runs one OpenBLAS thread pool, numpy's, whose live count
-``blas_threads`` reads and ``set_blas_threads`` sets.
+The package links only numpy's LAPACK and OpenBLAS, so a process runs
+one OpenBLAS thread pool, whose live count ``blas_threads`` reads and
+``set_blas_threads`` sets.
 """
 
 from __future__ import annotations

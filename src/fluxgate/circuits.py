@@ -15,6 +15,9 @@ anharmonic-oscillator approximation, whose frequency
     omega_c(Phi) = sqrt(8 E_C E_J(Phi)) - E_C,    E_J(Phi) = E_J_max cos(pi Phi)
 
 is the quantity modulated by a flux drive.
+
+Every eigenproblem here, the tridiagonal ones included, is solved dense
+with ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import ConvergenceError, CutoffError, DomainError
 
@@ -95,6 +97,11 @@ class SpectralData:
         return float(self.energies[j] - self.energies[i])
 
 
+def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix with the given diagonal and off-diagonal."""
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
@@ -112,11 +119,12 @@ def _fluxonium_once(params: FluxoniumParams, basis_size: int, n_levels: int):
 
     # cos(phi) through the eigendecomposition of the tridiagonal phase operator
     # phi = phi_ext + phi_zpf (b + b^dag)
-    x_vals, x_vecs = eigh_tridiagonal(np.full(basis_size, params.phi_ext), phi_zpf * sq)
+    phi_op = _tridiagonal(np.full(basis_size, params.phi_ext), phi_zpf * sq)
+    x_vals, x_vecs = np.linalg.eigh(phi_op)
     cos_phi = (x_vecs * np.cos(x_vals)) @ x_vecs.T
 
     h = np.diag(omega0 * k) - params.e_j * cos_phi
-    evals, evecs = eigh(h)
+    evals, evecs = np.linalg.eigh(h)
     evecs = _fix_eigenvector_signs(evecs)
 
     n_op = np.zeros((basis_size, basis_size), dtype=complex)
@@ -179,8 +187,8 @@ def diagonalize_transmon_charge(
     ej = params.effective_ej(params.flux if flux is None else flux)
 
     n = np.arange(-n_charge_cutoff, n_charge_cutoff + 1)
-    evals, evecs = eigh_tridiagonal(4.0 * params.e_c * n.astype(float) ** 2,
-                                    np.full(2 * n_charge_cutoff, -ej / 2.0))
+    evals, evecs = np.linalg.eigh(_tridiagonal(4.0 * params.e_c * n.astype(float) ** 2,
+                                               np.full(2 * n_charge_cutoff, -ej / 2.0)))
     evecs = _fix_eigenvector_signs(evecs)
 
     top = evecs[:, n_levels - 1]

@@ -40,17 +40,14 @@ The bare-basis diagonal does not: at delta_Phi = 0.109 on set500 it put
 -1 within 3e-8 of an eigenvalue. One linear solve and one ``eigh`` give
 the modes Z, and the eigenvalues are the Rayleigh quotients z^dag M z.
 Both go through ``numpy.linalg`` (its ``eigh`` is LAPACK's
-divide-and-conquer ``heevd``), the OpenBLAS that every matrix product
-here already uses: scipy loads a second OpenBLAS with its own thread
-pool, and the two pools contend for the cores when calls alternate.
-The computed C is Hermitian only to about the unitarity defect of M
-times ||C||^2, so ``eigh`` is given its Hermitian part, not one
-triangle. Over 60 set500 monodromies (flux 0-0.4, delta_Phi 0-0.13,
-f_p 2-11.5 GHz) -1 stayed at least 0.012 from every rotated eigenvalue
-and the residual max |M Z - Z Lambda| at most 2e-13. That residual and
-the modulus defect max ||lambda| - 1| are checked against the unitarity
-limit, so an alpha that lands next to an eigenvalue raises instead of
-returning inaccurate modes.
+divide-and-conquer ``heevd``). The computed C is Hermitian only to
+about the unitarity defect of M times ||C||^2, so ``eigh`` is given its
+Hermitian part, not one triangle. Over 60 set500 monodromies (flux
+0-0.4, delta_Phi 0-0.13, f_p 2-11.5 GHz) -1 stayed at least 0.012 from
+every rotated eigenvalue and the residual max |M Z - Z Lambda| at most
+2e-13. That residual and the modulus defect max ||lambda| - 1| are
+checked against the unitarity limit, so an alpha that lands next to an
+eigenvalue raises instead of returning inaccurate modes.
 
 Transition extraction scans f_p across a window, tracks the driven pair
 by projecting Floquet modes onto the two target dressed states, then
@@ -214,14 +211,12 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
 
     The Floquet modes are the eigenvectors of the Hermitian Cayley
     transform C = i (I - U)(I + U)^-1 of U = e^{i alpha} M, taken with
-    ``numpy.linalg.eigh`` after a ``numpy.linalg.solve``, so the whole
-    eigensolve stays on numpy's one OpenBLAS thread pool (see the module
-    docstring); alpha puts -1 in the widest gap of the phases of the
-    diagonal of M in the dressed basis, which keeps I + U well
-    conditioned. The eigenvalues are the Rayleigh quotients
-    z^dag M z. Raises IntegrationError if max |M Z - Z Lambda| or
-    max ||lambda| - 1| exceeds 1e-10, which is how an alpha that lands
-    next to an eigenvalue of M shows.
+    ``numpy.linalg.eigh`` after a ``numpy.linalg.solve``; alpha puts -1
+    in the widest gap of the phases of the diagonal of M in the dressed
+    basis, which keeps I + U well conditioned. The eigenvalues are the
+    Rayleigh quotients z^dag M z. Raises IntegrationError if
+    max |M Z - Z Lambda| or max ||lambda| - 1| exceeds 1e-10, which is
+    how an alpha that lands next to an eigenvalue of M shows.
 
     Each stepped parity sector (``Monodromy.sectors``) is solved on its
     own, with its own alpha taken from its own dressed states; its modes

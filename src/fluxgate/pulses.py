@@ -77,9 +77,11 @@ def envelope(tau, ramp_time: float, gate_time: float):
     if ramp_time > 0:
         rising = (tau >= 0) & (tau < ramp_time)
         out[rising] = 0.5 * (1.0 - np.cos(np.pi * tau[rising] / ramp_time))
-        falling = (tau > gate_time - ramp_time) & (tau <= gate_time)
+        # The falling flank mirrors the rising one in gate_time - tau, so
+        # the two edges agree even where ramp_time is below ulp(gate_time).
+        falling = (gate_time - tau < ramp_time) & (tau <= gate_time)
         out[falling] = 0.5 * (1.0 - np.cos(np.pi * (gate_time - tau[falling]) / ramp_time))
-        flat = (tau >= ramp_time) & (tau <= gate_time - ramp_time)
+        flat = (tau >= ramp_time) & (gate_time - tau >= ramp_time)
         out[flat] = 1.0
     else:
         out[(tau >= 0) & (tau <= gate_time)] = 1.0

@@ -31,10 +31,7 @@ its first half; and a gate's time-symmetric drive window is
 G^T M^n G, with G its first half up to the whole periods M^n.
 
 ``label_eigenstates`` solves H with ``numpy.linalg.eigh`` (LAPACK's
-divide-and-conquer ``syevd``), so the dressed states are real. The
-eigensolve goes through numpy rather than scipy so that a process runs
-one OpenBLAS thread pool: scipy loads a second OpenBLAS whose threads
-would contend with numpy's for the cores.
+divide-and-conquer ``syevd``), so the dressed states are real.
 
 The flux-independent pieces (fluxonium diagonals, Kerr term, the bare
 coupling matrices) are assembled once per parameter set and cached, so
@@ -331,8 +328,7 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     assignment is a permutation even through avoided crossings. States
     whose winning overlap squared is below 0.5 are flagged ambiguous.
 
-    The matrix is solved as real symmetric with ``numpy.linalg.eigh`` on
-    numpy's one OpenBLAS thread pool (see the module docstring). A
+    The matrix is solved as real symmetric with ``numpy.linalg.eigh``. A
     nonzero imaginary part means the operator is not of the composite
     form and raises ``ConstructionError``; so does any nonzero element
     between two parity sectors. Each sector is then solved and matched

@@ -224,6 +224,32 @@ def test_no_command_loads_scipy_optimize():
     assert out == ["True", "False"]
 
 
+def test_no_command_loads_scipy(cfg500_path, tmp_path):
+    # The runtime needs numpy only. scipy would cost every process, pool
+    # workers included, about 0.3 s and 24 MiB to import, and would map a
+    # second OpenBLAS that set_blas_threads does not pin. So neither the
+    # package, nor a command's spectra and eigensolves, nor the
+    # calibration's simplex search may load any scipy module.
+    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 2\n")
+    out = str(tmp_path / "o")
+    probe = (
+        "import json, sys\n"
+        "import fluxgate\n"
+        "from fluxgate.cli import main\n"
+        "from fluxgate.gates import simplex_search\n"
+        f"codes = [main([command, '--config', cfg, '--out', {out!r}, '--workers', '1'])\n"
+        f"         for command, cfg in [('spectrum', {cfg500_path!r}), ('shift-scan', {cfg!r})]]\n"
+        "best = simplex_search(lambda x: float((x[0] - 0.3) ** 2 + x[1] ** 2), (0.0, 0.5),\n"
+        "                      ((-1.0, 1.0), (-1.0, 1.0)), (0.1, 0.1), restarts=2, budget=60)\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([codes, bool(abs(best[0] - 0.3) < 1e-3), loaded]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    stdout = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert json.loads(stdout.splitlines()[-1]) == [[0, 0], True, []]
+
+
 def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplog):
     # OpenBLAS results differ across thread counts, so only checkpoints
     # taken at the live count are reused; old lines without one are not.

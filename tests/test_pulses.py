@@ -35,6 +35,14 @@ def test_envelope_zero_outside_window():
     assert envelope(np.array([-1.0, 61.0]), 5.0, 60.0).tolist() == [0.0, 0.0]
 
 
+def test_envelope_edges_mirror_below_one_ulp_of_ramp():
+    # gate_time - ramp_time rounds to gate_time when ramp_time is below
+    # ulp(gate_time); both edges must still read the flank's zero.
+    tiny = 5e-324
+    assert envelope(np.array([0.0, 65.0]), tiny, 65.0).tolist() == [0.0, 0.0]
+    assert envelope(np.array([1e-300, 32.5, 65.0 - 1e-14]), tiny, 65.0).tolist() == [1.0] * 3
+
+
 def test_square_envelope_limit():
     t = np.linspace(0.0, 10.0, 101)
     env = envelope(t, 0.0, 10.0)
