@@ -275,9 +275,10 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
 
 
 def _calibrate(params, gate_cfg, dt, restarts, budget):
-    # Both gate commands search at max(dt, 1 ps) and score at dt.
+    # Both gate commands search at max(dt, SEARCH_DT) and score at dt.
     return gates.optimize_cz(
-        params, gate_cfg, dt=max(dt, 0.001), final_dt=dt, restarts=restarts, budget=budget,
+        params, gate_cfg, dt=max(dt, gates.SEARCH_DT), final_dt=dt,
+        restarts=restarts, budget=budget,
     )
 
 

@@ -179,13 +179,8 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
 
 
 def _idle_frame(params, pulse, ramp, dt) -> LabeledSpectrum:
-    """Check the schedule and the step, then return the dressed frame at
-    the idle flux, where initial states and recorded populations live."""
-    if ramp is not None and abs(pulse.flux_static - ramp.flux_interaction) > 1e-12:
-        raise ValueError(
-            "pulse.flux_static must equal ramp.flux_interaction; the drive "
-            "modulates the coupler around the interaction bias"
-        )
+    """Check the step, then return the dressed frame at the idle flux,
+    where initial states and recorded populations live."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if pulse.drive_amp > 0 and pulse.drive_freq > 0:
@@ -438,20 +433,24 @@ def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _ramped_up_block(params: CompositeParams, ramp: BiasRamp, dt: float) -> np.ndarray:
-    """Computational block of the idle frame propagated through the bias
-    ramp-up [0, ramp.ramp_time] (cached, read-only).
+def _ramped_up_block(
+    params: CompositeParams, flux: float, ramp: BiasRamp | None, dt: float
+) -> np.ndarray:
+    """Computational block of the idle frame at the start of the drive
+    window around the bias ``flux`` (cached, read-only): propagated
+    through the bias ramp-up [0, ramp.ramp_time], or the idle block at
+    ``flux`` itself without a ramp.
 
     No drive acts before the drive window, so the block does not depend
-    on the pulse: a driveless stand-in steps the interval exactly as any
+    on the drive: a driveless stand-in steps the interval exactly as any
     pulse of the schedule would, with the same coarse undriven step. The
     same block scores the ramp-down (see the module docstring).
     """
-    driveless = ParametricPulse(
-        ramp.flux_interaction, drive_amp=0.0, drive_freq=0.0, ramp_time=0.0, gate_time=0.0
-    )
-    block = _computational_block(dressed_frame(params, ramp.flux_idle))
-    block = _advance(params, driveless, ramp, dt, block, 0.0, ramp.ramp_time)
+    block = _computational_block(dressed_frame(params, flux if ramp is None else ramp.flux_idle))
+    if ramp is not None:
+        driveless = ParametricPulse(flux, drive_amp=0.0, drive_freq=0.0, ramp_time=0.0,
+                                    gate_time=0.0)
+        block = _advance(params, driveless, ramp, dt, block, 0.0, ramp.ramp_time)
     block.flags.writeable = False
     return block
 
@@ -523,22 +522,19 @@ def propagate_computational_unitary(
     periods centred on the window as y = M^n x; the 4 x 4 is x^T y (see
     the module docstring). The bias ramp-up of a dynamic-bias schedule
     carries no drive, so its block R is propagated once per (params,
-    ramp, dt) and shared by every drive frequency and amplitude; without
-    a ramp R is the idle computational block. The rest of the schedule is
-    stepped only when ``final_populations`` is first read. Row phases
-    rotate at the idle dressed energies, so an idle system yields the
-    identity.
+    bias flux, ramp, dt) and shared by every drive frequency and
+    amplitude; without a ramp R is the idle computational block. The
+    rest of the schedule is stepped only when ``final_populations`` is
+    first read. Row phases rotate at the idle dressed energies, so an
+    idle system yields the identity.
     """
     frame = _idle_frame(params, pulse, ramp, dt)
     idx = frame.unambiguous(COMPUTATIONAL_LABELS)
     n, t_a, t_b = _centred_periods(pulse, ramp)
 
     duration = total_duration(pulse, ramp)
-    if ramp is None:
-        block, t_start = _computational_block(frame), 0.0
-    else:
-        block, t_start = _ramped_up_block(params, ramp, dt), ramp.ramp_time
-    x = _advance(params, pulse, ramp, dt, block, t_start, t_a)
+    block = _ramped_up_block(params, pulse.flux_static, ramp, dt)
+    x = _advance(params, pulse, ramp, dt, block, drive_window(pulse, ramp)[0], t_a)
     y = x
     if n:
         sectors = assemble_operators(params).sectors

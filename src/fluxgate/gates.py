@@ -36,6 +36,7 @@ GATE_MODES = ("dynamic-bias", "static-bias")
 DIAGONAL_FLOOR = 1e-3
 OPTIMIZER_BUDGET = 400
 OPTIMIZER_RESTARTS = 3
+SEARCH_DT = 0.001
 SEED_PROBE_AMP = 0.02
 STAGNATION_LIMIT = 1e-2
 
@@ -60,8 +61,9 @@ class GateConfig:
 
     ``dynamic-bias`` ramps the coupler from ``flux_idle`` to
     ``flux_interaction`` before driving and back afterwards;
-    ``static-bias`` parks it at ``flux_idle`` throughout. Bounds, when
-    given, constrain the (drive frequency, drive amplitude) search.
+    ``static-bias`` parks it at ``flux_idle`` throughout and takes no
+    ``flux_interaction``. Bounds, when given, constrain the (drive
+    frequency, drive amplitude) search.
     """
 
     mode: str
@@ -83,6 +85,8 @@ class GateConfig:
                 raise ValueError(
                     "dynamic-bias mode requires flux_idle != flux_interaction"
                 )
+        elif self.flux_interaction is not None:
+            raise ValueError("static-bias mode drives at flux_idle and takes no flux_interaction")
         if self.gate_time <= 0:
             raise ValueError("gate_time must be positive")
         if self.bias_ramp <= 0:
@@ -239,7 +243,7 @@ def gate_schedule(
     )
     ramp = None
     if cfg.mode == "dynamic-bias":
-        ramp = BiasRamp(cfg.flux_idle, cfg.flux_interaction, cfg.bias_ramp)
+        ramp = BiasRamp(cfg.flux_idle, cfg.bias_ramp)
     return pulse, ramp
 
 
@@ -480,7 +484,7 @@ def _seed_from_floquet(
 def optimize_cz(
     params: CompositeParams,
     cfg: GateConfig,
-    dt: float = 0.001,
+    dt: float = SEARCH_DT,
     final_dt: float | None = None,
     restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,

@@ -11,8 +11,8 @@ centre the carrier on the window (``ParametricPulse``). The
 envelope rises and falls with half-cosine flanks of length ``ramp_time``
 and is flat in between, so the waveform and its first derivative are
 continuous at every junction. An optional bias ramp carries the coupler
-from its idle flux to the interaction flux before the drive window, and
-back after it, with the same half-cosine shape.
+from its idle flux to the pulse's static flux before the drive window,
+and back after it, on the flanks of the same envelope.
 
 Times are in ns, frequencies in GHz, fluxes in units of the flux
 quantum.
@@ -55,14 +55,13 @@ class ParametricPulse:
 
 @dataclass(frozen=True)
 class BiasRamp:
-    """Slow excursion from the idle flux to the interaction flux.
+    """Slow excursion from the idle flux to the pulse's ``flux_static``.
 
-    The interaction flux is held over the drive window; the outer flanks
-    take ``ramp_time`` each.
+    That flux is held over the drive window; the outer flanks take
+    ``ramp_time`` each.
     """
 
     flux_idle: float
-    flux_interaction: float
     ramp_time: float = 3.0
 
     def __post_init__(self):
@@ -101,28 +100,20 @@ def total_duration(pulse: ParametricPulse, ramp: BiasRamp | None) -> float:
 
 
 def bias_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
-    """Slow bias component of the flux schedule at time(s) t."""
+    """Slow bias component of the flux schedule at time(s) t.
+
+    With a ramp, the bias is an ``envelope`` over the whole schedule from
+    ``ramp.flux_idle`` to ``pulse.flux_static``, written from the held
+    flux so the hold is exactly ``flux_static``.
+    """
     if ramp is None:
         return (
             np.full_like(np.asarray(t, dtype=float), pulse.flux_static)
             if np.ndim(t)
             else pulse.flux_static
         )
-    t_arr = np.asarray(t, dtype=float)
-    tr = ramp.ramp_time
-    t_fall = tr + pulse.gate_time
-    span = ramp.flux_interaction - ramp.flux_idle
-
-    out = np.full_like(t_arr, ramp.flux_idle)
-    rising = (t_arr >= 0) & (t_arr < tr)
-    out[rising] = ramp.flux_idle + span * 0.5 * (1.0 - np.cos(np.pi * t_arr[rising] / tr))
-    hold = (t_arr >= tr) & (t_arr < t_fall)
-    out[hold] = ramp.flux_interaction
-    falling = (t_arr >= t_fall) & (t_arr < t_fall + tr)
-    out[falling] = ramp.flux_idle + span * 0.5 * (
-        1.0 - np.cos(np.pi * (t_fall + tr - t_arr[falling]) / tr)
-    )
-    return out if out.ndim else float(out)
+    below = 1.0 - envelope(t, ramp.ramp_time, total_duration(pulse, ramp))
+    return pulse.flux_static - (pulse.flux_static - ramp.flux_idle) * below
 
 
 def drive_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):

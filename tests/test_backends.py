@@ -2,7 +2,6 @@
 and the one-OpenBLAS-pool rule with its thread-count helper."""
 
 import functools
-import inspect
 import os
 import subprocess
 import sys
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fluxgate import backends, evolve, floquet, system
+from fluxgate import backends
 from fluxgate.errors import ConstructionError
 from fluxgate.circuits import oscillator_coefficients
 from fluxgate.system import assemble_operators
@@ -178,19 +177,6 @@ def test_strang_sequence_chains_across_a_split(model, n_first, n_second, width, 
     first = backends.strang_sequence(u0, ops.n_diag, dc1[:n_first], DT, block)
     chained = backends.strang_sequence(u0, ops.n_diag, dc1[n_first:], DT, first)
     assert np.max(np.abs(whole - chained)) <= 1e-12
-
-
-@pytest.mark.parametrize("module", [floquet, system, evolve, backends],
-                         ids=lambda m: m.__name__)
-def test_per_point_modules_bind_no_scipy_linalg(module):
-    # scipy.linalg runs on scipy's own OpenBLAS, whose thread pool contends
-    # with numpy's; per-point paths use numpy.linalg only.
-    bound = [
-        name for name, obj in vars(module).items()
-        if (inspect.ismodule(obj) and obj.__name__.startswith("scipy.linalg"))
-        or (callable(obj) and (getattr(obj, "__module__", None) or "").startswith("scipy.linalg"))
-    ]
-    assert bound == []
 
 
 def test_blas_threads_reads_the_live_count():

@@ -207,23 +207,6 @@ def test_importing_the_library_keeps_the_blas_thread_count():
     assert out[0] == out[1]
 
 
-def test_no_command_loads_scipy_optimize():
-    # scipy.optimize costs every process about 20 MiB and 0.3 s to import;
-    # the calibration's simplex search is the package's own.
-    probe = (
-        "import sys\n"
-        "import fluxgate, fluxgate.cli\n"
-        "from fluxgate.gates import simplex_search\n"
-        "best = simplex_search(lambda x: float((x[0] - 0.3) ** 2 + x[1] ** 2), (0.0, 0.5),\n"
-        "                      ((-1.0, 1.0), (-1.0, 1.0)), (0.1, 0.1), restarts=2, budget=60)\n"
-        "print(abs(best[0] - 0.3) < 1e-3, 'scipy.optimize' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["True", "False"]
-
-
 def test_no_command_loads_scipy(cfg500_path, tmp_path):
     # The runtime needs numpy only. scipy would cost every process, pool
     # workers included, about 0.3 s and 24 MiB to import, and would map a

@@ -186,6 +186,16 @@ def test_gate_bounds_ordered_and_amplitudes_non_negative(tmp_path, bounds):
     assert err.value.field == "gate"
 
 
+def test_static_bias_gate_takes_no_interaction_flux(tmp_path):
+    # A static-bias gate drives at flux_idle, so a flux_interaction would
+    # never take effect.
+    gate = ("[gate]\nmode = static-bias\nflux_idle = 0.35\nflux_interaction = 0.3\n"
+            "gate_time = 65.0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, gate))
+    assert err.value.field == "gate"
+
+
 SCAN_PULSES = {
     "chevron": "[chevron]\nflux_s = 0.35\ndrive_amp = {amp}\nfreq_min = 10.7\nfreq_max = 10.9\n"
                "freq_points = 5\ntime_max = 100.0\ntime_points = 5\nramp_time = {ramp}\n",

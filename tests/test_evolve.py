@@ -122,9 +122,10 @@ def test_mirrored_window_matches_direct_stepping(rc500, mode):
     # is x^T x with x the first half of the window. Both halves of the
     # flat top take 50 steps of 1 ps, as the whole flat top stepped at
     # once takes 100, so the direct steps are the mirrored ones.
-    cfg = replace(rc500.require("gate"), mode=mode, gate_time=10.1)
+    cfg = replace(rc500.require("gate"), gate_time=10.1)
     if mode == "static-bias":
-        cfg = replace(cfg, flux_idle=cfg.flux_interaction)
+        cfg = replace(cfg, mode="static-bias", flux_idle=cfg.flux_interaction,
+                      flux_interaction=None)
     pulse, ramp = gate_schedule(cfg, 10.79, 0.06)
     assert _centred_periods(pulse, ramp)[0] == 0
     cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=1e-3)
@@ -143,10 +144,11 @@ def test_mirrored_window_matches_direct_stepping(rc500, mode):
 def test_gate_window_is_symmetric_and_its_gate_complex_symmetric(
     rc500, freq, gate_time, ramp_share, mode
 ):
-    cfg = replace(rc500.require("gate"), mode=mode, gate_time=gate_time,
+    cfg = replace(rc500.require("gate"), gate_time=gate_time,
                   drive_ramp=ramp_share * gate_time)
     if mode == "static-bias":
-        cfg = replace(cfg, flux_idle=cfg.flux_interaction)
+        cfg = replace(cfg, mode="static-bias", flux_idle=cfg.flux_interaction,
+                      flux_interaction=None)
     pulse, ramp = gate_schedule(cfg, freq, 0.05)
     t0, t1 = drive_window(pulse, ramp)
     # The window edges are left out: a square envelope jumps there, and
@@ -256,11 +258,12 @@ def test_ramp_up_block_is_shared(rc500):
     block = _computational_block(dressed_frame(params, ramp.flux_idle))
     end = total_duration(pulse, ramp)
     direct = _advance(params, pulse, ramp, dt, block, 0.0, end)
-    shared = _advance(params, pulse, ramp, dt, _ramped_up_block(params, ramp, dt),
+    shared = _advance(params, pulse, ramp, dt,
+                      _ramped_up_block(params, pulse.flux_static, ramp, dt),
                       ramp.ramp_time, end)
     assert np.array_equal(direct, shared)
     with pytest.raises(ValueError):
-        _ramped_up_block(params, ramp, dt)[0, 0] = 0.0
+        _ramped_up_block(params, pulse.flux_static, ramp, dt)[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("bias_ramp, gate_time, dt", [
@@ -297,7 +300,7 @@ def test_ramp_down_is_the_parity_transposed_ramp_up(rc500, bias_ramp, gate_time,
 @example(tau=0.6, gate_time=31.0, dt=5e-4, flux=0.35)  # 120 and 121
 def test_ramps_take_equal_steps_and_mirror_biases(params500, tau, gate_time, dt, flux):
     pulse = ParametricPulse(flux, 0.03, 10.8, ramp_time=5.0, gate_time=gate_time)
-    ramp = BiasRamp(0.0, flux, tau)
+    ramp = BiasRamp(0.0, tau)
     t0, t1 = drive_window(pulse, ramp)
     end = total_duration(pulse, ramp)
     step = dt * DRIVELESS_DT_FACTOR
@@ -327,7 +330,7 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
     cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
     assert calls == []
     # One ramp-down step sequence per sector the computational block spans.
-    block = _ramped_up_block(params, ramp, dt)
+    block = _ramped_up_block(params, pulse.flux_static, ramp, dt)
     per_ramp_down = len(_split(assemble_operators(params).sectors, block).active)
     populations = cu.final_populations
     assert len(calls) == per_ramp_down >= 1
@@ -363,9 +366,6 @@ def test_norm_drift_is_recorded_and_guarded(rc500, monkeypatch):
 def test_dt_and_bias_guards(params500):
     with pytest.raises(ValueError):
         propagate_state(params500, RESONANT, dt=0.05)
-    ramp = BiasRamp(0.0, 0.30, 3.0)
-    with pytest.raises(ValueError):
-        propagate_state(params500, RESONANT, ramp=ramp)
 
 
 def test_chevron_column_shapes(params500):

@@ -134,7 +134,7 @@ def test_gate_schedule_modes():
     assert pulse.flux_static == 0.35
     assert ramp is not None
     assert ramp.flux_idle == 0.0
-    assert ramp.flux_interaction == 0.35
+    assert ramp.ramp_time == dyn.bias_ramp
     assert dyn.drive_flux == 0.35
 
 
@@ -470,9 +470,9 @@ def test_calibration_steps_no_ramp_down(rc500, monkeypatch):
     params, cfg = rc500.params, replace(rc500.require("gate"), gate_time=20.0)
     assert cfg.mode == "dynamic-bias"
     monkeypatch.setattr(gates, "_seed_from_floquet", lambda params, cfg, dt: (10.78, 0.05))
-    _, ramp = gate_schedule(cfg, 10.78, 0.05)
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
     for dt in (2e-3, 1e-3):
-        _ramped_up_block(params, ramp, dt)  # the cached ramp-ups
+        _ramped_up_block(params, pulse.flux_static, ramp, dt)  # the cached ramp-ups
     calls = []
     stepped = backends.step_sequence
 

@@ -56,7 +56,7 @@ def test_pulse_validation():
         ParametricPulse(flux_static=0.3, drive_amp=0.01, drive_freq=10.0,
                         ramp_time=30.0, gate_time=50.0)
     with pytest.raises(ValueError):
-        BiasRamp(flux_idle=0.0, flux_interaction=0.3, ramp_time=0.0)
+        BiasRamp(flux_idle=0.0, ramp_time=0.0)
 
 
 def test_static_schedule_without_ramp():
@@ -73,7 +73,7 @@ def test_static_schedule_without_ramp():
 def test_bias_ramp_geometry():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.0, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)
-    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0)
+    ramp = BiasRamp(flux_idle=0.0, ramp_time=3.0)
     assert total_duration(pulse, ramp) == pytest.approx(3.0 + 60.0 + 3.0)
     assert drive_window(pulse, ramp) == (3.0, 63.0)
     t = np.linspace(0.0, total_duration(pulse, ramp), 20001)
@@ -84,11 +84,27 @@ def test_bias_ramp_geometry():
     assert np.max(np.abs(np.diff(bias))) < 0.35 * np.pi / 2.0 * (t[1] - t[0]) / 3.0 * 1.01
 
 
+@pytest.mark.parametrize("flux_idle", [0.0, 0.45], ids=["up", "down"])
+def test_bias_ramp_holds_the_pulse_flux_on_the_envelope(flux_idle):
+    # The ramp carries the coupler from flux_idle to the pulse's own
+    # flux_static on the flanks of a flat-top envelope over the schedule.
+    pulse = ParametricPulse(flux_static=0.2, drive_amp=0.0, drive_freq=10.8,
+                            ramp_time=5.0, gate_time=60.0)
+    ramp = BiasRamp(flux_idle=flux_idle, ramp_time=3.0)
+    end = total_duration(pulse, ramp)
+    t = np.linspace(0.0, end, 20001)
+    bias = bias_flux(pulse, ramp, t)
+    t0, t1 = drive_window(pulse, ramp)
+    assert np.all(bias[(t >= t0) & (t < t1)] == 0.2)
+    shape = flux_idle + (0.2 - flux_idle) * envelope(t, ramp.ramp_time, end)
+    assert np.max(np.abs(bias - shape)) <= 1e-15
+
+
 def test_drive_phase_referenced_to_window_start():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.03, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)
     bare = drive_flux(pulse, None, np.linspace(0.0, 60.0, 1201))
-    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0)
+    ramp = BiasRamp(flux_idle=0.0, ramp_time=3.0)
     assert drive_window(pulse, ramp) == (ramp.ramp_time, ramp.ramp_time + 60.0)
     shifted = drive_flux(pulse, ramp, ramp.ramp_time + np.linspace(0.0, 60.0, 1201))
     assert np.allclose(bare, shifted, atol=1e-12)
@@ -105,7 +121,7 @@ def test_default_phase_is_the_window_start_cosine():
 def test_drive_silent_outside_window():
     pulse = ParametricPulse(flux_static=0.35, drive_amp=0.03, drive_freq=10.8,
                             ramp_time=5.0, gate_time=60.0)
-    ramp = BiasRamp(flux_idle=0.0, flux_interaction=0.35, ramp_time=3.0)
+    ramp = BiasRamp(flux_idle=0.0, ramp_time=3.0)
     dur = total_duration(pulse, ramp)
     assert drive_flux(pulse, ramp, 1.5) == 0.0
     assert drive_flux(pulse, ramp, dur - 1.0) == 0.0
