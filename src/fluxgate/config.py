@@ -39,7 +39,8 @@ class ReferenceValues:
     transitions are f01, f12, f03 and f14; the elements are the charge
     matrix elements |<0|n|1>|, |<1|n|2>|, |<0|n|3>| and |<1|n|4>|.
     Coupler frequencies refer to zero flux; the ``_interaction`` pair to
-    ``interaction_flux``.
+    ``interaction_flux``, or without it to the ``[gate]`` drive flux;
+    ``load_config`` refuses the pair when there is neither.
     """
 
     q0_transitions: tuple[float, ...] | None = None
@@ -309,7 +310,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "resolution": (_parse_int, False),
     },
     "gate": {
-        "mode": (_parse_str, True),
         "flux_idle": (_parse_float, True),
         "flux_interaction": (_parse_float, False),
         "gate_time": (_parse_float, True),
@@ -446,6 +446,16 @@ def load_config(path) -> RunConfig:
         field: _build(name, factory, parsed[name])
         for field, name, factory in _SECTIONS if name in parsed
     }
+
+    # The spectrum command compares the _interaction pair at the
+    # reference's interaction_flux, else at the gate's drive flux.
+    ref = sections.get("reference")
+    if ref is not None and ref.interaction_flux is None and gate is None:
+        for key in ("coupler_w01_interaction", "coupler_w12_interaction"):
+            if getattr(ref, key) is not None:
+                raise ConfigError(
+                    "needs interaction_flux or a [gate] to compare against", f"reference.{key}"
+                )
 
     # A label names a level of each circuit: qubit 0, coupler, qubit 1.
     counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)

@@ -520,10 +520,11 @@ def propagate_computational_unitary(
     (ValueError otherwise). Columns are propagated together
     through the first half of the window, x = G R, and the whole drive
     periods centred on the window as y = M^n x; the 4 x 4 is x^T y (see
-    the module docstring). The bias ramp-up of a dynamic-bias schedule
-    carries no drive, so its block R is propagated once per (params,
-    bias flux, ramp, dt) and shared by every drive frequency and
-    amplitude; without a ramp R is the idle computational block. The
+    the module docstring). The bias ramp-up, there when the gate sets an
+    interaction flux, carries no drive, so its block R is propagated
+    once per (params, bias flux, ramp, dt) and shared by every drive
+    frequency and amplitude; without a ramp R is the idle computational
+    block. The
     rest of the schedule is stepped only when ``final_populations`` is
     first read. Row phases rotate at the idle dressed energies, so an
     idle system yields the identity.

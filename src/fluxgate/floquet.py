@@ -85,9 +85,8 @@ class Monodromy:
     """One-period propagator of the driven system.
 
     ``sectors`` lists the indices into ``ModelOperators.sectors`` of the
-    stepped parity sectors (None, for a matrix built elsewhere, means
-    all of them); ``matrix`` is exactly zero outside their diagonal
-    blocks.
+    stepped parity sectors; ``matrix`` is exactly zero outside their
+    diagonal blocks.
     """
 
     matrix: np.ndarray
@@ -95,7 +94,7 @@ class Monodromy:
     flux_s: float
     drive_freq: float
     defect: float
-    sectors: tuple[int, ...] | None = None
+    sectors: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -229,11 +228,10 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     if cross_sector_max(m, sectors):
         raise ConstructionError("monodromy couples parity sectors")
 
-    stepped = range(len(sectors)) if mono.sectors is None else mono.sectors
-    solved = np.sort(np.concatenate([frame.sectors[s] for s in stepped]))
+    solved = np.sort(np.concatenate([frame.sectors[s] for s in mono.sectors]))
     lam = np.empty(solved.size, dtype=complex)
     z = np.zeros((m.shape[0], solved.size), dtype=complex)
-    for s in stepped:
+    for s in mono.sectors:
         rows, members = sectors[s], frame.sectors[s]
         cols = np.searchsorted(solved, members)
         q = frame.states[np.ix_(rows, members)]

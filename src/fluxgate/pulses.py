@@ -42,15 +42,15 @@ class ParametricPulse:
     flux_static: float
     drive_amp: float
     drive_freq: float
-    ramp_time: float = 5.0
-    gate_time: float = 100.0
+    ramp_time: float
+    gate_time: float
     phase: float = 0.0
 
     def __post_init__(self):
         if self.drive_amp < 0:
             raise ValueError("drive_amp must be non-negative")
         if self.ramp_time < 0 or 2.0 * self.ramp_time > self.gate_time:
-            raise ValueError("ramps must satisfy 0 <= 2 ramp_time <= gate_time")
+            raise ValueError("drive ramps must satisfy 0 <= 2 ramp_time <= gate_time")
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,16 @@ class BiasRamp:
     """Slow excursion from the idle flux to the pulse's ``flux_static``.
 
     That flux is held over the drive window; the outer flanks take
-    ``ramp_time`` each.
+    ``ramp_time`` each. ``gates.gate_schedule`` builds one exactly when
+    the gate sets an interaction flux.
     """
 
     flux_idle: float
-    ramp_time: float = 3.0
+    ramp_time: float
 
     def __post_init__(self):
         if self.ramp_time <= 0:
-            raise ValueError("ramp_time must be positive")
+            raise ValueError("bias ramp_time must be positive")
 
 
 def envelope(tau, ramp_time: float, gate_time: float):

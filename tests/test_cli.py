@@ -382,7 +382,7 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         CHEVRON_TINY.replace("dt = 0.002", "dt = 0.05")
-        + "\n[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n",
+        + "\n[gate]\nflux_idle = 0.35\ngate_time = 30.0\n",
     )
     out = tmp_path / "o"
     assert main(["chevron", "--config", cfg, "--out", str(out)]) == 1
@@ -518,7 +518,7 @@ def test_gate_opt_stagnation_report(tmp_path, capsys):
     # phase cannot reach pi, so the calibration must report stagnation.
     cfg = write_cfg(
         tmp_path,
-        "[output]\ndt = 0.002\n\n[gate]\nmode = static-bias\nflux_idle = 0.35\n"
+        "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.35\n"
         "gate_time = 30.0\nrestarts = 1\nbudget = 10\n"
         "freq_min = 10.90\nfreq_max = 10.95\namp_min = 0.01\namp_max = 0.05\n",
     )
@@ -554,7 +554,7 @@ def test_gate_opt_stagnation_report(tmp_path, capsys):
 def test_gate_sweep_rows(tmp_path):
     cfg = write_cfg(
         tmp_path,
-        "[output]\ndt = 0.002\n\n[gate]\nmode = static-bias\nflux_idle = 0.35\n"
+        "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.35\n"
         "gate_time = 30.0\nrestarts = 1\nbudget = 10\n"
         "freq_min = 10.90\nfreq_max = 10.95\namp_min = 0.01\namp_max = 0.05\n\n"
         "[gate_sweep]\ngate_times = 12.0, 30.0\ndrive_ramps = 5.0\n",
@@ -572,7 +572,7 @@ def test_gate_sweep_rows(tmp_path):
 
 
 SWEEP = (
-    "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n\n"
+    "[gate]\nflux_idle = 0.35\ngate_time = 30.0\n\n"
     "[gate_sweep]\ngate_times = 30.0, 40.0\ndrive_ramps = 5.0\n"
 )
 
@@ -648,7 +648,7 @@ def test_gate_sweep_records_a_raised_cell(tmp_path):
     # At flux 0.49 the calibration cannot run; the cell is a failed row.
     cfg = write_cfg(
         tmp_path,
-        "[output]\ndt = 0.002\n\n[gate]\nmode = static-bias\nflux_idle = 0.49\n"
+        "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.49\n"
         "gate_time = 65.0\nrestarts = 1\nbudget = 10\n\n"
         "[gate_sweep]\ngate_times = 65.0\ndrive_ramps = 5.0\n",
     )
@@ -683,7 +683,7 @@ def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
     cfg = write_cfg(
         tmp_path,
         "[output]\ndt = 0.002\n\n"
-        "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n\n"
+        "[gate]\nflux_idle = 0.35\ngate_time = 30.0\n\n"
         "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n",
     )
     for command in ("gate-opt", "gate-sweep"):
@@ -701,7 +701,7 @@ def test_gate_run_id_hashes_restarts_and_budget(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(gates, "optimize_cz", stop)
     gate = (
-        "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 30.0\n{}\n\n"
+        "[gate]\nflux_idle = 0.35\ngate_time = 30.0\n{}\n\n"
         "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n"
     )
     out = tmp_path / "o"

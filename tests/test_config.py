@@ -57,7 +57,7 @@ def test_minimal_config_defaults(tmp_path):
 def test_bundled_configs(rc500, rc300):
     for rc in (rc500, rc300):
         assert rc.gate is not None
-        assert rc.gate.mode == "dynamic-bias"
+        assert rc.gate.bias_ramp == 3.0
         assert rc.reference is not None
         assert len(rc.reference.q0_transitions) == 4
         assert len(rc.reference.q1_elements) == 4
@@ -76,6 +76,11 @@ def test_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, base=BASE.replace("e_j = 4.0", "e_j = 4.0\nfoo = 1")))
     assert err.value.field == "qubit0.foo"
+    # Whether flux_interaction is given states the gate's bias schedule.
+    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\n"
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        load_config(write(tmp_path, gate))
+    assert err.value.field == "gate.mode"
 
 
 def test_missing_required_key(tmp_path):
@@ -158,7 +163,6 @@ def test_floquet_pair_of_one_state_rejected(tmp_path):
 def test_gate_bounds_come_in_pairs(tmp_path):
     gate = """\
 [gate]
-mode = static-bias
 flux_idle = 0.35
 gate_time = 65.0
 freq_min = 10.7
@@ -180,20 +184,34 @@ freq_min = 10.7
     pytest.param("amp_min = -0.01\namp_max = 0.1\n", id="amp-negative"),
 ])
 def test_gate_bounds_ordered_and_amplitudes_non_negative(tmp_path, bounds):
-    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\n" + bounds
+    gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n" + bounds
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, gate))
     assert err.value.field == "gate"
 
 
 def test_static_bias_gate_takes_no_interaction_flux(tmp_path):
-    # A static-bias gate drives at flux_idle, so a flux_interaction would
-    # never take effect.
-    gate = ("[gate]\nmode = static-bias\nflux_idle = 0.35\nflux_interaction = 0.3\n"
-            "gate_time = 65.0\n")
-    with pytest.raises(ConfigError) as err:
-        load_config(write(tmp_path, gate))
-    assert err.value.field == "gate"
+    # flux_interaction and bias_ramp come together: without the ramp the
+    # gate drives at flux_idle, so neither value would take effect alone.
+    for extra in ("flux_interaction = 0.3\n", "bias_ramp = 7.0\n"):
+        gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n" + extra
+        with pytest.raises(ConfigError, match="come together") as err:
+            load_config(write(tmp_path, gate))
+        assert err.value.field == "gate"
+
+
+@pytest.mark.parametrize("key", ["coupler_w01_interaction", "coupler_w12_interaction"])
+def test_interaction_reference_needs_a_flux(tmp_path, key):
+    # The spectrum command compares the pair at [reference]
+    # interaction_flux or at the [gate] drive flux; with neither the
+    # value would be dropped.
+    ref = f"[reference]\n{key} = 99.0\n"
+    with pytest.raises(ConfigError, match="interaction_flux") as err:
+        load_config(write(tmp_path, ref))
+    assert err.value.field == f"reference.{key}"
+    assert load_config(write(tmp_path, ref + "interaction_flux = 0.35\n")).reference
+    gate = "\n[gate]\nflux_idle = 0.35\ngate_time = 65.0\n"
+    assert load_config(write(tmp_path, ref + gate)).reference
 
 
 SCAN_PULSES = {
@@ -218,7 +236,7 @@ def test_scan_pulse_checked_at_load(tmp_path, section):
 
 
 def test_gate_budget_floor(tmp_path):
-    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\nbudget = 5\n"
+    gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\nbudget = 5\n"
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, gate))
     assert err.value.field == "gate.budget"
@@ -227,7 +245,7 @@ def test_gate_budget_floor(tmp_path):
 def test_gate_restarts_within_the_offset_table(tmp_path):
     # Restart k starts from OFFSET_TABLE[k]; one past the table would
     # repeat restart 0's search.
-    gate = "[gate]\nmode = static-bias\nflux_idle = 0.35\ngate_time = 65.0\nrestarts = {}\n"
+    gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\nrestarts = {}\n"
     rc = load_config(write(tmp_path, gate.format(len(OFFSET_TABLE))))
     assert rc.gate_restarts == len(OFFSET_TABLE)
     for bad in (0, len(OFFSET_TABLE) + 1):

@@ -46,7 +46,7 @@ RESONANT = ParametricPulse(
 
 def _static_gate(freq, amp, gate_time, ramp_time=5.0):
     """A static-bias gate pulse at flux 0.35: carrier centred on the window."""
-    cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=gate_time, drive_ramp=ramp_time)
+    cfg = GateConfig(flux_idle=0.35, gate_time=gate_time, drive_ramp=ramp_time)
     pulse, _ = gate_schedule(cfg, freq, amp)
     return pulse
 
@@ -116,16 +116,16 @@ def test_stroboscopic_matches_direct(params500, freq, ramp_time, gate_time):
     assert np.max(np.abs(strobe.matrix - direct)) < 5e-6
 
 
-@pytest.mark.parametrize("mode", ["dynamic-bias", "static-bias"])
-def test_mirrored_window_matches_direct_stepping(rc500, mode):
+@pytest.mark.parametrize("bias", ["dynamic-bias", "static-bias"])
+def test_mirrored_window_matches_direct_stepping(rc500, bias):
     # A 0.1 ns flat top holds no two whole periods, so n = 0 and the gate
     # is x^T x with x the first half of the window. Both halves of the
     # flat top take 50 steps of 1 ps, as the whole flat top stepped at
     # once takes 100, so the direct steps are the mirrored ones.
     cfg = replace(rc500.require("gate"), gate_time=10.1)
-    if mode == "static-bias":
-        cfg = replace(cfg, mode="static-bias", flux_idle=cfg.flux_interaction,
-                      flux_interaction=None)
+    if bias == "static-bias":
+        cfg = replace(cfg, flux_idle=cfg.flux_interaction, flux_interaction=None,
+                      bias_ramp=None)
     pulse, ramp = gate_schedule(cfg, 10.79, 0.06)
     assert _centred_periods(pulse, ramp)[0] == 0
     cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=1e-3)
@@ -139,16 +139,16 @@ def test_mirrored_window_matches_direct_stepping(rc500, mode):
     freq=st.floats(10.5, 11.0),
     gate_time=st.floats(1.0, 4.0),
     ramp_share=st.floats(0.0, 0.5),
-    mode=st.sampled_from(["dynamic-bias", "static-bias"]),
+    bias=st.sampled_from(["dynamic-bias", "static-bias"]),
 )
 def test_gate_window_is_symmetric_and_its_gate_complex_symmetric(
-    rc500, freq, gate_time, ramp_share, mode
+    rc500, freq, gate_time, ramp_share, bias
 ):
     cfg = replace(rc500.require("gate"), gate_time=gate_time,
                   drive_ramp=ramp_share * gate_time)
-    if mode == "static-bias":
-        cfg = replace(cfg, mode="static-bias", flux_idle=cfg.flux_interaction,
-                      flux_interaction=None)
+    if bias == "static-bias":
+        cfg = replace(cfg, flux_idle=cfg.flux_interaction, flux_interaction=None,
+                      bias_ramp=None)
     pulse, ramp = gate_schedule(cfg, freq, 0.05)
     t0, t1 = drive_window(pulse, ramp)
     # The window edges are left out: a square envelope jumps there, and
@@ -242,7 +242,7 @@ def test_cached_frames_are_read_only(params500):
 
 def test_ramp_up_block_is_shared(rc500):
     params, cfg, dt = rc500.params, rc500.require("gate"), 2e-3
-    assert cfg.mode == "dynamic-bias"
+    assert cfg.flux_interaction is not None
     pulse, ramp = gate_schedule(cfg, 10.78, 0.03)
     _ramped_up_block.cache_clear()
     cold = propagate_computational_unitary(params, pulse, ramp, dt=dt)

@@ -362,7 +362,8 @@ def _built_monodromy(params, eps, freq, scale=1.0):
     """Monodromy with quasienergies ``eps`` on the dressed states at 0.35."""
     q = dressed_frame(params, 0.35).states
     m = scale * (q * np.exp(-2j * np.pi * eps / freq)) @ q.conj().T
-    return Monodromy(m, params, 0.35, freq, 0.0)
+    every = tuple(range(len(assemble_operators(params).sectors)))
+    return Monodromy(m, params, 0.35, freq, 0.0, every)
 
 
 def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):

@@ -34,7 +34,7 @@ from fluxgate.evolve import (
     propagate_state,
 )
 
-STATIC35 = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=65.0)
+STATIC35 = GateConfig(flux_idle=0.35, gate_time=65.0)
 
 # Calibrated 65 ns static-bias optimum, frozen from this code at
 # dt = 1 ps: error 8.06e-6, leakage 7.81e-6.
@@ -109,16 +109,21 @@ def test_phase_distance_wraps():
 # -- configuration and schedule ----------------------------------------------
 
 def test_gate_config_validation():
+    # flux_interaction and bias_ramp come together: a static gate cannot
+    # carry a ramp that never takes effect.
+    with pytest.raises(ValueError, match="come together"):
+        GateConfig(flux_idle=0.0, gate_time=60.0, flux_interaction=0.35)
+    with pytest.raises(ValueError, match="come together"):
+        GateConfig(flux_idle=0.35, gate_time=60.0, bias_ramp=3.0)
     with pytest.raises(ValueError):
-        GateConfig(mode="blended", flux_idle=0.0, gate_time=60.0)
+        GateConfig(flux_idle=0.3, gate_time=60.0, flux_interaction=0.3, bias_ramp=3.0)
     with pytest.raises(ValueError):
-        GateConfig(mode="dynamic-bias", flux_idle=0.0, gate_time=60.0)
+        GateConfig(flux_idle=0.35, gate_time=0.0, drive_ramp=0.0)
+    # The pulse and the ramp check the schedule's times.
     with pytest.raises(ValueError):
-        GateConfig(
-            mode="dynamic-bias", flux_idle=0.3, gate_time=60.0, flux_interaction=0.3
-        )
+        GateConfig(flux_idle=0.35, gate_time=20.0, drive_ramp=15.0)
     with pytest.raises(ValueError):
-        GateConfig(mode="static-bias", flux_idle=0.35, gate_time=20.0, drive_ramp=15.0)
+        GateConfig(flux_idle=0.0, gate_time=60.0, flux_interaction=0.35, bias_ramp=0.0)
 
 
 def test_gate_schedule_modes():
@@ -127,9 +132,7 @@ def test_gate_schedule_modes():
     assert pulse.flux_static == 0.35
     assert pulse.gate_time == 65.0
 
-    dyn = GateConfig(
-        mode="dynamic-bias", flux_idle=0.0, gate_time=65.0, flux_interaction=0.35
-    )
+    dyn = GateConfig(flux_idle=0.0, gate_time=65.0, flux_interaction=0.35, bias_ramp=3.0)
     pulse, ramp = gate_schedule(dyn, 10.8, 0.04)
     assert pulse.flux_static == 0.35
     assert ramp is not None
@@ -336,7 +339,7 @@ def test_simplex_matches_scipy_on_random_quadratics(
 # -- gate evaluation -----------------------------------------------------------
 
 def test_zero_amplitude_gate_is_trivial(params500):
-    cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=40.0)
+    cfg = GateConfig(flux_idle=0.35, gate_time=40.0)
     m, cu = _scored(params500, cfg, 10.79, 0.0, dt=0.002)
     assert m.leakage < 1e-8
     assert abs(m.conditional_phase) < 1e-6
@@ -347,7 +350,7 @@ def test_bias_pulse_without_carrier(params500):
     # Drive frequency zero turns the enveloped drive into a plain flux
     # excursion: noncomputational states fill transiently but empty out
     # by the end of the pulse.
-    cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=65.0)
+    cfg = GateConfig(flux_idle=0.35, gate_time=65.0)
     m = evaluate_gate(params500, cfg, 0.0, FROZEN65[1], dt=0.001)
     assert m.leakage < 1e-6
 
@@ -386,9 +389,7 @@ def test_ramp_change_insignificant_at_threshold_scale(params500):
     # land far below the 1e-3 gate bar and within 1e-4 of each other;
     # at this depth the errors are leakage dominated.
     frozen75 = (10.773344063430386, 0.12963847093380804)
-    cfg75 = GateConfig(
-        mode="static-bias", flux_idle=0.35, gate_time=75.0, drive_ramp=10.0
-    )
+    cfg75 = GateConfig(flux_idle=0.35, gate_time=75.0, drive_ramp=10.0)
     m5 = evaluate_gate(params500, STATIC35, *FROZEN65, dt=0.001)
     m10 = evaluate_gate(params500, cfg75, *frozen75, dt=0.001)
     assert m5.error < 1e-4 and m10.error < 1e-4
@@ -401,7 +402,7 @@ def test_unsynchronized_gate_leaks_from_101(params500):
     # The 65 ns calibration cut short to 45 ns leaves the population
     # exchange incomplete: leakage is dominated by the gate transition
     # itself, stranded in |202> out of |101>.
-    cfg45 = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=45.0)
+    cfg45 = GateConfig(flux_idle=0.35, gate_time=45.0)
     m, cu = _scored(params500, cfg45, *FROZEN65, dt=0.001)
     assert m.error > 0.1
     top = leakage_channels(cu, top_k=1)[0]
@@ -415,7 +416,7 @@ def test_unsynchronized_gate_leaks_from_101(params500):
 # -- calibration ---------------------------------------------------------------
 
 def test_optimize_cz_report_and_stagnation(params500):
-    cfg = GateConfig(mode="static-bias", flux_idle=0.35, gate_time=30.0)
+    cfg = GateConfig(flux_idle=0.35, gate_time=30.0)
     res = optimize_cz(params500, cfg, dt=0.002, restarts=1, budget=4)
     assert not res.success  # four evaluations cannot synchronize a 30 ns gate
     assert res.objective > 1e-2
@@ -468,7 +469,7 @@ def test_calibration_steps_no_ramp_down(rc500, monkeypatch):
     # A gate-sweep cell reads only the metrics: neither its search nor its
     # final scoring steps a bias ramp-down; the report's channels do.
     params, cfg = rc500.params, replace(rc500.require("gate"), gate_time=20.0)
-    assert cfg.mode == "dynamic-bias"
+    assert cfg.flux_interaction is not None
     monkeypatch.setattr(gates, "_seed_from_floquet", lambda params, cfg, dt: (10.78, 0.05))
     pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
     for dt in (2e-3, 1e-3):

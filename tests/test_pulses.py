@@ -51,12 +51,18 @@ def test_square_envelope_limit():
 
 def test_pulse_validation():
     with pytest.raises(ValueError):
-        ParametricPulse(flux_static=0.3, drive_amp=-0.01, drive_freq=10.0)
+        ParametricPulse(flux_static=0.3, drive_amp=-0.01, drive_freq=10.0,
+                        ramp_time=5.0, gate_time=100.0)
     with pytest.raises(ValueError):
         ParametricPulse(flux_static=0.3, drive_amp=0.01, drive_freq=10.0,
                         ramp_time=30.0, gate_time=50.0)
     with pytest.raises(ValueError):
         BiasRamp(flux_idle=0.0, ramp_time=0.0)
+    # The times have no defaults: the config section that reads them states them.
+    with pytest.raises(TypeError):
+        ParametricPulse(flux_static=0.3, drive_amp=0.01, drive_freq=10.0)
+    with pytest.raises(TypeError):
+        BiasRamp(flux_idle=0.0)
 
 
 def test_static_schedule_without_ramp():
