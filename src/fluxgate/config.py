@@ -21,7 +21,7 @@ from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError
 from .evolve import DEFAULT_DT, label_key
 from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
-from .pulses import ParametricPulse
+from .pulses import DEFAULT_DRIVE_RAMP, ParametricPulse
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -82,7 +82,7 @@ class ChevronConfig:
     freq_points: int
     time_max: float
     time_points: int
-    ramp_time: float = 5.0
+    ramp_time: float = DEFAULT_DRIVE_RAMP
     psi0: Label = (1, 0, 1)
 
     def __post_init__(self):
@@ -110,7 +110,7 @@ class AmplitudeConfig:
     amp_min: float
     amp_max: float
     amp_points: int
-    ramp_time: float = 5.0
+    ramp_time: float = DEFAULT_DRIVE_RAMP
 
     def __post_init__(self):
         _require_grid(self.freq_points, self.freq_min, self.freq_max, "frequency")

@@ -14,14 +14,26 @@ here and in the static Hamiltonian, so at zero drive this is the
 static Hamiltonian at the bias flux, term by term.
 
 Propagation is second-order stepping (see ``backends``): split-operator
-steps around the exact static step where the bias is constant, and
-midpoint-exponential steps across bias ramps. Initial states and
+steps around the exact static step where the schedule holds the bias,
+and midpoint-exponential steps across bias ramps. Initial states and
 recorded populations live in the dressed eigenbasis of the idle (t = 0)
 Hamiltonian; ``dressed_frame`` holds its states orthonormal, and the
 exact static step is built from them. One walker, ``_advance``, carries
 a state or a block of columns across a time span cut at the schedule
 boundaries, so each piece has one scheme, and one rule,
 ``_step_samples``, samples every piece and the Floquet monodromy.
+
+Each piece is sampled and stepped in chunks of at most STEP_CHUNK
+steps: ``_step_samples`` draws one chunk's midpoint samples, the kernel
+steps them, and the block carries on into the next chunk, so the
+working memory of a propagation does not depend on its step count.
+Traced with tracemalloc on set500, a 100 ns amplitude cell peaks at
+1.9 MiB of heap at dt 0.5 ps and at 0.125 ps alike; sampling each piece
+whole took 12.5 and 49.6 MiB. Chunked midpoint steps are the unchunked
+ones bit for bit. Chained Strang calls close one call's merged
+half-phase and open the next at each chunk boundary, which differs
+from one call only at roundoff: ``test_strang_sequence_chains_across_a_split``
+pins 1e-12, and the benchmark's amplitude cells moved by at most 9e-14.
 
 Over the flat top, where the drive envelope is flat and the bias
 constant, the Hamiltonian is periodic, so the propagator over whole
@@ -98,6 +110,12 @@ from .system import (
 DEFAULT_DT = 0.0005
 NORM_DRIFT_LIMIT = 1e-8
 DRIVELESS_DT_FACTOR = 10.0
+# Steps sampled and stepped per kernel call (see ``_step_samples``). At
+# 0.5 ps a chunk spans 8.2 ns, so chevron snapshot intervals step as one
+# chunk. A 100 ns amplitude cell (set500, one BLAS thread) peaks at
+# 1.7 MiB of heap (0.7 MiB at 1024 steps, 6.1 MiB at 65536) and takes
+# 0.7-0.9 s at every size from 1024 to 262144 steps.
+STEP_CHUNK = 16384
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
 DEFAULT_RECORD = COMPUTATIONAL_LABELS + ((2, 0, 2),)
@@ -282,76 +300,103 @@ def _join(sectors, pieces: _Pieces, shape) -> np.ndarray:
     return out
 
 
-def _strang(u0, n_diag, dc1, h, x):
+def _strang(u0, n_diag, dc1_chunks, h, x):
     """``backends.strang_sequence`` on the stack of pieces ``x``
-    (pieces, m, k), which the kernel takes side by side, (m, pieces k)."""
+    (pieces, m, k), which the kernel takes side by side, (m, pieces k),
+    one call per drive chunk of ``dc1_chunks``, in order."""
     pieces, width, k = x.shape
     side = x.transpose(1, 0, 2).reshape(width, pieces * k)
-    side = backends.strang_sequence(u0, n_diag, dc1, h, side)
+    for dc1 in dc1_chunks:
+        side = backends.strang_sequence(u0, n_diag, dc1, h, side)
     return side.reshape(width, pieces, k).transpose(1, 0, 2)
 
 
-def _flat_operands(params, flux, h, active, c1):
+def _flat_operands(params, flux, h, active):
     """The ``_strang`` operands of the sectors ``active`` at the constant
     bias ``flux``: their ``_flat_step`` steps of length ``h``, their
     coupler occupations zero-padded to the widest sector, (sectors, m),
-    and the drive term dc1, the samples ``c1`` less their undriven value."""
+    and the undriven c1, which drive samples subtract to give dc1."""
     ops = assemble_operators(params)
     u0 = _flat_step(params, flux, h)[list(active)]
     n_diag = np.zeros(u0.shape[:2])
     for row, s in zip(n_diag, active):
         row[: ops.sectors[s].size] = ops.n_diag[ops.sectors[s]]
     c1_flat, _ = oscillator_coefficients(params.coupler, flux, flux)
-    return u0, n_diag, c1 - float(c1_flat)
+    return u0, n_diag, float(c1_flat)
+
+
+def _step_count(t_a, t_b, dt):
+    """The fewest equal steps no longer than ``dt`` that cut [t_a, t_b],
+    and their length h.
+
+    A span within roundoff of a whole number of steps takes that number:
+    the ramp-down span (2 tau + t_g) - (tau + t_g) can round above tau,
+    and must take the ramp-up's count for U_down = U_up^T to hold.
+    """
+    n = max(1, int(np.ceil(round((t_b - t_a) / dt, 9))))
+    return n, (t_b - t_a) / n
 
 
 def _step_samples(params, pulse, ramp, t_a, t_b, dt):
-    """Step length h of [t_a, t_b] cut into the fewest equal steps no
-    longer than ``dt``, and the step midpoints' bias flux and (c1, c2).
+    """The step midpoints' bias flux and (c1, c2) on [t_a, t_b] cut by
+    ``_step_count``, yielded as (fb, (c1, c2)) for consecutive chunks of
+    at most STEP_CHUNK steps.
 
     The one sampling rule of every propagation, the gate schedule's
-    intervals and the Floquet monodromy's period alike. A span within
-    roundoff of a whole number of steps takes that number: the ramp-down
-    span (2 tau + t_g) - (tau + t_g) can round above tau, and must take
-    the ramp-up's count for U_down = U_up^T to hold.
+    intervals and the Floquet monodromy's period alike. Step k of the
+    span has its midpoint at t_a + (k + 0.5) h whichever chunk holds it,
+    so the samples are the same bit for bit at any chunk size, and a
+    caller that steps chunk by chunk holds one chunk's samples at a time,
+    whatever the step count (see ``_step_interval`` for the peaks).
     """
-    n = max(1, int(np.ceil(round((t_b - t_a) / dt, 9))))
-    h = (t_b - t_a) / n
-    mids = t_a + (np.arange(n) + 0.5) * h
-    fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
-    ff = fb + np.asarray(drive_flux(pulse, ramp, mids), dtype=float)
-    return h, fb, oscillator_coefficients(params.coupler, fb, ff)
+    n, h = _step_count(t_a, t_b, dt)
+    for start in range(0, n, STEP_CHUNK):
+        mids = t_a + (np.arange(start, min(start + STEP_CHUNK, n)) + 0.5) * h
+        fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
+        ff = fb + np.asarray(drive_flux(pulse, ramp, mids), dtype=float)
+        yield fb, oscillator_coefficients(params.coupler, fb, ff)
 
 
 def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     """Step the pieces ``x`` of the sectors ``active`` (as in ``_Pieces``)
-    across [t_a, t_b] with the scheme the interval allows.
+    across [t_a, t_b] with the scheme the schedule gives the interval.
 
-    Constant-bias intervals use the split-operator kernel around the
-    exact static step (the drive enters as a diagonal perturbation),
-    all pieces in one call; bias ramps fall back to full
-    midpoint-exponential steps, one call per sector. Intervals without
-    any drive carry no carrier to resolve and take steps
-    DRIVELESS_DT_FACTOR times coarser. The module docstring says where
-    the dt-halving contract holds.
+    Where the bias is held, without a ramp or inside the drive window,
+    the split-operator kernel steps around the exact static step at
+    ``flux_static`` (the drive enters as a diagonal perturbation), all
+    pieces in one call per chunk; across a bias ramp, full
+    midpoint-exponential steps, one call per sector and chunk. The
+    operands are built once per interval. Intervals without any drive
+    carry no carrier to resolve and take steps DRIVELESS_DT_FACTOR times
+    coarser. The module docstring says where the dt-halving contract
+    holds.
+
+    The steps are sampled and taken one chunk of ``_step_samples`` at a
+    time, so the working memory does not grow with the step count: a
+    100 ns amplitude cell peaks at 1.9 MiB of heap at 0.5 and 0.125 ps
+    (12.5 and 49.6 MiB sampled whole). Midpoint steps chain exactly;
+    chained Strang calls close and reopen their merged half-phases at
+    each chunk boundary, which moves the result only at roundoff
+    (``test_strang_sequence_chains_across_a_split`` pins 1e-12).
     """
     if t_b <= t_a:
         return x
     t0, t1 = drive_window(pulse, ramp)
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
     dt_eff = dt if driven else dt * DRIVELESS_DT_FACTOR
-    h, fb, (c1, c2) = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
-    if np.ptp(fb) == 0.0:
-        u0, n_diag, dc1 = _flat_operands(params, float(fb[0]), h, active, c1)
-        return _strang(u0, n_diag, dc1, h, x)
+    _, h = _step_count(t_a, t_b, dt_eff)
+    chunks = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
+    if ramp is None or t0 <= t_a and t_b <= t1:
+        u0, n_diag, c1_flat = _flat_operands(params, pulse.flux_static, h, active)
+        return _strang(u0, n_diag, (c1 - c1_flat for _, (c1, _) in chunks), h, x)
     ops = assemble_operators(params)
+    subs = [ops.sectors[s] for s in active]
+    terms = [(ops.a_fixed[np.ix_(r, r)], ops.n_diag[r], ops.b_op[np.ix_(r, r)]) for r in subs]
     x = x.copy()
-    for piece, s in zip(x, active):
-        rows = ops.sectors[s]
-        sub = np.ix_(rows, rows)
-        piece[: rows.size] = backends.step_sequence(
-            ops.a_fixed[sub], ops.n_diag[rows], ops.b_op[sub], c1, c2, h, piece[: rows.size]
-        )
+    for _, (c1, c2) in chunks:
+        for piece, rows, (a, n_diag, b) in zip(x, subs, terms):
+            piece[: rows.size] = backends.step_sequence(a, n_diag, b, c1, c2, h,
+                                                        piece[: rows.size])
     return x
 
 
@@ -367,17 +412,21 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
     is the product of the first n // 2 steps, and M = V^T V; for odd n
     the middle step D U0 D sits between the halves, M = X^T U0 X with
     X = D V. Only half the period is stepped, and M matches the full
-    step product to roundoff.
+    step product to roundoff. The period's samples are joined whole: a
+    period is 186 steps at 10.8 GHz and 0.5 ps.
     """
     period = 1.0 / drive_freq
     # The steady drive as an unenveloped pulse one period long; it
     # rejects a negative amplitude.
     steady = ParametricPulse(flux_s, drive_amp, drive_freq, ramp_time=0.0, gate_time=period)
-    h, _, (c1, _) = _step_samples(params, steady, None, 0.0, period, dt)
-    u0, n_diag, dc1 = _flat_operands(params, flux_s, h, active, c1)
+    _, h = _step_count(0.0, period, dt)
+    samples = _step_samples(params, steady, None, 0.0, period, dt)
+    c1 = np.concatenate([part for _, (part, _) in samples])
+    u0, n_diag, c1_flat = _flat_operands(params, flux_s, h, active)
+    dc1 = c1 - c1_flat
     eye = np.broadcast_to(np.eye(u0.shape[1], dtype=complex), u0.shape)
     half = c1.size // 2
-    v = _strang(u0, n_diag, dc1[:half], h, eye)
+    v = _strang(u0, n_diag, [dc1[:half]], h, eye)
     if c1.size % 2:
         v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
         forward = u0 @ v

@@ -27,7 +27,7 @@ from .evolve import (
     propagate_computational_unitary,
 )
 from .floquet import extract_transition
-from .pulses import BiasRamp, ParametricPulse
+from .pulses import DEFAULT_DRIVE_RAMP, BiasRamp, ParametricPulse
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -70,7 +70,7 @@ class GateConfig:
     gate_time: float
     flux_interaction: float | None = None
     bias_ramp: float | None = None
-    drive_ramp: float = 5.0
+    drive_ramp: float = DEFAULT_DRIVE_RAMP
     freq_bounds: tuple[float, float] | None = None
     amp_bounds: tuple[float, float] | None = None
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Length in ns of each drive flank of a scan or gate that sets none.
+DEFAULT_DRIVE_RAMP = 5.0
 
 
 @dataclass(frozen=True)

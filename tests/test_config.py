@@ -7,6 +7,7 @@ import pytest
 from fluxgate import CompositeParams, ConfigError, load_config
 from fluxgate.evolve import DEFAULT_DT
 from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
+from fluxgate.pulses import DEFAULT_DRIVE_RAMP
 
 BASE = """\
 [qubit0]
@@ -233,6 +234,18 @@ def test_scan_pulse_checked_at_load(tmp_path, section):
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, body.format(amp=amp, ramp=ramp)))
         assert err.value.field == section
+
+
+def test_drive_ramps_default_to_one_value(tmp_path):
+    # A scan or gate without its ramp key takes the one drive-ramp default.
+    scans = "".join(
+        SCAN_PULSES[section].replace("ramp_time = {ramp}\n", "").format(amp=0.01)
+        for section in sorted(SCAN_PULSES)
+    )
+    rc = load_config(write(tmp_path, scans + "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n"))
+    ramps = (rc.chevron.ramp_time, rc.amplitude.ramp_time, rc.gate.drive_ramp)
+    assert ramps == (DEFAULT_DRIVE_RAMP,) * 3
+    assert DEFAULT_DRIVE_RAMP == 5.0
 
 
 def test_gate_budget_floor(tmp_path):

@@ -1,5 +1,6 @@
 """Time-domain propagation: accuracy, unitarity, scan plumbing."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -304,8 +305,8 @@ def test_ramps_take_equal_steps_and_mirror_biases(params500, tau, gate_time, dt,
     t0, t1 = drive_window(pulse, ramp)
     end = total_duration(pulse, ramp)
     step = dt * DRIVELESS_DT_FACTOR
-    _, up, _ = _step_samples(params500, pulse, ramp, 0.0, t0, step)
-    _, down, _ = _step_samples(params500, pulse, ramp, t1, end, step)
+    up = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, 0.0, t0, step)])
+    down = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, t1, end, step)])
     assert up.size == down.size
     # The ramp-down's sample times are absolute, near `end`, so they carry
     # roundoff of order spacing(end); the bias moves at most
@@ -348,6 +349,95 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
     assert len(calls) == per_ramp_down
     assert result.report()["leakage_channels"]
     assert len(calls) == 2 * per_ramp_down
+
+
+def _interval_case(params, kind, steps, dt=DEFAULT_DT):
+    """(pulse, ramp, t_a, t_b, pieces) of an interval of ``steps`` steps:
+    ``stack``, the computational block (two sector pieces of two
+    columns) in the flat top of a driven hold; ``vector``, one state
+    there; ``ramp``, the computational block across an undriven bias
+    ramp-up."""
+    if kind == "ramp":
+        ramp = BiasRamp(0.0, steps * dt * DRIVELESS_DT_FACTOR)
+        t_a, t_b = 0.0, ramp.ramp_time
+    else:
+        ramp, t_a, t_b = None, 10.0, 10.0 + steps * dt
+    frame = dressed_frame(params, RESONANT.flux_static if ramp is None else ramp.flux_idle)
+    block = _computational_block(frame)
+    if kind == "vector":
+        block = block[:, [COMPUTATIONAL_LABELS.index((1, 0, 1))]]
+    return RESONANT, ramp, t_a, t_b, _split(assemble_operators(params).sectors, block)
+
+
+@pytest.mark.parametrize("steps", [70, 71])  # a multiple of the chunk, and one more
+@pytest.mark.parametrize("kind", ["stack", "vector", "ramp"])
+def test_chunked_stepping_matches_one_chunk(params500, monkeypatch, kind, steps):
+    pulse, ramp, t_a, t_b, pieces = _interval_case(params500, kind, steps)
+    kernel = "step_sequence" if kind == "ramp" else "strang_sequence"
+    stepped = getattr(backends, kernel)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    monkeypatch.setattr(backends, kernel, counting)
+    per_chunk = len(pieces.active) if kind == "ramp" else 1
+    out = {}
+    for chunk in (7, steps + 1):
+        monkeypatch.setattr(evolve, "STEP_CHUNK", chunk)
+        calls.clear()
+        out[chunk] = evolve._step_interval(params500, pulse, ramp, t_a, t_b, DEFAULT_DT,
+                                           pieces.active, pieces.x)
+        assert len(calls) == -(-steps // chunk) * per_chunk
+    assert np.max(np.abs(out[7] - out[steps + 1])) <= 1e-12
+
+
+def test_stepping_memory_does_not_grow_with_the_step_count(params500, monkeypatch):
+    # Samples are drawn one chunk at a time, so stepping 8n steps peaks at
+    # the heap of stepping n; sampling all steps at once grows the peak by
+    # a few float arrays of the extra 7n steps.
+    chunk, n = 512, 1024
+    monkeypatch.setattr(evolve, "STEP_CHUNK", chunk, raising=False)
+
+    def peak(steps):
+        pulse, ramp, t_a, t_b, pieces = _interval_case(params500, "vector", steps)
+        args = (params500, pulse, ramp, t_a, t_b, DEFAULT_DT, pieces.active, pieces.x)
+        evolve._step_interval(*args)  # warms the frame and step caches
+        tracemalloc.start()
+        try:
+            evolve._step_interval(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * n) - peak(n) < chunk * np.dtype(float).itemsize
+
+
+def test_one_step_ramp_takes_a_midpoint_step(params500, monkeypatch):
+    # A bias ramp shorter than one driveless step is one step, whose lone
+    # bias sample lies mid-ramp. The schedule still makes it a ramp: it
+    # takes a midpoint exponential, and no frame is built at that flux.
+    ramp = BiasRamp(0.0, 0.004)
+    pulse = replace(RESONANT, ramp_time=0.2, gate_time=1.0)
+    assert ramp.ramp_time < DEFAULT_DT * DRIVELESS_DT_FACTOR
+    fluxes, calls = [], []
+    framed, stepped = evolve.dressed_frame, backends.step_sequence
+
+    def recording(params, flux):
+        fluxes.append(flux)
+        return framed(params, flux)
+
+    def counting(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    monkeypatch.setattr(evolve, "dressed_frame", recording)
+    monkeypatch.setattr(backends, "step_sequence", counting)
+    res = propagate_state(params500, pulse, ramp, t_grid=[0.0, total_duration(pulse, ramp)])
+    assert set(fluxes) <= {ramp.flux_idle, pulse.flux_static}
+    assert [c1.size for _, _, _, c1, _, _, _ in calls] == [1, 1]  # the ramp-up and ramp-down
+    assert res.norm_drift <= 1e-8
 
 
 def test_norm_drift_is_recorded_and_guarded(rc500, monkeypatch):

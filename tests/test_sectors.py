@@ -17,6 +17,7 @@ from fluxgate.evolve import (
     DRIVELESS_DT_FACTOR,
     _boundaries,
     _centred_periods,
+    _step_count,
     _step_samples,
     amplitude_point,
     chevron_column,
@@ -140,13 +141,14 @@ def _full_interval(params, pulse, ramp, t_a, t_b, dt, block):
         return block
     t0, t1 = drive_window(pulse, ramp)
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
-    h, fb, (c1, c2) = _step_samples(
-        params, pulse, ramp, t_a, t_b, dt if driven else dt * DRIVELESS_DT_FACTOR
-    )
+    dt = dt if driven else dt * DRIVELESS_DT_FACTOR
+    _, h = _step_count(t_a, t_b, dt)
+    samples = list(_step_samples(params, pulse, ramp, t_a, t_b, dt))
+    c1, c2 = (np.concatenate([c[i] for _, c in samples]) for i in (0, 1))
     ops = assemble_operators(params)
-    if np.ptp(fb) == 0.0:
-        c1_flat, _ = oscillator_coefficients(params.coupler, fb[0], fb[0])
-        u0 = _full_static_step(params, float(fb[0]), h)
+    if ramp is None or t0 <= t_a and t_b <= t1:  # the bias is held
+        c1_flat, _ = oscillator_coefficients(params.coupler, pulse.flux_static, pulse.flux_static)
+        u0 = _full_static_step(params, pulse.flux_static, h)
         return backends.strang_sequence(u0, ops.n_diag, c1 - float(c1_flat), h, block)
     return backends.step_sequence(ops.a_fixed, ops.n_diag, ops.b_op, c1, c2, h, block)
 
