@@ -5,12 +5,14 @@ the flux quantum. Charge operators are dimensionless Cooper-pair numbers.
 
 The fluxonium Hamiltonian is
 
-    H = 4 E_C n^2 + (E_L / 2)(phi - phi_ext)^2 - E_J cos(phi)
+    H = 4 E_C n^2 + (E_L / 2)(phi - pi)^2 - E_J cos(phi)
 
-and is diagonalized in the harmonic-oscillator basis of its linearized
-(E_C, E_L) circuit, displaced to the inductive minimum. The tunable
-transmon is handled both exactly in the charge basis and through its
-anharmonic-oscillator approximation, whose frequency
+at half a flux quantum, the sweet spot where every device of the
+package operates, and is diagonalized in the harmonic-oscillator basis
+of its linearized (E_C, E_L) circuit, displaced to the inductive
+minimum. The tunable transmon is handled both exactly in the charge
+basis and through its anharmonic-oscillator approximation, whose
+frequency
 
     omega_c(Phi) = sqrt(8 E_C E_J(Phi)) - E_C,    E_J(Phi) = E_J_max cos(pi Phi)
 
@@ -31,18 +33,17 @@ from .errors import ConvergenceError, CutoffError, DomainError
 DEFAULT_FLUXONIUM_BASIS = 120
 MAX_FLUXONIUM_BASIS = 1920
 FLUXONIUM_ENERGY_TOL = 1e-6
-DEFAULT_CHARGE_CUTOFF = 60
+CHARGE_CUTOFF = 60
 EDGE_WEIGHT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class FluxoniumParams:
-    """Fluxonium circuit energies (GHz) and external phase (radians)."""
+    """Fluxonium circuit energies (GHz), biased at half a flux quantum."""
 
     e_c: float
     e_l: float
     e_j: float
-    phi_ext: float = np.pi
 
     def __post_init__(self):
         if self.e_c <= 0 or self.e_l <= 0 or self.e_j <= 0:
@@ -51,20 +52,15 @@ class FluxoniumParams:
 
 @dataclass(frozen=True)
 class TransmonParams:
-    """Flux-tunable transmon: charging energy, junction energy, bias flux.
-
-    ``flux`` is the default operating bias in units of the flux quantum;
-    operations that take an explicit flux argument ignore it.
-    """
+    """Flux-tunable transmon: charging energy and maximal junction
+    energy; every operation takes its flux as an argument."""
 
     e_c: float
     e_j_max: float
-    flux: float = 0.0
 
     def __post_init__(self):
         if self.e_c <= 0 or self.e_j_max <= 0:
             raise ValueError("transmon energies e_c, e_j_max must be positive")
-        self.effective_ej(self.flux)
 
     def effective_ej(self, flux):
         """Flux-tuned Josephson energy E_J_max * cos(pi * flux), elementwise.
@@ -118,8 +114,8 @@ def _fluxonium_once(params: FluxoniumParams, basis_size: int, n_levels: int):
     sq = np.sqrt(k[1:])
 
     # cos(phi) through the eigendecomposition of the tridiagonal phase operator
-    # phi = phi_ext + phi_zpf (b + b^dag)
-    phi_op = _tridiagonal(np.full(basis_size, params.phi_ext), phi_zpf * sq)
+    # phi = pi + phi_zpf (b + b^dag)
+    phi_op = _tridiagonal(np.full(basis_size, np.pi), phi_zpf * sq)
     x_vals, x_vecs = np.linalg.eigh(phi_op)
     cos_phi = (x_vecs * np.cos(x_vals)) @ x_vecs.T
 
@@ -171,31 +167,27 @@ def diagonalize_fluxonium(
 
 
 def diagonalize_transmon_charge(
-    params: TransmonParams,
-    n_charge_cutoff: int = DEFAULT_CHARGE_CUTOFF,
-    n_levels: int = 6,
-    flux: float | None = None,
+    params: TransmonParams, flux: float, n_levels: int = 6
 ) -> SpectralData:
-    """Exact transmon eigenproblem in the charge basis n in [-N, N].
+    """Exact transmon eigenproblem at ``flux`` in the charge basis
+    n in [-N, N], N = CHARGE_CUTOFF.
 
     cos(phi) couples neighboring charge states with amplitude -E_J(Phi)/2.
     Raises CutoffError when the highest retained level puts more than
     1e-8 weight on the edge charge states.
     """
-    if n_charge_cutoff < 20:
-        raise ValueError("n_charge_cutoff must be at least 20")
-    ej = params.effective_ej(params.flux if flux is None else flux)
+    ej = params.effective_ej(flux)
 
-    n = np.arange(-n_charge_cutoff, n_charge_cutoff + 1)
+    n = np.arange(-CHARGE_CUTOFF, CHARGE_CUTOFF + 1)
     evals, evecs = np.linalg.eigh(_tridiagonal(4.0 * params.e_c * n.astype(float) ** 2,
-                                               np.full(2 * n_charge_cutoff, -ej / 2.0)))
+                                               np.full(2 * CHARGE_CUTOFF, -ej / 2.0)))
     evecs = _fix_eigenvector_signs(evecs)
 
     top = evecs[:, n_levels - 1]
     edge_weight = float(top[0] ** 2 + top[-1] ** 2)
     if edge_weight > EDGE_WEIGHT_TOL:
         raise CutoffError(
-            f"charge cutoff {n_charge_cutoff} too small: edge weight "
+            f"charge cutoff {CHARGE_CUTOFF} too small: edge weight "
             f"{edge_weight:.3e} on level {n_levels - 1}"
         )
 
@@ -204,7 +196,7 @@ def diagonalize_transmon_charge(
     return SpectralData(
         evals[:n_levels] - evals[0],
         n_el.astype(complex),
-        2 * n_charge_cutoff + 1,
+        2 * CHARGE_CUTOFF + 1,
     )
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .circuits import FluxoniumParams, TransmonParams
-from .errors import ConfigError
-from .evolve import DEFAULT_DT, label_key
+from .errors import ConfigError, DomainError
+from .evolve import DEFAULT_DT, _check_drive_resolved, label_key
 from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
 from .pulses import DEFAULT_DRIVE_RAMP, ParametricPulse
-from .system import CompositeParams
+from .system import CompositeParams, label_parity
 
 Label = tuple[int, int, int]
 
@@ -457,6 +457,14 @@ def load_config(path) -> RunConfig:
                     "needs interaction_flux or a [gate] to compare against", f"reference.{key}"
                 )
 
+    # A scan's highest drive frequency sets the coarsest step it can take.
+    for name in ("chevron", "amplitude"):
+        if name in sections:
+            try:
+                _check_drive_resolved(dt, sections[name].freq_max)
+            except DomainError as exc:
+                raise ConfigError(f"{exc} at [{name}] freq_max", "output.dt") from exc
+
     # A label names a level of each circuit: qubit 0, coupler, qubit 1.
     counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)
     named = []
@@ -469,6 +477,13 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"state {label_key(label)} lies outside the "
                 f"{' x '.join(map(str, counts))} truncation", field
+            )
+    if "floquet" in sections:
+        a, b = sections["floquet"].pair
+        if label_parity(a) != label_parity(b):
+            raise ConfigError(
+                f"states {label_key(a)} and {label_key(b)} lie in different parity "
+                "sectors, which the drive does not couple", "floquet.pair"
             )
 
     return RunConfig(

@@ -26,10 +26,8 @@ boundaries, so each piece has one scheme, and one rule,
 Each piece is sampled and stepped in chunks of at most STEP_CHUNK
 steps: ``_step_samples`` draws one chunk's midpoint samples, the kernel
 steps them, and the block carries on into the next chunk, so the
-working memory of a propagation does not depend on its step count.
-Traced with tracemalloc on set500, a 100 ns amplitude cell peaks at
-1.9 MiB of heap at dt 0.5 ps and at 0.125 ps alike; sampling each piece
-whole took 12.5 and 49.6 MiB. Chunked midpoint steps are the unchunked
+working memory of a propagation does not depend on its step count
+(measured at STEP_CHUNK). Chunked midpoint steps are the unchunked
 ones bit for bit. Chained Strang calls close one call's merged
 half-phase and open the next at each chunk boundary, which differs
 from one call only at roundoff: ``test_strang_sequence_chains_across_a_split``
@@ -60,7 +58,6 @@ piece per parity sector, skips a sector whose piece is exactly zero, and
 steps each piece with the sector's own 75 x 75 operators: a labelled
 initial state steps 75 states, and the four computational columns step
 as two columns in each sector, batched into one product per step.
-Off the symmetric point the one sector is the whole space.
 
 A gate's bias ramp-down is the ramp-up run backwards: it carries no
 drive, and ``_step_samples`` gives both ramps the same step count, so
@@ -112,9 +109,10 @@ NORM_DRIFT_LIMIT = 1e-8
 DRIVELESS_DT_FACTOR = 10.0
 # Steps sampled and stepped per kernel call (see ``_step_samples``). At
 # 0.5 ps a chunk spans 8.2 ns, so chevron snapshot intervals step as one
-# chunk. A 100 ns amplitude cell (set500, one BLAS thread) peaks at
-# 1.7 MiB of heap (0.7 MiB at 1024 steps, 6.1 MiB at 65536) and takes
-# 0.7-0.9 s at every size from 1024 to 262144 steps.
+# chunk. A 100 ns amplitude cell (set500, one BLAS thread, tracemalloc)
+# peaks at 1.7 MiB of heap at dt 0.5 and 0.125 ps alike (0.7 MiB at
+# 1024 steps, 6.1 MiB at 65536) and takes 0.7-0.9 s at every size from
+# 1024 to 262144 steps.
 STEP_CHUNK = 16384
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
@@ -347,7 +345,7 @@ def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     span has its midpoint at t_a + (k + 0.5) h whichever chunk holds it,
     so the samples are the same bit for bit at any chunk size, and a
     caller that steps chunk by chunk holds one chunk's samples at a time,
-    whatever the step count (see ``_step_interval`` for the peaks).
+    whatever the step count (see STEP_CHUNK).
     """
     n, h = _step_count(t_a, t_b, dt)
     for start in range(0, n, STEP_CHUNK):
@@ -372,9 +370,8 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     holds.
 
     The steps are sampled and taken one chunk of ``_step_samples`` at a
-    time, so the working memory does not grow with the step count: a
-    100 ns amplitude cell peaks at 1.9 MiB of heap at 0.5 and 0.125 ps
-    (12.5 and 49.6 MiB sampled whole). Midpoint steps chain exactly;
+    time, so the working memory does not grow with the step count
+    (measured at STEP_CHUNK). Midpoint steps chain exactly;
     chained Strang calls close and reopen their merged half-phases at
     each chunk boundary, which moves the result only at roundoff
     (``test_strang_sequence_chains_across_a_split`` pins 1e-12).

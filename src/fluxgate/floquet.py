@@ -55,10 +55,9 @@ refines the crossing with a local rescan (reusing the three scan points
 it contains) and a parabolic fit of the squared gap, which is quadratic
 in detuning near a two-level avoided crossing. Modes of a sector that
 holds neither state of the pair have no overlap with it, so every scan
-point steps and solves only the sector that holds the pair: the even
-one for |101> <-> |202>, and the one sector off the symmetric point. A
-pair of opposite parities at the symmetric point is refused: the drive
-conserves parity, so its two modes cross without a gap.
+point steps and solves only the sector that holds the pair, the even
+one for |101> <-> |202>. A pair of opposite parities is refused: the
+drive conserves parity, so its two modes cross without a gap.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .errors import ConstructionError, DomainError, IntegrationError
 # Nothing here calls _flat_step: it stays imported because the binding
 # check of bench/tests/test_tracer.py expects a traced floquet._flat_step.
 from .evolve import DEFAULT_DT, _check_drive_resolved, _flat_step, _period, dressed_frame
-from .system import CompositeParams, assemble_operators, cross_sector_max
+from .system import CompositeParams, assemble_operators, cross_sector_max, label_parity
 
 UNITARITY_LIMIT = 1e-10
 REFINE_POINTS = 9
@@ -295,16 +294,14 @@ def extract_transition(
     if pair[0] == pair[1]:
         raise ValueError(f"pair names one state twice: {pair[0]}")
 
-    frame = dressed_frame(params, flux_s)
-    index = [frame.index_of(lab) for lab in pair]
-    pair_vecs = frame.states[:, index]
-    held = [s for i in index for s, members in enumerate(frame.sectors) if i in members]
-    if held[0] != held[1]:
+    sector = label_parity(pair[0])
+    if label_parity(pair[1]) != sector:
         raise DomainError(
             f"pair {pair[0]}, {pair[1]} spans both parity sectors, "
             "which the drive does not couple"
         )
-    sector = held[0]
+    frame = dressed_frame(params, flux_s)
+    pair_vecs = frame.states[:, [frame.index_of(lab) for lab in pair]]
 
     freqs = np.linspace(lo, hi, resolution)
     gaps = np.array([_pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)

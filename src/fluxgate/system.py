@@ -4,8 +4,8 @@ The three-body model lives on the tensor product Q0 (x) C (x) Q1 of
 single-circuit eigenbases, with the coupler reduced to an anharmonic
 oscillator whose frequency and charge zero-point fluctuation depend on
 its flux bias. The fluxonium eigenvectors are real, so each fluxonium
-charge operator is purely imaginary at any external flux, n_k = i m_k
-with m_k real antisymmetric. The coupler charge operator is taken purely
+charge operator is purely imaginary, n_k = i m_k with m_k real
+antisymmetric. The coupler charge operator is taken purely
 imaginary too, n_c = i (a - a^dag). A coupling of two charges is then
 minus the product of two real antisymmetric factors, and
 
@@ -39,23 +39,21 @@ flux sweeps and time stepping only rescale two scalar coefficients:
 
     H(Phi) = A + omega_c(Phi) N + n_zpf(Phi) B
 
-At the symmetric point, both fluxonia at phi_ext a multiple of pi, each
-fluxonium potential is even about its minimum, level k has parity
-(-1)^k and the odd charge operator couples only levels of opposite
-parity. Every term of H, the modulated N included, then conserves the
-total parity Pi = (-1)^(k0 + kc + k1), and H is block diagonal in its
-two sectors (75 states each at the default 5 x 6 x 5 truncation).
+Both fluxonia sit at half a flux quantum, where each fluxonium
+potential is even about its minimum, level k has parity (-1)^k and the
+odd charge operator couples only levels of opposite parity. Every term
+of H, the modulated N included, then conserves the total parity
+Pi = (-1)^(k0 + kc + k1) (``label_parity``), and H is block diagonal in
+its two sectors (75 states each at the default 5 x 6 x 5 truncation).
 ``assemble_operators`` sets the equal-parity charge elements, roundoff
 of the single-circuit solve, to exactly zero, so the blocks are exact,
 and lists the sectors in ``ModelOperators.sectors``; ``label_eigenstates``
 solves each sector on its own, and every propagation downstream steps
-per sector. Off the symmetric point there is one sector holding every
-state, and the same code runs on it.
+per sector.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,8 +68,8 @@ from .circuits import (
 from .errors import ConstructionError, LabelingError
 
 AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
-# Largest equal-parity fluxonium charge element accepted as roundoff at
-# the symmetric point; the bundled devices have at most 2.1e-14.
+# Largest equal-parity fluxonium charge element accepted as roundoff;
+# the bundled devices have at most 2.1e-14.
 PARITY_TOL = 1e-10
 
 
@@ -173,10 +171,10 @@ class ModelOperators:
     without its n_zpf prefactor. Arrays are real and read-only; the
     composite Hamiltonian at flux Phi is A + omega_c(Phi) diag(N) +
     n_zpf(Phi) B.
-    ``sectors`` holds the ascending product-state indices of each
-    conserved-parity sector (see the module docstring): two at the
-    symmetric point, even total parity first, and one holding every
-    state otherwise. No entry of A, N or B couples two sectors.
+    ``sectors`` holds the ascending product-state indices of the two
+    conserved-parity sectors (see the module docstring), sector p
+    holding the labels of ``label_parity`` p, even first. No entry of
+    A, N or B couples two sectors.
     """
 
     a_fixed: np.ndarray
@@ -190,13 +188,15 @@ def _embed(op0: np.ndarray, opc: np.ndarray, op1: np.ndarray) -> np.ndarray:
     return np.kron(op0, np.kron(opc, op1))
 
 
-def _symmetric(phi_ext: float) -> bool:
-    return abs(math.remainder(phi_ext, math.pi)) < 1e-12
+def label_parity(label) -> int:
+    """Total parity of a bare label (q0, coupler, q1), 0 even and 1 odd:
+    the index of its sector in ``ModelOperators.sectors``."""
+    return sum(label) % 2
 
 
 def _parity_selected(n_elements: np.ndarray, name: str) -> np.ndarray:
-    """Fluxonium charge elements at the symmetric point, with the
-    equal-parity ones, zero by symmetry, set to exactly zero.
+    """Fluxonium charge elements with the equal-parity ones, zero by
+    symmetry, set to exactly zero.
 
     Raises ConstructionError if one of them is above roundoff, which
     means the levels do not alternate in parity.
@@ -206,8 +206,7 @@ def _parity_selected(n_elements: np.ndarray, name: str) -> np.ndarray:
     worst = float(np.max(np.abs(n_elements[same])))
     if worst > PARITY_TOL:
         raise ConstructionError(
-            f"{name} charge element between equal-parity levels is {worst:.3g} "
-            "at the symmetric point"
+            f"{name} charge element between equal-parity levels is {worst:.3g}"
         )
     out = n_elements.copy()
     out[same] = 0.0
@@ -243,13 +242,10 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
         for j in range(nc)
         for l in range(nf)
     )
-    m0, m1 = q0.n_elements.imag, q1.n_elements.imag
-    if _symmetric(params.q0.phi_ext) and _symmetric(params.q1.phi_ext):
-        m0, m1 = _parity_selected(m0, "q0"), _parity_selected(m1, "q1")
-        parity = np.array([sum(lab) % 2 for lab in labels])
-        sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
-    else:
-        sectors = (np.arange(params.dim),)
+    m0 = _parity_selected(q0.n_elements.imag, "q0")
+    m1 = _parity_selected(q1.n_elements.imag, "q1")
+    parity = np.array([label_parity(lab) for lab in labels])
+    sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
 
     eye_f = np.eye(nf)
     eye_c = np.eye(nc)
@@ -284,7 +280,7 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
 
 def cross_sector_max(matrix: np.ndarray, sectors) -> float:
     """Largest magnitude of an entry of ``matrix`` between two different
-    sectors (index arrays of its rows and columns); 0 for one sector."""
+    sectors (index arrays of its rows and columns)."""
     worst = 0.0
     for s, rows in enumerate(sectors):
         for cols in sectors[s + 1:]:

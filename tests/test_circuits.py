@@ -120,8 +120,6 @@ def test_oscillator_approximation_consistency():
 def test_domain_rejections():
     # One E_J(Phi) > 0 check, TransmonParams.effective_ej, with one message.
     with pytest.raises(DomainError, match="positive-E_J"):
-        TransmonParams(e_c=0.32, e_j_max=55.0, flux=0.51)
-    with pytest.raises(DomainError, match="positive-E_J"):
         diagonalize_transmon_charge(TransmonParams(e_c=0.32, e_j_max=55.0), flux=0.6)
     with pytest.raises(ValueError):
         FluxoniumParams(e_c=-1.0, e_l=0.8, e_j=6.0)

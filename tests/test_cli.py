@@ -378,17 +378,11 @@ def test_amplitude_isolates_failures(tmp_path, capsys):
 
 
 def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
-    # 50 ps resolves neither the drive nor one Floquet period.
-    cfg = write_cfg(
-        tmp_path,
-        CHEVRON_TINY.replace("dt = 0.002", "dt = 0.05")
-        + "\n[gate]\nflux_idle = 0.35\ngate_time = 30.0\n",
-    )
+    # 50 ps resolves neither the drive nor one Floquet period. The gate's
+    # drive frequency is found at run time, so the run fails, not the
+    # load (a scan's frequencies are checked at load).
+    cfg = write_cfg(tmp_path, "[output]\ndt = 0.05\n\n[gate]\nflux_idle = 0.35\ngate_time = 30.0\n")
     out = tmp_path / "o"
-    assert main(["chevron", "--config", cfg, "--out", str(out)]) == 1
-    failures = run_json(only_run_dir(out, "chevron"))["failures"]
-    assert [f["point"] for f in failures] == ["10.78", "10.8"]
-    assert all("does not resolve the drive" in f["message"] for f in failures)
     assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
     gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.62e-03 ns"
     assert f"error: {gate_message}" in capsys.readouterr().err
@@ -459,19 +453,18 @@ def test_floquet_pair_of_one_state_writes_nothing(tmp_path, capsys):
 
 
 def test_floquet_pair_of_opposite_parities_fails_its_point(tmp_path, capsys):
-    # |101> is even and |102> odd: at the symmetric point the drive does
-    # not couple them, so the point fails instead of reporting a crossing.
+    # |101> is even and |102> odd: the drive does not couple them, so the
+    # pair is refused at load, before any point runs.
     cfg = write_cfg(
         tmp_path,
         "[output]\ndt = 0.002\n\n[floquet]\nflux_s = 0.35\namp_values = 0.06\n"
         "pair = 101:102\nresolution = 5\n",
     )
     out = tmp_path / "o"
-    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 1
-    failures = run_json(only_run_dir(out, "floquet"))["failures"]
-    assert [f["point"] for f in failures] == ["0.06"]
-    assert "parity sectors" in failures[0]["message"]
-    capsys.readouterr()
+    assert main(["floquet", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "floquet.pair" in err and "parity sectors" in err
+    assert not out.exists()
 
 
 def test_floquet_pair_in_either_order_scans_one_resonance(tmp_path, capsys):
@@ -717,10 +710,10 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     # shift-scan the composite Hamiltonian and its labelled eigensolve.
     committed = Path(__file__).resolve().parent.parent / "runs"
     data = resources.files("fluxgate.data")
-    for command, name, run in [("spectrum", "set500.cfg", "spectrum-99c1a9bfcc5f"),
-                               ("spectrum", "set300.cfg", "spectrum-a24337282694"),
-                               ("shift-scan", "set500.cfg", "shift-scan-f6b822ef5231"),
-                               ("shift-scan", "set300.cfg", "shift-scan-aa67d4a593f6")]:
+    for command, name, run in [("spectrum", "set500.cfg", "spectrum-54646866c440"),
+                               ("spectrum", "set300.cfg", "spectrum-50b8d6a03205"),
+                               ("shift-scan", "set500.cfg", "shift-scan-0d11309f3db1"),
+                               ("shift-scan", "set300.cfg", "shift-scan-a2a5c8ad3782")]:
         out = tmp_path / command / name
         assert main([command, "--config", str(data / name), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [run]
@@ -736,14 +729,16 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     pytest.param("chevron", "chevron", "psi0 = 101", "psi0 = 909", id="chevron-psi0"),
     pytest.param("floquet", "floquet", "resolution = 41",
                  "resolution = 41\npair = 101:909", id="floquet-pair"),
+    pytest.param("chevron", "output", "dt = 0.0005", "dt = 0.003", id="chevron-dt"),
 ])
 def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
 ):
-    # Drive ramps longer than half the window, reversed search bounds, and
+    # Drive ramps longer than half the window, reversed search bounds,
     # state labels beyond a circuit's levels (set500 keeps 5 fluxonium and
-    # 6 coupler levels) are configuration errors: exit 2 before any run
-    # directory exists.
+    # 6 coupler levels), and a dt that takes under 40 steps per period of
+    # a scan's highest drive frequency (10.88 GHz) are configuration
+    # errors: exit 2 before any run directory exists.
     text = Path(cfg500_path).read_text()
     start = text.index(f"[{section}]")
     end = text.find("\n[", start)

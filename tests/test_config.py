@@ -4,7 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from fluxgate import CompositeParams, ConfigError, load_config
+from fluxgate import CompositeParams, ConfigError, FluxoniumParams, TransmonParams, load_config
+from fluxgate.config import _SCHEMA, _SECTIONS
 from fluxgate.evolve import DEFAULT_DT
 from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
 from fluxgate.pulses import DEFAULT_DRIVE_RAMP
@@ -234,6 +235,25 @@ def test_scan_pulse_checked_at_load(tmp_path, section):
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, body.format(amp=amp, ramp=ramp)))
         assert err.value.field == section
+
+
+@pytest.mark.parametrize("section", sorted(SCAN_PULSES))
+def test_scan_drive_resolved_at_load(tmp_path, section):
+    # 40 steps per period of freq_max = 10.9 GHz need dt <= 2.29e-3 ns.
+    body = SCAN_PULSES[section].format(amp=0.01, ramp=5.0)
+    assert load_config(write(tmp_path, "[output]\ndt = 0.0022\n" + body)).dt == 0.0022
+    with pytest.raises(ConfigError, match="does not resolve the drive") as err:
+        load_config(write(tmp_path, "[output]\ndt = 0.0023\n" + body))
+    assert err.value.field == "output.dt"
+
+
+def test_every_section_field_is_a_key():
+    # A field that no INI key sets would be a hidden knob: each section
+    # type takes exactly the keys of its section.
+    types = {"qubit0": FluxoniumParams, "qubit1": FluxoniumParams, "coupler": TransmonParams}
+    types.update({name: factory for _, name, factory in _SECTIONS})
+    for name, factory in types.items():
+        assert {f.name for f in fields(factory)} == set(_SCHEMA[name]), name
 
 
 def test_drive_ramps_default_to_one_value(tmp_path):

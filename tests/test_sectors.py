@@ -77,14 +77,6 @@ def test_symmetric_point_hamiltonian_is_exactly_block_diagonal(
     assert np.all(_cross_sector(h, sectors) == 0.0)
 
 
-def test_off_sweet_spot_has_one_sector(params500):
-    params = replace(params500, q0=replace(params500.q0, phi_ext=np.pi - 0.3))
-    (only,) = assemble_operators(params).sectors
-    assert np.array_equal(only, np.arange(params.dim))
-    spec = label_eigenstates(build_hamiltonian(params, 0.35))
-    assert len(spec.sectors) == 1 and spec.sectors[0].size == params.dim
-
-
 def test_unequal_sectors_run_the_same_path(params500):
     params = replace(params500, n_coupler_levels=5)  # 125 states
     sectors = assemble_operators(params).sectors

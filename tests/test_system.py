@@ -184,16 +184,10 @@ def test_labels_match_complex_reference_on_shift_scan(device, request):
 
 
 @pytest.mark.parametrize("flux", [0.0, 0.2, 0.45])
-@pytest.mark.parametrize(
-    "device", ["params500", "params300", "params_small", "off_sweet_spot"]
-)
+@pytest.mark.parametrize("device", ["params500", "params300", "params_small"])
 def test_coupler_gauge_is_exactly_real(device, flux, request):
     # The real basis is the coupler gauge of the bare complex matrix.
-    if device == "off_sweet_spot":
-        params = request.getfixturevalue("params500")
-        params = replace(params, q0=replace(params.q0, phi_ext=np.pi - 0.3))
-    else:
-        params = request.getfixturevalue(device)
+    params = request.getfixturevalue(device)
     bare, d = _bare_hamiltonian(params)
     h_bare = bare(flux)
     assert np.any(h_bare.imag)
@@ -201,11 +195,9 @@ def test_coupler_gauge_is_exactly_real(device, flux, request):
     assert np.all(rotated.imag == 0.0)
     h = build_hamiltonian(params, flux).matrix
     assert np.isrealobj(h)
-    # Off the symmetric point the two constructions agree bit for bit. At
-    # it, assemble_operators drops the equal-parity charge elements, which
-    # are single-circuit roundoff (at most 2.1e-14 on these devices).
-    bound = 0.0 if device == "off_sweet_spot" else 1e-13
-    assert np.max(np.abs(h - rotated.real)) <= bound
+    # assemble_operators drops the equal-parity charge elements, which are
+    # single-circuit roundoff (at most 2.1e-14 on these devices).
+    assert np.max(np.abs(h - rotated.real)) <= 1e-13
 
 
 def test_gauge_guard_rejects_a_complex_block(params_small):
