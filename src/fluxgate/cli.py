@@ -76,9 +76,11 @@ OUTPUT_ROOT_ENV = "FLUXGATE_OUTPUT_ROOT"
 PROGRESS_NAME = "progress.jsonl"
 # Bumped whenever checkpointed values change shape or bits. 2: gate
 # carriers centred on the drive window (gate-sweep values moved by about
-# 1e-8). Lines without a format predate it, among them gate-sweep values
-# that still carried a sixth element, the message.
-CHECKPOINT_FORMAT = 2
+# 1e-8). 3: amplitude carriers centred too, each cell scored through its
+# mirrored half window (the 48 benchmark cells moved by at most 1.9e-7).
+# Lines without a format predate 2, among them gate-sweep values that
+# still carried a sixth element, the message.
+CHECKPOINT_FORMAT = 3
 STAGNATED = "optimizer stagnated above the objective limit"
 
 

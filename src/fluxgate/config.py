@@ -457,13 +457,17 @@ def load_config(path) -> RunConfig:
                     "needs interaction_flux or a [gate] to compare against", f"reference.{key}"
                 )
 
-    # A scan's highest drive frequency sets the coarsest step it can take.
-    for name in ("chevron", "amplitude"):
-        if name in sections:
-            try:
-                _check_drive_resolved(dt, sections[name].freq_max)
-            except DomainError as exc:
-                raise ConfigError(f"{exc} at [{name}] freq_max", "output.dt") from exc
+    # A scan's highest drive frequency, or a gate's when it bounds its
+    # search, sets the coarsest step it can take.
+    highest = {name: sections[name].freq_max for name in ("chevron", "amplitude")
+               if name in sections}
+    if gate is not None and gate.freq_bounds is not None:
+        highest["gate"] = gate.freq_bounds[1]
+    for name, freq_max in highest.items():
+        try:
+            _check_drive_resolved(dt, freq_max)
+        except DomainError as exc:
+            raise ConfigError(f"{exc} at [{name}] freq_max", "output.dt") from exc
 
     # A label names a level of each circuit: qubit 0, coupler, qubit 1.
     counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)

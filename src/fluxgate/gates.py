@@ -27,7 +27,7 @@ from .evolve import (
     propagate_computational_unitary,
 )
 from .floquet import extract_transition
-from .pulses import DEFAULT_DRIVE_RAMP, BiasRamp, ParametricPulse
+from .pulses import DEFAULT_DRIVE_RAMP, BiasRamp, ParametricPulse, centred_phase
 from .system import CompositeParams
 
 Label = tuple[int, int, int]
@@ -230,7 +230,7 @@ def gate_schedule(
         drive_freq=omega_p,
         ramp_time=cfg.drive_ramp,
         gate_time=cfg.gate_time,
-        phase=math.remainder(-math.pi * omega_p * cfg.gate_time, 2.0 * math.pi),
+        phase=centred_phase(omega_p, cfg.gate_time),
     )
     ramp = None if cfg.bias_ramp is None else BiasRamp(cfg.flux_idle, cfg.bias_ramp)
     return pulse, ramp

@@ -6,8 +6,9 @@ parametric modulation,
     Phi(t) = Phi_bias(t) + delta_Phi env(tau) cos(2 pi f_p tau + phase)
 
 where tau is time measured from the start of the drive window and
-``phase`` is the carrier phase there, 0 unless set: a gate sets it to
-centre the carrier on the window (``ParametricPulse``). The
+``phase`` is the carrier phase there, 0 unless set: a gate and an
+amplitude cell set it to ``centred_phase``, which centres the carrier on
+the window (``ParametricPulse``). The
 envelope rises and falls with half-cosine flanks of length ``ramp_time``
 and is flat in between, so the waveform and its first derivative are
 continuous at every junction. An optional bias ramp carries the coupler
@@ -20,6 +21,7 @@ quantum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,11 @@ class ParametricPulse:
 
     ``gate_time`` spans the whole drive window including both envelope
     flanks of ``ramp_time`` each. ``phase`` is the carrier phase at the
-    window start, in rad. Chevron, amplitude and Floquet drives leave it
-    at 0; ``gates.gate_schedule`` sets it to -pi f_p gate_time (mod 2 pi),
-    so the carrier is cos(2 pi f_p (tau - gate_time / 2)), centred on the
-    window, and the waveform is symmetric about the window centre.
+    window start, in rad. Chevron and Floquet drives leave it at 0;
+    ``gates.gate_schedule`` and ``evolve.amplitude_point`` set it to
+    ``centred_phase``, so the carrier is cos(2 pi f_p (tau - gate_time / 2)),
+    centred on the window, and the waveform is symmetric about the window
+    centre.
     """
 
     flux_static: float
@@ -70,6 +73,13 @@ class BiasRamp:
     def __post_init__(self):
         if self.ramp_time <= 0:
             raise ValueError("bias ramp_time must be positive")
+
+
+def centred_phase(drive_freq: float, gate_time: float) -> float:
+    """The carrier phase at the window start, -pi f_p gate_time (mod 2 pi),
+    that puts a carrier peak at the centre of a drive window of
+    ``gate_time``."""
+    return math.remainder(-math.pi * drive_freq * gate_time, 2.0 * math.pi)
 
 
 def envelope(tau, ramp_time: float, gate_time: float):
@@ -124,8 +134,8 @@ def drive_flux(pulse: ParametricPulse, ramp: BiasRamp | None, t):
 
     The carrier, cos(2 pi f_p tau + phase), is referenced to the start of
     the drive window, so a bias ramp before it does not change the
-    waveform seen by the coupler. ``phase`` is 0 except in a gate, which
-    centres the carrier on the window.
+    waveform seen by the coupler. ``phase`` is 0 except in a gate or an
+    amplitude cell, which centre the carrier on the window.
     """
     t0, _ = drive_window(pulse, ramp)
     tau = np.asarray(t, dtype=float) - t0

@@ -377,10 +377,33 @@ def test_amplitude_isolates_failures(tmp_path, capsys):
     assert body[2] == "10.79,0.2,nan"
 
 
+def test_amplitude_resume_recomputes_a_format_2_checkpoint(tmp_path, caplog):
+    # Amplitude cells centre their carrier since format 3, which moved
+    # their values, so a cell checkpointed at format 2 is recomputed.
+    cfg = write_cfg(
+        tmp_path,
+        "[output]\ndt = 0.002\n\n[amplitude]\nflux_s = 0.35\nfixed_time = 20.0\n"
+        "freq_min = 10.79\nfreq_max = 10.79\nfreq_points = 1\n"
+        "amp_min = 0.03\namp_max = 0.03\namp_points = 1\n",
+    )
+    out = tmp_path / "o"
+    assert main(["amplitude", "--config", cfg, "--out", str(out)]) == 0
+    run_dir = only_run_dir(out, "amplitude")
+    fresh = (run_dir / "result.csv").read_bytes()
+    stale = {"key": "10.79|0.03", "value": 0.5,
+             "blas_threads": run_json(run_dir)["blas_threads"], "format": 2}
+    (run_dir / "progress.jsonl").write_text(json.dumps(stale) + "\n")
+    with caplog.at_level("INFO", logger="fluxgate.cli"):
+        assert main(["amplitude", "--config", cfg, "--out", str(out), "--resume"]) == 0
+    assert "recomputing 1 checkpointed point(s)" in caplog.text
+    assert (run_dir / "result.csv").read_bytes() == fresh
+
+
 def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     # 50 ps resolves neither the drive nor one Floquet period. The gate's
     # drive frequency is found at run time, so the run fails, not the
-    # load (a scan's frequencies are checked at load).
+    # load (a scan's frequencies are checked at load, and so are a gate's
+    # when it sets freq_max).
     cfg = write_cfg(tmp_path, "[output]\ndt = 0.05\n\n[gate]\nflux_idle = 0.35\ngate_time = 30.0\n")
     out = tmp_path / "o"
     assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
@@ -452,7 +475,7 @@ def test_floquet_pair_of_one_state_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_floquet_pair_of_opposite_parities_fails_its_point(tmp_path, capsys):
+def test_floquet_pair_of_opposite_parities_is_refused_at_load(tmp_path, capsys):
     # |101> is even and |102> odd: the drive does not couple them, so the
     # pair is refused at load, before any point runs.
     cfg = write_cfg(

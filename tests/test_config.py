@@ -247,6 +247,20 @@ def test_scan_drive_resolved_at_load(tmp_path, section):
     assert err.value.field == "output.dt"
 
 
+def test_gate_drive_resolved_at_load(tmp_path):
+    # A gate that bounds its search knows its highest drive frequency at
+    # load: 40 steps per period of freq_max = 10.9 GHz need dt <= 2.29e-3 ns.
+    gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\nfreq_min = 10.7\nfreq_max = 10.9\n"
+    assert load_config(write(tmp_path, "[output]\ndt = 0.0022\n" + gate)).dt == 0.0022
+    with pytest.raises(ConfigError, match=r"does not resolve the drive.*\[gate\] freq_max") as err:
+        load_config(write(tmp_path, "[output]\ndt = 0.0023\n" + gate))
+    assert err.value.field == "output.dt"
+    # Without bounds the drive frequency comes from the Floquet seed at
+    # run time, so the load cannot check it.
+    unbounded = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n"
+    assert load_config(write(tmp_path, "[output]\ndt = 0.0023\n" + unbounded)).gate
+
+
 def test_every_section_field_is_a_key():
     # A field that no INI key sets would be a hidden knob: each section
     # type takes exactly the keys of its section.

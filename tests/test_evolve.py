@@ -30,6 +30,7 @@ from fluxgate.evolve import (
     _flat_step,
     _ramped_up_block,
     _split,
+    _step_count,
     _step_samples,
     amplitude_point,
     chevron_column,
@@ -37,7 +38,7 @@ from fluxgate.evolve import (
 )
 from fluxgate.floquet import monodromy
 from fluxgate.gates import GateConfig, OptimizationResult, gate_metrics, gate_schedule
-from fluxgate.pulses import drive_flux, drive_window, total_duration
+from fluxgate.pulses import centred_phase, drive_flux, drive_window, total_duration
 from fluxgate.system import assemble_operators
 
 RESONANT = ParametricPulse(
@@ -211,6 +212,10 @@ def test_record_all_and_snapshot_grid(params500):
 
     with pytest.raises(ValueError):
         propagate_state(params500, RESONANT, dt=0.002, t_grid=[0.0, 1e6])
+    with pytest.raises(ValueError):
+        propagate_state(params500, RESONANT, dt=0.002, t_end=1e6)
+    with pytest.raises(ValueError):
+        propagate_state(params500, RESONANT, dt=0.002, t_grid=[0.0, 30.0], t_end=20.0)
 
 
 def test_default_record_keys(params500):
@@ -474,6 +479,61 @@ def test_amplitude_point_flat_limit(params500):
         ramp_time=5.0, gate_time=30.0,
     )
     assert amplitude_point(params500, template, 10.79, 0.0, 30.0, dt=0.002) > 1.0 - 1e-9
+
+
+# A 6 ns flat top takes 3000 steps of 2 ps, which the window's centre
+# halves; 6.002 ns takes 3001, and each half rounds up to 1501.
+AMPLITUDE_WINDOWS = pytest.mark.parametrize("gate_time", [10.0, 10.002], ids=["even", "odd"])
+AMPLITUDE_BIASES = pytest.mark.parametrize("bias", [None, BiasRamp(0.0, 3.0)],
+                                           ids=["static-bias", "dynamic-bias"])
+
+
+def _amplitude_cell(gate_time, bias):
+    """The set500 amplitude template at 10.79 GHz and delta_Phi 0.06, the
+    pulse the cell steps (carrier centred) and its flat-top step count at
+    2 ps."""
+    template = ParametricPulse(0.35, 0.0, 0.0, ramp_time=2.0, gate_time=gate_time)
+    pulse = replace(template, drive_amp=0.06, drive_freq=10.79,
+                    phase=centred_phase(10.79, gate_time))
+    t0, t1 = drive_window(pulse, bias)
+    return template, pulse, _step_count(t0 + 2.0, t1 - 2.0, 2e-3)[0]
+
+
+@AMPLITUDE_WINDOWS
+@AMPLITUDE_BIASES
+def test_amplitude_cell_is_its_mirrored_half_window(params500, gate_time, bias):
+    template, pulse, flat_steps = _amplitude_cell(gate_time, bias)
+    got = amplitude_point(params500, template, 10.79, 0.06, gate_time, ramp=bias, dt=2e-3)
+    # Direct stepping of the centred carrier through the whole schedule:
+    # an even flat top keeps the window's step grid, so the whole window
+    # is stepped at once, as the cell was before; an odd one moves the
+    # cell's grid, which the direct run takes by a cut at the centre.
+    end = total_duration(pulse, bias)
+    t_grid = [end] if flat_steps % 2 == 0 else [0.5 * end, end]
+    direct = propagate_state(params500, pulse, bias, dt=2e-3, record=((1, 0, 1),),
+                             t_grid=t_grid)
+    assert abs(got - direct.populations[(1, 0, 1)][-1]) <= 1e-12
+
+
+@AMPLITUDE_WINDOWS
+@AMPLITUDE_BIASES
+def test_amplitude_cell_takes_half_the_kernel_steps(params500, monkeypatch, gate_time, bias):
+    template, pulse, flat_steps = _amplitude_cell(gate_time, bias)
+    steps = []
+    kernels = {"strang_sequence": 2, "step_sequence": 3}  # position of the drive samples
+    for name, arg in kernels.items():
+        def counting(*args, kernel=getattr(backends, name), arg=arg):
+            steps.append(args[arg].size)
+            return kernel(*args)
+        monkeypatch.setattr(backends, name, counting)
+
+    end = total_duration(pulse, bias)
+    propagate_state(params500, pulse, bias, dt=2e-3, record=((1, 0, 1),), t_grid=[0.0, end])
+    window = sum(steps)
+    steps.clear()
+    amplitude_point(params500, template, 10.79, 0.06, gate_time, ramp=bias, dt=2e-3)
+    # An odd flat top takes one step more, split between the halves.
+    assert 2 * sum(steps) == window + flat_steps % 2
 
 
 def test_domain_error_is_value_error(params500):

@@ -65,7 +65,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 
 # Fields no code reads, kept because tests check the physics through them.
 READ_BY_TESTS = {
-    ("EvolutionResult", "final_state"): "test_sectors checks sector confinement with it",
     ("TransitionResult", "scan_freqs"): "pins the one-sector scan to the full one",
     ("TransitionResult", "gaps"): "pins the one-sector scan, explains a not-found",
     ("ComputationalUnitary", "norm_drift"): "pins the window's drift check; the benchmark "

@@ -25,7 +25,7 @@ from fluxgate.evolve import (
 )
 from fluxgate.floquet import monodromy
 from fluxgate.gates import gate_schedule
-from fluxgate.pulses import ParametricPulse, drive_window, total_duration
+from fluxgate.pulses import ParametricPulse, centred_phase, drive_window, total_duration
 from fluxgate.system import (
     CompositeOperator,
     CompositeParams,
@@ -174,8 +174,11 @@ def test_chevron_column_matches_full_space(params500):
 
 
 def test_amplitude_cell_matches_full_space(params500):
+    # The cell centres its carrier on the window and steps only the first
+    # half; the reference steps the whole centred waveform in full space.
     got = amplitude_point(params500, FLAT, 10.7939, 0.08, 12.0, dt=1e-3)
-    pulse = replace(FLAT, drive_freq=10.7939, drive_amp=0.08)
+    pulse = replace(FLAT, drive_freq=10.7939, drive_amp=0.08,
+                    phase=centred_phase(10.7939, 12.0))
     ref = _full_populations(params500, pulse, [0.0, 12.0], 1e-3)[-1]
     assert abs(got - ref) <= ROUNDOFF_PER_STEP * 12000
 
