@@ -28,9 +28,16 @@ the roundoff a gate's columns accumulate about 25-fold: on set500's
 65 ns gate, the 4 x 4 read through the mirrored drive window (see
 ``evolve``) and the one stepped through the whole window agree to 2e-14
 instead of 5e-13. The add costs about 2 % of a step of two 75-state
-pieces of two columns (2 vCPUs). A vector keeps U0 x: there the add
-costs 10-15 % of its matvec, and no single-state propagation is read
-through a mirror.
+pieces of two columns (2 vCPUs). A vector steps as the row-vector
+product x U0^T, ``np.dot`` against a copy of U0^T made contiguous once
+per call, which skips numpy's matmul dispatch: at one BLAS thread on 2
+vCPUs a step of one 75-state column takes about 3.3 us instead of 4.0 us
+through ``np.matmul``. It keeps the plain product, where the add would
+cost about 18 % of its step. Single-state propagations are read through
+a mirror too (``evolve.amplitude_point`` returns |x^T x|^2 from a half
+window), and there the plain product agrees with direct stepping of the
+whole window to 1e-13 on the four 10 ns set500 cells of
+``test_amplitude_cell_is_its_mirrored_half_window`` (bound 1e-12).
 
 The Taylor order of ``step_sequence`` is chosen per step as the smallest
 m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
@@ -48,14 +55,21 @@ Every Hamiltonian the package steps conserves the total parity of
 sector's slices of A, N and B: ``step_sequence`` is called once per
 sector, while ``strang_sequence`` also takes a stack of per-sector base
 steps and advances the sector pieces of a block in one batched product
-per step (on 2 vCPUs, two 75-state pieces of two columns take 24 us a
-step, against 30 us in two separate calls and 33 us as one 150-state
-block), and ``apply_power`` applies a stack of matrices to a stack of
-blocks.
+per step (at one BLAS thread, two 75-state pieces of two columns take
+about 16 us a step, against 18 us in two separate calls and 24 us as one
+150-state block), and ``apply_power`` applies a stack of matrices to a
+stack of blocks.
 
 The package links only numpy's LAPACK and OpenBLAS, so a process runs
 one OpenBLAS thread pool, whose live count ``blas_threads`` reads and
-``set_blas_threads`` sets.
+``set_blas_threads`` sets. The public entry points that diagonalize,
+step or solve (in ``circuits``, ``system``, ``evolve``, ``floquet`` and
+``gates``) compute at one thread under ``one_blas_thread`` and hand the
+caller's count back on return. No product in the package is wider than
+150 states, so a second thread only spins on a core of its own: at
+OpenBLAS's default count of 2 on 2 vCPUs, a pass of each benchmark
+workload took 1.9-2.0 s of CPU per second of wall time, and 1.0 s under
+this rule. Importing the package sets no count.
 """
 
 from __future__ import annotations
@@ -120,6 +134,30 @@ def set_blas_threads(count: int) -> int | None:
     if previous is not None:
         _openblas()[1](count)
     return previous
+
+
+def one_blas_thread(fn):
+    """Decorate ``fn`` to run at one thread of numpy's OpenBLAS.
+
+    The caller's count is restored when ``fn`` returns or raises. A call
+    made at one thread, such as one nested in another decorated call,
+    leaves the count alone, and so does a process where the library is
+    not found.
+    """
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        previous = blas_threads()
+        if previous is None or previous == 1:
+            return fn(*args, **kwargs)
+        set_blas_threads(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_blas_threads(previous)
+
+    # bench/tracer.py marks its own wrappers by ``__wrapped__``.
+    del pinned.__wrapped__
+    return pinned
 
 
 def _check_block(block, d: int) -> None:
@@ -230,13 +268,13 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     if u0.ndim == 3:
         x = phase0[:, :, None] * block.reshape(d, pieces, -1).transpose(1, 0, 2)
     elif block.shape[1] == 1:
-        # Width-1 blocks step as vectors: matvec instead of a one-column matmul.
+        # A width-1 block steps as a vector (see the module docstring).
         x = phase0 * block[:, 0]
     else:
         x = phase0[:, None] * block
     y = np.empty_like(x)
-    increment = x.ndim > 1
-    base = u0 - np.eye(d) if increment else u0
+    vector = x.ndim == 1
+    base = np.ascontiguousarray(u0.T) if vector else u0 - np.eye(d)
     chunk = max(1, PHASE_CHUNK_BYTES // (16 * n_diag.size))
     for start in range(1, n + 1, chunk):
         stop = min(start + chunk, n + 1)
@@ -246,8 +284,10 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
         if x.ndim == phases.ndim:
             phases = phases[..., None]
         for phase in phases:
-            np.matmul(base, x, out=y)
-            if increment:
+            if vector:
+                np.dot(x, base, out=y)
+            else:
+                np.matmul(base, x, out=y)
                 y += x
             np.multiply(phase, y, out=x)
     if u0.ndim == 3:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backends import one_blas_thread
 from .errors import ConvergenceError, CutoffError, DomainError
 
 DEFAULT_FLUXONIUM_BASIS = 120
@@ -132,6 +133,7 @@ def _fluxonium_once(params: FluxoniumParams, basis_size: int, n_levels: int):
     return evals[:n_levels] - evals[0], n_el
 
 
+@one_blas_thread
 def diagonalize_fluxonium(
     params: FluxoniumParams,
     basis_size: int = DEFAULT_FLUXONIUM_BASIS,
@@ -166,6 +168,7 @@ def diagonalize_fluxonium(
             )
 
 
+@one_blas_thread
 def diagonalize_transmon_charge(
     params: TransmonParams, flux: float, n_levels: int = 6
 ) -> SpectralData:

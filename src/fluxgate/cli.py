@@ -24,8 +24,9 @@ restores the caller's count when it returns. A pool runs
 min(workers, cores, pending points) processes, each started at the
 run's thread count, so results do not depend on ``--workers``, and a
 pool of one runs in this process. The sidecar records the count as
-``blas_threads``. Importing the package pins nothing: library callers
-keep their own count.
+``blas_threads``. The library also computes at one thread inside each
+of its own calls (``backends.one_blas_thread``), so a library caller
+keeps its own count outside them; importing the package sets no count.
 
 A library error raised outside the point runner fails the whole run:
 the sidecar lists it as the run's one failure, under the command's name.

@@ -122,8 +122,8 @@ DRIVELESS_DT_FACTOR = 10.0
 # 0.5 ps a chunk spans 8.2 ns, so chevron snapshot intervals step as one
 # chunk. A 100 ns amplitude cell (set500, one BLAS thread, tracemalloc)
 # peaks at 1.7 MiB of heap at dt 0.5 and 0.125 ps alike (0.7 MiB at
-# 1024 steps, 6.1 MiB at 65536) and takes 0.7-0.9 s at every size from
-# 1024 to 262144 steps.
+# 1024 steps, 6.1 MiB at 65536) and takes 0.33-0.37 s at every size from
+# 1024 to 262144 steps (one BLAS thread, 2 vCPUs).
 STEP_CHUNK = 16384
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
@@ -189,11 +189,11 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     the SVD u s vh of the sector's block), so step products built on them
     (``_flat_step``) accumulate only matmul roundoff, not the eigenbasis
     orthonormality defect, and stay exactly zero outside their sector.
-    A miss costs 7 ms on 2 vCPUs (13 ms with one 150-state solve). A grid
-    command visits at most two fluxes, the idle and the interaction bias:
-    traced on the benchmark (seed 1), a ``calibrate`` cell makes 120
-    lookups with 2 misses and a ``propagate`` run 15 with 1, so 32
-    entries never evict.
+    A miss costs 3.2 ms at one BLAS thread on 2 vCPUs, where one 150-state
+    eigensolve alone takes 1.9 ms. A grid command visits at most two
+    fluxes, the idle and the interaction bias: traced on the benchmark
+    (seed 1), a ``calibrate`` cell makes 120 lookups with 2 misses and a
+    ``propagate`` run 15 with 1, so 32 entries never evict.
     """
     frame = label_eigenstates(build_hamiltonian(params, flux))
     for rows, cols in zip(assemble_operators(params).sectors, frame.sectors):
@@ -252,7 +252,8 @@ def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
     and orthonormal states Q of that sector in ``dressed_frame``, on the
     sector's rows of ``ModelOperators.sectors``; a sector smaller than
     the widest, m, is padded with the identity. A new step length costs
-    two 75 x 75 products, 0.30 ms on 2 vCPUs (0.80 ms for one 150 x 150).
+    two 75 x 75 products, 0.28 ms at one BLAS thread on 2 vCPUs (0.55 ms
+    for one 150 x 150).
     Traced on the benchmark (seed 1), a ``calibrate`` cell misses 60 of
     65 lookups, since each monodromy and each flat top's lead-in steps a
     length that no other drive frequency repeats; its 5 hits are
@@ -512,6 +513,7 @@ def _ramped_up_block(
     return block
 
 
+@backends.one_blas_thread
 def propagate_state(
     params: CompositeParams,
     pulse: ParametricPulse,
@@ -570,6 +572,7 @@ def propagate_state(
     return EvolutionResult(pops, psi[:, 0], norm_drift)
 
 
+@backends.one_blas_thread
 def propagate_computational_unitary(
     params: CompositeParams,
     pulse: ParametricPulse,
@@ -611,6 +614,7 @@ def propagate_computational_unitary(
     phases = np.exp(2j * np.pi * frame.energies[idx] * duration)
     u = phases[:, None] * (x.T @ y)
 
+    @backends.one_blas_thread
     def end_populations() -> np.ndarray:
         out = _advance(params, pulse, ramp, dt, y, t_b, duration)
         _norm_drift(out)
@@ -624,6 +628,7 @@ def label_key(label) -> str:
     return "".join(map(str, label))
 
 
+@backends.one_blas_thread
 def chevron_column(
     params: CompositeParams,
     template: ParametricPulse,
@@ -647,6 +652,7 @@ def chevron_column(
     return column
 
 
+@backends.one_blas_thread
 def amplitude_point(
     params: CompositeParams,
     template: ParametricPulse,

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backends import one_blas_thread
 from .errors import ConstructionError, DomainError, IntegrationError
 
 # Nothing here calls _flat_step: it stays imported because the binding
@@ -129,6 +130,7 @@ class TransitionResult:
     gaps: np.ndarray
 
 
+@one_blas_thread
 def monodromy(
     params: CompositeParams,
     flux_s: float,
@@ -204,6 +206,7 @@ def _sector_modes(m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return lam, z
 
 
+@one_blas_thread
 def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     """Folded quasienergies and Floquet modes of a monodromy.
 
@@ -260,6 +263,7 @@ def _pair_gap(
     return float(min(d, drive_freq - d))
 
 
+@one_blas_thread
 def extract_transition(
     params: CompositeParams,
     flux_s: float,

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .backends import one_blas_thread
 from .errors import SearchError
 from .evolve import (
     COMPUTATIONAL_LABELS,
@@ -236,6 +237,7 @@ def gate_schedule(
     return pulse, ramp
 
 
+@one_blas_thread
 def evaluate_gate(
     params: CompositeParams,
     cfg: GateConfig,
@@ -250,6 +252,7 @@ def evaluate_gate(
     return gate_metrics(propagate_computational_unitary(params, pulse, ramp, dt=dt).matrix)
 
 
+@one_blas_thread
 def leakage_channels(
     unitary: ComputationalUnitary, top_k: int = 5, threshold: float = 1e-10
 ) -> list[LeakageChannel]:
@@ -470,6 +473,7 @@ def _seed_from_floquet(
     return float(omega_seed), float(amp_seed)
 
 
+@one_blas_thread
 def optimize_cz(
     params: CompositeParams,
     cfg: GateConfig,

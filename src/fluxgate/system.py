@@ -59,6 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .backends import one_blas_thread
 from .circuits import (
     FluxoniumParams,
     TransmonParams,
@@ -316,6 +317,7 @@ def greedy_match(weights: np.ndarray) -> np.ndarray:
     return row_for
 
 
+@one_blas_thread
 def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     """Diagonalize and assign bare labels by greedy maximum overlap.
 

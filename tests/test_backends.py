@@ -158,6 +158,21 @@ def test_apply_power_matches_expm(model, n):
         assert np.max(np.abs(got - ref @ block)) < 1e-10, f"width {width}"
 
 
+@pytest.mark.parametrize("n", [CHUNK + 2, 2 * CHUNK + 3])
+def test_a_vector_steps_as_the_first_column_of_a_pair(model, n):
+    # A width-1 block takes the row-vector product, a wider one the
+    # increment form; both cross a phase chunk boundary here. The step of
+    # a real Hamiltonian is symmetric, so a column phase makes this one
+    # asymmetric, and a product with U0 in place of U0^T shows.
+    ops, _, u0 = model
+    u0 = u0 * np.exp(1j * np.linspace(0.0, 1.0, 150))
+    dc1 = _drive(n)
+    pair = _block(2)
+    vector = backends.strang_sequence(u0, ops.n_diag, dc1, DT, pair[:, :1])
+    both = backends.strang_sequence(u0, ops.n_diag, dc1, DT, pair)
+    assert np.max(np.abs(vector[:, 0] - both[:, 0])) <= 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_first=st.integers(0, 2 * CHUNK),
@@ -201,3 +216,51 @@ def test_blas_threads_skips_an_unloadable_mapping(monkeypatch):
     monkeypatch.setattr(backends, "_openblas", functools.cache(backends._openblas.__wrapped__))
     assert backends.blas_threads() is None
     assert backends.set_blas_threads(1) is None
+
+
+def test_one_blas_thread_pins_a_call_and_restores_the_callers_count(monkeypatch):
+    seen, sets = [], []
+    setter = backends.set_blas_threads
+
+    def counting(count):
+        sets.append(count)
+        return setter(count)
+
+    @backends.one_blas_thread
+    def inner():
+        seen.append(backends.blas_threads())
+
+    @backends.one_blas_thread
+    def outer(fail):
+        """Outer call."""
+        seen.append(backends.blas_threads())
+        inner()
+        seen.append(backends.blas_threads())
+        if fail:
+            raise RuntimeError("outer failed")
+        return "done"
+
+    assert (outer.__name__, outer.__doc__) == ("outer", "Outer call.")
+    # The count one above the session's, so that no call restores it by chance.
+    callers = backends.blas_threads() + 1
+    previous = backends.set_blas_threads(callers)
+    monkeypatch.setattr(backends, "set_blas_threads", counting)
+    try:
+        assert outer(False) == "done"
+        assert backends.blas_threads() == callers
+        with pytest.raises(RuntimeError, match="outer failed"):
+            outer(True)
+        assert backends.blas_threads() == callers
+    finally:
+        setter(previous)
+    # One thread inside, the nested call included, which sets nothing.
+    assert seen == [1, 1, 1] * 2
+    assert sets == [1, callers] * 2
+
+
+def test_one_blas_thread_does_nothing_without_openblas(monkeypatch):
+    monkeypatch.setattr(backends, "_openblas", lambda: None)
+    sets = []
+    monkeypatch.setattr(backends, "set_blas_threads", sets.append)
+    assert backends.one_blas_thread(lambda x: 2 * x)(3) == 6
+    assert sets == []

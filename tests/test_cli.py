@@ -185,8 +185,9 @@ def test_commands_run_when_openblas_is_not_found(tmp_path, monkeypatch):
 
 
 def test_importing_the_library_keeps_the_blas_thread_count():
-    # Only main pins the count. The benchmark imports these modules and
-    # measures the library at the count a bare numpy import leaves.
+    # Importing sets no count: the library pins one thread only inside its
+    # calls, and main for a whole command, so a caller that imports these
+    # modules keeps the count a bare numpy import leaves.
     modules = ("circuits", "system", "evolve", "floquet", "gates", "backends", "cli",
                "config", "errors", "pulses")
     probe = (

@@ -18,7 +18,7 @@ from fluxgate import (
     propagate_computational_unitary,
     propagate_state,
 )
-from fluxgate import backends, evolve
+from fluxgate import backends, circuits, evolve, gates
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DEFAULT_DT,
@@ -36,10 +36,16 @@ from fluxgate.evolve import (
     chevron_column,
     dressed_frame,
 )
-from fluxgate.floquet import monodromy
-from fluxgate.gates import GateConfig, OptimizationResult, gate_metrics, gate_schedule
+from fluxgate.floquet import extract_transition, monodromy, quasienergies
+from fluxgate.gates import (
+    GateConfig,
+    OptimizationResult,
+    gate_metrics,
+    gate_schedule,
+    optimize_cz,
+)
 from fluxgate.pulses import centred_phase, drive_flux, drive_window, total_duration
-from fluxgate.system import assemble_operators
+from fluxgate.system import assemble_operators, build_hamiltonian, label_eigenstates
 
 RESONANT = ParametricPulse(
     flux_static=0.35, drive_amp=0.045, drive_freq=10.79, ramp_time=5.0, gate_time=60.0
@@ -354,6 +360,60 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
     assert len(calls) == per_ramp_down
     assert result.report()["leakage_channels"]
     assert len(calls) == 2 * per_ramp_down
+
+
+def test_entry_points_compute_at_one_blas_thread(rc500, monkeypatch):
+    # Every kernel and eigensolve a library call reaches runs at one
+    # thread, whatever count the caller keeps, and the caller gets its
+    # count back. optimize_cz takes a stub seed: its Floquet seed is
+    # extract_transition, called on its own below.
+    params, cfg, dt = rc500.params, replace(rc500.require("gate"), gate_time=20.0), 2e-3
+    pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
+    short = replace(RESONANT, ramp_time=2.0, gate_time=6.0)
+    mono = monodromy(params, 0.35, 0.03, 10.79, dt=dt)
+    # Two gates whose populations are first read below.
+    unitary, leaky = [propagate_computational_unitary(params, pulse, ramp, dt=dt)
+                      for _ in range(2)]
+    monkeypatch.setattr(gates, "_seed_from_floquet", lambda params, cfg, dt: (10.78, 0.05))
+    calls = {
+        "diagonalize_fluxonium": lambda: circuits.diagonalize_fluxonium(params.q0),
+        "diagonalize_transmon_charge":
+            lambda: circuits.diagonalize_transmon_charge(params.coupler, 0.35),
+        "label_eigenstates": lambda: label_eigenstates(build_hamiltonian(params, 0.3)),
+        "propagate_state": lambda: propagate_state(params, short, dt=dt),
+        "propagate_computational_unitary":
+            lambda: propagate_computational_unitary(params, pulse, ramp, dt=dt),
+        "chevron_column": lambda: chevron_column(params, short, 10.79, [0.0, 5.0], dt=dt),
+        "amplitude_point": lambda: amplitude_point(params, short, 10.79, 0.045, 6.0, dt=dt),
+        "monodromy": lambda: monodromy(params, 0.35, 0.03, 10.79, dt=dt),
+        "quasienergies": lambda: quasienergies(mono),
+        "extract_transition": lambda: extract_transition(
+            params, 0.35, 0.03, ((1, 0, 1), (2, 0, 2)), (10.736, 10.836), 5, dt=dt),
+        "evaluate_gate": lambda: evaluate_gate(params, cfg, 10.78, 0.05, dt=dt),
+        "optimize_cz": lambda: optimize_cz(params, cfg, dt=dt, final_dt=dt, restarts=1,
+                                           budget=4),
+        "final_populations": lambda: unitary.final_populations,
+        "leakage_channels": lambda: leakage_channels(leaky),
+    }
+    seen = []
+    for module, name in ((backends, "strang_sequence"), (backends, "step_sequence"),
+                         (backends, "apply_power"), (np.linalg, "eigh")):
+        def spy(*args, fn=getattr(module, name), name=name, **kwargs):
+            seen.append((name, backends.blas_threads()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    callers = backends.blas_threads() + 1
+    previous = backends.set_blas_threads(callers)
+    try:
+        for entry, call in calls.items():
+            seen.clear()
+            call()
+            assert seen, f"{entry} reached no spied call"
+            assert {threads for _, threads in seen} == {1}, f"{entry}: {seen}"
+            assert backends.blas_threads() == callers, entry
+    finally:
+        backends.set_blas_threads(previous)
 
 
 def _interval_case(params, kind, steps, dt=DEFAULT_DT):
