@@ -64,12 +64,13 @@ The package links only numpy's LAPACK and OpenBLAS, so a process runs
 one OpenBLAS thread pool, whose live count ``blas_threads`` reads and
 ``set_blas_threads`` sets. The public entry points that diagonalize,
 step or solve (in ``circuits``, ``system``, ``evolve``, ``floquet`` and
-``gates``) compute at one thread under ``one_blas_thread`` and hand the
-caller's count back on return. No product in the package is wider than
-150 states, so a second thread only spins on a core of its own: at
-OpenBLAS's default count of 2 on 2 vCPUs, a pass of each benchmark
-workload took 1.9-2.0 s of CPU per second of wall time, and 1.0 s under
-this rule. Importing the package sets no count.
+``gates``), and the cache misses of ``evolve.dressed_frame``, compute at
+one thread under ``one_blas_thread`` and hand the caller's count back on
+return; the command line adds no rule of its own. No product in the
+package is wider than 150 states, so a second thread only spins on a
+core of its own: at OpenBLAS's default count of 2 on 2 vCPUs, a pass of
+each benchmark workload took 1.9-2.0 s of CPU per second of wall time,
+and 1.0 s under this rule. Importing the package sets no count.
 """
 
 from __future__ import annotations

@@ -13,20 +13,14 @@ reflected in the exit code while the scan continues; any other
 exception is a bug and propagates. Values and failures of both kinds
 come back in job order, fresh or resumed, so output does not depend on
 the order in which points finish. Every finished point, met or not, is
-checkpointed with the BLAS thread count it ran at and the checkpoint
-``format``, so ``--resume`` skips it without recomputing and retries
-raised points and points computed at another thread count or format:
-OpenBLAS results are not bitwise reproducible across counts, and
-``CHECKPOINT_FORMAT`` changes whenever a command's values do.
+checkpointed with the checkpoint ``format``, so ``--resume`` skips it
+without recomputing and retries raised points and points computed in
+another format: ``CHECKPOINT_FORMAT`` changes whenever a command's
+values do. A pool runs min(workers, cores, pending points) processes,
+and a pool of one runs in this process.
 
-``main`` runs every command at one thread of numpy's OpenBLAS and
-restores the caller's count when it returns. A pool runs
-min(workers, cores, pending points) processes, each started at the
-run's thread count, so results do not depend on ``--workers``, and a
-pool of one runs in this process. The sidecar records the count as
-``blas_threads``. The library also computes at one thread inside each
-of its own calls (``backends.one_blas_thread``), so a library caller
-keeps its own count outside them; importing the package sets no count.
+Every library call computes at one OpenBLAS thread (see ``backends``),
+so results depend neither on ``--workers`` nor on the caller's count.
 
 A library error raised outside the point runner fails the whole run:
 the sidecar lists it as the run's one failure, under the command's name.
@@ -79,9 +73,11 @@ PROGRESS_NAME = "progress.jsonl"
 # carriers centred on the drive window (gate-sweep values moved by about
 # 1e-8). 3: amplitude carriers centred too, each cell scored through its
 # mirrored half window (the 48 benchmark cells moved by at most 1.9e-7).
+# 4: a single column steps as a row-vector product, whose summation
+# order moved chevron and amplitude values by about 3e-13 on set500.
 # Lines without a format predate 2, among them gate-sweep values that
 # still carried a sixth element, the message.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 STAGNATED = "optimizer stagnated above the objective limit"
 
 
@@ -106,14 +102,12 @@ class RunDirectory:
         self.command = command
         self.run_id = digest[:12]
         self.payload = payload
-        self.blas_threads = backends.blas_threads()
         self.path = root / f"{command}-{self.run_id}"
         self.path.mkdir(parents=True, exist_ok=True)
 
     def completed_points(self, resume: bool) -> dict[str, object]:
-        """Checkpointed values by key, keeping only points computed at the
-        live BLAS thread count, since OpenBLAS results differ across
-        counts, and in the live ``CHECKPOINT_FORMAT``.
+        """Checkpointed values by key, keeping only points computed in the
+        live ``CHECKPOINT_FORMAT``.
 
         An interrupted append leaves a torn last line. It is logged and
         dropped from the file, which is rewritten to end in a newline so
@@ -135,8 +129,7 @@ class RunDirectory:
                 logger.warning("dropping a torn checkpoint line: %.60s", line)
                 continue
             kept.append(line)
-            current = (entry.get("blas_threads"), entry.get("format"))
-            if current == (self.blas_threads, CHECKPOINT_FORMAT):
+            if entry.get("format") == CHECKPOINT_FORMAT:
                 done[entry["key"]] = entry["value"]
             else:
                 stale += 1
@@ -144,14 +137,13 @@ class RunDirectory:
         if clean != text:
             progress.write_text(clean, encoding="utf-8")
         if stale:
-            logger.info("recomputing %d checkpointed point(s) computed at another "
-                        "BLAS thread count or checkpoint format", stale)
+            logger.info("recomputing %d checkpointed point(s) computed in another "
+                        "checkpoint format", stale)
         return done
 
     def checkpoint(self, key: str, value) -> None:
         with open(self.path / PROGRESS_NAME, "a", encoding="utf-8") as fh:
-            entry = {"key": key, "value": value, "blas_threads": self.blas_threads,
-                     "format": CHECKPOINT_FORMAT}
+            entry = {"key": key, "value": value, "format": CHECKPOINT_FORMAT}
             fh.write(json.dumps(entry) + "\n")
             fh.flush()
 
@@ -193,7 +185,9 @@ class RunDirectory:
                 "n_points": n_points,
                 "failures": failures,
                 "outputs": outputs,
-                "blas_threads": self.blas_threads,
+                # The count library calls compute at: 1, or None without
+                # numpy's OpenBLAS.
+                "blas_threads": backends.one_blas_thread(backends.blas_threads)(),
             },
         )
 
@@ -231,9 +225,7 @@ def _run_points(
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     processes = min(workers, cores or 1, len(pending))
     if processes > 1:
-        # Workers run at the count their checkpoints are tagged with.
-        with ProcessPoolExecutor(max_workers=processes, initializer=backends.set_blas_threads,
-                                 initargs=(run_dir.blas_threads or 1,)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = {pool.submit(worker, *jobs[i][1]): i for i in pending}
             for future in as_completed(futures):
                 settle(futures[future], future.result)
@@ -555,7 +547,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, section = _COMMANDS[args.command]
 
-    previous_threads = backends.set_blas_threads(1)
     try:
         rc = load_config(args.config)
         if args.workers is not None and args.workers < 1:
@@ -602,9 +593,6 @@ def main(argv=None) -> int:
     except FluxgateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if previous_threads is not None:
-            backends.set_blas_threads(previous_threads)
 
 
 if __name__ == "__main__":

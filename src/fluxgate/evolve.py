@@ -181,6 +181,7 @@ class ComputationalUnitary:
 
 
 @lru_cache(maxsize=32)
+@backends.one_blas_thread
 def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     """Labeled dressed spectrum at a fixed coupler flux (cached, read-only).
 

@@ -11,9 +11,10 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fluxgate import backends, cli, gates
+from fluxgate import backends, cli, evolve, gates
 from fluxgate.cli import RunDirectory, _run_points, _shift_point, main
 from fluxgate.config import load_config
 from fluxgate.errors import IntegrationError
@@ -54,6 +55,12 @@ time_points = 3
 """
 
 SCAN3 = "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n"
+
+AMPLITUDE_ONE = (
+    "[output]\ndt = 0.002\n\n[amplitude]\nflux_s = 0.35\nfixed_time = 20.0\n"
+    "freq_min = 10.79\nfreq_max = 10.79\nfreq_points = 1\n"
+    "amp_min = 0.03\namp_max = 0.03\namp_points = 1\n"
+)
 
 
 def write_cfg(tmp_path, extra="", name="run.cfg"):
@@ -115,60 +122,86 @@ def test_worker_count_invisible_in_results(tmp_path):
     assert header == "flux,shift_p0,shift_p1,zz,ambiguous"
 
 
-def _pid_and_threads():
-    return [os.getpid(), backends.blas_threads()]
-
-
-def _pid_and_threads_after_a_nap():
+def _pid_after_a_nap():
     # The nap keeps a worker busy, so the next point goes to another.
     time.sleep(0.1)
-    return _pid_and_threads()
+    return os.getpid()
 
 
-def test_points_run_at_the_live_blas_thread_count(tmp_path):
-    # Pooled or not, every point runs at the count the run records.
-    threads = backends.blas_threads()
-    run_dir = RunDirectory(tmp_path, "probe", {})
-    jobs = [(str(i), ()) for i in range(4)]
-    values, failures = _run_points(run_dir, jobs, _pid_and_threads, 2, False)
-    assert failures == [] and {t for _, t in values} == {threads}
-    run_dir.write_sidecar(0.001, [], failures, len(jobs))
-    assert run_json(run_dir.path)["blas_threads"] == threads
-    # A pool of one process is no pool: the points run here, whether one
-    # worker is asked for or one point is pending.
-    for workers, n_jobs in ((1, 4), (2, 1)):
-        probe = RunDirectory(tmp_path, f"one-{workers}", {})
-        values, _ = _run_points(probe, jobs[:n_jobs], _pid_and_threads, workers, False)
-        assert {pid for pid, _ in values} == {os.getpid()}
-
-
-def test_pooled_points_run_in_processes_of_one_blas_thread(tmp_path):
-    # Under main's pin a pool runs min(workers, cores, points) processes,
-    # each at one thread, whatever the count its start method hands it.
+def test_a_pool_runs_at_most_one_process_per_core_and_point(tmp_path):
+    # A pool runs min(workers, cores, points) processes; a pool of one
+    # process is no pool: the points run here, whether one worker is
+    # asked for or one point is pending.
     cores = len(os.sched_getaffinity(0))
     jobs = [(str(i), ()) for i in range(2 * cores + 2)]
-    previous = backends.set_blas_threads(1)
-    try:
-        values, failures = _run_points(RunDirectory(tmp_path, "two", {}), jobs[:4],
-                                       _pid_and_threads_after_a_nap, 2, False)
-        capped, _ = _run_points(RunDirectory(tmp_path, "capped", {}), jobs,
-                                _pid_and_threads_after_a_nap, cores + 1, False)
-    finally:
-        backends.set_blas_threads(previous)
-    assert failures == [] and {t for _, t in values + capped} == {1}
-    assert len({pid for pid, _ in values}) == min(2, cores)
-    assert len({pid for pid, _ in capped}) <= cores
+    two, failures = _run_points(RunDirectory(tmp_path, "two", {}), jobs[:4],
+                                _pid_after_a_nap, 2, False)
+    capped, _ = _run_points(RunDirectory(tmp_path, "capped", {}), jobs,
+                            _pid_after_a_nap, cores + 1, False)
+    assert failures == [] and len(set(two)) == min(2, cores)
+    assert len(set(capped)) <= cores
+    for workers, n_jobs in ((1, 4), (2, 1)):
+        probe = RunDirectory(tmp_path, f"one-{workers}", {})
+        values, _ = _run_points(probe, jobs[:n_jobs], os.getpid, workers, False)
+        assert set(values) == {os.getpid()}
 
 
-def test_main_restores_the_callers_blas_thread_count(tmp_path):
-    # Commands run at one thread; the caller keeps its own count, here one
-    # above the session's so that no command leaves it behind by chance.
-    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+def test_commands_compute_at_one_blas_thread(tmp_path, monkeypatch):
+    # No command pins a count of its own: every kernel, eigensolve, SVD and
+    # solve a command reaches runs at one thread inside the library, at a
+    # caller's count one above the session's, and main hands that count
+    # back. Each command starts at a cold frame cache, so that it computes
+    # its dressed frames, not looks them up.
+    configs = {
+        "spectrum": "",
+        "shift-scan": SCAN3,
+        "chevron": CHEVRON_TINY,
+        "amplitude": AMPLITUDE_ONE,
+        "floquet": "[output]\ndt = 0.002\n\n[floquet]\nflux_s = 0.35\namp_values = 0.03\n"
+                   "resolution = 5\n",
+        # The bias ramps are stepped by step_sequence.
+        "gate-opt": "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.0\nflux_interaction = 0.35\n"
+                    "bias_ramp = 3.0\ngate_time = 30.0\nrestarts = 1\nbudget = 10\n",
+    }
+    seen = []
+    for module, name in ((backends, "strang_sequence"), (backends, "step_sequence"),
+                         (backends, "apply_power"), (np.linalg, "eigh"), (np.linalg, "svd"),
+                         (np.linalg, "solve")):
+        def spy(*args, fn=getattr(module, name), name=name, **kwargs):
+            seen.append((name, backends.blas_threads()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
     callers = backends.blas_threads() + 1
     previous = backends.set_blas_threads(callers)
     try:
-        assert main(["shift-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert run_json(only_run_dir(tmp_path / "o", "shift-scan"))["blas_threads"] == 1
+        reached = set()
+        for command, extra in configs.items():
+            seen.clear()
+            evolve.dressed_frame.cache_clear()
+            cfg = write_cfg(tmp_path, extra, name=f"{command}.cfg")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                         "--workers", "1"]) == 0, command
+            assert seen and {threads for _, threads in seen} == {1}, f"{command}: {seen}"
+            assert backends.blas_threads() == callers, command
+            assert run_json(only_run_dir(tmp_path / command, command))["blas_threads"] == 1
+            reached |= {name for name, _ in seen}
+    finally:
+        backends.set_blas_threads(previous)
+    assert reached == {"strang_sequence", "step_sequence", "apply_power", "eigh", "svd",
+                       "solve"}
+
+
+def test_main_restores_the_callers_blas_thread_count(tmp_path):
+    # main pins no count: a caller's count, here one above the session's
+    # so that nothing restores it by chance, is the count it returns at,
+    # after a pooled run and after a configuration error.
+    cfg = write_cfg(tmp_path, SCAN3)
+    callers = backends.blas_threads() + 1
+    previous = backends.set_blas_threads(callers)
+    try:
+        assert main(["shift-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "2"]) == 0
         assert backends.blas_threads() == callers
         assert main(["shift-scan", "--config", str(tmp_path / "missing.cfg")]) == 2
         assert backends.blas_threads() == callers
@@ -177,8 +210,10 @@ def test_main_restores_the_callers_blas_thread_count(tmp_path):
 
 
 def test_commands_run_when_openblas_is_not_found(tmp_path, monkeypatch):
+    # Without numpy's OpenBLAS the library pins nothing, serial or pooled,
+    # and the sidecar records no count.
     monkeypatch.setattr(backends, "_openblas", lambda: None)
-    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+    cfg = write_cfg(tmp_path, SCAN3)
     out = tmp_path / "o"
     assert main(["shift-scan", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
     assert run_json(only_run_dir(out, "shift-scan"))["blas_threads"] is None
@@ -186,8 +221,8 @@ def test_commands_run_when_openblas_is_not_found(tmp_path, monkeypatch):
 
 def test_importing_the_library_keeps_the_blas_thread_count():
     # Importing sets no count: the library pins one thread only inside its
-    # calls, and main for a whole command, so a caller that imports these
-    # modules keeps the count a bare numpy import leaves.
+    # calls, so a caller that imports these modules, the command line's
+    # included, keeps the count a bare numpy import leaves.
     modules = ("circuits", "system", "evolve", "floquet", "gates", "backends", "cli",
                "config", "errors", "pulses")
     probe = (
@@ -234,22 +269,6 @@ def test_no_command_loads_scipy(cfg500_path, tmp_path):
     assert json.loads(stdout.splitlines()[-1]) == [[0, 0], True, []]
 
 
-def test_resume_recomputes_points_from_another_blas_thread_count(tmp_path, caplog):
-    # OpenBLAS results differ across thread counts, so only checkpoints
-    # taken at the live count are reused; old lines without one are not.
-    run_dir = RunDirectory(tmp_path, "probe", {})
-    run_dir.checkpoint("a", "kept")
-    with open(run_dir.path / "progress.jsonl", "a", encoding="utf-8") as fh:
-        other = (backends.blas_threads() or 0) + 1
-        fh.write(json.dumps({"key": "b", "value": "stale", "blas_threads": other}) + "\n")
-        fh.write(json.dumps({"key": "c", "value": "stale"}) + "\n")
-    jobs = [(key, (key,)) for key in "abc"]
-    with caplog.at_level("INFO", logger="fluxgate.cli"):
-        values, failures = _run_points(run_dir, jobs, str.upper, 1, True)
-    assert values == ["kept", "B", "C"] and failures == []
-    assert "recomputing 2 checkpointed point(s)" in caplog.text
-
-
 def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     # An interrupted append leaves a torn last line: --resume keeps the
     # good line, recomputes the torn point and matches a clean run.
@@ -259,7 +278,7 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     assert main(["shift-scan", "--config", cfg, "--out", str(torn)]) == 0
     run_dir = only_run_dir(torn, "shift-scan")
     good = {"key": "0", "value": _shift_point(load_config(cfg).params, 0.0),
-            "blas_threads": run_json(run_dir)["blas_threads"], "format": cli.CHECKPOINT_FORMAT}
+            "format": cli.CHECKPOINT_FORMAT}
     progress = run_dir / "progress.jsonl"
     progress.write_text(json.dumps(good) + "\n" + '{"key": "0.1", "value": [0.0')
     with caplog.at_level("WARNING", logger="fluxgate.cli"):
@@ -270,34 +289,42 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
 
     # The torn line is dropped from the file, so a later append, here one
     # of a resumed run that fails a point and keeps its checkpoints,
-    # starts a line of its own instead of joining the torn one.
+    # starts a line of its own instead of joining the torn one. A whole
+    # line without a format is kept in the file but not reused.
     probe = RunDirectory(tmp_path, "probe", {})
     probe.checkpoint("a", 1)
     with open(probe.path / "progress.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": "c", "value": "stale"}) + "\n")
         fh.write('{"key": "b", "val')
-    assert probe.completed_points(True) == {"a": 1}
+    with caplog.at_level("INFO", logger="fluxgate.cli"):
+        assert probe.completed_points(True) == {"a": 1}
+    assert "recomputing 1 checkpointed point(s) computed in another checkpoint format" \
+        in caplog.text
     probe.checkpoint("b", 2)
     assert probe.completed_points(True) == {"a": 1, "b": 2}
 
 
-def test_worker_count_invisible_at_one_blas_thread(tmp_path):
-    # The command pins one BLAS thread itself, so no thread-count variable
-    # is set: a 2-worker pool runs two processes on two or more cores, and
-    # its output must still equal the serial run byte for byte.
-    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+def test_results_depend_on_neither_worker_count_nor_openblas_threads(tmp_path):
+    # The library pins one BLAS thread inside its calls, so a fresh process
+    # at OpenBLAS's default count and one started at a single thread, each
+    # serial and with a 2-worker pool (two processes on two or more cores),
+    # write the same bytes.
+    cfg = write_cfg(tmp_path, SCAN3)
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(backends.__file__).parents[1])
     runs = {}
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        subprocess.run([sys.executable, "-m", "fluxgate.cli", "shift-scan", "--config", cfg,
-                        "--out", str(out), "--workers", workers], env=env, check=True,
-                       capture_output=True)
-        run_dir = only_run_dir(out, "shift-scan")
-        runs[workers] = (run_dir / "result.csv").read_bytes(), run_json(run_dir)
-    assert runs["1"][0] == runs["2"][0]
-    assert runs["1"][1]["blas_threads"] == runs["2"][1]["blas_threads"] == 1
+    for threads in (None, "1"):
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        for workers in ("1", "2"):
+            out = tmp_path / f"t{threads}-w{workers}"
+            subprocess.run([sys.executable, "-m", "fluxgate.cli", "shift-scan", "--config",
+                            cfg, "--out", str(out), "--workers", workers], env=run_env,
+                           check=True, capture_output=True)
+            run_dir = only_run_dir(out, "shift-scan")
+            runs[threads, workers] = (run_dir / "result.csv").read_bytes()
+            assert run_json(run_dir)["blas_threads"] == 1
+    assert len(set(runs.values())) == 1
 
 
 def test_chevron_domain_failure_sets_exit_code(tmp_path, capsys):
@@ -345,8 +372,7 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
     # A checkpointed point is trusted under --resume and recomputed without.
     fake = {k: [0.5, 0.5, 0.5] for k in ("000", "001", "100", "101", "202",
                                          "computational")}
-    entry = {"key": "10.78", "value": fake, "blas_threads": run_json(run_dir)["blas_threads"],
-             "format": cli.CHECKPOINT_FORMAT}
+    entry = {"key": "10.78", "value": fake, "format": cli.CHECKPOINT_FORMAT}
     (run_dir / "progress.jsonl").write_text(json.dumps(entry) + "\n")
     assert main(["chevron", "--config", cfg, "--out", str(out), "--resume"]) == 0
     resumed = (run_dir / "result.csv").read_text()
@@ -381,18 +407,12 @@ def test_amplitude_isolates_failures(tmp_path, capsys):
 def test_amplitude_resume_recomputes_a_format_2_checkpoint(tmp_path, caplog):
     # Amplitude cells centre their carrier since format 3, which moved
     # their values, so a cell checkpointed at format 2 is recomputed.
-    cfg = write_cfg(
-        tmp_path,
-        "[output]\ndt = 0.002\n\n[amplitude]\nflux_s = 0.35\nfixed_time = 20.0\n"
-        "freq_min = 10.79\nfreq_max = 10.79\nfreq_points = 1\n"
-        "amp_min = 0.03\namp_max = 0.03\namp_points = 1\n",
-    )
+    cfg = write_cfg(tmp_path, AMPLITUDE_ONE)
     out = tmp_path / "o"
     assert main(["amplitude", "--config", cfg, "--out", str(out)]) == 0
     run_dir = only_run_dir(out, "amplitude")
     fresh = (run_dir / "result.csv").read_bytes()
-    stale = {"key": "10.79|0.03", "value": 0.5,
-             "blas_threads": run_json(run_dir)["blas_threads"], "format": 2}
+    stale = {"key": "10.79|0.03", "value": 0.5, "format": 2}
     (run_dir / "progress.jsonl").write_text(json.dumps(stale) + "\n")
     with caplog.at_level("INFO", logger="fluxgate.cli"):
         assert main(["amplitude", "--config", cfg, "--out", str(out), "--resume"]) == 0
@@ -646,11 +666,9 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
     assert main(["gate-sweep", "--config", cfg, "--out", str(fresh)]) == 0
     assert main(["gate-sweep", "--config", cfg, "--out", str(resumed)]) == 0
     run_dir = only_run_dir(resumed, "gate-sweep")
-    threads = run_json(run_dir)["blas_threads"]
-    old = {"key": "30|5", "value": [0.5, 0.25, 10.7, 0.04, False, "stale"],
-           "blas_threads": threads}
+    old = {"key": "30|5", "value": [0.5, 0.25, 10.7, 0.04, False, "stale"]}
     live = {"key": "40|5", "value": [40e-6, 1e-6, 10.8, 0.05, True],
-            "blas_threads": threads, "format": cli.CHECKPOINT_FORMAT}
+            "format": cli.CHECKPOINT_FORMAT}
     (run_dir / "progress.jsonl").write_text(json.dumps(old) + "\n" + json.dumps(live) + "\n")
     calls.clear()
     with caplog.at_level("INFO", logger="fluxgate.cli"):

@@ -394,10 +394,12 @@ def test_entry_points_compute_at_one_blas_thread(rc500, monkeypatch):
                                            budget=4),
         "final_populations": lambda: unitary.final_populations,
         "leakage_channels": lambda: leakage_channels(leaky),
+        # The cache wraps the pin: a miss computes at one thread.
+        "dressed_frame": lambda: (dressed_frame.cache_clear(), dressed_frame(params, 0.2)),
     }
     seen = []
     for module, name in ((backends, "strang_sequence"), (backends, "step_sequence"),
-                         (backends, "apply_power"), (np.linalg, "eigh")):
+                         (backends, "apply_power"), (np.linalg, "eigh"), (np.linalg, "svd")):
         def spy(*args, fn=getattr(module, name), name=name, **kwargs):
             seen.append((name, backends.blas_threads()))
             return fn(*args, **kwargs)
