@@ -30,8 +30,10 @@ Exit codes: 0 clean, 1 at least one point or optimization failed,
 
 Output files use GHz, ns, and flux quanta, matching the config format.
 The integrator step comes from ``[output] dt``, in ns, alone.
-The default output root comes from ``--out``, the config, or the
-``FLUXGATE_OUTPUT_ROOT`` environment variable, in that order.
+Each run setting has one source: the config holds what determines the
+results, which the run id hashes, and the command line holds where the
+output goes (``--out``, by default ``runs`` in the working directory)
+and how many processes run (``--workers``, by default 1).
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .system import build_hamiltonian, label_eigenstates, state_dependent_shifts
 logger = logging.getLogger(__name__)
 
 SIDECAR_SCHEMA = "fluxgate.run/1"
-OUTPUT_ROOT_ENV = "FLUXGATE_OUTPUT_ROOT"
 PROGRESS_NAME = "progress.jsonl"
 # Bumped whenever checkpointed values change shape or bits. 2: gate
 # carriers centred on the drive window (gate-sweep values moved by about
@@ -303,11 +304,7 @@ def cmd_spectrum(rc: RunConfig, run_dir: RunDirectory, workers: int,
 
     flux_points = [0.0]
     ref = rc.reference
-    flux_s = None
-    if ref is not None and ref.interaction_flux is not None:
-        flux_s = ref.interaction_flux
-    elif rc.gate is not None:
-        flux_s = rc.gate.drive_flux
+    flux_s = rc.spectrum_flux
     if flux_s is not None:
         flux_points.append(float(flux_s))
     for flux in flux_points:
@@ -535,8 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to an INI config")
-        cmd.add_argument("--out", default=None, help="output root directory")
-        cmd.add_argument("--workers", type=int, default=None,
+        cmd.add_argument("--out", default="runs", help="output root directory")
+        cmd.add_argument("--workers", type=int, default=1,
                          help="most processes for independent points")
         cmd.add_argument("--resume", action="store_true",
                          help="skip points already checkpointed in the run directory")
@@ -549,9 +546,8 @@ def main(argv=None) -> int:
 
     try:
         rc = load_config(args.config)
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             raise ConfigError("workers must be at least 1", "--workers")
-        workers = args.workers if args.workers is not None else rc.workers
 
         payload = {
             "command": args.command,
@@ -565,15 +561,9 @@ def main(argv=None) -> int:
             payload["restarts"] = rc.gate_restarts
             payload["budget"] = rc.gate_budget
 
-        root = Path(
-            args.out
-            or rc.output_dir
-            or os.environ.get(OUTPUT_ROOT_ENV, "")
-            or "runs"
-        )
-        run_dir = RunDirectory(root, args.command, payload)
+        run_dir = RunDirectory(Path(args.out), args.command, payload)
         try:
-            failures, outputs, n_points = handler(rc, run_dir, workers, bool(args.resume))
+            failures, outputs, n_points = handler(rc, run_dir, args.workers, args.resume)
         except FluxgateError as exc:
             # The directory exists already: its sidecar records the error
             # as the run's one failure.

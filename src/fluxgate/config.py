@@ -2,19 +2,25 @@
 
 Configs are INI text with sections for the three circuits, their
 couplings, truncation, and one section per command that needs grids or
-gate settings. Keys are validated against a fixed schema; unknown
-sections or keys are rejected with their field path, and every numeric
-constraint of the underlying modules is checked before any computation
-starts. Frequencies are GHz, times ns, fluxes in flux quanta; the
-integrator step ``[output] dt`` is in ns too, and is the only place a
-run's step is set.
+gate settings. The section dataclasses are the schema: each field is
+one key of its section, parsed by its annotation and required when it
+has no default; only keys without a field of their own are listed
+apart. Unknown sections or keys are rejected with their field path, and
+every numeric constraint of the underlying modules is checked before
+any computation starts. Frequencies are GHz, times ns, fluxes in flux
+quanta; the integrator step ``[output] dt`` is in ns too, and is the
+only place a run's step is set.
+
+A config holds what determines a run's results, and the run id hashes
+what its command reads of it; where the output goes and how many
+processes compute it are set on the command line alone.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .circuits import FluxoniumParams, TransmonParams
@@ -25,6 +31,7 @@ from .pulses import DEFAULT_DRIVE_RAMP, ParametricPulse
 from .system import CompositeParams, label_parity
 
 Label = tuple[int, int, int]
+Ladder = tuple[float, ...]
 
 # The fluxonium transitions the spectrum command reports: the
 # parity-allowed ones with their charge matrix elements.
@@ -39,14 +46,14 @@ class ReferenceValues:
     transitions are f01, f12, f03 and f14; the elements are the charge
     matrix elements |<0|n|1>|, |<1|n|2>|, |<0|n|3>| and |<1|n|4>|.
     Coupler frequencies refer to zero flux; the ``_interaction`` pair to
-    ``interaction_flux``, or without it to the ``[gate]`` drive flux;
-    ``load_config`` refuses the pair when there is neither.
+    ``RunConfig.spectrum_flux``, and ``load_config`` refuses the pair
+    when that is None.
     """
 
-    q0_transitions: tuple[float, ...] | None = None
-    q1_transitions: tuple[float, ...] | None = None
-    q0_elements: tuple[float, ...] | None = None
-    q1_elements: tuple[float, ...] | None = None
+    q0_transitions: Ladder | None = None
+    q1_transitions: Ladder | None = None
+    q0_elements: Ladder | None = None
+    q1_elements: Ladder | None = None
     coupler_w01: float | None = None
     coupler_w12: float | None = None
     interaction_flux: float | None = None
@@ -177,8 +184,6 @@ class RunConfig:
     """Validated contents of one configuration file."""
 
     params: CompositeParams
-    output_dir: str
-    workers: int
     dt: float
     gate: GateConfig | None = None
     shift_scan: ShiftScanConfig | None = None
@@ -197,20 +202,22 @@ class RunConfig:
             raise ConfigError("section required by this command is missing", name)
         return value
 
+    @property
+    def spectrum_flux(self) -> float | None:
+        """Coupler flux at which the spectrum reports the coupler beside
+        zero flux and compares the reference's ``_interaction`` pair: the
+        reference's ``interaction_flux``, else the gate's drive flux, else
+        None."""
+        if self.reference is not None and self.reference.interaction_flux is not None:
+            return self.reference.interaction_flux
+        return None if self.gate is None else self.gate.drive_flux
+
 
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text.strip()!r}")
     return value
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -220,7 +227,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(s) for s in items)
 
 
-def _parse_ladder(text: str) -> tuple[float, ...]:
+def _parse_ladder(text: str) -> Ladder:
     values = _parse_floats(text)
     if len(values) != len(LADDER):
         ladder = ", ".join(f"{i}-{j}" for i, j in LADDER)
@@ -242,89 +249,57 @@ def _parse_pair(text: str) -> tuple[Label, Label]:
     return (_parse_label(parts[0]), _parse_label(parts[1]))
 
 
+# RunConfig field, INI section, and type of each optional section that
+# is built from its keys as they are.
+_SECTIONS = (
+    ("shift_scan", "shift_scan", ShiftScanConfig),
+    ("chevron", "chevron", ChevronConfig),
+    ("amplitude", "amplitude", AmplitudeConfig),
+    ("floquet", "floquet", FloquetConfig),
+    ("sweep", "gate_sweep", SweepConfig),
+    ("reference", "reference", ReferenceValues),
+)
+
+# The parser of each annotation a section field carries, without
+# ``| None``.
+_PARSERS = {
+    "float": _parse_float,
+    "int": int,
+    "Label": _parse_label,
+    "Ladder": _parse_ladder,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[Label, Label]": _parse_pair,
+}
+
+
+def _keys(cls, *skip: str) -> dict[str, tuple]:
+    """One key per field of ``cls`` not in ``skip``, parsed by its
+    annotation and required when the field has no default."""
+    return {
+        f.name: (_PARSERS[f.type.removesuffix(" | None")], f.default is MISSING)
+        for f in fields(cls) if f.name not in skip
+    }
+
+
 # Schema: section -> key -> (parser, required). Sections marked optional
-# may be absent entirely; required keys apply only when present.
+# may be absent entirely; required keys apply only when present. A
+# section that builds a dataclass takes its keys from the fields; only
+# keys without a field of their own are listed here.
 _REQUIRED_SECTIONS = ("qubit0", "qubit1", "coupler", "couplings")
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "qubit0": {"e_c": (_parse_float, True), "e_l": (_parse_float, True), "e_j": (_parse_float, True)},
-    "qubit1": {"e_c": (_parse_float, True), "e_l": (_parse_float, True), "e_j": (_parse_float, True)},
-    "coupler": {"e_c": (_parse_float, True), "e_j_max": (_parse_float, True)},
-    "couplings": {
-        "j_c0": (_parse_float, True),
-        "j_c1": (_parse_float, True),
-        "j_01": (_parse_float, True),
-    },
-    "truncation": {
-        "fluxonium_levels": (_parse_int, False),
-        "coupler_levels": (_parse_int, False),
-    },
-    "output": {
-        "directory": (_parse_str, False),
-        "workers": (_parse_int, False),
-        "dt": (_parse_float, False),
-    },
-    "reference": {
-        "q0_transitions": (_parse_ladder, False),
-        "q1_transitions": (_parse_ladder, False),
-        "q0_elements": (_parse_ladder, False),
-        "q1_elements": (_parse_ladder, False),
-        "coupler_w01": (_parse_float, False),
-        "coupler_w12": (_parse_float, False),
-        "interaction_flux": (_parse_float, False),
-        "coupler_w01_interaction": (_parse_float, False),
-        "coupler_w12_interaction": (_parse_float, False),
-    },
-    "shift_scan": {
-        "flux_min": (_parse_float, False),
-        "flux_max": (_parse_float, False),
-        "points": (_parse_int, False),
-    },
-    "chevron": {
-        "flux_s": (_parse_float, True),
-        "drive_amp": (_parse_float, True),
-        "freq_min": (_parse_float, True),
-        "freq_max": (_parse_float, True),
-        "freq_points": (_parse_int, True),
-        "time_max": (_parse_float, True),
-        "time_points": (_parse_int, True),
-        "ramp_time": (_parse_float, False),
-        "psi0": (_parse_label, False),
-    },
-    "amplitude": {
-        "flux_s": (_parse_float, True),
-        "fixed_time": (_parse_float, True),
-        "freq_min": (_parse_float, True),
-        "freq_max": (_parse_float, True),
-        "freq_points": (_parse_int, True),
-        "amp_min": (_parse_float, True),
-        "amp_max": (_parse_float, True),
-        "amp_points": (_parse_int, True),
-        "ramp_time": (_parse_float, False),
-    },
-    "floquet": {
-        "flux_s": (_parse_float, True),
-        "amp_values": (_parse_floats, True),
-        "pair": (_parse_pair, False),
-        "window": (_parse_float, False),
-        "resolution": (_parse_int, False),
-    },
+    "qubit0": _keys(FluxoniumParams),
+    "qubit1": _keys(FluxoniumParams),
+    "coupler": _keys(TransmonParams),
+    "couplings": {key: (_parse_float, True) for key in ("j_c0", "j_c1", "j_01")},
+    "truncation": {"fluxonium_levels": (int, False), "coupler_levels": (int, False)},
+    "output": {"dt": (_parse_float, False)},
+    **{name: _keys(factory) for _, name, factory in _SECTIONS},
     "gate": {
-        "flux_idle": (_parse_float, True),
-        "flux_interaction": (_parse_float, False),
-        "gate_time": (_parse_float, True),
-        "bias_ramp": (_parse_float, False),
-        "drive_ramp": (_parse_float, False),
-        "freq_min": (_parse_float, False),
-        "freq_max": (_parse_float, False),
-        "amp_min": (_parse_float, False),
-        "amp_max": (_parse_float, False),
-        "restarts": (_parse_int, False),
-        "budget": (_parse_int, False),
-    },
-    "gate_sweep": {
-        "gate_times": (_parse_floats, True),
-        "drive_ramps": (_parse_floats, False),
+        **_keys(GateConfig, "freq_bounds", "amp_bounds"),
+        **{key: (_parse_float, False) for key in ("freq_min", "freq_max", "amp_min", "amp_max")},
+        "restarts": (int, False),
+        "budget": (int, False),
     },
 }
 
@@ -369,18 +344,6 @@ def _validate_keys(sections: dict[str, dict[str, str]]) -> dict[str, dict]:
     return parsed
 
 
-# RunConfig field, INI section, and type of each optional section that
-# is built from its keys as they are.
-_SECTIONS = (
-    ("shift_scan", "shift_scan", ShiftScanConfig),
-    ("chevron", "chevron", ChevronConfig),
-    ("amplitude", "amplitude", AmplitudeConfig),
-    ("floquet", "floquet", FloquetConfig),
-    ("sweep", "gate_sweep", SweepConfig),
-    ("reference", "reference", ReferenceValues),
-)
-
-
 def _build(section: str, factory, kwargs):
     try:
         return factory(**kwargs)
@@ -416,11 +379,7 @@ def load_config(path) -> RunConfig:
         },
     )
 
-    out = parsed.get("output", {})
-    workers = out.get("workers", 1)
-    dt = out.get("dt", DEFAULT_DT)
-    if workers < 1:
-        raise ConfigError("workers must be at least 1", "output.workers")
+    dt = parsed.get("output", {}).get("dt", DEFAULT_DT)
     if dt <= 0:
         raise ConfigError("dt must be positive", "output.dt")
 
@@ -446,13 +405,18 @@ def load_config(path) -> RunConfig:
         field: _build(name, factory, parsed[name])
         for field, name, factory in _SECTIONS if name in parsed
     }
+    rc = RunConfig(
+        params=params,
+        dt=dt,
+        gate=gate,
+        gate_restarts=gate_restarts,
+        gate_budget=gate_budget,
+        **sections,
+    )
 
-    # The spectrum command compares the _interaction pair at the
-    # reference's interaction_flux, else at the gate's drive flux.
-    ref = sections.get("reference")
-    if ref is not None and ref.interaction_flux is None and gate is None:
+    if rc.spectrum_flux is None and rc.reference is not None:
         for key in ("coupler_w01_interaction", "coupler_w12_interaction"):
-            if getattr(ref, key) is not None:
+            if getattr(rc.reference, key) is not None:
                 raise ConfigError(
                     "needs interaction_flux or a [gate] to compare against", f"reference.{key}"
                 )
@@ -490,13 +454,4 @@ def load_config(path) -> RunConfig:
                 "sectors, which the drive does not couple", "floquet.pair"
             )
 
-    return RunConfig(
-        params=params,
-        output_dir=out.get("directory", ""),
-        workers=workers,
-        dt=dt,
-        gate=gate,
-        gate_restarts=gate_restarts,
-        gate_budget=gate_budget,
-        **sections,
-    )
+    return rc

@@ -794,16 +794,19 @@ def test_settings_a_command_cannot_run_fail_at_load(
     assert not out.exists()
 
 
-def test_output_root_priority(tmp_path, monkeypatch, capsys):
+def test_out_is_the_one_output_root(tmp_path, monkeypatch, capsys):
+    # Without --out a run lands in ./runs of the working directory; no
+    # environment variable moves it.
     cfg = write_cfg(tmp_path)
-    env_root = tmp_path / "from_env"
-    monkeypatch.setenv("FLUXGATE_OUTPUT_ROOT", str(env_root))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FLUXGATE_OUTPUT_ROOT", str(tmp_path / "from_env"))
     assert main(["spectrum", "--config", cfg]) == 0
-    assert only_run_dir(env_root, "spectrum").exists()
+    default = only_run_dir(tmp_path / "runs", "spectrum")
 
     flag_root = tmp_path / "from_flag"
     assert main(["spectrum", "--config", cfg, "--out", str(flag_root)]) == 0
-    assert only_run_dir(flag_root, "spectrum").exists()
+    assert only_run_dir(flag_root, "spectrum").name == default.name
+    assert not (tmp_path / "from_env").exists()
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from fluxgate import CompositeParams, ConfigError, FluxoniumParams, TransmonParams, load_config
+from fluxgate.cli import main
 from fluxgate.config import _SCHEMA, _SECTIONS
 from fluxgate.evolve import DEFAULT_DT
 from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
@@ -40,9 +41,7 @@ def write(tmp_path, extra="", base=BASE):
 
 def test_minimal_config_defaults(tmp_path):
     rc = load_config(write(tmp_path))
-    assert rc.workers == 1
     assert rc.dt == 0.0005
-    assert rc.output_dir == ""
     assert rc.gate is None and rc.chevron is None and rc.sweep is None
     assert rc.params.n_flux_levels == 5
     assert rc.params.n_coupler_levels == 6
@@ -85,10 +84,37 @@ def test_unknown_key(tmp_path):
     assert err.value.field == "gate.mode"
 
 
-def test_missing_required_key(tmp_path):
-    with pytest.raises(ConfigError) as err:
-        load_config(write(tmp_path, base=BASE.replace("e_j_max = 25.0\n", "")))
-    assert err.value.field == "coupler.e_j_max"
+# Every required key, by section, with a value it parses.
+REQUIRED = {
+    "qubit0": {"e_c": "1.0", "e_l": "1.0", "e_j": "4.0"},
+    "qubit1": {"e_c": "0.9", "e_l": "1.1", "e_j": "4.2"},
+    "coupler": {"e_c": "0.2", "e_j_max": "25.0"},
+    "couplings": {"j_c0": "0.5", "j_c1": "0.5", "j_01": "0.1"},
+    "chevron": {"flux_s": "0.35", "drive_amp": "0.045", "freq_min": "10.7",
+                "freq_max": "10.9", "freq_points": "5", "time_max": "100.0",
+                "time_points": "5"},
+    "amplitude": {"flux_s": "0.35", "fixed_time": "100.0", "freq_min": "10.7",
+                  "freq_max": "10.9", "freq_points": "5", "amp_min": "0.01",
+                  "amp_max": "0.05", "amp_points": "5"},
+    "floquet": {"flux_s": "0.35", "amp_values": "0.02, 0.04"},
+    "gate": {"flux_idle": "0.35", "gate_time": "65.0"},
+    "gate_sweep": {"gate_times": "65, 70"},
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id=f"{section}.{key}")
+    for section, keys in REQUIRED.items() for key in keys
+])
+def test_missing_required_key(tmp_path, section, key):
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
+                                if (name, k) != (section, key)) + "\n"
+        for name, keys in REQUIRED.items()
+    )
+    with pytest.raises(ConfigError, match="required key missing") as err:
+        load_config(write(tmp_path, base=text))
+    assert err.value.field == f"{section}.{key}"
 
 
 def test_missing_required_section(tmp_path):
@@ -120,10 +146,19 @@ time_points = 5
     assert err.value.field == "chevron"
 
 
-def test_output_constraints(tmp_path):
-    with pytest.raises(ConfigError) as err:
-        load_config(write(tmp_path, "[output]\nworkers = 0\n"))
-    assert err.value.field == "output.workers"
+def test_output_constraints(tmp_path, capsys):
+    # Where a run writes and how many processes compute it are set on the
+    # command line alone: [output] takes neither, and the run writes nothing.
+    elsewhere = tmp_path / "elsewhere"
+    for key, value in (("workers", "2"), ("directory", str(elsewhere))):
+        cfg = write(tmp_path, f"[output]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            load_config(cfg)
+        assert err.value.field == f"output.{key}"
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"output.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists() and not elsewhere.exists()
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, "[output]\ndt = -0.001\n"))
     assert err.value.field == "output.dt"
@@ -268,6 +303,10 @@ def test_every_section_field_is_a_key():
     types.update({name: factory for _, name, factory in _SECTIONS})
     for name, factory in types.items():
         assert {f.name for f in fields(factory)} == set(_SCHEMA[name]), name
+    # test_missing_required_key drops each required key in turn.
+    required = {(name, key) for name, keys in _SCHEMA.items()
+                for key, (_, needed) in keys.items() if needed}
+    assert required == {(name, key) for name, keys in REQUIRED.items() for key in keys}
 
 
 def test_drive_ramps_default_to_one_value(tmp_path):
