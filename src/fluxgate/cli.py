@@ -13,11 +13,11 @@ reflected in the exit code while the scan continues; any other
 exception is a bug and propagates. Values and failures of both kinds
 come back in job order, fresh or resumed, so output does not depend on
 the order in which points finish. Every finished point, met or not, is
-checkpointed with the checkpoint ``format``, so ``--resume`` skips it
-without recomputing and retries raised points and points computed in
-another format: ``CHECKPOINT_FORMAT`` changes whenever a command's
-values do. A pool runs min(workers, cores, pending points) processes,
-and a pool of one runs in this process.
+checkpointed with the ``code_digest`` of the package's sources, so
+``--resume`` skips it without recomputing and retries raised points and
+points another build computed: a checkpoint is reused only by the build
+that wrote it. A pool runs min(workers, cores, pending points)
+processes, and a pool of one runs in this process.
 
 Every library call computes at one OpenBLAS thread (see ``backends``),
 so results depend neither on ``--workers`` nor on the caller's count.
@@ -47,7 +47,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +70,6 @@ logger = logging.getLogger(__name__)
 
 SIDECAR_SCHEMA = "fluxgate.run/1"
 PROGRESS_NAME = "progress.jsonl"
-# Bumped whenever checkpointed values change shape or bits. 2: gate
-# carriers centred on the drive window (gate-sweep values moved by about
-# 1e-8). 3: amplitude carriers centred too, each cell scored through its
-# mirrored half window (the 48 benchmark cells moved by at most 1.9e-7).
-# 4: a single column steps as a row-vector product, whose summation
-# order moved chevron and amplitude values by about 3e-13 on set500.
-# Lines without a format predate 2, among them gate-sweep values that
-# still carried a sixth element, the message.
-CHECKPOINT_FORMAT = 4
 STAGNATED = "optimizer stagnated above the objective limit"
 
 
@@ -89,6 +80,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
+
+
+@cache
+def code_digest() -> str:
+    """sha256 over the name and bytes of each module of the package, in
+    name order: the identity of the build that computes a checkpoint."""
+    digest = hashlib.sha256()
+    for module in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(module.name.encode() + b"\0" + module.read_bytes())
+    return digest.hexdigest()
 
 
 def _canonical(payload) -> str:
@@ -107,8 +108,9 @@ class RunDirectory:
         self.path.mkdir(parents=True, exist_ok=True)
 
     def completed_points(self, resume: bool) -> dict[str, object]:
-        """Checkpointed values by key, keeping only points computed in the
-        live ``CHECKPOINT_FORMAT``.
+        """Checkpointed values by key, keeping only points this build
+        computed: a line is reused only when its ``code`` is the live
+        ``code_digest()``, and any other line is recomputed.
 
         An interrupted append leaves a torn last line. It is logged and
         dropped from the file, which is rewritten to end in a newline so
@@ -130,7 +132,7 @@ class RunDirectory:
                 logger.warning("dropping a torn checkpoint line: %.60s", line)
                 continue
             kept.append(line)
-            if entry.get("format") == CHECKPOINT_FORMAT:
+            if entry.get("code") == code_digest():
                 done[entry["key"]] = entry["value"]
             else:
                 stale += 1
@@ -138,13 +140,13 @@ class RunDirectory:
         if clean != text:
             progress.write_text(clean, encoding="utf-8")
         if stale:
-            logger.info("recomputing %d checkpointed point(s) computed in another "
-                        "checkpoint format", stale)
+            logger.info("recomputing %d checkpointed point(s) computed by another "
+                        "build", stale)
         return done
 
     def checkpoint(self, key: str, value) -> None:
         with open(self.path / PROGRESS_NAME, "a", encoding="utf-8") as fh:
-            entry = {"key": key, "value": value, "format": CHECKPOINT_FORMAT}
+            entry = {"key": key, "value": value, "code": code_digest()}
             fh.write(json.dumps(entry) + "\n")
             fh.flush()
 
@@ -536,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--workers", type=int, default=1,
                          help="most processes for independent points")
         cmd.add_argument("--resume", action="store_true",
-                         help="skip points already checkpointed in the run directory")
+                         help="skip points this build already checkpointed in the run directory")
     return parser
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError, DomainError
-from .evolve import DEFAULT_DT, _check_drive_resolved, label_key
+from .evolve import DEFAULT_DT, _check_drive_resolved, _step_count, label_key
 from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
 from .pulses import DEFAULT_DRIVE_RAMP, ParametricPulse
 from .system import CompositeParams, label_parity
@@ -432,6 +432,24 @@ def load_config(path) -> RunConfig:
             _check_drive_resolved(dt, freq_max)
         except DomainError as exc:
             raise ConfigError(f"{exc} at [{name}] freq_max", "output.dt") from exc
+
+    # Each section's longest schedule must cut into steps at dt, bias
+    # ramps included.
+    ramps = 0.0 if gate is None or gate.bias_ramp is None else 2.0 * gate.bias_ramp
+    longest = {}
+    if "chevron" in sections:
+        longest["[chevron] time_max"] = sections["chevron"].time_max
+    if "amplitude" in sections:
+        longest["[amplitude] fixed_time"] = sections["amplitude"].fixed_time
+    if gate is not None:
+        longest["[gate] gate_time"] = gate.gate_time + ramps
+    if "sweep" in sections:
+        longest["[gate_sweep] gate_times"] = max(sections["sweep"].gate_times) + ramps
+    for name, span in longest.items():
+        try:
+            _step_count(0.0, span, dt)
+        except DomainError as exc:
+            raise ConfigError(f"{exc} at {name}", "output.dt") from exc
 
     # A label names a level of each circuit: qubit 0, coupler, qubit 1.
     counts = (params.n_flux_levels, params.n_coupler_levels, params.n_flux_levels)

@@ -343,8 +343,18 @@ def _step_count(t_a, t_b, dt):
     A span within roundoff of a whole number of steps takes that number:
     the ramp-down span (2 tau + t_g) - (tau + t_g) can round above tau,
     and must take the ramp-up's count for U_down = U_up^T to hold.
+
+    Raises DomainError when (t_b - t_a) / dt is not finite or exceeds
+    2**52: past that, the step midpoints t_a + (k + 0.5) h can no longer
+    all be distinct doubles.
     """
-    n = max(1, int(np.ceil(round((t_b - t_a) / dt, 9))))
+    steps = (t_b - t_a) / dt
+    if not steps <= 2.0**52:
+        raise DomainError(
+            f"[{t_a:g}, {t_b:g}] ns at dt = {dt:g} ns takes {steps:.3g} steps, "
+            "more than 2**52"
+        )
+    n = max(1, int(np.ceil(round(steps, 9))))
     return n, (t_b - t_a) / n
 
 

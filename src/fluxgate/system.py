@@ -61,6 +61,7 @@ import numpy as np
 
 from .backends import one_blas_thread
 from .circuits import (
+    DEFAULT_FLUXONIUM_BASIS,
     FluxoniumParams,
     TransmonParams,
     diagonalize_fluxonium,
@@ -96,6 +97,13 @@ class CompositeParams:
     def __post_init__(self):
         if self.n_flux_levels < 5:
             raise ValueError("n_flux_levels must be at least 5")
+        # assemble_operators solves each fluxonium in the default basis,
+        # which holds at least four states per kept level.
+        if self.n_flux_levels > DEFAULT_FLUXONIUM_BASIS // 4:
+            raise ValueError(
+                f"n_flux_levels must be at most {DEFAULT_FLUXONIUM_BASIS // 4}, a quarter "
+                f"of the {DEFAULT_FLUXONIUM_BASIS}-state fluxonium basis"
+            )
         if self.n_coupler_levels < 4:
             raise ValueError("n_coupler_levels must be at least 4")
 
@@ -215,13 +223,14 @@ def _parity_selected(n_elements: np.ndarray, name: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+@np.errstate(over="ignore", invalid="ignore")  # reported as ConstructionError
 def assemble_operators(params: CompositeParams) -> ModelOperators:
     """Build and cache the flux-independent operator pieces and the
     conserved-parity sectors.
 
     Raises ConstructionError if a fluxonium charge element has a nonzero
     real part: the real basis of the module docstring needs them purely
-    imaginary.
+    imaginary; or if an entry of A, N or B is not finite.
     """
     nf, nc = params.n_flux_levels, params.n_coupler_levels
     q0 = diagonalize_fluxonium(params.q0, n_levels=nf)
@@ -264,6 +273,9 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
     b += params.j_c1 * _embed(eye_f, y_c, m1)
 
     n_diag = _embed(eye_f, np.diag(k), eye_f).diagonal().copy()
+    for name, arr in (("A", a), ("N", n_diag), ("B", b)):
+        if not np.isfinite(arr).all():
+            raise ConstructionError(f"operator {name} has non-finite entries")
 
     for arr in (a, b, n_diag, *sectors):
         arr.flags.writeable = False

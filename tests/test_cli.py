@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -278,7 +279,7 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     assert main(["shift-scan", "--config", cfg, "--out", str(torn)]) == 0
     run_dir = only_run_dir(torn, "shift-scan")
     good = {"key": "0", "value": _shift_point(load_config(cfg).params, 0.0),
-            "format": cli.CHECKPOINT_FORMAT}
+            "code": cli.code_digest()}
     progress = run_dir / "progress.jsonl"
     progress.write_text(json.dumps(good) + "\n" + '{"key": "0.1", "value": [0.0')
     with caplog.at_level("WARNING", logger="fluxgate.cli"):
@@ -290,7 +291,7 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
     # The torn line is dropped from the file, so a later append, here one
     # of a resumed run that fails a point and keeps its checkpoints,
     # starts a line of its own instead of joining the torn one. A whole
-    # line without a format is kept in the file but not reused.
+    # line without a code is kept in the file but not reused.
     probe = RunDirectory(tmp_path, "probe", {})
     probe.checkpoint("a", 1)
     with open(probe.path / "progress.jsonl", "a", encoding="utf-8") as fh:
@@ -298,10 +299,34 @@ def test_resume_recomputes_a_torn_last_checkpoint_line(tmp_path, caplog):
         fh.write('{"key": "b", "val')
     with caplog.at_level("INFO", logger="fluxgate.cli"):
         assert probe.completed_points(True) == {"a": 1}
-    assert "recomputing 1 checkpointed point(s) computed in another checkpoint format" \
-        in caplog.text
+    assert "recomputing 1 checkpointed point(s) computed by another build" in caplog.text
     probe.checkpoint("b", 2)
     assert probe.completed_points(True) == {"a": 1, "b": 2}
+
+
+def test_code_digest_follows_the_sources_not_their_path(tmp_path):
+    # Two copies of the package at different paths name the same build;
+    # a one-byte edit to a module other than cli.py names another.
+    package = Path(cli.__file__).parent
+    copies = [tmp_path / name for name in ("a", "b")]
+    for root in copies:
+        shutil.copytree(package, root / "fluxgate", ignore=shutil.ignore_patterns("__pycache__"))
+
+    def digest(root):
+        probe = "from fluxgate import cli; print(cli.__file__, cli.code_digest())"
+        env = dict(os.environ, PYTHONPATH=str(root))
+        stdout = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True).stdout
+        path, code = stdout.split()
+        assert Path(path).parent == root / "fluxgate"
+        return code
+
+    first, second = (digest(root) for root in copies)
+    assert first == second == cli.code_digest()
+    module = copies[1] / "fluxgate" / "evolve.py"
+    text = module.read_bytes()
+    module.write_bytes(text[:3] + text[3:4].lower() + text[4:])
+    assert digest(copies[1]) != first
 
 
 def test_results_depend_on_neither_worker_count_nor_openblas_threads(tmp_path):
@@ -360,6 +385,17 @@ def test_shift_scan_domain_failure_sets_exit_code(tmp_path, capsys):
     assert body[2].startswith("0.7,nan,nan,nan,")
 
 
+def test_shift_scan_fails_each_point_of_a_non_finite_hamiltonian(tmp_path, capsys):
+    # j_c0 = 1e308 overflows the coupling operator B: every point fails
+    # with its message, rather than reading as an ambiguous labelling.
+    cfg = write_cfg(tmp_path, SCAN3)
+    Path(cfg).write_text(Path(cfg).read_text().replace("j_c0 = 0.5", "j_c0 = 1e308"))
+    assert main(["shift-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"point failed: {flux}: operator B has non-finite entries"
+                                for flux in ("0", "0.1", "0.2")]
+
+
 def test_chevron_resume_and_recompute(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CHEVRON_TINY)
     out = tmp_path / "o"
@@ -372,7 +408,7 @@ def test_chevron_resume_and_recompute(tmp_path, capsys):
     # A checkpointed point is trusted under --resume and recomputed without.
     fake = {k: [0.5, 0.5, 0.5] for k in ("000", "001", "100", "101", "202",
                                          "computational")}
-    entry = {"key": "10.78", "value": fake, "format": cli.CHECKPOINT_FORMAT}
+    entry = {"key": "10.78", "value": fake, "code": cli.code_digest()}
     (run_dir / "progress.jsonl").write_text(json.dumps(entry) + "\n")
     assert main(["chevron", "--config", cfg, "--out", str(out), "--resume"]) == 0
     resumed = (run_dir / "result.csv").read_text()
@@ -404,20 +440,23 @@ def test_amplitude_isolates_failures(tmp_path, capsys):
     assert body[2] == "10.79,0.2,nan"
 
 
-def test_amplitude_resume_recomputes_a_format_2_checkpoint(tmp_path, caplog):
-    # Amplitude cells centre their carrier since format 3, which moved
-    # their values, so a cell checkpointed at format 2 is recomputed.
+def test_amplitude_resume_recomputes_checkpoints_of_another_build(tmp_path, caplog):
+    # A cell checkpointed by other sources, whether tagged with their
+    # code digest or with the checkpoint format that preceded it, is
+    # recomputed, and the result matches a clean run.
     cfg = write_cfg(tmp_path, AMPLITUDE_ONE)
     out = tmp_path / "o"
     assert main(["amplitude", "--config", cfg, "--out", str(out)]) == 0
     run_dir = only_run_dir(out, "amplitude")
     fresh = (run_dir / "result.csv").read_bytes()
-    stale = {"key": "10.79|0.03", "value": 0.5, "format": 2}
-    (run_dir / "progress.jsonl").write_text(json.dumps(stale) + "\n")
-    with caplog.at_level("INFO", logger="fluxgate.cli"):
-        assert main(["amplitude", "--config", cfg, "--out", str(out), "--resume"]) == 0
-    assert "recomputing 1 checkpointed point(s)" in caplog.text
-    assert (run_dir / "result.csv").read_bytes() == fresh
+    for stale in ({"key": "10.79|0.03", "value": 0.5, "code": "0" * 64},
+                  {"key": "10.79|0.03", "value": 0.5, "format": 4}):
+        (run_dir / "progress.jsonl").write_text(json.dumps(stale) + "\n")
+        caplog.clear()
+        with caplog.at_level("INFO", logger="fluxgate.cli"):
+            assert main(["amplitude", "--config", cfg, "--out", str(out), "--resume"]) == 0
+        assert "recomputing 1 checkpointed point(s) computed by another build" in caplog.text
+        assert (run_dir / "result.csv").read_bytes() == fresh
 
 
 def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
@@ -650,9 +689,9 @@ def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
 
 
 def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeypatch, caplog):
-    # A line without a format predates the tag: here a gate-sweep value
-    # of six elements, the last the message, which no longer unpacks. It
-    # is recomputed; a line of the live format is reused.
+    # A line without a code predates the tag: here a gate-sweep value of
+    # six elements, the last the message, which no longer unpacks. It is
+    # recomputed; a line of this build is reused.
     calls = []
 
     def calibrate(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
@@ -668,7 +707,7 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
     run_dir = only_run_dir(resumed, "gate-sweep")
     old = {"key": "30|5", "value": [0.5, 0.25, 10.7, 0.04, False, "stale"]}
     live = {"key": "40|5", "value": [40e-6, 1e-6, 10.8, 0.05, True],
-            "format": cli.CHECKPOINT_FORMAT}
+            "code": cli.code_digest()}
     (run_dir / "progress.jsonl").write_text(json.dumps(old) + "\n" + json.dumps(live) + "\n")
     calls.clear()
     with caplog.at_level("INFO", logger="fluxgate.cli"):
@@ -772,15 +811,26 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     pytest.param("floquet", "floquet", "resolution = 41",
                  "resolution = 41\npair = 101:909", id="floquet-pair"),
     pytest.param("chevron", "output", "dt = 0.0005", "dt = 0.003", id="chevron-dt"),
+    pytest.param("chevron", "chevron", "time_max = 220.0", "time_max = 1e308",
+                 id="chevron-time_max-steps"),
+    pytest.param("chevron", "output", "dt = 0.0005", "dt = 1e-300", id="chevron-dt-steps"),
+    pytest.param("amplitude", "amplitude", "fixed_time = 100.0", "fixed_time = 1e308",
+                 id="amplitude-fixed_time-steps"),
+    pytest.param("gate-opt", "gate", "gate_time = 65.0", "gate_time = 1e308",
+                 id="gate-opt-gate_time-steps"),
+    pytest.param("shift-scan", "truncation", "fluxonium_levels = 5",
+                 "fluxonium_levels = 100000", id="shift-scan-fluxonium_levels"),
 ])
 def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
 ):
     # Drive ramps longer than half the window, reversed search bounds,
     # state labels beyond a circuit's levels (set500 keeps 5 fluxonium and
-    # 6 coupler levels), and a dt that takes under 40 steps per period of
-    # a scan's highest drive frequency (10.88 GHz) are configuration
-    # errors: exit 2 before any run directory exists.
+    # 6 coupler levels), a dt that takes under 40 steps per period of a
+    # scan's highest drive frequency (10.88 GHz), a schedule of more than
+    # 2**52 steps at dt, and more fluxonium levels than a quarter of the
+    # basis that solves them are configuration errors: exit 2 with one
+    # line before any run directory exists.
     text = Path(cfg500_path).read_text()
     start = text.index(f"[{section}]")
     end = text.find("\n[", start)
@@ -790,7 +840,8 @@ def test_settings_a_command_cannot_run_fail_at_load(
     cfg.write_text(edited)
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
     assert not out.exists()
 
 

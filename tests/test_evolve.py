@@ -606,3 +606,13 @@ def test_domain_error_is_value_error(params500):
     with pytest.raises(DomainError):
         propagate_state(params500, bad, dt=0.002)
     assert issubclass(DomainError, ValueError)
+
+
+@pytest.mark.parametrize("t_b, dt", [(1e308, DEFAULT_DT), (220.0, 1e-300), (2.0**53, 1.0)],
+                         ids=["overflow", "tiny-dt", "past-2**52"])
+def test_a_step_count_past_two_to_the_52_is_a_domain_error(t_b, dt):
+    # Past 2**52 steps the midpoints t_a + (k + 0.5) h stop being distinct
+    # doubles; an infinite count would overflow and a huge one would not end.
+    with pytest.raises(DomainError, match=r"more than 2\*\*52"):
+        _step_count(0.0, t_b, dt)
+    assert _step_count(0.0, 2.0**52, 1.0) == (2**52, 1.0)
