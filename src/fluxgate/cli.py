@@ -66,7 +66,20 @@ from .evolve import (
 from .floquet import extract_transition
 from .system import build_hamiltonian, label_eigenstates, state_dependent_shifts, zz_coupling
 
-logger = logging.getLogger(__name__)
+# Named, not __name__, so ``python -m fluxgate.cli`` logs under the package too.
+logger = logging.getLogger("fluxgate.cli")
+
+
+class _LiveStderr(logging.StreamHandler):
+    """A stream handler on whatever ``sys.stderr`` is when a record is
+    emitted, so a caller that swaps the stream still sees every line."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
+# The package logger's one handler, attached by the first ``main`` call:
+# INFO lines such as a resume's recompute count reach the terminal.
+_STDERR = _LiveStderr()
 
 SIDECAR_SCHEMA = "fluxgate.run/1"
 PROGRESS_NAME = "progress.jsonl"
@@ -545,6 +558,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, section = _COMMANDS[args.command]
+    package_log = logging.getLogger("fluxgate")
+    if _STDERR not in package_log.handlers:
+        package_log.addHandler(_STDERR)
+        package_log.setLevel(logging.INFO)
 
     try:
         rc = load_config(args.config)

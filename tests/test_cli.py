@@ -459,6 +459,22 @@ def test_amplitude_resume_recomputes_checkpoints_of_another_build(tmp_path, capl
         assert (run_dir / "result.csv").read_bytes() == fresh
 
 
+def test_resume_says_on_stderr_that_it_recomputes(tmp_path, capsys):
+    # The package logger's handler is attached once however often main
+    # runs in a process, so the line is printed once.
+    cfg = write_cfg(tmp_path, SCAN3)
+    out = tmp_path / "o"
+    assert main(["shift-scan", "--config", cfg, "--out", str(out)]) == 0
+    run_dir = only_run_dir(out, "shift-scan")
+    stale = {"key": "0", "value": [0.0, 0.0, 0.0, False], "code": "0" * 64}
+    for _ in range(2):
+        (run_dir / "progress.jsonl").write_text(json.dumps(stale) + "\n")
+        capsys.readouterr()
+        assert main(["shift-scan", "--config", cfg, "--out", str(out), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err == "recomputing 1 checkpointed point(s) computed by another build\n"
+
+
 def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     # 50 ps resolves neither the drive nor one Floquet period. The gate's
     # drive frequency is found at run time, so the run fails, not the
@@ -820,6 +836,8 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
                  id="gate-opt-gate_time-steps"),
     pytest.param("shift-scan", "truncation", "fluxonium_levels = 5",
                  "fluxonium_levels = 100000", id="shift-scan-fluxonium_levels"),
+    pytest.param("shift-scan", "truncation", "coupler_levels = 6",
+                 "coupler_levels = 100000", id="shift-scan-coupler_levels"),
 ])
 def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
@@ -828,9 +846,11 @@ def test_settings_a_command_cannot_run_fail_at_load(
     # state labels beyond a circuit's levels (set500 keeps 5 fluxonium and
     # 6 coupler levels), a dt that takes under 40 steps per period of a
     # scan's highest drive frequency (10.88 GHz), a schedule of more than
-    # 2**52 steps at dt, and more fluxonium levels than a quarter of the
-    # basis that solves them are configuration errors: exit 2 with one
-    # line before any run directory exists.
+    # 2**52 steps at dt, more fluxonium levels than a quarter of the
+    # basis that solves them, and more coupler levels than a dense solve
+    # per flux point is allowed (a 100000-level coupler would ask for a
+    # 74.5 GiB array) are configuration errors: exit 2 with one line
+    # before any run directory exists, in well under the 5 s allowed.
     text = Path(cfg500_path).read_text()
     start = text.index(f"[{section}]")
     end = text.find("\n[", start)
@@ -839,7 +859,9 @@ def test_settings_a_command_cannot_run_fail_at_load(
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edited)
     out = tmp_path / "o"
+    began = time.monotonic()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.monotonic() - began < 5.0
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
     assert not out.exists()

@@ -1,8 +1,11 @@
 """Configuration parsing, schema validation, and field paths."""
 
 from dataclasses import fields
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxgate import CompositeParams, ConfigError, FluxoniumParams, TransmonParams, load_config
 from fluxgate.cli import main
@@ -365,3 +368,31 @@ def test_duplicate_section_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+
+
+# Values a config key might be mistyped or pushed to: zero and negative
+# counts, extreme and non-finite numbers, empty and non-numeric text,
+# and malformed state labels and lists.
+MUTATIONS = ("0", "-1", "1e300", "1e-300", "1e308", "1e5", "100000", "nan", "inf",
+             "-inf", "", "text", "9x9", "101:", "1:2:3", "1,,2", ", ", "1; 2")
+SET500_LINES = (resources.files("fluxgate.data") / "set500.cfg").read_text().splitlines()
+KEY_LINES = [i for i, line in enumerate(SET500_LINES)
+             if "=" in line and not line.lstrip().startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def mutated_cfg(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "set500.cfg"
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=st.sampled_from(KEY_LINES), value=st.sampled_from(MUTATIONS))
+def test_a_single_key_mutation_of_set500_loads_or_is_a_config_error(mutated_cfg, line, value):
+    lines = list(SET500_LINES)
+    key = lines[line].partition("=")[0]
+    lines[line] = f"{key}= {value}"
+    mutated_cfg.write_text("\n".join(lines) + "\n")
+    try:
+        load_config(mutated_cfg)
+    except ConfigError:
+        pass

@@ -111,6 +111,19 @@ def test_guard_rejects_a_real_cross_sector_element(params_small):
         label_eigenstates(CompositeOperator(h, params_small))
 
 
+@pytest.mark.parametrize("block", ["even-odd", "odd-even"])
+def test_guard_rejects_a_one_sided_cross_sector_element(params_small, block):
+    # An element at h[i, j] alone lies in one off-diagonal block only:
+    # the guard must read each block, not one and its transpose.
+    op = build_hamiltonian(params_small, 0.2)
+    ops = assemble_operators(params_small)
+    even, odd = ops.labels.index((0, 0, 0)), ops.labels.index((1, 0, 0))
+    h = op.matrix.copy()
+    h[(even, odd) if block == "even-odd" else (odd, even)] += 1e-3
+    with pytest.raises(ConstructionError, match="parity sectors"):
+        label_eigenstates(CompositeOperator(h, params_small))
+
+
 # -- full-space references ----------------------------------------------------
 #
 # A sector's static step and the full-space one round differently (their

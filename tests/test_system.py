@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from fluxgate import (
@@ -13,6 +15,7 @@ from fluxgate import (
     state_dependent_shifts,
     zz_coupling,
 )
+from fluxgate import system
 from fluxgate.circuits import diagonalize_fluxonium, oscillator_coefficients
 from fluxgate.errors import ConstructionError, LabelingError
 from fluxgate.system import (
@@ -153,9 +156,57 @@ def test_greedy_match_is_a_permutation(kind):
     }[kind]
     rows = greedy_match(weights)
     assert sorted(rows.tolist()) == list(range(40))
-    # The heaviest pair is always matched first.
-    top_row, top_col = divmod(int(np.argsort(weights, axis=None)[-1]), 40)
+    # The heaviest pair, the first in row-major order among equals, is
+    # always matched first.
+    top_row, top_col = divmod(int(np.argmax(weights)), 40)
     assert rows[top_col] == top_row
+
+
+def _descending_loop(weights):
+    """The greedy loop over every weight: a stable descending sort, so
+    equal weights go in ascending row-major order."""
+    dim = len(weights)
+    row_for = np.full(dim, -1)
+    row_used, col_done = np.zeros(dim, dtype=bool), np.zeros(dim, dtype=bool)
+    for flat in np.argsort(-weights, axis=None, kind="stable"):
+        row, col = divmod(int(flat), dim)
+        if not (row_used[row] or col_done[col]):
+            row_for[col] = row
+            row_used[row] = col_done[col] = True
+    return row_for
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_greedy_match_is_the_descending_loop_on_squared_orthogonal_matrices(dim, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    weights = q**2
+    assert np.array_equal(greedy_match(weights), _descending_loop(weights))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_greedy_match_is_the_descending_loop_on_tied_matrices(dim):
+    rng = np.random.default_rng(dim)
+    for weights in (rng.integers(0, 3, size=(dim, dim)).astype(float),
+                    rng.integers(0, 2, size=(dim, dim)).astype(float),
+                    np.ones((dim, dim)), np.zeros((dim, dim))):
+        assert np.array_equal(greedy_match(weights), _descending_loop(weights))
+
+
+def test_greedy_match_is_the_descending_loop_on_shift_scan_sectors(rc500, rc300):
+    # Each bundled shift-scan range on a 2.5 mflux grid (181 points), as
+    # the benchmark's spectrum workload draws it: 724 sector solves.
+    solves = 0
+    for rc in (rc500, rc300):
+        scan = rc.require("shift_scan")
+        sectors = assemble_operators(rc.params).sectors
+        for flux in np.linspace(scan.flux_min, scan.flux_max, 181):
+            h = build_hamiltonian(rc.params, float(flux)).matrix
+            for rows in sectors:
+                weights = np.linalg.eigh(h[np.ix_(rows, rows)])[1] ** 2
+                assert np.array_equal(greedy_match(weights), _descending_loop(weights))
+                solves += 1
+    assert solves == 724
 
 
 @pytest.mark.parametrize("device", ["rc500", "rc300"])
@@ -198,6 +249,46 @@ def test_coupler_gauge_is_exactly_real(device, flux, request):
     # assemble_operators drops the equal-parity charge elements, which are
     # single-circuit roundoff (at most 2.1e-14 on these devices).
     assert np.max(np.abs(h - rotated.real)) <= 1e-13
+
+
+def test_a_complex_typed_real_operator_labels_as_its_real_part(params500):
+    op = build_hamiltonian(params500, 0.35)
+    real = label_eigenstates(op)
+    typed = label_eigenstates(CompositeOperator(op.matrix.astype(complex), params500))
+    assert typed.labels == real.labels
+    for name in ("energies", "overlaps", "ambiguous", "states"):
+        assert getattr(typed, name).tobytes() == getattr(real, name).tobytes(), name
+    assert all(np.array_equal(a, b) for a, b in zip(typed.sectors, real.sectors))
+
+
+@pytest.mark.parametrize("device", ["params500", "params300"])
+def test_build_hamiltonian_is_the_sum_of_its_pieces_bit_for_bit(device, request):
+    params = request.getfixturevalue(device)
+    ops = assemble_operators(params)
+    for flux in (0.0, 0.13, 0.3, 0.35, 0.45):
+        omega_c, n_zpf = oscillator_coefficients(params.coupler, flux, flux)
+        ref = ops.a_fixed + omega_c * np.diag(ops.n_diag) + n_zpf * ops.b_op
+        assert build_hamiltonian(params, flux).matrix.tobytes() == ref.tobytes()
+
+
+def test_a_parameter_set_that_fails_is_built_once(params500, monkeypatch):
+    # An lru_cache alone caches no exception: each call would solve both
+    # fluxonia again before failing the same way.
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return diagonalize_fluxonium(*args, **kwargs)
+
+    monkeypatch.setattr(system, "diagonalize_fluxonium", counted)
+    assemble_operators.cache_clear()
+    params = replace(params500, j_c0=1e308)
+    for _ in range(3):
+        with pytest.raises(ConstructionError, match="operator B has non-finite entries"):
+            assemble_operators(params)
+    assert len(solves) == 2
+    info = assemble_operators.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 def test_gauge_guard_rejects_a_complex_block(params_small):
