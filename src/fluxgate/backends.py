@@ -10,8 +10,21 @@ primitives on complex matrices, each implemented once in numpy:
   * ``strang_sequence``: the symmetric split-operator steps
     D_i U0 D_i around a fixed base step U0, with a diagonal drive phase
     D_i = exp(-i pi dt dc1[i] N);
-  * ``apply_power``: repeated application of a fixed matrix (stroboscopic
-    evolution through whole drive periods).
+  * ``apply_power``: a fixed matrix applied n times (stroboscopic
+    evolution through whole drive periods), as M^n by binary powering.
+
+Every Hamiltonian the package steps conserves the total parity of
+``system``, so callers step each parity sector on its own, with the
+sector's slices of A, N and B. ``step_sequence`` and
+``strang_sequence`` take a stack of S sector operators, zero-padded to
+the widest sector m (``strang_sequence``'s base steps padded with the
+identity), and a block (m, S k) that holds the S sector pieces of k
+columns side by side; ``apply_power`` takes a stack of matrices and a
+stack of blocks (S, m, k). Each advances all pieces in one batched
+product per step, Taylor term or squaring: at one BLAS thread, two
+75-state pieces of two columns took about 16 us a Strang step in
+complex columns, against 18 us in two separate calls and 24 us as one
+150-state block.
 
 ``strang_sequence`` merges the trailing half-phase of step i with the
 leading half-phase of step i + 1 into one diagonal
@@ -21,44 +34,65 @@ matmul into preallocated buffers. The diagonals come in bounded chunks
 from a table of exponentials over the distinct entries of N (the coupler
 occupations, a handful of values), gathered onto the full diagonal.
 
-A block of columns steps U0 in increment form, x + (U0 - I) x, so the
+The shape of the pieces picks one of three layouts for the steps:
+
+  * one piece of one column (a single state): the vector x steps as the
+    row-vector product x U0^T, ``np.dot`` against a copy of U0^T made
+    contiguous once per call, which skips numpy's matmul dispatch;
+  * 2 <= k <= log2(m) columns a piece (a gate's computational block,
+    two columns in each sector): the columns step as rows. The complex
+    rows (S, k, m) are viewed as interleaved floats, (S, k, 2m), and a
+    step is one real ``matmul`` against the real 2m x 2m form of
+    (U0 - I)^T, built once per call;
+  * wider pieces, and single columns of a stack of several (the
+    identity a Floquet period steps is 75 wide): complex columns,
+    x + (U0 - I) x, one batched complex ``matmul``.
+
+The arithmetic of rows and columns is the same, but OpenBLAS's real
+``dgemm`` on a few long rows runs faster than its ``zgemm`` on a few
+columns. Measured at one BLAS thread on 2 shared vCPUs, a Strang step of two
+75-state pieces of two columns takes 10.8-11.0 us as rows and
+14.8-15.7 us as columns, and one 75-wide piece 96 us as rows against
+87 us as columns; one 75-state vector takes 3.3 us, and 4.0 us through
+``np.matmul``. At 75 states rows won from 2 to 40 columns a piece, but at 90
+to 147 states only up to 6 or 7, losing 5-25 % from 8 columns at 108
+states: log2(m) keeps rows only where they won at every size measured
+from 48 to 147 states, so no width measured steps slower than in
+columns.
+
+Rows and columns step U0 in increment form, x + (U0 - I) x, so the
 roundoff of each matmul scales with the small U0 - I rather than with
 U0. Over the 10^4 Strang steps of a 5 ns drive flank at 0.5 ps this cuts
 the roundoff a gate's columns accumulate about 25-fold: on set500's
 65 ns gate, the 4 x 4 read through the mirrored drive window (see
 ``evolve``) and the one stepped through the whole window agree to 2e-14
 instead of 5e-13. The add costs about 2 % of a step of two 75-state
-pieces of two columns (2 vCPUs). A vector steps as the row-vector
-product x U0^T, ``np.dot`` against a copy of U0^T made contiguous once
-per call, which skips numpy's matmul dispatch: at one BLAS thread on 2
-vCPUs a step of one 75-state column takes about 3.3 us instead of 4.0 us
-through ``np.matmul``. It keeps the plain product, where the add would
-cost about 18 % of its step. Single-state propagations are read through
-a mirror too (``evolve.amplitude_point`` returns |x^T x|^2 from a half
-window), and there the plain product agrees with direct stepping of the
-whole window to 1e-13 on the four 10 ns set500 cells of
-``test_amplitude_cell_is_its_mirrored_half_window`` (bound 1e-12).
+pieces of two columns (2 vCPUs). A vector keeps the plain product,
+where the add would cost about 18 % of its step. Single-state
+propagations are read through a mirror too (``evolve.amplitude_point``
+returns |x^T x|^2 from a half window), and there the plain product
+agrees with direct stepping of the whole window to 1e-13 on the four
+10 ns set500 cells of ``test_amplitude_cell_is_its_mirrored_half_window``
+(bound 1e-12).
 
 The Taylor order of ``step_sequence`` is chosen per step as the smallest
 m with theta^(m+1)/(m+1)! < 1e-16, where theta = 2 pi dt * max-row-sum
-of the spectrally shifted Hamiltonian. Steps must keep theta modest (the
+of the spectrally shifted Hamiltonian; each sector takes its own shift,
+and a stack takes the largest theta of its sectors, so no sector steps
+at a lower order than it would alone. Steps must keep theta modest (the
 order is capped at 64); callers enforce dt well below the fastest period.
 
 ``step_sequence`` takes the real A and B of ``system``, so every H_i
 is real, and raises ``ConstructionError`` on a nonzero imaginary part,
 as ``system.label_eigenstates`` does. Each Taylor term is then one real
 product: the real H_i times the complex columns viewed as interleaved
-real columns, (m, 2k) float64, half the arithmetic of a complex product.
-
-Every Hamiltonian the package steps conserves the total parity of
-``system``, so callers step each parity sector on its own, with the
-sector's slices of A, N and B: ``step_sequence`` is called once per
-sector, while ``strang_sequence`` also takes a stack of per-sector base
-steps and advances the sector pieces of a block in one batched product
-per step (at one BLAS thread, two 75-state pieces of two columns take
-about 16 us a step, against 18 us in two separate calls and 24 us as one
-150-state block), and ``apply_power`` applies a stack of matrices to a
-stack of blocks.
+real columns, (S, m, 2k) float64, half the arithmetic of a complex
+product. The powers (2 pi dt H_i)^j x are kept, and a step sums them
+with their coefficients (-i)^j / j! in one product after the last, so a
+term costs its product alone. A cold bias ramp-up of set500's ``[gate]``
+(both sectors, two columns each, 300 steps of 10 ps) took 53-59 ms at
+one BLAS thread, against 75-78 ms summing term by term and 96-100 ms in
+one call per sector.
 
 The package links only numpy's LAPACK and OpenBLAS, so a process runs
 one OpenBLAS thread pool, whose live count ``blas_threads`` reads and
@@ -161,9 +195,39 @@ def one_blas_thread(fn):
     return pinned
 
 
-def _check_block(block, d: int) -> None:
+def _stack(ops, n_diag, block):
+    """``ops`` and ``n_diag`` as a stack of S pieces, (S, m, m) and (S, m),
+    and ``block`` (m, S k) as the pieces of k columns, (S, m, k).
+
+    A single operator (m, m) is a stack of one. Raises ValueError unless
+    the shapes hold one piece per operator."""
+    if ops[0].ndim == 2:
+        ops, n_diag = tuple(op[None] for op in ops), n_diag[None]
+    pieces, d = ops[0].shape[0], ops[0].shape[-1]
     if block.ndim != 2 or block.shape[0] != d:
         raise ValueError("block must be a 2-d column stack matching the operator")
+    if (any(op.shape != ops[0].shape for op in ops) or n_diag.shape != ops[0].shape[:-1]
+            or block.shape[1] % pieces):
+        raise ValueError("n_diag and block must hold one piece per operator")
+    x = block.reshape(d, pieces, -1).transpose(1, 0, 2)
+    return ops, n_diag, x
+
+
+def _unstack(x) -> np.ndarray:
+    """The pieces (S, m, k) side by side, (m, S k); a view of ``x`` when
+    there is one piece."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _taylor_order(theta: float) -> int:
+    """The smallest m with theta^(m+1)/(m+1)! < TAYLOR_TOL, at most
+    MAX_TAYLOR_ORDER."""
+    m = 0
+    val = theta
+    while val >= TAYLOR_TOL and m < MAX_TAYLOR_ORDER:
+        m += 1
+        val *= theta / (m + 1)
+    return m
 
 
 def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
@@ -173,6 +237,12 @@ def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
     H_i = a + c1[i] diag(n_diag) + c2[i] b evaluated at the step
     midpoint by the caller; ``a`` and ``b`` must be real (see the module
     docstring), or ConstructionError is raised. Returns a fresh array.
+
+    ``a`` and ``b`` may also be stacks of S sector operators (S, m, m),
+    with ``n_diag`` of shape (S, m) and ``block`` (m, S k), as for
+    ``strang_sequence``: piece s is stepped with the sector's own H_i
+    and spectral shift, all pieces at the largest Taylor order any of
+    them needs, in one real product per term.
     """
     worst = max(float(np.max(np.abs(np.imag(m)))) for m in (a, b))
     if worst:
@@ -184,47 +254,92 @@ def step_sequence(a, n_diag, b, c1, c2, dt: float, block) -> np.ndarray:
     b = np.ascontiguousarray(np.real(b), dtype=np.float64)
     c1 = np.ascontiguousarray(c1, dtype=np.float64)
     c2 = np.ascontiguousarray(c2, dtype=np.float64)
-    out = np.array(block, dtype=np.complex128, order="C")
     if c1.shape != c2.shape:
         raise ValueError("coefficient arrays c1, c2 must have equal length")
-    _check_block(out, a.shape[0])
-    idx = np.arange(a.shape[0])
-    w = -2j * np.pi * float(dt)
+    (a, b), n_diag, x = _stack((a, b), n_diag, np.asarray(block, dtype=np.complex128))
+    # The step is exp(-i H') with H' = 2 pi dt H: scale the operands once.
+    scale = 2.0 * np.pi * float(dt)
+    a, b, n_diag = scale * a, scale * b, scale * n_diag
+    pieces, d = n_diag.shape
+    diag_a, diag_b = (np.diagonal(op, axis1=1, axis2=2) for op in (a, b))
+    # Term j of exp(-i H') x is c[j] H'^j x, c[j] = (-i)^j / j!; coef holds
+    # the real and imaginary parts of c as rows.
+    c = np.empty(MAX_TAYLOR_ORDER + 1, dtype=np.complex128)
+    c[0] = 1.0
+    for j in range(1, c.size):
+        c[j] = -1j * c[j - 1] / j
+    coef = np.stack([c.real, c.imag])
+    # powers[j] holds H'^j x, grown to the highest order yet taken;
+    # powers[0] carries the block from step to step.
+    powers = x.copy()[None]
+    h = np.empty_like(a)
+    h_diag = h.reshape(pieces, -1)[:, :: d + 1]
     for i in range(c1.shape[0]):
-        h = a + c2[i] * b
-        h[idx, idx] += c1[i] * n_diag
-        diag = h[idx, idx]
-        mu = 0.5 * (diag.max() + diag.min())
-        h[idx, idx] -= mu
-        theta = abs(w) * np.abs(h).sum(axis=1).max()
-        m = 0
-        val = theta
-        while val >= TAYLOR_TOL and m < MAX_TAYLOR_ORDER:
-            m += 1
-            val *= theta / (m + 1)
-        term = out
-        acc = out.copy()
-        for j in range(1, m + 1):
-            # Real H on the interleaved real and imaginary parts of the columns.
-            term = (w / j) * (h @ term.view(np.float64)).view(np.complex128)
-            acc += term
-        out = np.exp(w * mu) * acc
-    return out
+        np.multiply(b, c2[i], out=h)
+        h += a
+        diag = diag_a + c2[i] * diag_b + c1[i] * n_diag
+        mu = 0.5 * (diag.max(axis=1) + diag.min(axis=1))
+        h_diag[...] = diag - mu[:, None]
+        order = _taylor_order(np.abs(h).sum(axis=2).max())
+        if order >= len(powers):
+            powers = np.concatenate([powers, np.empty((order + 1 - len(powers),) + x.shape,
+                                                      dtype=np.complex128)])
+        flat = powers.view(np.float64)
+        for j in range(1, order + 1):
+            # Real H' on the interleaved real and imaginary parts of the columns.
+            np.matmul(h, flat[j - 1], out=flat[j])
+        # The terms' real and imaginary parts in one real matrix product: a
+        # threaded OpenBLAS splits no sum of it, as it would a complex
+        # matrix-vector product's, so steps do not depend on the thread count.
+        re, im = (coef[:, : order + 1] @ flat[: order + 1].reshape(order + 1, -1)).view(
+            np.complex128)
+        np.multiply(np.exp(-1j * mu)[:, None, None], (re + 1j * im).reshape(x.shape),
+                    out=powers[0])
+    return _unstack(powers[0]).copy()
 
 
 def apply_power(m, n: int, block) -> np.ndarray:
     """Apply matrix ``m`` to ``block`` ``n`` times (n >= 0).
 
     A stack of matrices (S, d, d) applies to a stack of blocks (S, d, k),
-    matrix s to block s.
+    matrix s to block s. M^n is taken by binary powering: the block
+    takes M^(2^j) for each set bit j of n, the powers by repeated
+    squaring, so n = 592 costs 9 squarings and 3 products on the block
+    instead of 592 products. M^(2^j) carries j squarings of roundoff
+    where the repeated product carries 2^j products of it; on two
+    75-state unitaries the two agreed to 1e-13 at n = 1024.
     """
     if n < 0:
         raise ValueError("power must be non-negative")
-    m = np.ascontiguousarray(m, dtype=np.complex128)
+    power = np.ascontiguousarray(m, dtype=np.complex128)
     out = np.array(block, dtype=np.complex128)
-    for _ in range(int(n)):
-        out = m @ out
+    n = int(n)
+    while n:
+        if n & 1:
+            out = power @ out
+        n >>= 1
+        if n:
+            power = power @ power
     return out
+
+
+def _as_rows(k: int, d: int) -> bool:
+    """Whether pieces of ``k`` columns of ``d`` states step as realified
+    rows (see the module docstring)."""
+    return 1 < k <= np.log2(d)
+
+
+def _realified(w: np.ndarray) -> np.ndarray:
+    """The real (S, 2m, 2m) matrices that multiply rows of interleaved
+    real and imaginary parts as the complex (S, m, m) ``w`` multiplies
+    complex rows from the right: (v w) viewed as floats is
+    (v viewed as floats) times the result."""
+    pieces, m, _ = w.shape
+    r = np.empty((pieces, m, 2, m, 2))
+    r[:, :, 0, :, 0] = r[:, :, 1, :, 1] = w.real
+    r[:, :, 0, :, 1] = w.imag
+    r[:, :, 1, :, 0] = -w.imag
+    return r.reshape(pieces, 2 * m, 2 * m)
 
 
 def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
@@ -242,19 +357,16 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     one per parity sector, with ``n_diag`` of shape (S, m); ``block`` is
     then (m, S k), the S sector pieces of k columns side by side, and
     piece s is stepped with U0[s]. The pieces step in one batched
-    product per step; a stack of one steps as its single base step.
+    product per step; a stack of one steps as its single base step. The
+    block's shape picks the layout of the steps (see the module
+    docstring).
     """
     u0 = np.ascontiguousarray(u0, dtype=np.complex128)
     n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
     dc1 = np.ascontiguousarray(dc1, dtype=np.float64)
-    block = np.ascontiguousarray(block, dtype=np.complex128)
-    if u0.ndim == 3 and u0.shape[0] == 1:
-        u0, n_diag = u0[0], n_diag[0]
-    d = u0.shape[-1]
-    _check_block(block, d)
-    pieces = u0.shape[0] if u0.ndim == 3 else 1
-    if n_diag.shape != u0.shape[:-1] or block.shape[1] % pieces:
-        raise ValueError("n_diag and block must hold one piece per base step")
+    block = np.asarray(block, dtype=np.complex128)
+    (u0,), n_diag, x = _stack((u0,), n_diag, block)
+    pieces, d, k = x.shape
     n = dc1.shape[0]
     if n == 0:
         return block.copy()
@@ -266,31 +378,40 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     level_of = level_of.reshape(n_diag.shape)
     w = -1j * np.pi * float(dt)
     phase0 = np.exp(w * dc1[0] * levels)[level_of]
-    if u0.ndim == 3:
-        x = phase0[:, :, None] * block.reshape(d, pieces, -1).transpose(1, 0, 2)
-    elif block.shape[1] == 1:
-        # A width-1 block steps as a vector (see the module docstring).
-        x = phase0 * block[:, 0]
+    if pieces == k == 1:
+        # One column: x U0^T, a plain row-vector product.
+        layout, expand = "vector", (slice(None), 0)
+        x = phase0[0] * x[0, :, 0]
+        base = np.ascontiguousarray(u0[0].T)
+    elif _as_rows(k, d):
+        # Rows of interleaved floats times the real form of (U0 - I)^T.
+        layout, expand = "rows", (slice(None), slice(None), None)
+        x = np.ascontiguousarray(phase0[:, None, :] * x.transpose(0, 2, 1))
+        base = _realified(u0.transpose(0, 2, 1))
+        base.reshape(pieces, -1)[:, :: 2 * d + 1] -= 1.0  # less I, with no complex copy
     else:
-        x = phase0[:, None] * block
+        # Complex columns: x + (U0 - I) x.
+        layout, expand = "columns", (Ellipsis, None)
+        x = np.ascontiguousarray(phase0[:, :, None] * x)
+        base = u0 - np.eye(d)
     y = np.empty_like(x)
-    vector = x.ndim == 1
-    base = np.ascontiguousarray(u0.T) if vector else u0 - np.eye(d)
+    xf, yf = x.view(np.float64), y.view(np.float64)
     chunk = max(1, PHASE_CHUNK_BYTES // (16 * n_diag.size))
     for start in range(1, n + 1, chunk):
         stop = min(start + chunk, n + 1)
         s = dc1[start - 1: stop - 1].copy()
         s[: min(stop, n) - start] += dc1[start:stop]
-        phases = np.exp(w * np.multiply.outer(s, levels))[:, level_of]
-        if x.ndim == phases.ndim:
-            phases = phases[..., None]
+        phases = np.exp(w * np.multiply.outer(s, levels))[:, level_of][expand]
         for phase in phases:
-            if vector:
+            if layout == "vector":
                 np.dot(x, base, out=y)
+            elif layout == "rows":
+                np.matmul(xf, base, out=yf)
+                y += x
             else:
                 np.matmul(base, x, out=y)
                 y += x
             np.multiply(phase, y, out=x)
-    if u0.ndim == 3:
-        return x.transpose(1, 0, 2).reshape(d, -1)
-    return x.reshape(d, -1)
+    if layout == "vector":
+        return x.reshape(d, 1)
+    return _unstack(x.transpose(0, 2, 1) if layout == "rows" else x)

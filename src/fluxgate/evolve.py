@@ -311,27 +311,38 @@ def _join(sectors, pieces: _Pieces, shape) -> np.ndarray:
     return out
 
 
-def _strang(u0, n_diag, dc1_chunks, h, x):
-    """``backends.strang_sequence`` on the stack of pieces ``x``
-    (pieces, m, k), which the kernel takes side by side, (m, pieces k),
-    one call per drive chunk of ``dc1_chunks``, in order."""
+def _stepped(kernel, operands, sample_chunks, h, x):
+    """The ``backends`` sequence ``kernel`` on the stack of pieces ``x``
+    (pieces, m, k), which it takes side by side, (m, pieces k), one call
+    ``kernel(*operands, *samples, h, side)`` per chunk of drive samples
+    in ``sample_chunks``, in order."""
     pieces, width, k = x.shape
     side = x.transpose(1, 0, 2).reshape(width, pieces * k)
-    for dc1 in dc1_chunks:
-        side = backends.strang_sequence(u0, n_diag, dc1, h, side)
+    for samples in sample_chunks:
+        side = kernel(*operands, *samples, h, side)
     return side.reshape(width, pieces, k).transpose(1, 0, 2)
 
 
+def _sector_stack(params, active, full):
+    """The sectors ``active`` of the full-space array ``full`` (a matrix,
+    or the diagonal ``n_diag``), stacked and zero-padded to the widest
+    sector: (sectors, m, m), or (sectors, m)."""
+    sectors = assemble_operators(params).sectors
+    width = max(rows.size for rows in sectors)
+    out = np.zeros((len(active),) + (width,) * full.ndim, dtype=full.dtype)
+    for piece, s in zip(out, active):
+        rows = sectors[s]
+        piece[np.ix_(*[np.arange(rows.size)] * full.ndim)] = full[np.ix_(*[rows] * full.ndim)]
+    return out
+
+
 def _flat_operands(params, flux, h, active):
-    """The ``_strang`` operands of the sectors ``active`` at the constant
-    bias ``flux``: their ``_flat_step`` steps of length ``h``, their
-    coupler occupations zero-padded to the widest sector, (sectors, m),
-    and the undriven c1, which drive samples subtract to give dc1."""
-    ops = assemble_operators(params)
+    """The ``strang_sequence`` operands of the sectors ``active`` at the
+    constant bias ``flux``: their ``_flat_step`` steps of length ``h``,
+    their coupler occupations (``_sector_stack``), and the undriven c1,
+    which drive samples subtract to give dc1."""
     u0 = _flat_step(params, flux, h)[list(active)]
-    n_diag = np.zeros(u0.shape[:2])
-    for row, s in zip(n_diag, active):
-        row[: ops.sectors[s].size] = ops.n_diag[ops.sectors[s]]
+    n_diag = _sector_stack(params, active, assemble_operators(params).n_diag)
     c1_flat, _ = oscillator_coefficients(params.coupler, flux, flux)
     return u0, n_diag, float(c1_flat)
 
@@ -384,10 +395,10 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
 
     Where the bias is held, without a ramp or inside the drive window,
     the split-operator kernel steps around the exact static step at
-    ``flux_static`` (the drive enters as a diagonal perturbation), all
-    pieces in one call per chunk; across a bias ramp, full
-    midpoint-exponential steps, one call per sector and chunk. The
-    operands are built once per interval. Intervals without any drive
+    ``flux_static`` (the drive enters as a diagonal perturbation); across
+    a bias ramp, full midpoint-exponential steps. Either kernel takes
+    the sector stack, all pieces in one call per chunk, with operands
+    built once per interval. Intervals without any drive
     carry no carrier to resolve and take steps DRIVELESS_DT_FACTOR times
     coarser. The module docstring says where the dt-halving contract
     holds.
@@ -408,16 +419,11 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     chunks = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
     if ramp is None or t0 <= t_a and t_b <= t1:
         u0, n_diag, c1_flat = _flat_operands(params, pulse.flux_static, h, active)
-        return _strang(u0, n_diag, (c1 - c1_flat for _, (c1, _) in chunks), h, x)
+        return _stepped(backends.strang_sequence, (u0, n_diag),
+                        ((c1 - c1_flat,) for _, (c1, _) in chunks), h, x)
     ops = assemble_operators(params)
-    subs = [ops.sectors[s] for s in active]
-    terms = [(ops.a_fixed[np.ix_(r, r)], ops.n_diag[r], ops.b_op[np.ix_(r, r)]) for r in subs]
-    x = x.copy()
-    for _, (c1, c2) in chunks:
-        for piece, rows, (a, n_diag, b) in zip(x, subs, terms):
-            piece[: rows.size] = backends.step_sequence(a, n_diag, b, c1, c2, h,
-                                                        piece[: rows.size])
-    return x
+    operands = [_sector_stack(params, active, full) for full in (ops.a_fixed, ops.n_diag, ops.b_op)]
+    return _stepped(backends.step_sequence, operands, (c for _, c in chunks), h, x)
 
 
 def _period(params, flux_s, drive_amp, drive_freq, dt, active):
@@ -446,7 +452,7 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
     dc1 = c1 - c1_flat
     eye = np.broadcast_to(np.eye(u0.shape[1], dtype=complex), u0.shape)
     half = c1.size // 2
-    v = _strang(u0, n_diag, [dc1[:half]], h, eye)
+    v = _stepped(backends.strang_sequence, (u0, n_diag), [(dc1[:half],)], h, eye)
     if c1.size % 2:
         v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
         forward = u0 @ v

@@ -72,7 +72,7 @@ from .errors import ConstructionError, DomainError, IntegrationError
 # Nothing here calls _flat_step: it stays imported because the binding
 # check of bench/tests/test_tracer.py expects a traced floquet._flat_step.
 from .evolve import DEFAULT_DT, _check_drive_resolved, _flat_step, _period, dressed_frame
-from .system import CompositeParams, assemble_operators, cross_sector_max, label_parity
+from .system import CompositeParams, assemble_operators, label_parity, sector_blocks
 
 UNITARITY_LIMIT = 1e-10
 REFINE_POINTS = 9
@@ -227,7 +227,8 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     m = mono.matrix
     frame = dressed_frame(mono.params, mono.flux_s)
     sectors = assemble_operators(mono.params).sectors
-    if cross_sector_max(m, sectors):
+    blocks, cross = sector_blocks(m, sectors)
+    if cross:
         raise ConstructionError("monodromy couples parity sectors")
 
     solved = np.sort(np.concatenate([frame.sectors[s] for s in mono.sectors]))
@@ -237,7 +238,7 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
         rows, members = sectors[s], frame.sectors[s]
         cols = np.searchsorted(solved, members)
         q = frame.states[np.ix_(rows, members)]
-        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(m[np.ix_(rows, rows)], q)
+        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(blocks[s], q)
 
     period = 1.0 / mono.drive_freq
     eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)

@@ -336,9 +336,10 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
     return CompositeOperator(h, params)
 
 
-def _sector_blocks(matrix: np.ndarray, sectors) -> tuple[list[np.ndarray], float]:
-    """The diagonal block of ``matrix`` on each sector, and the largest
-    magnitude of an entry between two different sectors.
+def sector_blocks(matrix: np.ndarray, sectors) -> tuple[list[np.ndarray], float]:
+    """The diagonal block of ``matrix`` on each sector (a tuple of index
+    arrays of its rows and columns), and the largest magnitude of an
+    entry between two different sectors.
 
     Each sector's rows are gathered once; its block and its entries in
     every other sector are columns of that band, so every cross-sector
@@ -352,12 +353,6 @@ def _sector_blocks(matrix: np.ndarray, sectors) -> tuple[list[np.ndarray], float
         for cols in sectors[:s] + sectors[s + 1:]:
             worst = max(worst, float(np.abs(band.take(cols, axis=1)).max()))
     return blocks, worst
-
-
-def cross_sector_max(matrix: np.ndarray, sectors) -> float:
-    """Largest magnitude of an entry of ``matrix`` between two different
-    sectors (index arrays of its rows and columns)."""
-    return _sector_blocks(matrix, tuple(sectors))[1]
 
 
 def greedy_match(weights: np.ndarray) -> np.ndarray:
@@ -434,7 +429,7 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
                 f"(largest imaginary part {np.max(np.abs(matrix.imag)):.3g})"
             )
         matrix = matrix.real
-    blocks, cross = _sector_blocks(matrix, ops.sectors)
+    blocks, cross = sector_blocks(matrix, ops.sectors)
     if cross:
         raise ConstructionError(
             f"composite Hamiltonian couples parity sectors (largest element {cross:.3g})"

@@ -3,6 +3,7 @@ and the one-OpenBLAS-pool rule with its thread-count helper."""
 
 import functools
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,121 @@ def test_a_vector_steps_as_the_first_column_of_a_pair(model, n):
     vector = backends.strang_sequence(u0, ops.n_diag, dc1, DT, pair[:, :1])
     both = backends.strang_sequence(u0, ops.n_diag, dc1, DT, pair)
     assert np.max(np.abs(vector[:, 0] - both[:, 0])) <= 1e-12
+
+
+def _sector_steps(model, asymmetric=False):
+    """The two 75-state parity sectors of set500 as a stack of base steps
+    and of coupler occupations; ``asymmetric`` gives every step a column
+    phase, so a product with U0 in place of U0^T shows."""
+    ops, _, u0 = model
+    if asymmetric:
+        u0 = u0 * np.exp(1j * np.linspace(0.0, 1.0, 150))
+    stack = np.stack([u0[np.ix_(rows, rows)] for rows in ops.sectors])
+    return stack, np.stack([ops.n_diag[rows] for rows in ops.sectors])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.integers(2, 32),
+    pieces=st.sampled_from((1, 2)),
+    n_first=st.integers(0, 2 * CHUNK),
+    n_second=st.integers(0, 2 * CHUNK),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=2, pieces=2, n_first=CHUNK, n_second=CHUNK + 1, seed=0)
+@example(width=32, pieces=1, n_first=1, n_second=2 * CHUNK, seed=1)
+def test_realified_rows_step_as_the_complex_product(model, width, pieces, n_first, n_second,
+                                                     seed):
+    # Every narrow width steps as rows of interleaved floats here, chained
+    # across a call boundary and the phase chunks, against one call in
+    # complex columns, the increment form of the wide blocks.
+    stack, n_stack = (arr[:pieces] for arr in _sector_steps(model, asymmetric=True))
+    dc1 = _drive(n_first + n_second, seed)
+    block = _block(pieces * width, seed)[:75]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "_as_rows", lambda k, d: True)
+        first = backends.strang_sequence(stack, n_stack, dc1[:n_first], DT, block)
+        rows = backends.strang_sequence(stack, n_stack, dc1[n_first:], DT, first)
+        patch.setattr(backends, "_as_rows", lambda k, d: False)
+        columns = backends.strang_sequence(stack, n_stack, dc1, DT, block)
+    assert np.max(np.abs(rows - columns)) <= 1e-12
+
+
+def test_block_shape_picks_the_step_layout(model):
+    # Rows for 2 to log2(d) columns a piece; a lone column as a vector;
+    # wider pieces, and single columns of a stack, as complex columns.
+    assert [backends._as_rows(k, 75) for k in (1, 2, 6, 7, 37, 75)] == [
+        False, True, True, False, False, False]
+    assert [backends._as_rows(k, 108) for k in (2, 6, 7)] == [True, True, False]
+    stack, n_stack = _sector_steps(model)
+    dc1 = _drive(3)
+    seen = []
+    real = backends._as_rows
+
+    def recording(k, d):
+        seen.append((k, d))
+        return real(k, d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "_as_rows", recording)
+        backends.strang_sequence(stack[0], n_stack[0], dc1, DT, _block(1)[:75])
+        for width in (1, 2, 75):
+            backends.strang_sequence(stack, n_stack, dc1, DT, _block(2 * width)[:75])
+    assert seen == [(1, 75), (2, 75), (75, 75)]
+
+
+@pytest.mark.parametrize("widths", [(75, 75), (63, 62)])
+def test_stacked_step_sequence_is_one_call_per_sector(params500, monkeypatch, widths):
+    # set500's two sectors, or sectors of 63 and 62 states (5 coupler
+    # levels), the narrower one zero-padded to the wider in the stack.
+    params = params500 if widths == (75, 75) else replace(params500, n_coupler_levels=5)
+    ops = assemble_operators(params)
+    assert tuple(rows.size for rows in ops.sectors) == widths
+    m = widths[0]
+    stacks = [np.zeros((2, m, m)), np.zeros((2, m)), np.zeros((2, m, m))]
+    for s, rows in enumerate(ops.sectors):
+        r = rows.size
+        stacks[0][s, :r, :r] = ops.a_fixed[np.ix_(rows, rows)]
+        stacks[1][s, :r] = ops.n_diag[rows]
+        stacks[2][s, :r, :r] = ops.b_op[np.ix_(rows, rows)]
+    fb = np.linspace(0.0, FLUX, 7)
+    c1, c2 = oscillator_coefficients(params.coupler, fb, fb)
+    pieces = [_block(2, seed=s)[: rows.size] for s, rows in enumerate(ops.sectors)]
+    padded = np.zeros((m, 4), dtype=complex)
+    padded[: widths[0], :2], padded[: widths[1], 2:] = pieces
+
+    orders = []
+    taylor = backends._taylor_order
+
+    def recording(theta):
+        orders.append(taylor(theta))
+        return orders[-1]
+
+    monkeypatch.setattr(backends, "_taylor_order", recording)
+    got = backends.step_sequence(*stacks, c1, c2, 5e-3, padded)
+    stacked = orders.copy()
+    orders.clear()
+    alone = [backends.step_sequence(ops.a_fixed[np.ix_(rows, rows)], ops.n_diag[rows],
+                                    ops.b_op[np.ix_(rows, rows)], c1, c2, 5e-3, piece)
+             for rows, piece in zip(ops.sectors, pieces)]
+    # One order a step for the stack, never below either sector's own.
+    assert np.all(np.array(stacked) >= np.reshape(orders, (2, -1)).max(axis=0))
+    assert np.max(np.abs(got[: widths[0], :2] - alone[0])) <= 1e-13
+    assert np.max(np.abs(got[: widths[1], 2:] - alone[1])) <= 1e-13
+    assert not np.any(got[widths[1]:, 2:])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 592, 593, 1023, 1024])
+def test_apply_power_is_repeated_application(model, n):
+    # The monodromy of an undriven period of each sector, stacked.
+    stack = np.stack([np.linalg.matrix_power(u0, 93) for u0 in _sector_steps(model)[0]])
+    block = np.stack([_block(2, seed=s)[:75] for s in range(2)])
+    ref = block.copy()
+    for _ in range(n):
+        ref = stack @ ref
+    got = backends.apply_power(stack, n, block)
+    _check_fresh(got, block)
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -341,9 +341,9 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
     pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
     cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
     assert calls == []
-    # One ramp-down step sequence per sector the computational block spans.
-    block = _ramped_up_block(params, pulse.flux_static, ramp, dt)
-    per_ramp_down = len(_split(assemble_operators(params).sectors, block).active)
+    # One step sequence per chunk of the ramp-down, all its sectors at once.
+    steps, _ = _step_count(0.0, ramp.ramp_time, dt * DRIVELESS_DT_FACTOR)
+    per_ramp_down = -(-steps // evolve.STEP_CHUNK)
     populations = cu.final_populations
     assert len(calls) == per_ramp_down >= 1
     assert cu.final_populations is populations
@@ -449,14 +449,13 @@ def test_chunked_stepping_matches_one_chunk(params500, monkeypatch, kind, steps)
         return stepped(*args)
 
     monkeypatch.setattr(backends, kernel, counting)
-    per_chunk = len(pieces.active) if kind == "ramp" else 1
     out = {}
     for chunk in (7, steps + 1):
         monkeypatch.setattr(evolve, "STEP_CHUNK", chunk)
         calls.clear()
         out[chunk] = evolve._step_interval(params500, pulse, ramp, t_a, t_b, DEFAULT_DT,
                                            pieces.active, pieces.x)
-        assert len(calls) == -(-steps // chunk) * per_chunk
+        assert len(calls) == -(-steps // chunk)  # one call per chunk, all sectors at once
     assert np.max(np.abs(out[7] - out[steps + 1])) <= 1e-12
 
 

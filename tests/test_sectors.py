@@ -41,7 +41,7 @@ FLAT = ParametricPulse(
 
 def _cross_sector(matrix, sectors):
     """Every entry of ``matrix`` between two different sectors, gathered
-    independently of ``system.cross_sector_max``."""
+    independently of ``system.sector_blocks``."""
     sector_of = np.empty(matrix.shape[0], dtype=int)
     for s, rows in enumerate(sectors):
         sector_of[rows] = s
