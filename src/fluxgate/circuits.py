@@ -163,8 +163,7 @@ def diagonalize_fluxonium(
         if 2 * size > MAX_FLUXONIUM_BASIS:
             raise ConvergenceError(
                 f"fluxonium energies not converged at basis {size}"
-                f" (last delta {delta:.3e} GHz)",
-                last_delta=delta,
+                f" (last delta {delta:.3e} GHz)"
             )
 
 
@@ -214,10 +213,11 @@ def oscillator_coefficients(
     omega_c = sqrt(8 E_C E_J) - E_C, and c2 = n_zpf(Phi_b) =
     1 / (2 phi_zpf), phi_zpf = (2 E_C / E_J)^(1/4); at Phi = Phi_b, c1 is
     the oscillator frequency. Raises DomainError where E_J is not
-    positive at either flux.
+    positive at either flux. Given one object as both fluxes, it
+    evaluates E_J once.
     """
     ej_b = params.effective_ej(flux_bias)
-    ej_f = params.effective_ej(flux_full)
+    ej_f = ej_b if flux_full is flux_bias else params.effective_ej(flux_full)
     ratio = 2.0 * params.e_c / ej_b
     c1 = np.sqrt(8.0 * params.e_c * ej_b) - params.e_c + (ej_f - ej_b) * np.sqrt(ratio)
     return c1, 0.5 / ratio**0.25

@@ -574,6 +574,8 @@ def main(argv=None) -> int:
             "section": None if section is None else asdict(rc.require(section)),
             "dt": rc.dt,
         }
+        if args.command == "spectrum":
+            payload["flux"] = rc.spectrum_flux
         if args.command == "gate-sweep":
             payload["gate"] = asdict(rc.require("gate"))
         if args.command in ("gate-opt", "gate-sweep"):

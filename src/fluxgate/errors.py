@@ -8,10 +8,6 @@ class FluxgateError(Exception):
 class ConvergenceError(FluxgateError):
     """An eigenproblem or finite-difference result failed its convergence bound."""
 
-    def __init__(self, message, last_delta=None):
-        super().__init__(message)
-        self.last_delta = last_delta
-
 
 class CutoffError(FluxgateError):
     """A truncated basis leaks weight into its edge states."""

@@ -44,7 +44,7 @@ centres the carrier on the window centre t_c (``pulses.centred_phase``),
 so H(t_c + s) = H(t_c - s). ``propagate_computational_unitary`` takes
 the n = 2 floor((t_c - t0 - ramp_time) f_p) whole periods centred on
 t_c, which start at carrier phase 0, and steps only G, the propagator
-over the up-flank and the lead-in [t0, t_c - nP/2]. ``_step_samples``
+over the up-flank and the lead-in [t0, t_c - nP/2]. ``_step_count``
 gives mirrored spans equal step counts at mirrored midpoints, so the
 steps after the periods are G's steps in reverse order, and by the
 mirror identity of ``system`` the window is W = G^T M^n G. A gate
@@ -63,7 +63,7 @@ initial state steps 75 states, and the four computational columns step
 as two columns in each sector, batched into one product per step.
 
 A gate's bias ramp-down is the ramp-up run backwards: it carries no
-drive, and ``_step_samples`` gives both ramps the same step count, so
+drive, and ``_step_count`` gives both ramps the same step count, so
 the ramp-down samples the ramp-up's biases in reverse order, and by the
 same mirror identity U_down = U_up^T. The dressed idle states c are
 real, so with R = U_up c the cached ramped-up block
@@ -369,10 +369,10 @@ def _step_count(t_a, t_b, dt):
     return n, (t_b - t_a) / n
 
 
-def _step_samples(params, pulse, ramp, t_a, t_b, dt):
-    """The step midpoints' bias flux and (c1, c2) on [t_a, t_b] cut by
-    ``_step_count``, yielded as (fb, (c1, c2)) for consecutive chunks of
-    at most STEP_CHUNK steps.
+def _step_samples(params, pulse, ramp, t_a, n, h):
+    """The bias flux and (c1, c2) at the midpoints of the n steps of
+    length h from t_a (``_step_count``'s cut of a span), yielded as
+    (fb, (c1, c2)) for consecutive chunks of at most STEP_CHUNK steps.
 
     The one sampling rule of every propagation, the gate schedule's
     intervals and the Floquet monodromy's period alike. Step k of the
@@ -381,7 +381,6 @@ def _step_samples(params, pulse, ramp, t_a, t_b, dt):
     caller that steps chunk by chunk holds one chunk's samples at a time,
     whatever the step count (see STEP_CHUNK).
     """
-    n, h = _step_count(t_a, t_b, dt)
     for start in range(0, n, STEP_CHUNK):
         mids = t_a + (np.arange(start, min(start + STEP_CHUNK, n)) + 0.5) * h
         fb = np.asarray(bias_flux(pulse, ramp, mids), dtype=float)
@@ -415,8 +414,8 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     t0, t1 = drive_window(pulse, ramp)
     driven = pulse.drive_amp > 0 and t_b > t0 and t_a < t1
     dt_eff = dt if driven else dt * DRIVELESS_DT_FACTOR
-    _, h = _step_count(t_a, t_b, dt_eff)
-    chunks = _step_samples(params, pulse, ramp, t_a, t_b, dt_eff)
+    n, h = _step_count(t_a, t_b, dt_eff)
+    chunks = _step_samples(params, pulse, ramp, t_a, n, h)
     if ramp is None or t0 <= t_a and t_b <= t1:
         u0, n_diag, c1_flat = _flat_operands(params, pulse.flux_static, h, active)
         return _stepped(backends.strang_sequence, (u0, n_diag),
@@ -431,7 +430,7 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
     ``flux_s``: the Floquet monodromy of the sectors ``active``, stacked
     as (sectors, m, m) like ``_flat_step``.
 
-    The period is cut by ``_step_samples`` into n Strang steps
+    The period is cut by ``_step_count`` into n Strang steps
     S_k = D_k U0 D_k, with D_k diagonal. The cosine drive is symmetric
     about the middle of its period, so D_k = D_{n-1-k}, and by the mirror
     identity of ``system`` the second half of the period is V^T, where V
@@ -445,15 +444,15 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
     # The steady drive as an unenveloped pulse one period long; it
     # rejects a negative amplitude.
     steady = ParametricPulse(flux_s, drive_amp, drive_freq, ramp_time=0.0, gate_time=period)
-    _, h = _step_count(0.0, period, dt)
-    samples = _step_samples(params, steady, None, 0.0, period, dt)
+    n, h = _step_count(0.0, period, dt)
+    samples = _step_samples(params, steady, None, 0.0, n, h)
     c1 = np.concatenate([part for _, (part, _) in samples])
     u0, n_diag, c1_flat = _flat_operands(params, flux_s, h, active)
     dc1 = c1 - c1_flat
     eye = np.broadcast_to(np.eye(u0.shape[1], dtype=complex), u0.shape)
-    half = c1.size // 2
+    half = n // 2
     v = _stepped(backends.strang_sequence, (u0, n_diag), [(dc1[:half],)], h, eye)
-    if c1.size % 2:
+    if n % 2:
         v = v * np.exp(-1j * np.pi * h * dc1[half] * n_diag)[:, :, None]
         forward = u0 @ v
     else:

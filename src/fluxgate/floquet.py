@@ -15,16 +15,16 @@ gate's flat top also takes powers of: half the period V is stepped and
 M = V^T V by the mirror identity of ``system``.
 
 The drive modulates only the coupler number, so M conserves the total
-parity of ``system`` and is block diagonal in its sectors. Each sector
-is stepped with its own 75 x 75 steps (all stepped sectors in one
-batched kernel call), mirrored, and placed into the full matrix; the
-entries between sectors are exactly zero. ``monodromy`` may step only
-some sectors: their blocks are bit for bit those of the full matrix,
-and the rest of the matrix is zero.
-``quasienergies`` solves each stepped sector's block on its own and
-returns the Floquet modes of the stepped sectors only, one per dressed
-state of those sectors, in ascending dressed order, with their folded
-quasienergies.
+parity of ``system`` and is block diagonal in its sectors. A
+``Monodromy`` holds only those diagonal blocks, as the sector stack
+that ``_period`` steps and a gate's flat top takes powers of: each
+sector is stepped with its own 75 x 75 steps (all stepped sectors in
+one batched kernel call) and mirrored. ``monodromy`` may step only some
+sectors; a stepped block is bit for bit the same whichever sectors are
+stepped with it. ``quasienergies`` solves each stepped block on its own
+and returns the Floquet modes of the stepped sectors only, one per
+dressed state of those sectors, in ascending dressed order, with their
+folded quasienergies.
 
 The Floquet modes come from a Hermitian eigensolve rather than a
 complex Schur form. For unitary U the Cayley transform
@@ -67,12 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import one_blas_thread
-from .errors import ConstructionError, DomainError, IntegrationError
+from .errors import DomainError, IntegrationError
 
 # Nothing here calls _flat_step: it stays imported because the binding
 # check of bench/tests/test_tracer.py expects a traced floquet._flat_step.
 from .evolve import DEFAULT_DT, _check_drive_resolved, _flat_step, _period, dressed_frame
-from .system import CompositeParams, assemble_operators, label_parity, sector_blocks
+from .system import CompositeParams, assemble_operators, label_parity
 
 UNITARITY_LIMIT = 1e-10
 REFINE_POINTS = 9
@@ -82,14 +82,16 @@ Label = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class Monodromy:
-    """One-period propagator of the driven system.
+    """One-period propagator of the driven system, as its diagonal
+    blocks in the parity sectors.
 
     ``sectors`` lists the indices into ``ModelOperators.sectors`` of the
-    stepped parity sectors; ``matrix`` is exactly zero outside their
-    diagonal blocks.
+    stepped parity sectors. ``blocks`` has shape (len(sectors), m, m),
+    m the widest sector: block k is M on the rows of sector
+    ``sectors[k]`` in its leading corner, padded with the identity.
     """
 
-    matrix: np.ndarray
+    blocks: np.ndarray
     params: CompositeParams
     flux_s: float
     drive_freq: float
@@ -146,11 +148,11 @@ def monodromy(
     gate-schedule interval (``evolve._step_samples``).
     Every parity sector named in ``sectors`` (indices into
     ``ModelOperators.sectors``; None steps all) is stepped with its own
-    steps, all in one kernel call, and M is assembled block by block,
-    exactly zero between sectors and in the sectors not stepped. A
-    stepped block is the same bit for bit whichever other sectors are
-    stepped with it. Raises IntegrationError if the unitarity defect of
-    the stepped blocks exceeds 1e-10.
+    steps, all in one kernel call, and ``_period``'s stack of their
+    blocks is the result's ``blocks``. A stepped block is the same bit
+    for bit whichever other sectors are stepped with it. Raises
+    IntegrationError if the unitarity defect of the stepped blocks
+    exceeds 1e-10.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
@@ -168,11 +170,7 @@ def monodromy(
         raise IntegrationError(
             f"monodromy unitarity defect {defect:.3e} exceeds {UNITARITY_LIMIT:g}"
         )
-    m = np.zeros((params.dim, params.dim), dtype=complex)
-    for s, block in zip(stepped, blocks):
-        rows = ops.sectors[s]
-        m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
-    return Monodromy(m, params, flux_s, drive_freq, defect, tuple(stepped))
+    return Monodromy(blocks, params, flux_s, drive_freq, defect, tuple(stepped))
 
 
 def fold(eps, drive_freq: float):
@@ -219,26 +217,22 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     max |M Z - Z Lambda| or max ||lambda| - 1| exceeds 1e-10, which is
     how an alpha that lands next to an eigenvalue of M shows.
 
-    Each stepped parity sector (``Monodromy.sectors``) is solved on its
-    own, with its own alpha taken from its own dressed states; its modes
-    take the places of those states among the dressed states of the
-    stepped sectors. Raises ConstructionError if M couples two sectors.
+    Each stepped block (``Monodromy.blocks``, without its identity
+    pad) is solved on its own, with its own alpha taken from its own
+    sector's dressed states; its modes take the places of those states
+    among the dressed states of the stepped sectors.
     """
-    m = mono.matrix
     frame = dressed_frame(mono.params, mono.flux_s)
     sectors = assemble_operators(mono.params).sectors
-    blocks, cross = sector_blocks(m, sectors)
-    if cross:
-        raise ConstructionError("monodromy couples parity sectors")
 
     solved = np.sort(np.concatenate([frame.sectors[s] for s in mono.sectors]))
     lam = np.empty(solved.size, dtype=complex)
-    z = np.zeros((m.shape[0], solved.size), dtype=complex)
-    for s in mono.sectors:
+    z = np.zeros((mono.params.dim, solved.size), dtype=complex)
+    for s, block in zip(mono.sectors, mono.blocks):
         rows, members = sectors[s], frame.sectors[s]
         cols = np.searchsorted(solved, members)
         q = frame.states[np.ix_(rows, members)]
-        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(blocks[s], q)
+        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(block[: rows.size, : rows.size], q)
 
     period = 1.0 / mono.drive_freq
     eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)

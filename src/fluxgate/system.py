@@ -336,25 +336,6 @@ def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperat
     return CompositeOperator(h, params)
 
 
-def sector_blocks(matrix: np.ndarray, sectors) -> tuple[list[np.ndarray], float]:
-    """The diagonal block of ``matrix`` on each sector (a tuple of index
-    arrays of its rows and columns), and the largest magnitude of an
-    entry between two different sectors.
-
-    Each sector's rows are gathered once; its block and its entries in
-    every other sector are columns of that band, so every cross-sector
-    entry is read, in both orders.
-    """
-    blocks = []
-    worst = 0.0
-    for s, rows in enumerate(sectors):
-        band = matrix.take(rows, axis=0)
-        blocks.append(band.take(rows, axis=1))
-        for cols in sectors[:s] + sectors[s + 1:]:
-            worst = max(worst, float(np.abs(band.take(cols, axis=1)).max()))
-    return blocks, worst
-
-
 def greedy_match(weights: np.ndarray) -> np.ndarray:
     """One-to-one matching of the rows and columns of a square weights matrix.
 
@@ -429,7 +410,15 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
                 f"(largest imaginary part {np.max(np.abs(matrix.imag)):.3g})"
             )
         matrix = matrix.real
-    blocks, cross = sector_blocks(matrix, ops.sectors)
+    # Each sector's rows are gathered once; its block and its entries in
+    # every other sector are columns of that band, so every cross-sector
+    # entry is read, in both orders.
+    blocks, cross = [], 0.0
+    for s, rows in enumerate(ops.sectors):
+        band = matrix.take(rows, axis=0)
+        blocks.append(band.take(rows, axis=1))
+        for cols in ops.sectors[:s] + ops.sectors[s + 1:]:
+            cross = max(cross, float(np.abs(band.take(cols, axis=1)).max()))
     if cross:
         raise ConstructionError(
             f"composite Hamiltonian couples parity sectors (largest element {cross:.3g})"

@@ -801,14 +801,31 @@ def test_gate_run_id_hashes_restarts_and_budget(tmp_path, monkeypatch, command):
     assert len([p for p in out.iterdir() if p.name.startswith(command + "-")]) == 3
 
 
+def test_spectrum_run_id_hashes_the_coupler_flux(tmp_path):
+    # The coupler rows are written at RunConfig.spectrum_flux, so two
+    # configs that differ only in that flux must not share a run directory.
+    text = (resources.files("fluxgate.data") / "set500.cfg").read_text()
+    assert text.count("interaction_flux = 0.35") == 1
+    out = tmp_path / "o"
+    for flux in ("0.35", "0.30"):
+        cfg = tmp_path / f"flux{flux}.cfg"
+        cfg.write_text(text.replace("interaction_flux = 0.35", f"interaction_flux = {flux}"))
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    fluxes = []
+    for run in out.iterdir():
+        rows = (run / "result.csv").read_text().splitlines()
+        fluxes.append(sorted({row.split(",")[1].split("@")[1] for row in rows if "@" in row}))
+    assert sorted(fluxes) == [["0", "0.3"], ["0", "0.35"]]
+
+
 def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     # The committed runs pin both the run id (the hash of the inputs) and
     # every byte of the result: the single-circuit spectra, and through
     # shift-scan the composite Hamiltonian and its labelled eigensolve.
     committed = Path(__file__).resolve().parent.parent / "runs"
     data = resources.files("fluxgate.data")
-    for command, name, run in [("spectrum", "set500.cfg", "spectrum-54646866c440"),
-                               ("spectrum", "set300.cfg", "spectrum-50b8d6a03205"),
+    for command, name, run in [("spectrum", "set500.cfg", "spectrum-9cbfb497548a"),
+                               ("spectrum", "set300.cfg", "spectrum-9b8d11e681eb"),
                                ("shift-scan", "set500.cfg", "shift-scan-0d11309f3db1"),
                                ("shift-scan", "set300.cfg", "shift-scan-a2a5c8ad3782")]:
         out = tmp_path / command / name

@@ -63,8 +63,9 @@ def _stepped_schedule(params, pulse, ramp, dt, powered):
     """The 4 x 4 and the end-of-schedule populations from stepping the
     whole schedule from t = 0 through ``_advance``, the second half of
     the drive window and any ramp-down included. ``powered`` applies the
-    whole periods centred on the window as a power of the full-space
-    monodromy, as the gate does; otherwise every interval is stepped."""
+    whole periods centred on the window as a power of the monodromy,
+    as the gate does, but of its blocks assembled on the full space;
+    otherwise every interval is stepped."""
     frame = dressed_frame(params, pulse.flux_static if ramp is None else ramp.flux_idle)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
     end = total_duration(pulse, ramp)
@@ -73,7 +74,10 @@ def _stepped_schedule(params, pulse, ramp, dt, powered):
         n, t_a, t_start = _centred_periods(pulse, ramp)
         block = _advance(params, pulse, ramp, dt, block, 0.0, t_a)
         mono = monodromy(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt=dt)
-        block = backends.apply_power(mono.matrix, n, block)
+        full_space = np.zeros((params.dim, params.dim), dtype=complex)
+        for rows, sector_block in zip(assemble_operators(params).sectors, mono.blocks):
+            full_space[np.ix_(rows, rows)] = sector_block[: rows.size, : rows.size]
+        block = backends.apply_power(full_space, n, block)
     full = frame.states.T @ _advance(params, pulse, ramp, dt, block, t_start, end)
     matrix = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
     return matrix, np.abs(full) ** 2
@@ -316,8 +320,10 @@ def test_ramps_take_equal_steps_and_mirror_biases(params500, tau, gate_time, dt,
     t0, t1 = drive_window(pulse, ramp)
     end = total_duration(pulse, ramp)
     step = dt * DRIVELESS_DT_FACTOR
-    up = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, 0.0, t0, step)])
-    down = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, t1, end, step)])
+    up = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, 0.0,
+                                                       *_step_count(0.0, t0, step))])
+    down = np.concatenate([fb for fb, _ in _step_samples(params500, pulse, ramp, t1,
+                                                         *_step_count(t1, end, step))])
     assert up.size == down.size
     # The ramp-down's sample times are absolute, near `end`, so they carry
     # roundoff of order spacing(end); the bias moves at most

@@ -87,7 +87,6 @@ SHARED_NAME_READERS = {
     ("LabeledSpectrum", "states"): "evolve._flat_step",
     ("ModelOperators", "labels"): "system.label_eigenstates",
     ("ModelOperators", "sectors"): "evolve._flat_step",
-    ("Monodromy", "matrix"): "floquet.quasienergies",
     ("Monodromy", "params"): "floquet.quasienergies",
     ("Monodromy", "sectors"): "floquet.quasienergies",
     ("OptimizationResult", "gate_time"): "gates.OptimizationResult.report",

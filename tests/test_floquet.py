@@ -42,7 +42,7 @@ FROZEN = {
 def test_monodromy_unitary(params500):
     m = monodromy(params500, 0.35, 0.045, 10.79, dt=0.002)
     assert m.defect < 1e-10
-    eigs = np.linalg.eigvals(m.matrix)
+    eigs = np.linalg.eigvals(m.blocks)
     assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-10
 
 
@@ -178,14 +178,18 @@ def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, f
     full = monodromy(params, 0.35, 0.045, freq, dt=dt)
     full_spec = quasienergies(full)
     members_of = dressed_frame(params, 0.35).sectors
-    for s, rows in enumerate(assemble_operators(params).sectors):
+    sectors = assemble_operators(params).sectors
+    width = max(rows.size for rows in sectors)
+    assert full.blocks.shape == (len(sectors), width, width)
+    for s, rows in enumerate(sectors):
         part = monodromy(params, 0.35, 0.045, freq, dt=dt, sectors=(s,))
         assert part.sectors == (s,)
-        block = np.ix_(rows, rows)
-        assert np.array_equal(part.matrix[block], full.matrix[block])
-        outside = np.ones(part.matrix.shape, dtype=bool)
-        outside[block] = False
-        assert np.all(part.matrix[outside] == 0.0)
+        assert part.blocks.shape == (1, width, width)
+        assert np.array_equal(part.blocks[0], full.blocks[s])
+        # Past the sector's own rows the block is exactly the identity.
+        padded = np.eye(width, dtype=complex)
+        padded[: rows.size, : rows.size] = part.blocks[0, : rows.size, : rows.size]
+        assert np.array_equal(part.blocks[0], padded)
 
         # One mode per dressed state of the sector, in ascending order.
         spec, members = quasienergies(part), members_of[s]
@@ -284,7 +288,14 @@ def _full_period_product(params, flux_s, amp, freq, dt):
 def test_mirrored_monodromy_matches_full_period(params500, flux_s, amp, freq, dt):
     n, reference = _full_period_product(params500, flux_s, amp, freq, dt)
     mono = monodromy(params500, flux_s, amp, freq, dt=dt)
-    assert np.max(np.abs(mono.matrix - reference)) <= 1e-11, f"n = {n}"
+    # The reference is zero between sectors, so its sector blocks hold
+    # all of it.
+    within = np.zeros_like(reference)
+    for rows, block in zip(assemble_operators(params500).sectors, mono.blocks):
+        ref_block = reference[np.ix_(rows, rows)]
+        within[np.ix_(rows, rows)] = ref_block
+        assert np.max(np.abs(block[: rows.size, : rows.size] - ref_block)) <= 1e-11, f"n = {n}"
+    assert np.array_equal(within, reference)
 
 
 @pytest.mark.parametrize("flux", [0.0, 0.35])
@@ -312,6 +323,16 @@ def test_seed_monodromy_count(params500, rc500, monkeypatch):
 
 # -- Cayley-transform eigensolve of the monodromy -----------------------------
 
+def _dense(mono):
+    """The monodromy as one full-space matrix, zero between sectors."""
+    sectors = assemble_operators(mono.params).sectors
+    m = np.zeros((mono.params.dim, mono.params.dim), dtype=complex)
+    for s, block in zip(mono.sectors, mono.blocks):
+        rows = sectors[s]
+        m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
+    return m
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     flux_s=st.floats(0.0, 0.4),
@@ -324,12 +345,13 @@ def test_cayley_modes_match_schur(params500, flux_s, amp, freq):
     mono = monodromy(params500, flux_s, amp, freq, dt=2e-3)
     spec = quasienergies(mono)
     lam = np.exp(-2j * np.pi * spec.quasienergies / freq)
-    ref = np.diag(schur(mono.matrix, output="complex")[0])
+    m = _dense(mono)
+    ref = np.diag(schur(m, output="complex")[0])
     apart = np.abs(np.angle(lam[:, None] / ref[None, :]))
     assert apart.min(axis=1).max() <= 1e-11
     assert apart.min(axis=0).max() <= 1e-11
     z = spec.states
-    assert np.max(np.abs(mono.matrix @ z - z * lam)) <= 1e-10
+    assert np.max(np.abs(m @ z - z * lam)) <= 1e-10
     assert np.max(np.abs(z.conj().T @ z - np.eye(params500.dim))) <= 1e-10
 
 
@@ -341,15 +363,20 @@ def test_cayley_shift_clears_the_spectrum_at_strong_drive(params500):
     spec = quasienergies(mono)
     lam = np.exp(-2j * np.pi * spec.quasienergies / mono.drive_freq)
     z = spec.states
-    assert np.max(np.abs(mono.matrix @ z - z * lam)) <= 1e-10
+    assert np.max(np.abs(_dense(mono) @ z - z * lam)) <= 1e-10
 
 
 def _built_monodromy(params, eps, freq, scale=1.0):
-    """Monodromy with quasienergies ``eps`` on the dressed states at 0.35."""
-    q = dressed_frame(params, 0.35).states
-    m = scale * (q * np.exp(-2j * np.pi * eps / freq)) @ q.conj().T
-    every = tuple(range(len(assemble_operators(params).sectors)))
-    return Monodromy(m, params, 0.35, freq, 0.0, every)
+    """Monodromy with quasienergies ``eps`` on the dressed states at 0.35,
+    for a device of equal sectors, which need no pad."""
+    frame = dressed_frame(params, 0.35)
+    sectors = assemble_operators(params).sectors
+    phases = scale * np.exp(-2j * np.pi * eps / freq)
+    blocks = []
+    for rows, members in zip(sectors, frame.sectors):
+        q = frame.states[np.ix_(rows, members)]
+        blocks.append((q * phases[members]) @ q.conj().T)
+    return Monodromy(np.stack(blocks), params, 0.35, freq, 0.0, tuple(range(len(sectors))))
 
 
 def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):
