@@ -22,9 +22,8 @@ identity), and a block (m, S k) that holds the S sector pieces of k
 columns side by side; ``apply_power`` takes a stack of matrices and a
 stack of blocks (S, m, k). Each advances all pieces in one batched
 product per step, Taylor term or squaring: at one BLAS thread, two
-75-state pieces of two columns took about 16 us a Strang step in
-complex columns, against 18 us in two separate calls and 24 us as one
-150-state block.
+75-state pieces of two columns take about 11 us a Strang step, against
+14 us in two separate calls and 23 us as one 150-state block.
 
 ``strang_sequence`` merges the trailing half-phase of step i with the
 leading half-phase of step i + 1 into one diagonal
@@ -34,36 +33,30 @@ matmul into preallocated buffers. The diagonals come in bounded chunks
 from a table of exponentials over the distinct entries of N (the coupler
 occupations, a handful of values), gathered onto the full diagonal.
 
-The shape of the pieces picks one of three layouts for the steps:
+Every piece steps its k columns as rows, (S, k, m), one batched
+``matmul`` a step, x + x (U0 - I)^T against (U0 - I)^T made contiguous
+once per call. Up to log2(m) columns a piece (a gate's computational
+block, two columns in each sector) the complex rows are viewed as
+interleaved floats, (S, k, 2m), against the real 2m x 2m form of
+(U0 - I)^T: the arithmetic is the same, but OpenBLAS's real ``dgemm``
+runs faster than its ``zgemm`` on a few long rows. Measured at one BLAS
+thread on 2 shared vCPUs, a Strang step of two 75-state pieces of two
+columns takes 10.5-12.7 us in real rows and 17.4-18.7 us in complex
+rows. Wider pieces, and single columns of a stack of several (the
+identity a Floquet period steps is 75 wide), step in complex rows: one
+75-wide piece takes 84 us a step, two 164 us. The bound log2(m) was set
+against complex columns, which beat real rows from 8 columns a piece at
+108 states; complex rows did not (real rows took 0.72-0.87 of their
+step at 8 and 16 columns). No workload steps a width between log2(m)
+and a full sector, so one that does re-measures the bound. A single
+state, one piece of one column, steps as the row-vector product x U0^T,
+``np.dot`` against a copy of U0^T made contiguous once per call, which
+skips numpy's matmul dispatch: 3.3 us a step at 75 states.
 
-  * one piece of one column (a single state): the vector x steps as the
-    row-vector product x U0^T, ``np.dot`` against a copy of U0^T made
-    contiguous once per call, which skips numpy's matmul dispatch;
-  * 2 <= k <= log2(m) columns a piece (a gate's computational block,
-    two columns in each sector): the columns step as rows. The complex
-    rows (S, k, m) are viewed as interleaved floats, (S, k, 2m), and a
-    step is one real ``matmul`` against the real 2m x 2m form of
-    (U0 - I)^T, built once per call;
-  * wider pieces, and single columns of a stack of several (the
-    identity a Floquet period steps is 75 wide): complex columns,
-    x + (U0 - I) x, one batched complex ``matmul``.
-
-The arithmetic of rows and columns is the same, but OpenBLAS's real
-``dgemm`` on a few long rows runs faster than its ``zgemm`` on a few
-columns. Measured at one BLAS thread on 2 shared vCPUs, a Strang step of two
-75-state pieces of two columns takes 10.8-11.0 us as rows and
-14.8-15.7 us as columns, and one 75-wide piece 96 us as rows against
-87 us as columns; one 75-state vector takes 3.3 us, and 4.0 us through
-``np.matmul``. At 75 states rows won from 2 to 40 columns a piece, but at 90
-to 147 states only up to 6 or 7, losing 5-25 % from 8 columns at 108
-states: log2(m) keeps rows only where they won at every size measured
-from 48 to 147 states, so no width measured steps slower than in
-columns.
-
-Rows and columns step U0 in increment form, x + (U0 - I) x, so the
-roundoff of each matmul scales with the small U0 - I rather than with
-U0. Over the 10^4 Strang steps of a 5 ns drive flank at 0.5 ps this cuts
-the roundoff a gate's columns accumulate about 25-fold: on set500's
+Rows step U0 in increment form, x + x (U0 - I)^T, so the roundoff of
+each matmul scales with the small U0 - I rather than with U0. Over the
+10^4 Strang steps of a 5 ns drive flank at 0.5 ps this cuts the
+roundoff a gate's columns accumulate about 25-fold: on set500's
 65 ns gate, the 4 x 4 read through the mirrored drive window (see
 ``evolve``) and the one stepped through the whole window agree to 2e-14
 instead of 5e-13. The add costs about 2 % of a step of two 75-state
@@ -356,10 +349,10 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     ``u0`` may also be a stack of S independent base steps (S, m, m),
     one per parity sector, with ``n_diag`` of shape (S, m); ``block`` is
     then (m, S k), the S sector pieces of k columns side by side, and
-    piece s is stepped with U0[s]. The pieces step in one batched
+    piece s is stepped with U0[s]. The pieces step as rows in one batched
     product per step; a stack of one steps as its single base step. The
-    block's shape picks the layout of the steps (see the module
-    docstring).
+    block's shape picks real or complex rows, or the vector product of a
+    single state (see the module docstring).
     """
     u0 = np.ascontiguousarray(u0, dtype=np.complex128)
     n_diag = np.ascontiguousarray(n_diag, dtype=np.float64)
@@ -378,24 +371,23 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
     level_of = level_of.reshape(n_diag.shape)
     w = -1j * np.pi * float(dt)
     phase0 = np.exp(w * dc1[0] * levels)[level_of]
-    if pieces == k == 1:
+    vector = pieces == k == 1
+    real = not vector and _as_rows(k, d)
+    if vector:
         # One column: x U0^T, a plain row-vector product.
-        layout, expand = "vector", (slice(None), 0)
         x = phase0[0] * x[0, :, 0]
         base = np.ascontiguousarray(u0[0].T)
-    elif _as_rows(k, d):
-        # Rows of interleaved floats times the real form of (U0 - I)^T.
-        layout, expand = "rows", (slice(None), slice(None), None)
-        x = np.ascontiguousarray(phase0[:, None, :] * x.transpose(0, 2, 1))
-        base = _realified(u0.transpose(0, 2, 1))
-        base.reshape(pieces, -1)[:, :: 2 * d + 1] -= 1.0  # less I, with no complex copy
+        expand = np.s_[:, 0]
     else:
-        # Complex columns: x + (U0 - I) x.
-        layout, expand = "columns", (Ellipsis, None)
-        x = np.ascontiguousarray(phase0[:, :, None] * x)
-        base = u0 - np.eye(d)
+        # Rows: x + x (U0 - I)^T, on interleaved floats against the real
+        # form of (U0 - I)^T for narrow pieces.
+        x = np.ascontiguousarray(phase0[:, None, :] * x.transpose(0, 2, 1))
+        base = np.ascontiguousarray(u0.transpose(0, 2, 1) - np.eye(d))
+        if real:
+            base = _realified(base)
+        expand = np.s_[:, :, None]
     y = np.empty_like(x)
-    xf, yf = x.view(np.float64), y.view(np.float64)
+    xs, ys = (x.view(np.float64), y.view(np.float64)) if real else (x, y)
     chunk = max(1, PHASE_CHUNK_BYTES // (16 * n_diag.size))
     for start in range(1, n + 1, chunk):
         stop = min(start + chunk, n + 1)
@@ -403,15 +395,10 @@ def strang_sequence(u0, n_diag, dc1, dt: float, block) -> np.ndarray:
         s[: min(stop, n) - start] += dc1[start:stop]
         phases = np.exp(w * np.multiply.outer(s, levels))[:, level_of][expand]
         for phase in phases:
-            if layout == "vector":
+            if vector:
                 np.dot(x, base, out=y)
-            elif layout == "rows":
-                np.matmul(xf, base, out=yf)
-                y += x
             else:
-                np.matmul(base, x, out=y)
+                np.matmul(xs, base, out=ys)
                 y += x
             np.multiply(phase, y, out=x)
-    if layout == "vector":
-        return x.reshape(d, 1)
-    return _unstack(x.transpose(0, 2, 1) if layout == "rows" else x)
+    return _unstack(x.reshape(pieces, k, d).transpose(0, 2, 1))

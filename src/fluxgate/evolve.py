@@ -207,10 +207,9 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
 
 
 def _idle_frame(params, pulse, ramp, dt) -> LabeledSpectrum:
-    """Check the step, then return the dressed frame at the idle flux,
-    where initial states and recorded populations live."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """Check that the step resolves the drive, then return the dressed
+    frame at the idle flux, where initial states and recorded populations
+    live."""
     if pulse.drive_amp > 0 and pulse.drive_freq > 0:
         _check_drive_resolved(dt, pulse.drive_freq)
     return dressed_frame(params, pulse.flux_static if ramp is None else ramp.flux_idle)
@@ -355,10 +354,13 @@ def _step_count(t_a, t_b, dt):
     the ramp-down span (2 tau + t_g) - (tau + t_g) can round above tau,
     and must take the ramp-up's count for U_down = U_up^T to hold.
 
-    Raises DomainError when (t_b - t_a) / dt is not finite or exceeds
-    2**52: past that, the step midpoints t_a + (k + 0.5) h can no longer
-    all be distinct doubles.
+    Raises DomainError unless dt > 0, the one check of the step every
+    stepped span passes, and when (t_b - t_a) / dt is not finite or
+    exceeds 2**52: past that, the step midpoints t_a + (k + 0.5) h can no
+    longer all be distinct doubles.
     """
+    if not dt > 0:
+        raise DomainError(f"dt = {dt} ns must be positive")
     steps = (t_b - t_a) / dt
     if not steps <= 2.0**52:
         raise DomainError(

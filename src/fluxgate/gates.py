@@ -88,8 +88,8 @@ class GateConfig:
         for name, bounds in (("freq", self.freq_bounds), ("amp", self.amp_bounds)):
             if bounds is not None and not bounds[0] < bounds[1]:
                 raise ValueError(f"need {name}_min < {name}_max")
-        if self.amp_bounds is not None and self.amp_bounds[0] < 0:
-            raise ValueError("amp_min must be non-negative")
+            if bounds is not None and bounds[0] < 0:
+                raise ValueError(f"{name}_min must be non-negative")
 
     @property
     def drive_flux(self) -> float:

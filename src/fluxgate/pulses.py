@@ -54,6 +54,8 @@ class ParametricPulse:
     def __post_init__(self):
         if self.drive_amp < 0:
             raise ValueError("drive_amp must be non-negative")
+        if self.drive_freq < 0:
+            raise ValueError("drive_freq must be non-negative")
         if self.ramp_time < 0 or 2.0 * self.ramp_time > self.gate_time:
             raise ValueError("drive ramps must satisfy 0 <= 2 ramp_time <= gate_time")
 

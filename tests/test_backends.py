@@ -199,7 +199,7 @@ def test_realified_rows_step_as_the_complex_product(model, width, pieces, n_firs
                                                      seed):
     # Every narrow width steps as rows of interleaved floats here, chained
     # across a call boundary and the phase chunks, against one call in
-    # complex columns, the increment form of the wide blocks.
+    # complex rows, the form of the wide blocks.
     stack, n_stack = (arr[:pieces] for arr in _sector_steps(model, asymmetric=True))
     dc1 = _drive(n_first + n_second, seed)
     block = _block(pieces * width, seed)[:75]
@@ -213,8 +213,8 @@ def test_realified_rows_step_as_the_complex_product(model, width, pieces, n_firs
 
 
 def test_block_shape_picks_the_step_layout(model):
-    # Rows for 2 to log2(d) columns a piece; a lone column as a vector;
-    # wider pieces, and single columns of a stack, as complex columns.
+    # Real rows for 2 to log2(d) columns a piece; a lone column as a
+    # vector; wider pieces, and single columns of a stack, as complex rows.
     assert [backends._as_rows(k, 75) for k in (1, 2, 6, 7, 37, 75)] == [
         False, True, True, False, False, False]
     assert [backends._as_rows(k, 108) for k in (2, 6, 7)] == [True, True, False]
@@ -233,6 +233,27 @@ def test_block_shape_picks_the_step_layout(model):
         for width in (1, 2, 75):
             backends.strang_sequence(stack, n_stack, dc1, DT, _block(2 * width)[:75])
     assert seen == [(1, 75), (2, 75), (75, 75)]
+
+
+@pytest.mark.parametrize("k", [7, 8, 16, 108])
+def test_wide_pieces_step_as_complex_rows(k):
+    # Above log2(108) = 6.8 columns a piece, two 108-state pieces step as
+    # complex rows, across a phase chunk boundary. A column phase makes
+    # each base step asymmetric, so a product with U0 in place of U0^T
+    # shows.
+    m = 108
+    rng = np.random.default_rng(k)
+    sym = rng.standard_normal((2, m, m))
+    u0 = np.stack([expm(-1j * (a + a.T)) for a in sym]) * np.exp(1j * np.linspace(0.0, 1.0, m))
+    n_diag = np.stack([np.arange(m) % 6, np.arange(m)[::-1] % 5]).astype(float)
+    dc1 = _drive(backends.PHASE_CHUNK_BYTES // (16 * n_diag.size) + 2, seed=k)
+    pieces = [rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)) for _ in range(2)]
+    got = backends.strang_sequence(u0, n_diag, dc1, DT, np.hstack(pieces))
+    for s, ref in enumerate(pieces):
+        for c in dc1:
+            half = np.exp(-1j * np.pi * DT * c * n_diag[s])[:, None]
+            ref = half * (u0[s] @ (half * ref))
+        assert np.max(np.abs(got[:, s * k: (s + 1) * k] - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("widths", [(75, 75), (63, 62)])

@@ -222,6 +222,7 @@ freq_min = 10.7
     pytest.param("freq_min = 10.8\nfreq_max = 10.8\n", id="freq-empty"),
     pytest.param("amp_min = 0.2\namp_max = 0.1\n", id="amp-reversed"),
     pytest.param("amp_min = -0.01\namp_max = 0.1\n", id="amp-negative"),
+    pytest.param("freq_min = -1\nfreq_max = 10.7\n", id="freq-negative"),
 ])
 def test_gate_bounds_ordered_and_amplitudes_non_negative(tmp_path, bounds):
     gate = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n" + bounds
@@ -265,13 +266,15 @@ SCAN_PULSES = {
 
 @pytest.mark.parametrize("section", sorted(SCAN_PULSES))
 def test_scan_pulse_checked_at_load(tmp_path, section):
-    # Both drive ramps must fit in the 100 ns window and the amplitude be
-    # non-negative; the scan's pulse template checks both.
+    # Both drive ramps must fit in the 100 ns window and the amplitude and
+    # the frequency be non-negative; the scan's pulse template checks all.
     body = SCAN_PULSES[section]
     assert getattr(load_config(write(tmp_path, body.format(amp=0.0, ramp=50.0))), section)
-    for amp, ramp in ((0.01, 50.5), (-0.01, 5.0)):
+    negative_freq = body.replace("freq_min = 10.7", "freq_min = -1").format(amp=0.01, ramp=5.0)
+    for text in (body.format(amp=0.01, ramp=50.5), body.format(amp=-0.01, ramp=5.0),
+                 negative_freq):
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, body.format(amp=amp, ramp=ramp)))
+            load_config(write(tmp_path, text))
         assert err.value.field == section
 
 

@@ -540,6 +540,16 @@ def test_chevron_column_shapes(params500):
             assert np.all(np.isfinite(values))
 
 
+def test_amplitude_point_refuses_a_negative_drive_frequency(params500):
+    # The resolution check reads only positive frequencies, so a 0.5 ps
+    # step, which resolves no period at -200 GHz, would pass it.
+    template = ParametricPulse(
+        flux_static=0.35, drive_amp=0.02, drive_freq=10.79, ramp_time=1.0, gate_time=3.0,
+    )
+    with pytest.raises(ValueError, match="drive_freq"):
+        amplitude_point(params500, template, -200.0, 0.02, 3.0, dt=5e-4)
+
+
 def test_amplitude_point_flat_limit(params500):
     template = ParametricPulse(
         flux_static=0.35, drive_amp=0.01, drive_freq=10.79,

@@ -53,6 +53,14 @@ def test_monodromy_guards(params500):
         monodromy(params500, 0.35, -0.01, 10.79)
     with pytest.raises(ValueError):
         monodromy(params500, 0.35, 0.045, 10.79, dt=0.01)
+    # A negative step would cut each period into one step, and the scan
+    # would report a resonance 18 MHz off; a zero step would divide by zero.
+    for dt in (-5e-4, 0.0, float("nan")):
+        with pytest.raises(DomainError, match="must be positive"):
+            monodromy(params500, 0.35, 0.045, 10.79, dt=dt)
+    with pytest.raises(DomainError, match="must be positive"):
+        extract_transition(params500, 0.35, 0.045, BSWAP, (10.75, 10.82), resolution=7,
+                           dt=-5e-4)
 
 
 def test_fold_window():

@@ -56,6 +56,13 @@ def test_pulse_validation():
     with pytest.raises(ValueError):
         ParametricPulse(flux_static=0.3, drive_amp=0.01, drive_freq=10.0,
                         ramp_time=30.0, gate_time=50.0)
+    # A negative frequency would pass the drive-resolution check, which
+    # reads only positive ones; a zero frequency is a static flux step.
+    with pytest.raises(ValueError, match="drive_freq"):
+        ParametricPulse(flux_static=0.35, drive_amp=0.02, drive_freq=-200.0,
+                        ramp_time=1.0, gate_time=3.0)
+    ParametricPulse(flux_static=0.35, drive_amp=0.02, drive_freq=0.0,
+                    ramp_time=1.0, gate_time=3.0)
     with pytest.raises(ValueError):
         BiasRamp(flux_idle=0.0, ramp_time=0.0)
     # The times have no defaults: the config section that reads them states them.
