@@ -50,10 +50,17 @@ steps after the periods are G's steps in reverse order, and by the
 mirror identity of ``system`` the window is W = G^T M^n G. A gate
 evaluation thus steps one flank and less than one period, and takes
 one power; a window whose carrier does not peak at t_c raises
-ValueError. Chevron columns step every interval. An amplitude cell
-centres its carrier as a gate does and reads only p101 at the end of its
-schedule, so it steps the first half of the schedule, V, and scores the
-whole as V^T V (``amplitude_point``).
+ValueError.
+
+Snapshots reach the flat top the same way. ``propagate_state`` steps
+from one snapshot to the first carrier-phase-0 boundary after it on
+the flat top, takes the k whole periods up to the last boundary before
+the next snapshot as M^k (``_whole_periods``), and steps the rest of
+the way, so a chevron column steps its two flanks and less than one
+period per snapshot. A gap that holds no whole period is stepped
+throughout. An amplitude cell centres its carrier as a gate does and reads
+only p101 at the end of its schedule, so it steps the first half of the
+schedule, V, and scores the whole as V^T V (``amplitude_point``).
 
 Every step conserves the total parity of ``system`` (the drive modulates
 only the coupler number N), so ``_advance`` splits its block into one
@@ -119,11 +126,12 @@ DEFAULT_DT = 0.0005
 NORM_DRIFT_LIMIT = 1e-8
 DRIVELESS_DT_FACTOR = 10.0
 # Steps sampled and stepped per kernel call (see ``_step_samples``). At
-# 0.5 ps a chunk spans 8.2 ns, so chevron snapshot intervals step as one
-# chunk. A 100 ns amplitude cell (set500, one BLAS thread, tracemalloc)
-# peaks at 1.7 MiB of heap at dt 0.5 and 0.125 ps alike (0.7 MiB at
-# 1024 steps, 6.1 MiB at 65536) and takes 0.33-0.37 s at every size from
-# 1024 to 262144 steps (one BLAS thread, 2 vCPUs).
+# 0.5 ps a chunk spans 8.2 ns, so a chevron flank, and the stepped part
+# of a snapshot gap, step as one chunk. A 100 ns amplitude cell (set500,
+# one BLAS thread, tracemalloc) peaks at 1.7 MiB of heap at dt 0.5 and
+# 0.125 ps alike (0.7 MiB at 1024 steps, 6.1 MiB at 65536) and takes
+# 0.33-0.37 s at every size from 1024 to 262144 steps (one BLAS thread,
+# 2 vCPUs).
 STEP_CHUNK = 16384
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
@@ -193,8 +201,8 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     A miss costs 3.2 ms at one BLAS thread on 2 vCPUs, where one 150-state
     eigensolve alone takes 1.9 ms. A grid command visits at most two
     fluxes, the idle and the interaction bias: traced on the benchmark
-    (seed 1), a ``calibrate`` cell makes 120 lookups with 2 misses and a
-    ``propagate`` run 15 with 1, so 32 entries never evict.
+    (seed 1), a ``calibrate`` cell makes 121 lookups with 2 misses and a
+    ``propagate`` run 142 with 1, so 32 entries never evict.
     """
     frame = label_eigenstates(build_hamiltonian(params, flux))
     for rows, cols in zip(assemble_operators(params).sectors, frame.sectors):
@@ -225,9 +233,9 @@ def _check_drive_resolved(dt: float, drive_freq: float) -> None:
 
 def _norm_drift(block: np.ndarray) -> float:
     """Largest deviation of a column norm of ``block`` from one; raises
-    IntegrationError beyond NORM_DRIFT_LIMIT."""
+    IntegrationError beyond NORM_DRIFT_LIMIT, or when it is nan."""
     drift = float(np.max(np.abs(np.linalg.norm(block, axis=0) - 1.0)))
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}); "
             "reduce dt or inspect the flux schedule"
@@ -244,28 +252,36 @@ def _boundaries(pulse: ParametricPulse, ramp: BiasRamp | None) -> list[float]:
 
 
 @lru_cache(maxsize=8)
-def _flat_step(params: CompositeParams, flux: float, h: float) -> np.ndarray:
+def _flat_step(
+    params: CompositeParams, flux: float, h: float, sectors: tuple[int, ...]
+) -> np.ndarray:
     """Exact one-step propagators of the static Hamiltonian at ``flux``,
-    one per parity sector, stacked as (sectors, m, m).
+    one for each parity sector named in ``sectors`` (indices into
+    ``ModelOperators.sectors``), stacked in that order as (sectors, m, m).
 
     Sector s holds Q exp(-i 2 pi h E) Q^T from the dressed energies E
     and orthonormal states Q of that sector in ``dressed_frame``, on the
     sector's rows of ``ModelOperators.sectors``; a sector smaller than
-    the widest, m, is padded with the identity. A new step length costs
-    two 75 x 75 products, 0.28 ms at one BLAS thread on 2 vCPUs (0.55 ms
-    for one 150 x 150).
-    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 60 of
-    65 lookups, since each monodromy and each flat top's lead-in steps a
-    length that no other drive frequency repeats; its 5 hits are
+    the widest, m, is padded with the identity. A sector costs one
+    75 x 75 product per new step length, 0.14 ms at one BLAS thread on
+    2 vCPUs (0.55 ms for one 150 x 150); a chevron column or a Floquet
+    seed point steps one sector and builds only that one.
+    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 61 of
+    75 lookups, since each monodromy and each flat top's lead-in steps a
+    length that no other drive frequency repeats; its hits are
     drive-flank steps shared by one search's evaluations and the
     flat-top steps of simplex vertices at one frequency. A ``propagate``
-    run misses 1 of 90. 8 entries keep every hit, in 1.4 MB.
+    run misses 128 of 160: each snapshot gap steps to its first whole
+    period and from its last at lengths no other gap repeats. Unbounded,
+    the cache would keep 12 more hits of that run, about 2 ms; 8 entries
+    hold at most 1.4 MB.
     """
     frame = dressed_frame(params, flux)
-    sectors = assemble_operators(params).sectors
-    width = max(rows.size for rows in sectors)
+    all_rows = assemble_operators(params).sectors
+    width = max(rows.size for rows in all_rows)
     steps = np.zeros((len(sectors), width, width), dtype=complex)
-    for step, rows, cols in zip(steps, sectors, frame.sectors):
+    for step, s in zip(steps, sectors):
+        rows, cols = all_rows[s], frame.sectors[s]
         q = frame.states[np.ix_(rows, cols)]
         phases = np.exp(-2j * np.pi * h * frame.energies[cols])
         step[: rows.size, : rows.size] = (q * phases) @ q.T
@@ -340,7 +356,7 @@ def _flat_operands(params, flux, h, active):
     constant bias ``flux``: their ``_flat_step`` steps of length ``h``,
     their coupler occupations (``_sector_stack``), and the undriven c1,
     which drive samples subtract to give dc1."""
-    u0 = _flat_step(params, flux, h)[list(active)]
+    u0 = _flat_step(params, flux, h, tuple(active))
     n_diag = _sector_stack(params, active, assemble_operators(params).n_diag)
     c1_flat, _ = oscillator_coefficients(params.coupler, flux, flux)
     return u0, n_diag, float(c1_flat)
@@ -503,6 +519,31 @@ def _centred_periods(pulse: ParametricPulse, ramp: BiasRamp | None):
     return n, t_c - half, t_c + half
 
 
+def _whole_periods(pulse: ParametricPulse, ramp: BiasRamp | None, t_a: float, t_b: float):
+    """The whole drive periods of the flat top inside [t_a, t_b]: their
+    count k and their span [b1, b2], or None when the span holds none.
+
+    A period runs between consecutive boundaries, where the carrier phase
+    2 pi f_p tau + ``pulse.phase`` is 0 mod 2 pi (tau from the drive-window
+    start), as ``_period``'s does. Boundaries count only on the flat top
+    [t0 + ramp_time, t1 - ramp_time], where the Hamiltonian repeats every
+    period, and their counts are rounded as ``_centred_periods`` rounds
+    them. A window without a drive or a carrier takes no periods.
+    """
+    if pulse.drive_amp == 0 or pulse.drive_freq == 0:
+        return None
+    t0, t1 = drive_window(pulse, ramp)
+    lo = max(t0 + pulse.ramp_time, t_a)
+    hi = min(t1 - pulse.ramp_time, t_b)
+    offset = pulse.phase / (2.0 * np.pi)
+    first = math.ceil(round((lo - t0) * pulse.drive_freq + offset, 9))
+    last = math.floor(round((hi - t0) * pulse.drive_freq + offset, 9))
+    if last - first < 1:
+        return None
+    return (last - first, t0 + (first - offset) / pulse.drive_freq,
+            t0 + (last - offset) / pulse.drive_freq)
+
+
 def _computational_block(frame: LabeledSpectrum) -> np.ndarray:
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
     return frame.states[:, idx].astype(complex)
@@ -546,9 +587,19 @@ def propagate_state(
 
     ``psi0`` is the dressed-state label of the initial state. ``record``
     lists the labels whose populations are tracked. The schedule is
-    stepped from 0 to ``t_end``, by default its end, where ``final_state``
-    and ``norm_drift`` are taken; ``t_grid`` defaults to 201 evenly spaced
-    snapshot times on [0, t_end].
+    propagated from 0 to ``t_end``, by default its end, where
+    ``final_state`` and ``norm_drift`` are taken; ``t_grid`` defaults to
+    201 evenly spaced snapshot times on [0, t_end].
+
+    Each snapshot is reached from the one before through the whole drive
+    periods of the flat top between them (``_whole_periods``), as a power
+    of one period built once per call by ``_period`` for the state's
+    sectors, and steps before and after them; a gap with no whole period
+    is stepped throughout. Snapshots thus differ from stepping every
+    interval by the period's own step grid, under 2 % of the change from
+    halving dt on the benchmark's chevron columns. The stretch from the
+    last snapshot to ``t_end`` is stepped throughout, so a call without
+    snapshots, as ``amplitude_point`` makes, steps every interval.
 
     Raises IntegrationError when the final norm drifts from unity by
     more than 1e-8, and LabelingError when ``psi0`` is ambiguous at the
@@ -579,10 +630,24 @@ def propagate_state(
     rec_vecs = {lab: frame.states[:, frame.index_of(lab)] for lab in record}
     pops = {lab: np.empty(t_grid.size) for lab in record}
 
+    sectors = assemble_operators(params).sectors
+    mono = None  # the period of the state's sectors, which the steps conserve
     t_prev = 0.0
     for i, t in enumerate(t_grid):
-        psi = _advance(params, pulse, ramp, dt, psi, t_prev, float(t))
-        t_prev = float(t)
+        t = float(t)
+        periods = _whole_periods(pulse, ramp, t_prev, t)
+        if periods is None:
+            psi = _advance(params, pulse, ramp, dt, psi, t_prev, t)
+        else:
+            k, b1, b2 = periods
+            pieces = _split(sectors, _advance(params, pulse, ramp, dt, psi, t_prev, b1))
+            if mono is None:
+                mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt,
+                               pieces.active)
+            x = backends.apply_power(mono, k, pieces.x)
+            psi = _join(sectors, pieces._replace(x=x), psi.shape)
+            psi = _advance(params, pulse, ramp, dt, psi, b2, t)
+        t_prev = t
         for lab, vec in rec_vecs.items():
             pops[lab][i] = abs(np.vdot(vec, psi[:, 0])) ** 2
     psi = _advance(params, pulse, ramp, dt, psi, t_prev, t_end)

@@ -152,7 +152,7 @@ def monodromy(
     blocks is the result's ``blocks``. A stepped block is the same bit
     for bit whichever other sectors are stepped with it. Raises
     IntegrationError if the unitarity defect of the stepped blocks
-    exceeds 1e-10.
+    exceeds 1e-10 or is nan.
     """
     if drive_freq <= 0:
         raise ValueError("drive_freq must be positive")
@@ -166,7 +166,7 @@ def monodromy(
 
     eye = np.eye(blocks.shape[1])
     defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))
-    if defect > UNITARITY_LIMIT:
+    if not defect <= UNITARITY_LIMIT:
         raise IntegrationError(
             f"monodromy unitarity defect {defect:.3e} exceeds {UNITARITY_LIMIT:g}"
         )
@@ -196,7 +196,7 @@ def _sector_modes(m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     lam = np.einsum("ij,ij->j", z.conj(), mz)
     residual = float(np.max(np.abs(mz - z * lam)))
     modulus = float(np.max(np.abs(np.abs(lam) - 1.0)))
-    if max(residual, modulus) > UNITARITY_LIMIT:
+    if not (residual <= UNITARITY_LIMIT and modulus <= UNITARITY_LIMIT):
         raise IntegrationError(
             f"Floquet eigensolve residual {residual:.3e}, eigenvalue modulus "
             f"defect {modulus:.3e}: exceeds {UNITARITY_LIMIT:g}"
@@ -214,8 +214,8 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
     in the widest gap of the phases of the diagonal of M in the dressed
     basis, which keeps I + U well conditioned. The eigenvalues are the
     Rayleigh quotients z^dag M z. Raises IntegrationError if
-    max |M Z - Z Lambda| or max ||lambda| - 1| exceeds 1e-10, which is
-    how an alpha that lands next to an eigenvalue of M shows.
+    max |M Z - Z Lambda| or max ||lambda| - 1| exceeds 1e-10 or is nan;
+    the first is how an alpha that lands next to an eigenvalue of M shows.
 
     Each stepped block (``Monodromy.blocks``, without its identity
     pad) is solved on its own, with its own alpha taken from its own

@@ -22,9 +22,11 @@ quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 # Length in ns of each drive flank of a scan or gate that sets none.
@@ -41,7 +43,7 @@ class ParametricPulse:
     ``gates.gate_schedule`` and ``evolve.amplitude_point`` set it to
     ``centred_phase``, so the carrier is cos(2 pi f_p (tau - gate_time / 2)),
     centred on the window, and the waveform is symmetric about the window
-    centre.
+    centre. A non-finite field raises DomainError.
     """
 
     flux_static: float
@@ -52,6 +54,7 @@ class ParametricPulse:
     phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.drive_amp < 0:
             raise ValueError("drive_amp must be non-negative")
         if self.drive_freq < 0:
@@ -66,15 +69,25 @@ class BiasRamp:
 
     That flux is held over the drive window; the outer flanks take
     ``ramp_time`` each. ``gates.gate_schedule`` builds one exactly when
-    the gate sets an interaction flux.
+    the gate sets an interaction flux. A non-finite field raises
+    DomainError.
     """
 
     flux_idle: float
     ramp_time: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.ramp_time <= 0:
             raise ValueError("bias ramp_time must be positive")
+
+
+def _require_finite(waveform) -> None:
+    """Raise DomainError on a nan or infinite field, which the range
+    checks of ``__post_init__`` would let through."""
+    for f in fields(waveform):
+        if not math.isfinite(getattr(waveform, f.name)):
+            raise DomainError(f"{type(waveform).__name__}.{f.name} must be finite")
 
 
 def centred_phase(drive_freq: float, gate_time: float) -> float:

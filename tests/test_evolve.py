@@ -1,5 +1,6 @@
 """Time-domain propagation: accuracy, unitarity, scan plumbing."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from fluxgate.evolve import (
     _split,
     _step_count,
     _step_samples,
+    _whole_periods,
     amplitude_point,
     chevron_column,
     dressed_frame,
@@ -81,6 +83,23 @@ def _stepped_schedule(params, pulse, ramp, dt, powered):
     full = frame.states.T @ _advance(params, pulse, ramp, dt, block, t_start, end)
     matrix = np.exp(2j * np.pi * frame.energies[idx] * end)[:, None] * full[idx, :]
     return matrix, np.abs(full) ** 2
+
+
+@backends.one_blas_thread
+def _direct_populations(params, pulse, ramp, t_grid, dt, record=DEFAULT_RECORD):
+    """Populations of ``record`` on ``t_grid`` from (1, 0, 1), stepped
+    gap by gap through ``_advance``, which takes no whole periods: direct
+    stepping, the reference of ``propagate_state``'s snapshots, at the
+    one BLAS thread the library computes at."""
+    frame = dressed_frame(params, pulse.flux_static if ramp is None else ramp.flux_idle)
+    psi = frame.states[:, [frame.index_of((1, 0, 1))]].astype(complex)
+    pops, t_prev = {lab: [] for lab in record}, 0.0
+    for t in t_grid:
+        psi = _advance(params, pulse, ramp, dt, psi, t_prev, float(t))
+        t_prev = float(t)
+        for lab in record:
+            pops[lab].append(abs(np.vdot(frame.states[:, frame.index_of(lab)], psi[:, 0])) ** 2)
+    return {lab: np.array(p) for lab, p in pops.items()}
 
 
 def test_norm_drift_long_drive(params500):
@@ -250,7 +269,7 @@ def test_driveless_segment_is_exact(params500):
 def test_cached_frames_are_read_only(params500):
     frame = dressed_frame(params500, 0.35)
     cached = [frame.energies, frame.states, frame.overlaps, frame.ambiguous,
-              dressed_frame(params500, 0.35).states, _flat_step(params500, 0.35, 5e-4)]
+              dressed_frame(params500, 0.35).states, _flat_step(params500, 0.35, 5e-4, (0, 1))]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = arr[1]
@@ -517,6 +536,8 @@ def test_norm_drift_is_recorded_and_guarded(rc500, monkeypatch):
     pulse, ramp = gate_schedule(cfg, 10.78, 0.05)
     cu = propagate_computational_unitary(params, pulse, ramp, dt=dt)
     assert 0.0 < cu.norm_drift <= evolve.NORM_DRIFT_LIMIT
+    with pytest.raises(IntegrationError):
+        evolve._norm_drift(np.full((params.dim, 1), float("nan"), dtype=complex))
     # The end-of-schedule block is checked when the ramp-down is stepped.
     monkeypatch.setattr(evolve, "NORM_DRIFT_LIMIT", 0.0)
     with pytest.raises(IntegrationError):
@@ -587,9 +608,8 @@ def test_amplitude_cell_is_its_mirrored_half_window(params500, gate_time, bias):
     # cell's grid, which the direct run takes by a cut at the centre.
     end = total_duration(pulse, bias)
     t_grid = [end] if flat_steps % 2 == 0 else [0.5 * end, end]
-    direct = propagate_state(params500, pulse, bias, dt=2e-3, record=((1, 0, 1),),
-                             t_grid=t_grid)
-    assert abs(got - direct.populations[(1, 0, 1)][-1]) <= 1e-12
+    direct = _direct_populations(params500, pulse, bias, t_grid, 2e-3, ((1, 0, 1),))
+    assert abs(got - direct[(1, 0, 1)][-1]) <= 1e-12
 
 
 @AMPLITUDE_WINDOWS
@@ -604,13 +624,111 @@ def test_amplitude_cell_takes_half_the_kernel_steps(params500, monkeypatch, gate
             return kernel(*args)
         monkeypatch.setattr(backends, name, counting)
 
-    end = total_duration(pulse, bias)
-    propagate_state(params500, pulse, bias, dt=2e-3, record=((1, 0, 1),), t_grid=[0.0, end])
+    _direct_populations(params500, pulse, bias, [total_duration(pulse, bias)], 2e-3, ())
     window = sum(steps)
     steps.clear()
     amplitude_point(params500, template, 10.79, 0.06, gate_time, ramp=bias, dt=2e-3)
     # An odd flat top takes one step more, split between the halves.
     assert 2 * sum(steps) == window + flat_steps % 2
+
+
+def _moved(a, b):
+    """The largest difference of a recorded population between two runs."""
+    return max(np.max(np.abs(np.asarray(a[lab]) - b[lab])) for lab in b)
+
+
+@pytest.mark.parametrize("freq", [10.786, 10.85])
+def test_chevron_snapshots_through_periods_match_direct_stepping(rc500, freq):
+    # 30 ns cuts of [chevron]: six snapshots 6 ns apart, each gap on the
+    # flat top holding about 60 whole periods.
+    scan = rc500.require("chevron")
+    pulse = ParametricPulse(scan.flux_s, scan.drive_amp, freq, scan.ramp_time, 30.0)
+    t_grid = np.linspace(0.0, 30.0, 6)
+    assert _whole_periods(pulse, None, t_grid[2], t_grid[3])[0] > 50
+    got = propagate_state(rc500.params, pulse, t_grid=t_grid).populations
+    direct = _direct_populations(rc500.params, pulse, None, t_grid, DEFAULT_DT)
+    halved = _direct_populations(rc500.params, pulse, None, t_grid, DEFAULT_DT / 2)
+    assert _moved(got, direct) <= 0.1 * _moved(direct, halved)
+
+
+def test_a_grid_finer_than_a_period_is_stepped_directly(params500):
+    pulse = replace(RESONANT, ramp_time=2.0, gate_time=12.0)
+    t_grid = np.linspace(0.0, 12.0, 201)  # 0.06 ns apart, 0.65 periods
+    assert all(_whole_periods(pulse, None, a, b) is None for a, b in zip(t_grid, t_grid[1:]))
+    got = propagate_state(params500, pulse, dt=2e-3, t_grid=t_grid).populations
+    direct = _direct_populations(params500, pulse, None, t_grid, 2e-3)
+    for lab in DEFAULT_RECORD:
+        assert np.array_equal(got[lab], direct[lab])
+
+
+_PERIOD = 1.0 / RESONANT.drive_freq
+
+
+# Each schedule puts whole periods in some snapshot gap; "on-boundary"
+# puts two snapshots on carrier-phase-0 boundaries of the flat top, and
+# "whole-flat-top" takes the flat top and both flanks in one gap.
+@pytest.mark.parametrize("pulse, ramp, t_grid", [
+    (replace(RESONANT, ramp_time=2.0, gate_time=12.0, phase=1.0), None, np.linspace(0, 12, 4)),
+    (replace(RESONANT, ramp_time=2.0, gate_time=12.0), BiasRamp(0.0, 3.0),
+     np.linspace(0, 18, 5)),
+    (replace(RESONANT, ramp_time=0.0, gate_time=12.0), None, np.linspace(0, 12, 4)),
+    (replace(RESONANT, ramp_time=2.0, gate_time=12.0), None,
+     [0.0, 30 * _PERIOD, 60 * _PERIOD, 12.0]),
+    (replace(RESONANT, ramp_time=2.0, gate_time=12.0), None, [0.0, 12.0]),
+], ids=["phase", "bias-ramp", "no-drive-ramp", "on-boundary", "whole-flat-top"])
+def test_snapshot_schedules_match_direct_stepping(params500, pulse, ramp, t_grid):
+    periods = [_whole_periods(pulse, ramp, a, b) for a, b in zip(t_grid, t_grid[1:])]
+    assert any(p is not None for p in periods)
+    got = propagate_state(params500, pulse, ramp, dt=2e-3, t_grid=t_grid).populations
+    direct = _direct_populations(params500, pulse, ramp, t_grid, 2e-3)
+    halved = _direct_populations(params500, pulse, ramp, t_grid, 1e-3)
+    assert _moved(got, direct) <= 0.1 * _moved(direct, halved)
+
+
+def test_whole_periods_start_and_end_on_carrier_phase_zero():
+    for pulse, ramp in [(replace(RESONANT, phase=1.0), None),
+                        (replace(RESONANT, ramp_time=0.0), BiasRamp(0.0, 3.0))]:
+        t0, t1 = drive_window(pulse, ramp)
+        k, b1, b2 = _whole_periods(pulse, ramp, 0.0, t1)
+        assert t0 + pulse.ramp_time <= b1 < t0 + pulse.ramp_time + _PERIOD
+        assert t1 - pulse.ramp_time - _PERIOD < b2 <= t1 - pulse.ramp_time
+        assert b2 - b1 == pytest.approx(k * _PERIOD, abs=1e-12)
+        for b in (b1, b2):
+            phase = 2 * np.pi * pulse.drive_freq * (b - t0) + pulse.phase
+            assert abs(math.remainder(phase, 2 * np.pi)) < 1e-9
+    # A gap inside one flank, or shorter than a period, holds none.
+    assert _whole_periods(RESONANT, None, 0.0, RESONANT.ramp_time) is None
+    assert _whole_periods(RESONANT, None, 10.0, 10.0 + 0.99 * _PERIOD) is None
+    assert _whole_periods(replace(RESONANT, drive_amp=0.0), None, 0.0, 60.0) is None
+
+
+def test_bundled_chevron_column_holds_its_norm(rc500):
+    scan = rc500.require("chevron")
+    pulse = ParametricPulse(scan.flux_s, scan.drive_amp, 10.786, scan.ramp_time, scan.time_max)
+    t_grid = np.linspace(0.0, scan.time_max, scan.time_points)
+    assert propagate_state(rc500.params, pulse, t_grid=t_grid).norm_drift < 1e-8
+
+
+NAN = float("nan")
+
+
+# Each entry point refuses a non-finite drive where its pulse is built,
+# before anything is stepped, instead of returning nan populations or
+# gate scores.
+@pytest.mark.parametrize("entry", [
+    lambda params, gate: propagate_state(
+        params, ParametricPulse(0.35, NAN, 10.79, 1.0, 3.0), dt=2e-3),
+    lambda params, gate: propagate_state(
+        params, ParametricPulse(0.35, float("inf"), 10.79, 1.0, 3.0), dt=2e-3),
+    lambda params, gate: propagate_state(
+        params, ParametricPulse(0.35, 0.02, 10.79, 1.0, 3.0, phase=NAN), dt=2e-3),
+    lambda params, gate: amplitude_point(params, ParametricPulse(0.35, 0.02, 10.79, 1.0, 3.0),
+                                         10.79, NAN, 3.0, dt=2e-3),
+    lambda params, gate: evaluate_gate(params, gate, 10.78, NAN),
+], ids=["nan-amplitude", "inf-amplitude", "nan-phase", "amplitude_point", "evaluate_gate"])
+def test_a_non_finite_drive_is_a_domain_error(params500, rc500, entry):
+    with pytest.raises(DomainError):
+        entry(params500, rc500.require("gate"))
 
 
 def test_domain_error_is_value_error(params500):

@@ -61,6 +61,19 @@ def test_monodromy_guards(params500):
     with pytest.raises(DomainError, match="must be positive"):
         extract_transition(params500, 0.35, 0.045, BSWAP, (10.75, 10.82), resolution=7,
                            dt=-5e-4)
+    # Unless the pulse refuses it, a nan amplitude gives a nan defect, and
+    # a scan that finds no resonance.
+    with pytest.raises(DomainError, match="drive_amp"):
+        monodromy(params500, 0.35, float("nan"), 10.79)
+    with pytest.raises(DomainError, match="drive_amp"):
+        extract_transition(params500, 0.35, float("nan"), BSWAP, (10.75, 10.82), resolution=7)
+
+
+def test_monodromy_refuses_a_nan_defect(params500, monkeypatch):
+    blocks = np.full((1, params500.dim // 2, params500.dim // 2), np.nan, dtype=complex)
+    monkeypatch.setattr(floquet, "_period", lambda *args: blocks)
+    with pytest.raises(IntegrationError, match="defect nan"):
+        monodromy(params500, 0.35, 0.03, 10.79, sectors=(0,))
 
 
 def test_fold_window():
@@ -309,9 +322,13 @@ def test_mirrored_monodromy_matches_full_period(params500, flux_s, amp, freq, dt
 @pytest.mark.parametrize("flux", [0.0, 0.35])
 @pytest.mark.parametrize("h", [5e-4, 4.99e-4, 2e-3])
 def test_flat_step_unitary(params500, flux, h):
-    u0 = _flat_step(params500, flux, h)  # one step per parity sector
+    u0 = _flat_step(params500, flux, h, (0, 1))  # one step per parity sector
     assert u0.shape == (2, params500.dim // 2, params500.dim // 2)
     assert np.linalg.norm(u0.conj().transpose(0, 2, 1) @ u0 - np.eye(u0.shape[-1])) <= 1e-13
+    # A sector's step is the same bit for bit whichever others are built.
+    for s in (0, 1):
+        assert np.array_equal(_flat_step(params500, flux, h, (s,)), u0[[s]])
+    assert np.array_equal(_flat_step(params500, flux, h, (1, 0)), u0[::-1])
 
 
 def test_seed_monodromy_count(params500, rc500, monkeypatch):
@@ -394,3 +411,5 @@ def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):
     assert np.max(np.abs(np.sort(spec.quasienergies) - eps)) <= 1e-9
     with pytest.raises(IntegrationError, match="modulus"):
         quasienergies(_built_monodromy(params500, eps, f, scale=1.0 + 1e-8))
+    with pytest.raises(IntegrationError, match="residual nan"):
+        quasienergies(_built_monodromy(params500, eps, f, scale=np.nan))

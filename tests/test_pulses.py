@@ -1,10 +1,12 @@
 """Waveform geometry: envelope shape and area, ramp continuity, scalar
 and array evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fluxgate import BiasRamp, ParametricPulse
+from fluxgate import BiasRamp, DomainError, ParametricPulse
 from fluxgate.pulses import bias_flux, drive_flux, drive_window, envelope, total_duration
 
 
@@ -70,6 +72,19 @@ def test_pulse_validation():
         ParametricPulse(flux_static=0.3, drive_amp=0.01, drive_freq=10.0)
     with pytest.raises(TypeError):
         BiasRamp(flux_idle=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("waveform, field", [
+    *[(ParametricPulse(0.35, 0.02, 10.79, 1.0, 3.0), f) for f in
+      ("flux_static", "drive_amp", "drive_freq", "ramp_time", "gate_time", "phase")],
+    (BiasRamp(0.0, 3.0), "flux_idle"), (BiasRamp(0.0, 3.0), "ramp_time"),
+])
+def test_a_non_finite_field_is_a_domain_error(waveform, field, value):
+    # The range checks alone let nan through, and a nan drive gives nan
+    # populations.
+    with pytest.raises(DomainError, match=field):
+        replace(waveform, **{field: value})
 
 
 def test_static_schedule_without_ramp():

@@ -19,6 +19,7 @@ from fluxgate.evolve import (
     _centred_periods,
     _step_count,
     _step_samples,
+    _whole_periods,
     amplitude_point,
     chevron_column,
     dressed_frame,
@@ -166,23 +167,37 @@ def _full_advance(params, pulse, ramp, dt, block, t_a, t_b):
     return block
 
 
-def _full_populations(params, pulse, t_grid, dt, psi0=(1, 0, 1), record=(1, 0, 1)):
+def _full_populations(params, pulse, t_grid, dt, psi0=(1, 0, 1), record=(1, 0, 1),
+                      periods=False):
+    """Populations on ``t_grid`` stepped on the full space, every step
+    taken; with ``periods``, each gap's whole flat-top periods
+    (``_whole_periods``) are a power of one full-space period stepped
+    from the first, as ``propagate_state`` takes them."""
     frame = dressed_frame(params, pulse.flux_static)
     psi = frame.states[:, [frame.index_of(psi0)]].astype(complex)
     vec = frame.states[:, frame.index_of(record)]
+    eye = np.eye(params.dim, dtype=complex)
     pops, t_prev = [], 0.0
-    for t in t_grid:
-        psi = _full_advance(params, pulse, None, dt, psi, t_prev, float(t))
-        t_prev = float(t)
+    for t in map(float, t_grid):
+        span = _whole_periods(pulse, None, t_prev, t) if periods else None
+        if span is None:
+            psi = _full_advance(params, pulse, None, dt, psi, t_prev, t)
+        else:
+            k, b1, b2 = span
+            psi = _full_advance(params, pulse, None, dt, psi, t_prev, b1)
+            mono = _full_interval(params, pulse, None, b1, b1 + 1.0 / pulse.drive_freq, dt, eye)
+            psi = _full_advance(params, pulse, None, dt, backends.apply_power(mono, k, psi), b2, t)
+        t_prev = t
         pops.append(abs(np.vdot(vec, psi[:, 0])) ** 2)
     return np.array(pops)
 
 
 def test_chevron_column_matches_full_space(params500):
     t_grid = np.linspace(0.0, FLAT.gate_time, 7)
+    assert _whole_periods(FLAT, None, t_grid[2], t_grid[3]) is not None
     column = chevron_column(params500, FLAT, FLAT.drive_freq, t_grid, dt=1e-3)
     for key, label in (("101", (1, 0, 1)), ("202", (2, 0, 2))):
-        ref = _full_populations(params500, FLAT, t_grid, 1e-3, record=label)
+        ref = _full_populations(params500, FLAT, t_grid, 1e-3, record=label, periods=True)
         assert np.max(np.abs(np.asarray(column[key]) - ref)) <= ROUNDOFF_PER_STEP * 12000
 
 
