@@ -36,31 +36,30 @@ pins 1e-12, and the benchmark's amplitude cells moved by at most 9e-14.
 Over the flat top, where the drive envelope is flat and the bias
 constant, the Hamiltonian is periodic, so the propagator over whole
 drive periods is a power of the one-period propagator, the Floquet
-monodromy. One function, ``_period``, builds it for ``floquet`` and for
-the flat top of a gate alike, from carrier phase 0.
-
-A gate's drive window [t0, t1] is time-symmetric: ``gates.gate_schedule``
-centres the carrier on the window centre t_c (``pulses.centred_phase``),
-so H(t_c + s) = H(t_c - s). ``propagate_computational_unitary`` takes
-the n = 2 floor((t_c - t0 - ramp_time) f_p) whole periods centred on
-t_c, which start at carrier phase 0, and steps only G, the propagator
-over the up-flank and the lead-in [t0, t_c - nP/2]. ``_step_count``
-gives mirrored spans equal step counts at mirrored midpoints, so the
-steps after the periods are G's steps in reverse order, and by the
-mirror identity of ``system`` the window is W = G^T M^n G. A gate
-evaluation thus steps one flank and less than one period, and takes
-one power; a window whose carrier does not peak at t_c raises
-ValueError.
-
-Snapshots reach the flat top the same way. ``propagate_state`` steps
-from one snapshot to the first carrier-phase-0 boundary after it on
-the flat top, takes the k whole periods up to the last boundary before
-the next snapshot as M^k (``_whole_periods``), and steps the rest of
-the way, so a chevron column steps its two flanks and less than one
-period per snapshot. A gap that holds no whole period is stepped
-throughout. An amplitude cell centres its carrier as a gate does and reads
-only p101 at the end of its schedule, so it steps the first half of the
-schedule, V, and scores the whole as V^T V (``amplitude_point``).
+monodromy. One function, ``_period``, builds it from carrier phase 0
+for ``floquet``, gates and snapshots alike, and caches the last one.
+One rule, ``_whole_periods``, finds the whole periods of the flat top
+inside a span, between carrier-phase-0 boundaries, and one helper,
+``_powered``, applies them to a block as M^k. ``propagate_state``
+steps from one snapshot to the first boundary after it, powers the
+periods up to the last boundary before the next snapshot, and steps
+the rest, so a chevron column steps its two flanks and less than one
+period per snapshot; a gap that holds no whole period is stepped
+throughout. A gate's drive window [t0, t1] is time-symmetric:
+``gates.gate_schedule`` centres the carrier on the window centre t_c
+(``pulses.centred_phase``), so H(t_c + s) = H(t_c - s), and the whole
+periods of the window are the n = 2 floor((t_c - t0 - ramp_time) f_p)
+centred on t_c. ``propagate_computational_unitary`` steps only G, the
+propagator over the up-flank and the lead-in [t0, t_c - nP/2].
+``_step_count`` gives mirrored spans equal step counts at mirrored
+midpoints, so the steps after the periods are G's steps in reverse
+order, and by the mirror identity of ``system`` the window is
+W = G^T M^n G: a gate evaluation steps one flank and less than one
+period, and takes one power. A window whose carrier does not peak at
+t_c raises ValueError. An amplitude cell centres its carrier as a
+gate does and reads only p101 at the end of its schedule, so it steps
+the first half of the schedule, V, and scores the whole as V^T V
+(``amplitude_point``).
 
 Every step conserves the total parity of ``system`` (the drive modulates
 only the coupler number N), so ``_advance`` splits its block into one
@@ -443,10 +442,15 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
     return _stepped(backends.step_sequence, operands, (c for _, c in chunks), h, x)
 
 
-def _period(params, flux_s, drive_amp, drive_freq, dt, active):
+@lru_cache(maxsize=1)
+def _period(params, flux_s, drive_amp, drive_freq, dt, active: tuple[int, ...]):
     """One period of the steady drive from carrier phase 0 at the bias
     ``flux_s``: the Floquet monodromy of the sectors ``active``, stacked
-    as (sectors, m, m) like ``_flat_step``.
+    as (sectors, m, m) like ``_flat_step`` (cached, read-only).
+
+    The one entry keeps the period of the last drive: a chevron column's
+    snapshot gaps all power it, and it holds at most two 75 x 75 blocks,
+    180 KB.
 
     The period is cut by ``_step_count`` into n Strang steps
     S_k = D_k U0 D_k, with D_k diagonal. The cosine drive is symmetric
@@ -475,7 +479,9 @@ def _period(params, flux_s, drive_amp, drive_freq, dt, active):
         forward = u0 @ v
     else:
         forward = v
-    return v.transpose(0, 2, 1) @ forward
+    mono = v.transpose(0, 2, 1) @ forward
+    mono.flags.writeable = False
+    return mono
 
 
 def _advance(params, pulse, ramp, dt, block, t_a, t_b):
@@ -494,29 +500,15 @@ def _advance(params, pulse, ramp, dt, block, t_a, t_b):
     return _join(sectors, pieces._replace(x=x), block.shape)
 
 
-def _centred_periods(pulse: ParametricPulse, ramp: BiasRamp | None):
-    """The n = 2 floor((t_c - t0 - ramp_time) f_p) whole drive periods of
-    the flat top centred on the window centre t_c: their count and their
-    span [t_c - nP/2, t_c + nP/2].
-
-    The carrier must peak at t_c, as ``pulses.centred_phase`` sets it, so
-    the window is time-symmetric and the periods start at carrier phase
-    0, where ``_period`` starts; ValueError otherwise. A window without a
-    drive or a carrier takes no periods.
-    """
-    t0, t1 = drive_window(pulse, ramp)
-    t_c = 0.5 * (t0 + t1)
-    if pulse.drive_amp == 0 or pulse.drive_freq == 0:
-        return 0, t_c, t_c
-    if abs(math.remainder(pulse.phase - centred_phase(pulse.drive_freq, pulse.gate_time),
-                          2.0 * np.pi)) > 1e-9:
-        raise ValueError(
-            "the drive window is not time-symmetric about a carrier peak: the "
-            "carrier phase at its centre must be 0 (gates.gate_schedule sets it)"
-        )
-    n = 2 * int(np.floor(round((t_c - t0 - pulse.ramp_time) * pulse.drive_freq, 9)))
-    half = 0.5 * n / pulse.drive_freq
-    return n, t_c - half, t_c + half
+def _powered(params, pulse, dt, block, k):
+    """``block`` advanced through k whole drive periods of the flat top
+    of ``pulse``, from carrier phase 0: M^k of the ``_period`` of the
+    block's sectors (see ``_whole_periods``)."""
+    sectors = assemble_operators(params).sectors
+    pieces = _split(sectors, block)
+    mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt,
+                   pieces.active)
+    return _join(sectors, pieces._replace(x=backends.apply_power(mono, k, pieces.x)), block.shape)
 
 
 def _whole_periods(pulse: ParametricPulse, ramp: BiasRamp | None, t_a: float, t_b: float):
@@ -527,8 +519,9 @@ def _whole_periods(pulse: ParametricPulse, ramp: BiasRamp | None, t_a: float, t_
     2 pi f_p tau + ``pulse.phase`` is 0 mod 2 pi (tau from the drive-window
     start), as ``_period``'s does. Boundaries count only on the flat top
     [t0 + ramp_time, t1 - ramp_time], where the Hamiltonian repeats every
-    period, and their counts are rounded as ``_centred_periods`` rounds
-    them. A window without a drive or a carrier takes no periods.
+    period, and their counts are rounded to 9 decimals, so a boundary
+    within roundoff of a span end counts. A window without a drive or a
+    carrier takes no periods.
     """
     if pulse.drive_amp == 0 or pulse.drive_freq == 0:
         return None
@@ -593,8 +586,8 @@ def propagate_state(
 
     Each snapshot is reached from the one before through the whole drive
     periods of the flat top between them (``_whole_periods``), as a power
-    of one period built once per call by ``_period`` for the state's
-    sectors, and steps before and after them; a gap with no whole period
+    of the one cached ``_period`` of the state's sectors (``_powered``),
+    and steps before and after them; a gap with no whole period
     is stepped throughout. Snapshots thus differ from stepping every
     interval by the period's own step grid, under 2 % of the change from
     halving dt on the benchmark's chevron columns. The stretch from the
@@ -621,6 +614,8 @@ def propagate_state(
         t_grid = np.linspace(0.0, t_end, 201)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
+        if not np.all(np.isfinite(t_grid)):
+            raise ValueError("t_grid must be finite")
         if np.any(t_grid < 0) or np.any(t_grid > t_end + 1e-9):
             raise ValueError("t_grid must lie within [0, t_end]")
         if np.any(np.diff(t_grid) <= 0):
@@ -630,8 +625,6 @@ def propagate_state(
     rec_vecs = {lab: frame.states[:, frame.index_of(lab)] for lab in record}
     pops = {lab: np.empty(t_grid.size) for lab in record}
 
-    sectors = assemble_operators(params).sectors
-    mono = None  # the period of the state's sectors, which the steps conserve
     t_prev = 0.0
     for i, t in enumerate(t_grid):
         t = float(t)
@@ -640,12 +633,7 @@ def propagate_state(
             psi = _advance(params, pulse, ramp, dt, psi, t_prev, t)
         else:
             k, b1, b2 = periods
-            pieces = _split(sectors, _advance(params, pulse, ramp, dt, psi, t_prev, b1))
-            if mono is None:
-                mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt,
-                               pieces.active)
-            x = backends.apply_power(mono, k, pieces.x)
-            psi = _join(sectors, pieces._replace(x=x), psi.shape)
+            psi = _powered(params, pulse, dt, _advance(params, pulse, ramp, dt, psi, t_prev, b1), k)
             psi = _advance(params, pulse, ramp, dt, psi, b2, t)
         t_prev = t
         for lab, vec in rec_vecs.items():
@@ -680,18 +668,21 @@ def propagate_computational_unitary(
     """
     frame = _idle_frame(params, pulse, ramp, dt)
     idx = frame.unambiguous(COMPUTATIONAL_LABELS)
-    n, t_a, t_b = _centred_periods(pulse, ramp)
+    t0, t1 = drive_window(pulse, ramp)
+    t_c = 0.5 * (t0 + t1)
+    if pulse.drive_amp and pulse.drive_freq and abs(math.remainder(
+            pulse.phase - centred_phase(pulse.drive_freq, pulse.gate_time), 2.0 * np.pi)) > 1e-9:
+        raise ValueError(
+            "the drive window is not time-symmetric about a carrier peak: the "
+            "carrier phase at its centre must be 0 (gates.gate_schedule sets it)"
+        )
+    n, t_a, t_b = _whole_periods(pulse, ramp, t0, t1) or (0, t_c, t_c)
 
     duration = total_duration(pulse, ramp)
     block = _ramped_up_block(params, pulse.flux_static, ramp, dt)
-    x = _advance(params, pulse, ramp, dt, block, drive_window(pulse, ramp)[0], t_a)
-    y = x
-    if n:
-        sectors = assemble_operators(params).sectors
-        pieces = _split(sectors, x)
-        mono = _period(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt,
-                       pieces.active)
-        y = _join(sectors, pieces._replace(x=backends.apply_power(mono, n, pieces.x)), x.shape)
+    x = _advance(params, pulse, ramp, dt, block, t0, t_a)
+    # A driveless window has no period to power.
+    y = _powered(params, pulse, dt, x, n) if n else x
     drift = _norm_drift(y)
 
     phases = np.exp(2j * np.pi * frame.energies[idx] * duration)

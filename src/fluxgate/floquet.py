@@ -89,6 +89,8 @@ class Monodromy:
     stepped parity sectors. ``blocks`` has shape (len(sectors), m, m),
     m the widest sector: block k is M on the rows of sector
     ``sectors[k]`` in its leading corner, padded with the identity.
+    ``blocks`` is the cached, read-only stack of ``evolve._period``, the
+    one a gate's or a snapshot's flat top powers.
     """
 
     blocks: np.ndarray
@@ -162,7 +164,7 @@ def monodromy(
     stepped = list(valid if sectors is None else sectors)
     if not stepped or len(set(stepped)) < len(stepped) or not set(stepped) <= set(valid):
         raise ValueError(f"sectors must name distinct sectors of 0..{len(ops.sectors) - 1}")
-    blocks = _period(params, flux_s, drive_amp, drive_freq, dt, stepped)
+    blocks = _period(params, flux_s, drive_amp, drive_freq, dt, tuple(stepped))
 
     eye = np.eye(blocks.shape[1])
     defect = float(np.linalg.norm(blocks.conj().transpose(0, 2, 1) @ blocks - eye))

@@ -820,14 +820,18 @@ def test_spectrum_run_id_hashes_the_coupler_flux(tmp_path):
 
 def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     # The committed runs pin both the run id (the hash of the inputs) and
-    # every byte of the result: the single-circuit spectra, and through
-    # shift-scan the composite Hamiltonian and its labelled eigensolve.
+    # every byte of the result: the single-circuit spectra, through
+    # shift-scan the composite Hamiltonian and its labelled eigensolve,
+    # through chevron the snapshots' flanks and powered whole periods,
+    # and through floquet the monodromy and its quasienergies.
     committed = Path(__file__).resolve().parent.parent / "runs"
     data = resources.files("fluxgate.data")
     for command, name, run in [("spectrum", "set500.cfg", "spectrum-9cbfb497548a"),
                                ("spectrum", "set300.cfg", "spectrum-9b8d11e681eb"),
                                ("shift-scan", "set500.cfg", "shift-scan-0d11309f3db1"),
-                               ("shift-scan", "set300.cfg", "shift-scan-a2a5c8ad3782")]:
+                               ("shift-scan", "set300.cfg", "shift-scan-a2a5c8ad3782"),
+                               ("chevron", "set500.cfg", "chevron-57ef47394370"),
+                               ("floquet", "set500.cfg", "floquet-a8f628aea985")]:
         out = tmp_path / command / name
         assert main([command, "--config", str(data / name), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [run]

@@ -26,7 +26,6 @@ from fluxgate.evolve import (
     DEFAULT_RECORD,
     DRIVELESS_DT_FACTOR,
     _advance,
-    _centred_periods,
     _computational_block,
     _flat_step,
     _ramped_up_block,
@@ -65,15 +64,15 @@ def _stepped_schedule(params, pulse, ramp, dt, powered):
     """The 4 x 4 and the end-of-schedule populations from stepping the
     whole schedule from t = 0 through ``_advance``, the second half of
     the drive window and any ramp-down included. ``powered`` applies the
-    whole periods centred on the window as a power of the monodromy,
-    as the gate does, but of its blocks assembled on the full space;
-    otherwise every interval is stepped."""
+    whole periods of the window (``_whole_periods``) as a power of the
+    monodromy, as the gate does, but of its blocks assembled on the full
+    space; otherwise every interval is stepped."""
     frame = dressed_frame(params, pulse.flux_static if ramp is None else ramp.flux_idle)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
     end = total_duration(pulse, ramp)
     block, t_start = _computational_block(frame), 0.0
     if powered:
-        n, t_a, t_start = _centred_periods(pulse, ramp)
+        n, t_a, t_start = _whole_periods(pulse, ramp, *drive_window(pulse, ramp))
         block = _advance(params, pulse, ramp, dt, block, 0.0, t_a)
         mono = monodromy(params, pulse.flux_static, pulse.drive_amp, pulse.drive_freq, dt=dt)
         full_space = np.zeros((params.dim, params.dim), dtype=complex)
@@ -158,7 +157,7 @@ def test_mirrored_window_matches_direct_stepping(rc500, bias):
         cfg = replace(cfg, flux_idle=cfg.flux_interaction, flux_interaction=None,
                       bias_ramp=None)
     pulse, ramp = gate_schedule(cfg, 10.79, 0.06)
-    assert _centred_periods(pulse, ramp)[0] == 0
+    assert _whole_periods(pulse, ramp, *drive_window(pulse, ramp)) is None
     cu = propagate_computational_unitary(rc500.params, pulse, ramp, dt=1e-3)
     direct, populations = _stepped_schedule(rc500.params, pulse, ramp, 1e-3, powered=False)
     assert np.max(np.abs(cu.matrix - direct)) <= 1e-12
@@ -702,14 +701,65 @@ def test_whole_periods_start_and_end_on_carrier_phase_zero():
     assert _whole_periods(replace(RESONANT, drive_amp=0.0), None, 0.0, 60.0) is None
 
 
+NAN = float("nan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    freq=st.floats(0.5, 12.0),
+    gate_time=st.floats(0.5, 200.0),
+    ramp_share=st.floats(0.0, 0.5),
+    bias_ramp=st.one_of(st.none(), st.floats(0.1, 20.0)),
+)
+def test_whole_periods_of_a_centred_window_are_centred(freq, gate_time, ramp_share, bias_ramp):
+    # The one rule finds a gate's periods: over the whole drive window of
+    # a centred carrier, an even count, symmetric about the window centre.
+    pulse = ParametricPulse(0.35, 0.05, freq, ramp_share * gate_time, gate_time,
+                            phase=centred_phase(freq, gate_time))
+    ramp = None if bias_ramp is None else BiasRamp(0.0, bias_ramp)
+    t0, t1 = drive_window(pulse, ramp)
+    t_c = 0.5 * (t0 + t1)
+    n = 2 * math.floor(round((t_c - t0 - pulse.ramp_time) * freq, 9))
+    periods = _whole_periods(pulse, ramp, t0, t1)
+    if n == 0:
+        assert periods is None
+    else:
+        k, b1, b2 = periods
+        assert k == n
+        assert abs(0.5 * (b1 + b2) - t_c) <= 1e-12
+
+
+def test_a_chevron_column_builds_one_period(params500):
+    # Every snapshot gap of the column powers the one cached period.
+    pulse = replace(RESONANT, gate_time=30.0)
+    t_grid = np.linspace(0.0, 30.0, 6)
+    assert sum(_whole_periods(pulse, None, a, b) is not None
+               for a, b in zip(t_grid, t_grid[1:])) > 1
+    evolve._period.cache_clear()
+    chevron_column(params500, pulse, pulse.drive_freq, t_grid, dt=2e-3)
+    assert evolve._period.cache_info().misses == 1
+    mono = monodromy(params500, 0.35, 0.045, 10.79, dt=2e-3)
+    assert not mono.blocks.flags.writeable
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, NAN], [NAN, 10.0], [NAN], [0.0, float("inf")]],
+                         ids=["nan-last", "nan-first", "nan-only", "inf"])
+def test_a_non_finite_snapshot_time_is_refused_before_stepping(params500, monkeypatch, t_grid):
+    def refuse(*args):
+        raise AssertionError("stepped before the snapshot times were checked")
+
+    for name in ("strang_sequence", "step_sequence", "apply_power"):
+        monkeypatch.setattr(backends, name, refuse)
+    pulse = ParametricPulse(0.35, 0.045, 10.79, 5.0, 30.0)
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        propagate_state(params500, pulse, t_grid=t_grid)
+
+
 def test_bundled_chevron_column_holds_its_norm(rc500):
     scan = rc500.require("chevron")
     pulse = ParametricPulse(scan.flux_s, scan.drive_amp, 10.786, scan.ramp_time, scan.time_max)
     t_grid = np.linspace(0.0, scan.time_max, scan.time_points)
     assert propagate_state(rc500.params, pulse, t_grid=t_grid).norm_drift < 1e-8
-
-
-NAN = float("nan")
 
 
 # Each entry point refuses a non-finite drive where its pulse is built,

@@ -16,7 +16,6 @@ from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DRIVELESS_DT_FACTOR,
     _boundaries,
-    _centred_periods,
     _step_count,
     _step_samples,
     _whole_periods,
@@ -226,7 +225,8 @@ def test_dynamic_bias_unitary_matches_full_space(rc500, periods):
     frame = dressed_frame(params, ramp.flux_idle)
     idx = [frame.index_of(lab) for lab in COMPUTATIONAL_LABELS]
     end = total_duration(pulse, ramp)
-    n, t_a, t_b = _centred_periods(pulse, ramp)
+    t0, t1 = drive_window(pulse, ramp)
+    n, t_a, t_b = _whole_periods(pulse, ramp, t0, t1) or (0, 0.5 * (t0 + t1), 0.5 * (t0 + t1))
     assert (n > 0) == periods
     out = _full_advance(params, pulse, ramp, dt, frame.states[:, idx].astype(complex), 0.0, t_a)
     eye = np.eye(params.dim, dtype=complex)
