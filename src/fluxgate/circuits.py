@@ -134,24 +134,20 @@ def _fluxonium_once(params: FluxoniumParams, basis_size: int, n_levels: int):
 
 
 @one_blas_thread
-def diagonalize_fluxonium(
-    params: FluxoniumParams,
-    basis_size: int = DEFAULT_FLUXONIUM_BASIS,
-    n_levels: int = 6,
-) -> SpectralData:
+def diagonalize_fluxonium(params: FluxoniumParams, n_levels: int = 6) -> SpectralData:
     """Diagonalize a fluxonium in the displaced harmonic basis.
 
-    The basis is grown (doubling from ``basis_size``) until the retained
-    energies move by less than 1e-6 GHz under a further doubling, so the
-    returned levels carry that convergence guarantee.
+    The basis is grown (doubling from ``DEFAULT_FLUXONIUM_BASIS``) until
+    the retained energies move by less than 1e-6 GHz under a further
+    doubling, so the returned levels carry that convergence guarantee.
 
     Raises:
         ConvergenceError: if the bound is not met at the maximum basis size.
     """
-    if basis_size < 4 * n_levels:
-        raise ValueError("basis_size must be at least 4 * n_levels")
+    if n_levels > DEFAULT_FLUXONIUM_BASIS // 4:
+        raise ValueError(f"n_levels must be at most {DEFAULT_FLUXONIUM_BASIS // 4}")
 
-    size = basis_size
+    size = DEFAULT_FLUXONIUM_BASIS
     energies, n_el = _fluxonium_once(params, size, n_levels)
     while True:
         energies2, n_el2 = _fluxonium_once(params, 2 * size, n_levels)

@@ -29,7 +29,10 @@ Exit codes: 0 clean, 1 at least one point or optimization failed,
 2 configuration or usage errors (nothing is written).
 
 Output files use GHz, ns, and flux quanta, matching the config format.
-The integrator step comes from ``[output] dt``, in ns, alone.
+The integrator step comes from ``[output] dt``, in ns, alone. Both gate
+commands calibrate through ``gates.optimize_cz`` with ``dt`` as its
+final step: the seed and the scores use ``dt``, and the search its
+``gates.search_dt``.
 Each run setting has one source: the config holds what determines the
 results, which the run id hashes, and the command line holds where the
 output goes (``--out``, by default ``runs`` in the working directory)
@@ -285,17 +288,10 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     ]
 
 
-def _calibrate(params, gate_cfg, dt, restarts, budget):
-    # Both gate commands search at max(dt, SEARCH_DT) and score at dt.
-    return gates.optimize_cz(
-        params, gate_cfg, dt=max(dt, gates.SEARCH_DT), final_dt=dt,
-        restarts=restarts, budget=budget,
-    )
-
-
 def _sweep_cell(params, gate_cfg, t_g, ramp, dt, restarts, budget) -> list:
-    result = _calibrate(
-        params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp), dt, restarts, budget
+    result = gates.optimize_cz(
+        params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp), final_dt=dt,
+        restarts=restarts, budget=budget,
     )
     return [
         result.metrics.error, result.metrics.leakage, result.omega_p,
@@ -480,7 +476,8 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, workers: int,
 def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, workers: int,
                  resume: bool) -> tuple[list[dict], list[str], int]:
     gate_cfg = rc.require("gate")
-    result = _calibrate(rc.params, gate_cfg, rc.dt, rc.gate_restarts, rc.gate_budget)
+    result = gates.optimize_cz(rc.params, gate_cfg, final_dt=rc.dt,
+                               restarts=rc.gate_restarts, budget=rc.gate_budget)
     out = run_dir.write_json("report.json", result.report())
     trace = run_dir.write_jsonl("trace.jsonl", result.trace)
     m = result.metrics
@@ -582,7 +579,10 @@ def main(argv=None) -> int:
             payload["restarts"] = rc.gate_restarts
             payload["budget"] = rc.gate_budget
 
-        run_dir = RunDirectory(Path(args.out), args.command, payload)
+        try:
+            run_dir = RunDirectory(Path(args.out), args.command, payload)
+        except OSError as exc:  # --out names a file, or a path that cannot hold one
+            raise ConfigError(str(exc), "--out") from exc
         try:
             failures, outputs, n_points = handler(rc, run_dir, args.workers, args.resume)
         except FluxgateError as exc:

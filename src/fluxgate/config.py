@@ -26,7 +26,7 @@ from pathlib import Path
 from .circuits import FluxoniumParams, TransmonParams
 from .errors import ConfigError, DomainError
 from .evolve import DEFAULT_DT, _check_drive_resolved, _step_count, label_key
-from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig
+from .gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, GateConfig, search_dt
 from .pulses import DEFAULT_DRIVE_RAMP, ParametricPulse
 from .system import CompositeParams, label_parity
 
@@ -422,16 +422,18 @@ def load_config(path) -> RunConfig:
                 )
 
     # A scan's highest drive frequency, or a gate's when it bounds its
-    # search, sets the coarsest step it can take.
-    highest = {name: sections[name].freq_max for name in ("chevron", "amplitude")
-               if name in sections}
+    # search, sets the coarsest step it can take; a gate searches at
+    # search_dt(dt), which is never finer than dt.
+    highest = {f"[{name}] freq_max": (dt, sections[name].freq_max)
+               for name in ("chevron", "amplitude") if name in sections}
     if gate is not None and gate.freq_bounds is not None:
-        highest["gate"] = gate.freq_bounds[1]
-    for name, freq_max in highest.items():
+        highest["[gate] freq_max (the calibration's search step)"] = (
+            search_dt(dt), gate.freq_bounds[1])
+    for name, (step, freq_max) in highest.items():
         try:
-            _check_drive_resolved(dt, freq_max)
+            _check_drive_resolved(step, freq_max)
         except DomainError as exc:
-            raise ConfigError(f"{exc} at [{name}] freq_max", "output.dt") from exc
+            raise ConfigError(f"{exc} at {name}", "output.dt") from exc
 
     # Each section's longest schedule must cut into steps at dt, bias
     # ramps included.

@@ -8,6 +8,13 @@ the Floquet resonance. The calibrated gate's report ranks its leakage
 channels, read from the end-of-schedule populations of its propagator;
 only the report reads them, so no search evaluation steps the second
 half of the drive window or a bias ramp-down.
+
+Each calibration rule is stated here once. A calibration seeds and
+scores at its final step and searches at ``search_dt`` of it, never
+finer than ``SEARCH_DT``. Every amplitude it may try, seed and search
+box alike, lies at or below ``_amp_cap`` of the drive flux, where the
+driven coupler keeps a positive junction energy; ``GateConfig`` refuses
+an amplitude box above it.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .system import CompositeParams
 Label = tuple[int, int, int]
 
 DIAGONAL_FLOOR = 1e-3
+LEAKAGE_CHANNELS = 8
+LEAKAGE_FLOOR = 1e-10
 OPTIMIZER_BUDGET = 400
 OPTIMIZER_RESTARTS = 3
 SEARCH_DT = 0.001
@@ -55,6 +64,19 @@ OFFSET_TABLE = (
 )
 
 
+def search_dt(final_dt: float) -> float:
+    """The step a calibration searches at when it seeds and scores at
+    ``final_dt``: that step, but never finer than ``SEARCH_DT``."""
+    return max(final_dt, SEARCH_DT)
+
+
+def _amp_cap(flux_s: float) -> float:
+    """Largest drive amplitude a calibration may try at drive flux
+    ``flux_s``: it keeps the driven junction energy positive over the
+    swing."""
+    return 0.499 - abs(flux_s)
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """Operational configuration of a CZ gate schedule.
@@ -64,7 +86,8 @@ class GateConfig:
     without, it is driven at ``flux_idle`` throughout (static bias), and
     takes no ``bias_ramp``. ``gate_schedule`` checks the drive window and
     the ramp. Bounds, when given, constrain the (drive frequency, drive
-    amplitude) search.
+    amplitude) search; the amplitude box lies at or below
+    ``_amp_cap(drive_flux)``.
     """
 
     flux_idle: float
@@ -90,6 +113,12 @@ class GateConfig:
                 raise ValueError(f"need {name}_min < {name}_max")
             if bounds is not None and bounds[0] < 0:
                 raise ValueError(f"{name}_min must be non-negative")
+        cap = _amp_cap(self.drive_flux)
+        if self.amp_bounds is not None and self.amp_bounds[1] > cap:
+            raise ValueError(
+                f"amp_max must not exceed {cap:.6g}, the amplitude that keeps the "
+                f"coupler's junction energy positive at flux {self.drive_flux:g}"
+            )
 
     @property
     def drive_flux(self) -> float:
@@ -151,7 +180,7 @@ class OptimizationResult:
         m = self.metrics
         channels = [
             {"label": list(ch.label), "population": ch.population, "source": list(ch.source)}
-            for ch in leakage_channels(self.unitary, top_k=8)
+            for ch in leakage_channels(self.unitary)
         ]
         return {
             "schema": "fluxgate.gate_opt/1",
@@ -253,13 +282,12 @@ def evaluate_gate(
 
 
 @one_blas_thread
-def leakage_channels(
-    unitary: ComputationalUnitary, top_k: int = 5, threshold: float = 1e-10
-) -> list[LeakageChannel]:
-    """Non-computational end-of-schedule populations ranked descending.
+def leakage_channels(unitary: ComputationalUnitary) -> list[LeakageChannel]:
+    """The ``LEAKAGE_CHANNELS`` largest non-computational end-of-schedule
+    populations, ranked descending, the channels a report lists.
 
     Each entry carries the computational state that produced it; entries
-    at or below ``threshold`` are dropped. Reads
+    at or below ``LEAKAGE_FLOOR`` are dropped. Reads
     ``unitary.final_populations``, which steps the rest of the drive
     window (the remainder after the whole periods and the down-flank)
     and a bias ramp-down.
@@ -270,10 +298,10 @@ def leakage_channels(
         LeakageChannel(lab, float(pops[k, j]), source)
         for j, source in enumerate(COMPUTATIONAL_LABELS)
         for k, lab in enumerate(unitary.state_labels)
-        if lab not in computational and pops[k, j] > threshold
+        if lab not in computational and pops[k, j] > LEAKAGE_FLOOR
     ]
     rows.sort(key=lambda r: (-r.population, r.label, r.source))
-    return rows[:top_k]
+    return rows[:LEAKAGE_CHANNELS]
 
 
 def phase_distance(phi: float, target: float) -> float:
@@ -421,21 +449,16 @@ def _objective(metrics: GateMetrics) -> float:
     return metrics.leakage + phase_distance(metrics.conditional_phase, math.pi) ** 2 / math.pi**2
 
 
-def _amp_cap(flux_s: float) -> float:
-    """Largest drive amplitude that keeps the driven junction energy
-    positive over the swing."""
-    return 0.499 - abs(flux_s)
-
-
 def _seed_from_floquet(
     params: CompositeParams, cfg: GateConfig, dt: float = DEFAULT_DT
 ) -> tuple[float, float]:
     """Drive-parameter seed (omega, amplitude).
 
     The amplitude targets one full population cycle of |101> <-> |202>
-    over the effective drive area gate_time - drive_ramp; the frequency
-    is the Floquet resonance re-extracted at that amplitude. Every
-    monodromy steps at ``dt``.
+    over the effective drive area gate_time - drive_ramp, clipped into
+    the configured amplitude box or else to [0, ``_amp_cap``]; the
+    frequency is the Floquet resonance re-extracted at that amplitude.
+    Every monodromy steps at ``dt``.
     """
     flux_s = cfg.drive_flux
     pair = ((1, 0, 1), (2, 0, 2))
@@ -459,11 +482,7 @@ def _seed_from_floquet(
     t_area = cfg.gate_time - cfg.drive_ramp
     target = 1.0 / t_area
     amp_seed = SEED_PROBE_AMP * target / probe.strength
-    # User bounds win over the cap.
-    amp_cap = _amp_cap(flux_s)
-    hi = min(amp_cap, cfg.amp_bounds[1]) if cfg.amp_bounds else amp_cap
-    lo = cfg.amp_bounds[0] if cfg.amp_bounds else 0.0
-    amp_seed = float(np.clip(amp_seed, lo, hi))
+    amp_seed = float(np.clip(amp_seed, *(cfg.amp_bounds or (0.0, _amp_cap(flux_s)))))
 
     refined = extract_transition(
         params, flux_s, amp_seed, pair,
@@ -477,30 +496,30 @@ def _seed_from_floquet(
 def optimize_cz(
     params: CompositeParams,
     cfg: GateConfig,
-    dt: float = SEARCH_DT,
-    final_dt: float | None = None,
+    dt: float | None = None,
+    final_dt: float = DEFAULT_DT,
     restarts: int = OPTIMIZER_RESTARTS,
     budget: int = OPTIMIZER_BUDGET,
 ) -> OptimizationResult:
     """Calibrate (drive frequency, amplitude) of a CZ at fixed length.
 
     Minimizes leakage + (conditional phase error)^2 / pi^2 with a
-    bounded simplex from a physics-informed seed. The search runs at
-    ``dt``; the Floquet seed and the returned metrics use ``final_dt``
-    (default dt/2). Stagnation above the failure threshold clears
-    ``success`` instead of raising, so sweeps can continue.
+    bounded simplex from a physics-informed seed. The Floquet seed and
+    the returned metrics use ``final_dt``; the search runs at ``dt``,
+    by default ``search_dt(final_dt)``. Without a configured box the
+    amplitude searches [amp_seed / 4, min(2 amp_seed, ``_amp_cap``)].
+    Stagnation above the failure threshold clears ``success`` instead
+    of raising, so sweeps can continue.
     """
-    if final_dt is None:
-        final_dt = dt / 2.0
+    if dt is None:
+        dt = search_dt(final_dt)
 
     omega_seed, amp_seed = _seed_from_floquet(params, cfg, dt=final_dt)
 
     freq_bounds = cfg.freq_bounds or (omega_seed - 0.05, omega_seed + 0.05)
     amp_bounds = cfg.amp_bounds or (0.25 * amp_seed, min(2.0 * amp_seed, _amp_cap(cfg.drive_flux)))
-    seed = (
-        float(np.clip(omega_seed, *freq_bounds)),
-        float(np.clip(amp_seed, *amp_bounds)),
-    )
+    # The seed's amplitude lies in amp_bounds already.
+    seed = (float(np.clip(omega_seed, *freq_bounds)), amp_seed)
 
     trace: list[dict] = []
 

@@ -762,24 +762,36 @@ def test_gate_sweep_without_a_long_enough_gate_writes_nothing(tmp_path, capsys):
 
 def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
     # gate-opt and gate-sweep must calibrate one gate identically: both
-    # search at max(dt, 1 ps) and score at dt.
+    # seed and score at dt = 0.5 ps and search at gates.search_dt(dt), 1 ps.
     seen = []
 
-    def recorded(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
-        seen.append((dt, final_dt))
+    def seed(params, cfg, dt):
+        seen.append(("seed", dt))
+        return 10.8, 0.05
+
+    def search(params, cfg, omega_p, drive_amp, dt):
+        seen.append(("search", dt))
+        return gates.gate_metrics(gates.CZ_TARGET)
+
+    def score(params, pulse, ramp, dt):
+        seen.append(("score", dt))
         raise IntegrationError("stop after recording the steps")
 
-    monkeypatch.setattr(gates, "optimize_cz", recorded)
+    monkeypatch.setattr(gates, "_seed_from_floquet", seed)
+    monkeypatch.setattr(gates, "evaluate_gate", search)
+    monkeypatch.setattr(gates, "propagate_computational_unitary", score)
     cfg = write_cfg(
         tmp_path,
-        "[output]\ndt = 0.002\n\n"
-        "[gate]\nflux_idle = 0.35\ngate_time = 30.0\n\n"
+        "[output]\ndt = 0.0005\n\n"
+        "[gate]\nflux_idle = 0.35\ngate_time = 30.0\nrestarts = 1\nbudget = 10\n\n"
         "[gate_sweep]\ngate_times = 30.0\ndrive_ramps = 5.0\n",
     )
+    steps = [("seed", 0.0005)] + [("search", 0.001)] * 10 + [("score", 0.0005)]
     for command in ("gate-opt", "gate-sweep"):
+        seen.clear()
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert seen == [(0.002, 0.002), (0.002, 0.002)]
+        assert seen == steps, command
 
 
 @pytest.mark.parametrize("command", ["gate-opt", "gate-sweep"])
@@ -844,6 +856,10 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
     pytest.param("amplitude", "amplitude", "ramp_time = 5.0", "ramp_time = 60.0", id="amplitude"),
     pytest.param("gate-opt", "gate", "gate_time = 65.0",
                  "gate_time = 65.0\nfreq_min = 10.9\nfreq_max = 10.7", id="gate-opt"),
+    pytest.param("gate-opt", "gate", "gate_time = 65.0",
+                 "gate_time = 65.0\nfreq_min = 30.0\nfreq_max = 40.0", id="gate-opt-search-dt"),
+    pytest.param("gate-opt", "gate", "gate_time = 65.0",
+                 "gate_time = 65.0\namp_min = 0.14\namp_max = 0.4", id="gate-opt-amp-cap"),
     pytest.param("chevron", "chevron", "psi0 = 101", "psi0 = 909", id="chevron-psi0"),
     pytest.param("floquet", "floquet", "resolution = 41",
                  "resolution = 41\npair = 101:909", id="floquet-pair"),
@@ -863,15 +879,17 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
 def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
 ):
-    # Drive ramps longer than half the window, reversed search bounds,
-    # state labels beyond a circuit's levels (set500 keeps 5 fluxonium and
-    # 6 coupler levels), a dt that takes under 40 steps per period of a
-    # scan's highest drive frequency (10.88 GHz), a schedule of more than
-    # 2**52 steps at dt, more fluxonium levels than a quarter of the
-    # basis that solves them, and more coupler levels than a dense solve
-    # per flux point is allowed (a 100000-level coupler would ask for a
-    # 74.5 GiB array) are configuration errors: exit 2 with one line
-    # before any run directory exists, in well under the 5 s allowed.
+    # Drive ramps longer than half the window, reversed search bounds, an
+    # amplitude box above the cap (0.149 at flux 0.35), state labels
+    # beyond a circuit's levels (set500 keeps 5 fluxonium and 6 coupler
+    # levels), a dt that takes under 40 steps per period of a scan's
+    # highest drive frequency (10.88 GHz) or, at the 1 ps search step, of
+    # a gate's freq_max, a schedule of more than 2**52 steps at dt, more
+    # fluxonium levels than a quarter of the basis that solves them, and
+    # more coupler levels than a dense solve per flux point is allowed (a
+    # 100000-level coupler would ask for a 74.5 GiB array) are
+    # configuration errors: exit 2 with one line before any run directory
+    # exists, in well under the 5 s allowed.
     text = Path(cfg500_path).read_text()
     start = text.index(f"[{section}]")
     end = text.find("\n[", start)
@@ -943,6 +961,19 @@ def test_config_errors_leave_no_output(tmp_path, capsys):
     assert main(["spectrum", "--config", good, "--out", str(out), "--workers", "0"]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
+    # The run directory cannot go under a file: one line, exit 2, and
+    # nothing written beside the file.
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    cfg = write_cfg(tmp_path)
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out: ") and err.count("\n") == 1
+    assert out.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
 
 
 @pytest.mark.parametrize("old, new, field", [

@@ -11,7 +11,7 @@ from fluxgate import CompositeParams, ConfigError, FluxoniumParams, TransmonPara
 from fluxgate.cli import main
 from fluxgate.config import _SCHEMA, _SECTIONS
 from fluxgate.evolve import DEFAULT_DT
-from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS
+from fluxgate.gates import OFFSET_TABLE, OPTIMIZER_BUDGET, OPTIMIZER_RESTARTS, _amp_cap
 from fluxgate.pulses import DEFAULT_DRIVE_RAMP
 
 BASE = """\
@@ -296,10 +296,28 @@ def test_gate_drive_resolved_at_load(tmp_path):
     with pytest.raises(ConfigError, match=r"does not resolve the drive.*\[gate\] freq_max") as err:
         load_config(write(tmp_path, "[output]\ndt = 0.0023\n" + gate))
     assert err.value.field == "output.dt"
+    # The calibration searches at search_dt(dt), 1 ps here: dt = 0.5 ps
+    # resolves 30 GHz (8.33e-4 ns), the search step does not.
+    fast = gate.replace("10.7", "20.0").replace("10.9", "30.0")
+    with pytest.raises(ConfigError, match=r"dt = 0.001 ns does not resolve.*\[gate\] freq_max") as err:
+        load_config(write(tmp_path, "[output]\ndt = 0.0005\n" + fast))
+    assert err.value.field == "output.dt"
     # Without bounds the drive frequency comes from the Floquet seed at
     # run time, so the load cannot check it.
     unbounded = "[gate]\nflux_idle = 0.35\ngate_time = 65.0\n"
     assert load_config(write(tmp_path, "[output]\ndt = 0.0023\n" + unbounded)).gate
+
+
+def test_gate_amplitude_box_stays_under_the_cap(tmp_path):
+    # Every amplitude a calibration may try keeps the driven coupler's
+    # junction energy positive: at drive flux 0.35 the cap is 0.149.
+    cap = _amp_cap(0.35)
+    gate = "[gate]\nflux_idle = 0.0\nflux_interaction = 0.35\nbias_ramp = 3.0\n" \
+           "gate_time = 65.0\namp_min = 0.14\namp_max = {}\n"
+    assert load_config(write(tmp_path, gate.format(repr(cap)))).gate.amp_bounds == (0.14, cap)
+    with pytest.raises(ConfigError, match="amp_max must not exceed 0.149") as err:
+        load_config(write(tmp_path, gate.format(0.4)))
+    assert err.value.field == "gate"
 
 
 def test_every_section_field_is_a_key():

@@ -371,7 +371,7 @@ def test_ramp_down_is_stepped_only_when_populations_are_read(rc500, monkeypatch)
     populations = cu.final_populations
     assert len(calls) == per_ramp_down >= 1
     assert cu.final_populations is populations
-    assert leakage_channels(cu, top_k=8)
+    assert leakage_channels(cu)
     assert len(calls) == per_ramp_down
 
     # A calibration result steps its ramp-down in report() alone.

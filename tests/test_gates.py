@@ -146,7 +146,8 @@ def test_gate_schedule_modes():
 def _unitary_with_populations(finals):
     """A CZ whose end-of-schedule populations are ``finals``, a map from
     each prepared computational label to {final label: population}."""
-    labels = COMPUTATIONAL_LABELS + ((2, 0, 2), (1, 2, 1), (0, 2, 0))
+    named = {lab for row in finals.values() for lab in row}
+    labels = COMPUTATIONAL_LABELS + tuple(sorted(named - set(COMPUTATIONAL_LABELS)))
     pops = np.zeros((len(labels), len(COMPUTATIONAL_LABELS)))
     for j, source in enumerate(COMPUTATIONAL_LABELS):
         for lab, pop in finals.get(source, {}).items():
@@ -162,10 +163,12 @@ def _scored(params, cfg, omega_p, drive_amp, dt):
 
 
 def test_leakage_channels_ranked_and_filtered():
+    # Ranked by population; a channel at the 1e-10 floor is dropped, one
+    # just above it kept.
     cu = _unitary_with_populations(
         {
-            (1, 0, 1): {(1, 0, 1): 0.99, (2, 0, 2): 5e-4, (1, 2, 1): 1e-5},
-            (0, 0, 1): {(0, 2, 0): 2e-4},
+            (1, 0, 1): {(1, 0, 1): 0.99, (2, 0, 2): 5e-4, (1, 2, 1): 1e-5, (0, 2, 2): 1e-10},
+            (0, 0, 1): {(0, 2, 0): 2e-4, (2, 2, 2): 2e-10},
         }
     )
     rows = leakage_channels(cu)
@@ -173,10 +176,20 @@ def test_leakage_channels_ranked_and_filtered():
         ((2, 0, 2), (1, 0, 1)),
         ((0, 2, 0), (0, 0, 1)),
         ((1, 2, 1), (1, 0, 1)),
+        ((2, 2, 2), (0, 0, 1)),
     ]
-    assert leakage_channels(cu, top_k=1)[0].label == (2, 0, 2)
-    assert len(leakage_channels(cu, threshold=1e-4)) == 2
+    assert rows[0].population == 5e-4
     assert leakage_channels(_unitary_with_populations({})) == []
+
+
+def test_leakage_channels_keep_the_eight_largest():
+    # Ten channels out of |000>; the report lists the eight largest,
+    # ties broken by label.
+    finals = {(0, k, 0): k * 1e-5 for k in range(1, 10)}
+    finals[(2, 0, 0)] = finals[(0, 9, 0)]
+    rows = leakage_channels(_unitary_with_populations({(0, 0, 0): finals}))
+    assert [r.label for r in rows] == [(0, 9, 0), (2, 0, 0)] + [(0, k, 0) for k in range(8, 2, -1)]
+    assert {r.source for r in rows} == {(0, 0, 0)}
 
 
 # -- simplex search ------------------------------------------------------------
@@ -343,7 +356,7 @@ def test_zero_amplitude_gate_is_trivial(params500):
     m, cu = _scored(params500, cfg, 10.79, 0.0, dt=0.002)
     assert m.leakage < 1e-8
     assert abs(m.conditional_phase) < 1e-6
-    assert leakage_channels(cu, threshold=1e-10) == []
+    assert leakage_channels(cu) == []
 
 
 def test_bias_pulse_without_carrier(params500):
@@ -370,7 +383,7 @@ def test_frozen_optimum_scores(params500):
     assert m.leakage < 2e-5
     assert abs(phase_distance(m.conditional_phase, math.pi)) < 5e-4
     assert m.phases_reliable
-    channels = leakage_channels(cu, top_k=8)
+    channels = leakage_channels(cu)
     assert all(ch.population < 1e-4 for ch in channels)
 
 
@@ -405,11 +418,11 @@ def test_unsynchronized_gate_leaks_from_101(params500):
     cfg45 = GateConfig(flux_idle=0.35, gate_time=45.0)
     m, cu = _scored(params500, cfg45, *FROZEN65, dt=0.001)
     assert m.error > 0.1
-    top = leakage_channels(cu, top_k=1)[0]
+    top = leakage_channels(cu)[0]
     assert top.source == (1, 0, 1)
     assert top.label == (2, 0, 2)
     assert top.population > 0.5
-    rest = leakage_channels(cu, top_k=8)[1:]
+    rest = leakage_channels(cu)[1:]
     assert all(ch.population < 1e-3 for ch in rest)
 
 
@@ -417,7 +430,7 @@ def test_unsynchronized_gate_leaks_from_101(params500):
 
 def test_optimize_cz_report_and_stagnation(params500):
     cfg = GateConfig(flux_idle=0.35, gate_time=30.0)
-    res = optimize_cz(params500, cfg, dt=0.002, restarts=1, budget=4)
+    res = optimize_cz(params500, cfg, dt=0.002, final_dt=0.001, restarts=1, budget=4)
     assert not res.success  # four evaluations cannot synchronize a 30 ns gate
     assert res.objective > 1e-2
     assert len(res.trace) >= 4
@@ -448,21 +461,36 @@ def test_floquet_seed_runs_at_the_given_dt(params500, monkeypatch):
 
 
 def test_optimize_cz_seeds_at_final_dt(params500, monkeypatch):
-    class Seeded(Exception):
+    # The steps a calibration takes: it seeds and scores at final_dt
+    # (DEFAULT_DT unless given) and searches at search_dt(final_dt).
+    class Scored(Exception):
         pass
 
     seen = []
 
-    def recorded(params, cfg, dt):
-        seen.append(dt)
-        raise Seeded
+    def seed(params, cfg, dt):
+        seen.append(("seed", dt))
+        return 10.8, 0.05
 
-    monkeypatch.setattr(gates, "_seed_from_floquet", recorded)
-    with pytest.raises(Seeded):
-        optimize_cz(params500, STATIC35, dt=0.002, final_dt=0.00075)
-    with pytest.raises(Seeded):
-        optimize_cz(params500, STATIC35, dt=0.002)
-    assert seen == [0.00075, 0.001]
+    def search(params, cfg, omega_p, drive_amp, dt):
+        seen.append(("search", dt))
+        return gate_metrics(CZ_TARGET)
+
+    def score(params, pulse, ramp, dt):
+        seen.append(("score", dt))
+        raise Scored
+
+    monkeypatch.setattr(gates, "_seed_from_floquet", seed)
+    monkeypatch.setattr(gates, "evaluate_gate", search)
+    monkeypatch.setattr(gates, "propagate_computational_unitary", score)
+    for kwargs, final, searched in (({}, 0.0005, 0.001),
+                                    ({"final_dt": 0.00075}, 0.00075, 0.001),
+                                    ({"final_dt": 0.002}, 0.002, 0.002)):
+        seen.clear()
+        with pytest.raises(Scored):
+            optimize_cz(params500, STATIC35, restarts=1, budget=10, **kwargs)
+        assert seen == [("seed", final)] + [("search", searched)] * 10 + [("score", final)]
+    assert gates.search_dt(0.0005) == gates.SEARCH_DT == 0.001
 
 
 def test_calibration_steps_no_ramp_down(rc500, monkeypatch):
