@@ -337,26 +337,13 @@ def _stepped(kernel, operands, sample_chunks, h, x):
     return side.reshape(width, pieces, k).transpose(1, 0, 2)
 
 
-def _sector_stack(params, active, full):
-    """The sectors ``active`` of the full-space array ``full`` (a matrix,
-    or the diagonal ``n_diag``), stacked and zero-padded to the widest
-    sector: (sectors, m, m), or (sectors, m)."""
-    sectors = assemble_operators(params).sectors
-    width = max(rows.size for rows in sectors)
-    out = np.zeros((len(active),) + (width,) * full.ndim, dtype=full.dtype)
-    for piece, s in zip(out, active):
-        rows = sectors[s]
-        piece[np.ix_(*[np.arange(rows.size)] * full.ndim)] = full[np.ix_(*[rows] * full.ndim)]
-    return out
-
-
 def _flat_operands(params, flux, h, active):
     """The ``strang_sequence`` operands of the sectors ``active`` at the
     constant bias ``flux``: their ``_flat_step`` steps of length ``h``,
-    their coupler occupations (``_sector_stack``), and the undriven c1,
-    which drive samples subtract to give dc1."""
+    their coupler occupations (``ModelOperators.n_diag``), and the
+    undriven c1, which drive samples subtract to give dc1."""
     u0 = _flat_step(params, flux, h, tuple(active))
-    n_diag = _sector_stack(params, active, assemble_operators(params).n_diag)
+    n_diag = assemble_operators(params).n_diag[list(active)]
     c1_flat, _ = oscillator_coefficients(params.coupler, flux, flux)
     return u0, n_diag, float(c1_flat)
 
@@ -438,7 +425,7 @@ def _step_interval(params, pulse, ramp, t_a, t_b, dt, active, x):
         return _stepped(backends.strang_sequence, (u0, n_diag),
                         ((c1 - c1_flat,) for _, (c1, _) in chunks), h, x)
     ops = assemble_operators(params)
-    operands = [_sector_stack(params, active, full) for full in (ops.a_fixed, ops.n_diag, ops.b_op)]
+    operands = [stack[list(active)] for stack in (ops.a_fixed, ops.n_diag, ops.b_op)]
     return _stepped(backends.step_sequence, operands, (c for _, c in chunks), h, x)
 
 

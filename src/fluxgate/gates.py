@@ -14,7 +14,8 @@ scores at its final step and searches at ``search_dt`` of it, never
 finer than ``SEARCH_DT``. Every amplitude it may try, seed and search
 box alike, lies at or below ``_amp_cap`` of the drive flux, where the
 driven coupler keeps a positive junction energy; ``GateConfig`` refuses
-an amplitude box above it.
+an amplitude box above it, and a drive flux whose cap is below the
+seed's probe amplitude, ``SEED_PROBE_AMP``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class GateConfig:
     takes no ``bias_ramp``. ``gate_schedule`` checks the drive window and
     the ramp. Bounds, when given, constrain the (drive frequency, drive
     amplitude) search; the amplitude box lies at or below
-    ``_amp_cap(drive_flux)``.
+    ``_amp_cap(drive_flux)``, and that cap is at least ``SEED_PROBE_AMP``.
     """
 
     flux_idle: float
@@ -114,6 +115,9 @@ class GateConfig:
             if bounds is not None and bounds[0] < 0:
                 raise ValueError(f"{name}_min must be non-negative")
         cap = _amp_cap(self.drive_flux)
+        if cap < SEED_PROBE_AMP:
+            raise ValueError(f"drive flux {self.drive_flux:g} caps the drive amplitude at "
+                             f"{cap:.6g}, below the {SEED_PROBE_AMP:g} the seed probes at")
         if self.amp_bounds is not None and self.amp_bounds[1] > cap:
             raise ValueError(
                 f"amp_max must not exceed {cap:.6g}, the amplitude that keeps the "
@@ -404,7 +408,8 @@ def simplex_search(
     restarts: another would repeat a search. Returns the point of lowest
     objective over all restarts (the first on a tie), and raises
     SearchError when no restart ends on a finite value: a restart whose
-    final simplex holds a NaN scores NaN.
+    final simplex holds a NaN scores NaN. A ``budget`` below one call
+    raises ValueError.
 
     Each restart's simplex is its start and the start plus one step per
     coordinate, clipped into the bounds. Reflection, expansion,
@@ -430,6 +435,8 @@ def simplex_search(
         raise ValueError("each bound must satisfy low < high")
     if not 1 <= restarts <= len(OFFSET_TABLE):
         raise ValueError(f"restarts must lie in 1..{len(OFFSET_TABLE)}")
+    if budget < 1:
+        raise ValueError("budget must allow at least one objective call")
 
     best_x, best_f = None, np.inf
     for k in range(restarts):

@@ -46,10 +46,13 @@ of H, the modulated N included, then conserves the total parity
 Pi = (-1)^(k0 + kc + k1) (``label_parity``), and H is block diagonal in
 its two sectors (75 states each at the default 5 x 6 x 5 truncation).
 ``assemble_operators`` sets the equal-parity charge elements, roundoff
-of the single-circuit solve, to exactly zero, so the blocks are exact,
-and lists the sectors in ``ModelOperators.sectors``; ``label_eigenstates``
-solves each sector on its own, and every propagation downstream steps
-per sector.
+of the single-circuit solve, to exactly zero, so the blocks are exact.
+It lists the sectors in ``ModelOperators.sectors`` and keeps A, N and B
+only as their sector stacks: one diagonal block per sector, zero-padded
+to the widest. ``build_hamiltonian`` forms H(Phi) as such a stack, so no
+element between two sectors can be written down, ``label_eigenstates``
+solves each block on its own, and every propagation downstream steps
+per sector with the same stacks.
 """
 
 from __future__ import annotations
@@ -74,13 +77,15 @@ AMBIGUITY_THRESHOLD = 0.5  # on overlap squared
 # Largest equal-parity fluxonium charge element accepted as roundoff;
 # the bundled devices have at most 2.1e-14.
 PARITY_TOL = 1e-10
-# Largest coupler truncation, from the dense solve: every flux point
-# diagonalizes the composite densely, and each coupler level adds
-# n_flux_levels**2 states. At 64 levels and 5 fluxonium levels (1600
-# states), ``assemble_operators`` plus one ``label_eigenstates`` took
-# 0.45-0.68 s and a 108 MiB peak of arrays (149 MiB process RSS), against
-# 0.06 s and 3 MiB at the default 6 levels, which already converge the
-# coupler (going to 8 levels moves the Floquet seed by 1e-8 GHz).
+# Largest coupler truncation, from the dense solves: every flux point
+# diagonalizes each sector block densely, ``assemble_operators`` forms
+# A and B on the full product space before stacking them, and each
+# coupler level adds n_flux_levels**2 states. At 64 levels and 5
+# fluxonium levels (1600 states), ``assemble_operators`` plus one
+# ``label_eigenstates`` took 0.50 s and a 78 MiB peak of arrays (112 MiB
+# process RSS), against 0.04 s and 3 MiB at the default 6 levels, which
+# already converge the coupler (going to 8 levels moves the Floquet seed
+# by 1e-8 GHz).
 MAX_COUPLER_LEVELS = 64
 
 
@@ -125,9 +130,14 @@ class CompositeParams:
 
 @dataclass(frozen=True)
 class CompositeOperator:
-    """Dense real symmetric Hamiltonian in the product basis."""
+    """Real symmetric Hamiltonian as its parity-sector blocks.
 
-    matrix: np.ndarray
+    ``blocks[s]`` is the block of the sector ``ModelOperators.sectors[s]``
+    in the product basis, on those rows in that order, zero-padded to the
+    widest sector: a (sectors, m, m) stack like ``ModelOperators.a_fixed``.
+    """
+
+    blocks: np.ndarray
     params: CompositeParams
 
 
@@ -188,13 +198,16 @@ class ModelOperators:
     ``a_fixed`` collects fluxonium diagonals, the coupler Kerr term, and
     the direct J_01 coupling. ``n_diag`` is the coupler occupation per
     product state and ``b_op`` the coupler-mediated coupling matrix
-    without its n_zpf prefactor. Arrays are real and read-only; the
-    composite Hamiltonian at flux Phi is A + omega_c(Phi) diag(N) +
-    n_zpf(Phi) B.
+    without its n_zpf prefactor. The composite Hamiltonian at flux Phi
+    is A + omega_c(Phi) diag(N) + n_zpf(Phi) B.
     ``sectors`` holds the ascending product-state indices of the two
     conserved-parity sectors (see the module docstring), sector p
     holding the labels of ``label_parity`` p, even first. No entry of
-    A, N or B couples two sectors.
+    A, N or B couples two sectors, so each is held as its sector stack:
+    ``a_fixed[s]`` and ``b_op[s]`` are the blocks of sector s on the rows
+    ``sectors[s]``, and ``n_diag[s]`` the occupations on them, all
+    zero-padded to the widest sector m, as (sectors, m, m) and
+    (sectors, m). Arrays are real and read-only.
     """
 
     a_fixed: np.ndarray
@@ -293,6 +306,11 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
     m1 = _parity_selected(q1.n_elements.imag, "q1")
     parity = np.array([label_parity(lab) for lab in labels])
     sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+    width = max(rows.size for rows in sectors)
+
+    def stacked(full):
+        return np.stack([np.pad(full[np.ix_(*[rows] * full.ndim)], (0, width - rows.size))
+                         for rows in sectors])
 
     eye_f = np.eye(nf)
     eye_c = np.eye(nc)
@@ -309,29 +327,30 @@ def assemble_operators(params: CompositeParams) -> ModelOperators:
     b = params.j_c0 * _embed(m0, y_c, eye_f)
     b += params.j_c1 * _embed(eye_f, y_c, m1)
 
-    n_diag = _embed(eye_f, np.diag(k), eye_f).diagonal().copy()
-    for name, arr in (("A", a), ("N", n_diag), ("B", b)):
+    n_diag = np.array([kc for _, kc, _ in labels], dtype=float)
+    stacks = tuple(map(stacked, (a, n_diag, b)))
+    for name, arr in zip("ANB", stacks):
         if not np.isfinite(arr).all():
             raise ConstructionError(f"operator {name} has non-finite entries")
 
-    for arr in (a, b, n_diag, *sectors):
+    for arr in (*stacks, *sectors):
         arr.flags.writeable = False
-    return ModelOperators(a, n_diag, b, labels, sectors)
+    return ModelOperators(*stacks, labels, sectors)
 
 
 def build_hamiltonian(params: CompositeParams, flux_c: float) -> CompositeOperator:
-    """Composite Hamiltonian at a fixed coupler flux.
+    """Composite Hamiltonian at a fixed coupler flux, as its sector stack.
 
-    A + n_zpf B is formed first and omega_c N is added onto its
-    diagonal in place; B's diagonal and diag(N)'s off-diagonal entries
-    are exactly zero, so each entry is the sum A + omega_c diag(N) +
-    n_zpf B would give.
+    Each block n_zpf B_s + A_s is formed first and omega_c N_s is added
+    onto its diagonal in place; B's diagonal and diag(N)'s off-diagonal
+    entries are exactly zero, so each entry is the sum
+    A_s + omega_c diag(N_s) + n_zpf B_s would give.
     """
     ops = assemble_operators(params)
     omega_c, n_zpf = oscillator_coefficients(params.coupler, flux_c, flux_c)
     h = n_zpf * ops.b_op
     h += ops.a_fixed
-    h.reshape(-1)[:: h.shape[0] + 1] += omega_c * ops.n_diag
+    h.reshape(len(h), -1)[:, :: h.shape[1] + 1] += omega_c * ops.n_diag
     h.flags.writeable = False
     return CompositeOperator(h, params)
 
@@ -388,49 +407,41 @@ def label_eigenstates(op: CompositeOperator) -> LabeledSpectrum:
     assignment is a permutation even through avoided crossings. States
     whose winning overlap squared is below 0.5 are flagged ambiguous.
 
-    The matrix is solved as real symmetric with ``numpy.linalg.eigh``. A
-    nonzero imaginary part means the operator is not of the composite
-    form and raises ``ConstructionError``; so does any nonzero element
-    between two parity sectors. Each sector is then solved and matched
-    on its own, and the results are merged in ascending energy. The
-    returned ``states`` are real, exactly zero outside their sector.
+    Each sector block is solved as real symmetric with
+    ``numpy.linalg.eigh`` and matched on its own, and the results are
+    merged in ascending energy. The returned ``states`` are real, exactly
+    zero outside their sector. A nonzero imaginary part means the
+    operator is not of the composite form and raises
+    ``ConstructionError``; so does a stack that does not hold one block
+    of the widest sector's size for each of ``ModelOperators.sectors``.
 
     On the bundled 150-state composite at one BLAS thread a call takes
-    about 1.46 ms, of which the two 75 x 75 ``eigh`` solves take 1.16 ms
-    and the gathers, the guard, the matching and the merge 0.30 ms
-    (medians over the 362 shift-scan fluxes of the ``spectrum``
-    benchmark, on a shared 2-vCPU host).
+    about 1.19 ms, of which the two 75 x 75 ``eigh`` solves take 0.99 ms
+    and the matching and the merge 0.20 ms (medians over the 362
+    shift-scan fluxes of the ``spectrum`` benchmark, on a shared 2-vCPU
+    host).
     """
     ops = assemble_operators(op.params)
-    matrix = op.matrix
-    if np.iscomplexobj(matrix):
-        if np.any(matrix.imag):
+    blocks = op.blocks
+    if np.iscomplexobj(blocks):
+        if np.any(blocks.imag):
             raise ConstructionError(
                 "composite Hamiltonian is not real "
-                f"(largest imaginary part {np.max(np.abs(matrix.imag)):.3g})"
+                f"(largest imaginary part {np.max(np.abs(blocks.imag)):.3g})"
             )
-        matrix = matrix.real
-    # Each sector's rows are gathered once; its block and its entries in
-    # every other sector are columns of that band, so every cross-sector
-    # entry is read, in both orders.
-    blocks, cross = [], 0.0
-    for s, rows in enumerate(ops.sectors):
-        band = matrix.take(rows, axis=0)
-        blocks.append(band.take(rows, axis=1))
-        for cols in ops.sectors[:s] + ops.sectors[s + 1:]:
-            cross = max(cross, float(np.abs(band.take(cols, axis=1)).max()))
-    if cross:
-        raise ConstructionError(
-            f"composite Hamiltonian couples parity sectors (largest element {cross:.3g})"
-        )
+        blocks = blocks.real
+    if blocks.shape != ops.a_fixed.shape:
+        raise ConstructionError(f"composite Hamiltonian blocks have shape {blocks.shape}, "
+                                f"not the {ops.a_fixed.shape} of its parity sectors")
 
-    solved = [np.linalg.eigh(block) for block in blocks]
+    solved = [np.linalg.eigh(block[: rows.size, : rows.size])
+              for rows, block in zip(ops.sectors, blocks)]
     evals = np.concatenate([e for e, _ in solved])
     order = np.argsort(evals, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
 
-    states = np.zeros(matrix.shape)
+    states = np.zeros((evals.size, evals.size))
     bare = np.empty(evals.size, dtype=int)
     overlap = np.empty(evals.size)
     members = []

@@ -19,6 +19,8 @@ from fluxgate.errors import ConstructionError
 from fluxgate.circuits import oscillator_coefficients
 from fluxgate.system import assemble_operators
 
+from dense_model import dense_operators
+
 DT = 5e-4
 FLUX = 0.35
 FREQ = 10.79
@@ -32,9 +34,9 @@ CHUNK = backends.PHASE_CHUNK_BYTES // (16 * 150)
 
 @pytest.fixture(scope="module")
 def model(params500):
-    """Operators of set500, the static Hamiltonian H0 at FLUX and its
-    exact step exp(-i 2 pi DT H0)."""
-    ops = assemble_operators(params500)
+    """Full-space operators of set500, the static Hamiltonian H0 at FLUX
+    and its exact step exp(-i 2 pi DT H0)."""
+    ops = dense_operators(params500)
     c1, c2 = oscillator_coefficients(params500.coupler, FLUX, FLUX)
     h0 = ops.a_fixed + float(c1) * np.diag(ops.n_diag) + float(c2) * ops.b_op
     return ops, h0, expm(-2j * np.pi * DT * h0)
@@ -135,7 +137,7 @@ def test_reversed_ramp_is_the_transpose_in_the_gauge(
     # symmetric, and stepping the samples in reverse order gives the
     # transpose: S(reversed) = S^T.
     params = params500 if device == "set500" else params_small
-    ops = assemble_operators(params)
+    ops = dense_operators(params)
     fb = np.linspace(flux_a, flux_b, n)
     c1, c2 = oscillator_coefficients(params.coupler, fb, fb)
     eye = np.eye(params.dim, dtype=complex)
@@ -264,12 +266,7 @@ def test_stacked_step_sequence_is_one_call_per_sector(params500, monkeypatch, wi
     ops = assemble_operators(params)
     assert tuple(rows.size for rows in ops.sectors) == widths
     m = widths[0]
-    stacks = [np.zeros((2, m, m)), np.zeros((2, m)), np.zeros((2, m, m))]
-    for s, rows in enumerate(ops.sectors):
-        r = rows.size
-        stacks[0][s, :r, :r] = ops.a_fixed[np.ix_(rows, rows)]
-        stacks[1][s, :r] = ops.n_diag[rows]
-        stacks[2][s, :r, :r] = ops.b_op[np.ix_(rows, rows)]
+    stacks = (ops.a_fixed, ops.n_diag, ops.b_op)
     fb = np.linspace(0.0, FLUX, 7)
     c1, c2 = oscillator_coefficients(params.coupler, fb, fb)
     pieces = [_block(2, seed=s)[: rows.size] for s, rows in enumerate(ops.sectors)]
@@ -287,9 +284,8 @@ def test_stacked_step_sequence_is_one_call_per_sector(params500, monkeypatch, wi
     got = backends.step_sequence(*stacks, c1, c2, 5e-3, padded)
     stacked = orders.copy()
     orders.clear()
-    alone = [backends.step_sequence(ops.a_fixed[np.ix_(rows, rows)], ops.n_diag[rows],
-                                    ops.b_op[np.ix_(rows, rows)], c1, c2, 5e-3, piece)
-             for rows, piece in zip(ops.sectors, pieces)]
+    alone = [backends.step_sequence(a[:r, :r], n[:r], b[:r, :r], c1, c2, 5e-3, piece)
+             for r, a, n, b, piece in zip(widths, *stacks, pieces)]
     # One order a step for the stack, never below either sector's own.
     assert np.all(np.array(stacked) >= np.reshape(orders, (2, -1)).max(axis=0))
     assert np.max(np.abs(got[: widths[0], :2] - alone[0])) <= 1e-13

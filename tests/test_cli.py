@@ -735,10 +735,11 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
 
 
 def test_gate_sweep_records_a_raised_cell(tmp_path):
-    # At flux 0.49 the calibration cannot run; the cell is a failed row.
+    # At flux 0 the seed finds no |101> <-> |202> resonance, so the
+    # calibration cannot run; the cell is a failed row.
     cfg = write_cfg(
         tmp_path,
-        "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.49\n"
+        "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.0\n"
         "gate_time = 65.0\nrestarts = 1\nbudget = 10\n\n"
         "[gate_sweep]\ngate_times = 65.0\ndrive_ramps = 5.0\n",
     )
@@ -746,7 +747,8 @@ def test_gate_sweep_records_a_raised_cell(tmp_path):
     assert main(["gate-sweep", "--config", cfg, "--out", str(out)]) == 1
     run_dir = only_run_dir(out, "gate-sweep")
     failures = run_json(run_dir)["failures"]
-    assert [f["point"] for f in failures] == ["65|5"] and failures[0]["message"]
+    assert [f["point"] for f in failures] == ["65|5"]
+    assert "could not locate" in failures[0]["message"]
     body = (run_dir / "result.csv").read_text().splitlines()[1:]
     assert body == ["65,5,nan,nan,nan,nan,0"]
     assert not (run_dir / "progress.jsonl").exists()
@@ -860,6 +862,8 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
                  "gate_time = 65.0\nfreq_min = 30.0\nfreq_max = 40.0", id="gate-opt-search-dt"),
     pytest.param("gate-opt", "gate", "gate_time = 65.0",
                  "gate_time = 65.0\namp_min = 0.14\namp_max = 0.4", id="gate-opt-amp-cap"),
+    pytest.param("gate-opt", "gate", "flux_interaction = 0.35", "flux_interaction = 0.485",
+                 id="gate-opt-seed-probe-cap"),
     pytest.param("chevron", "chevron", "psi0 = 101", "psi0 = 909", id="chevron-psi0"),
     pytest.param("floquet", "floquet", "resolution = 41",
                  "resolution = 41\npair = 101:909", id="floquet-pair"),
@@ -880,7 +884,8 @@ def test_settings_a_command_cannot_run_fail_at_load(
     cfg500_path, tmp_path, capsys, command, section, old, new
 ):
     # Drive ramps longer than half the window, reversed search bounds, an
-    # amplitude box above the cap (0.149 at flux 0.35), state labels
+    # amplitude box above the cap (0.149 at flux 0.35), a drive flux whose
+    # cap (0.014 at flux 0.485) is below the seed's 0.02 probe, state labels
     # beyond a circuit's levels (set500 keeps 5 fluxonium and 6 coupler
     # levels), a dt that takes under 40 steps per period of a scan's
     # highest drive frequency (10.88 GHz) or, at the 1 ps search step, of

@@ -76,9 +76,8 @@ READ_BY_TESTS = {
 # reader, a function, method or module-level table of the package or the
 # benchmark (module.name[.method]), which must read the name.
 SHARED_NAME_READERS = {
-    ("CompositeOperator", "matrix"): "system.label_eigenstates",
+    ("CompositeOperator", "blocks"): "system.label_eigenstates",
     ("CompositeOperator", "params"): "system.label_eigenstates",
-    ("ComputationalUnitary", "matrix"): "gates.evaluate_gate",
     ("EvolutionResult", "norm_drift"): "tracer.LAYERS",
     ("FloquetSpectrum", "states"): "floquet._pair_gap",
     ("LabeledSpectrum", "energies"): "evolve._flat_step",
@@ -87,6 +86,7 @@ SHARED_NAME_READERS = {
     ("LabeledSpectrum", "states"): "evolve._flat_step",
     ("ModelOperators", "labels"): "system.label_eigenstates",
     ("ModelOperators", "sectors"): "evolve._flat_step",
+    ("Monodromy", "blocks"): "floquet.quasienergies",
     ("Monodromy", "params"): "floquet.quasienergies",
     ("Monodromy", "sectors"): "floquet.quasienergies",
     ("OptimizationResult", "gate_time"): "gates.OptimizationResult.report",

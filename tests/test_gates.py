@@ -263,6 +263,12 @@ def test_simplex_validation():
             _sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001),
             restarts=len(gates.OFFSET_TABLE) + 1,
         )
+    # A search that may not call its objective is an invalid argument, not
+    # an objective that never ended finite.
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            simplex_search(_sync_toy, (0, 0.02), ((-0.1, 0.1), (0.01, 0.03)), (0.01, 0.001),
+                           budget=budget)
 
 
 def test_simplex_with_no_finite_value_is_a_search_error():

@@ -1,6 +1,6 @@
 """Conserved-parity sectors: the block structure of the composite
-Hamiltonian, its guard, and per-sector propagation checked against
-independent full-space references."""
+Hamiltonian, and per-sector propagation checked against independent
+full-space references."""
 
 from dataclasses import replace
 
@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxgate import backends, propagate_computational_unitary, propagate_state
-from fluxgate.circuits import FluxoniumParams, TransmonParams, oscillator_coefficients
-from fluxgate.errors import ConstructionError
+from fluxgate.circuits import (
+    FluxoniumParams,
+    TransmonParams,
+    diagonalize_fluxonium,
+    oscillator_coefficients,
+)
 from fluxgate.evolve import (
     COMPUTATIONAL_LABELS,
     DRIVELESS_DT_FACTOR,
@@ -27,12 +31,14 @@ from fluxgate.floquet import monodromy
 from fluxgate.gates import gate_schedule
 from fluxgate.pulses import ParametricPulse, centred_phase, drive_window, total_duration
 from fluxgate.system import (
-    CompositeOperator,
     CompositeParams,
+    _parity_selected,
     assemble_operators,
     build_hamiltonian,
     label_eigenstates,
 )
+
+from dense_model import dense_operators
 
 FLAT = ParametricPulse(
     flux_static=0.35, drive_amp=0.045, drive_freq=10.786, ramp_time=2.0, gate_time=12.0
@@ -40,8 +46,7 @@ FLAT = ParametricPulse(
 
 
 def _cross_sector(matrix, sectors):
-    """Every entry of ``matrix`` between two different sectors, gathered
-    independently of the guard in ``system.label_eigenstates``."""
+    """Every entry of ``matrix`` between two different sectors."""
     sector_of = np.empty(matrix.shape[0], dtype=int)
     for s, rows in enumerate(sectors):
         sector_of[rows] = s
@@ -73,14 +78,48 @@ def test_symmetric_point_hamiltonian_is_exactly_block_diagonal(
     sectors = assemble_operators(params).sectors
     assert len(sectors) == 2
     assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(params.dim))
-    h = build_hamiltonian(params, flux).matrix
+    # The full-space H has nothing between sectors, so the stack of its
+    # sector blocks holds all of it.
+    h = _kron_hamiltonian(params, flux)
     assert np.all(_cross_sector(h, sectors) == 0.0)
+    for rows, block in zip(sectors, build_hamiltonian(params, flux).blocks):
+        assert np.array_equal(block, h[np.ix_(rows, rows)])
+
+
+def _kron_hamiltonian(params, flux):
+    """H(flux) on the full product space, from Kronecker products of the
+    single-circuit operators with their equal-parity charge elements
+    zeroed, in the order of operations of ``build_hamiltonian``."""
+    nf, nc = params.n_flux_levels, params.n_coupler_levels
+    q0 = diagonalize_fluxonium(params.q0, n_levels=nf)
+    q1 = diagonalize_fluxonium(params.q1, n_levels=nf)
+    m0 = _parity_selected(q0.n_elements.imag, "q0")
+    m1 = _parity_selected(q1.n_elements.imag, "q1")
+    eye_f, eye_c = np.eye(nf), np.eye(nc)
+    k = np.arange(nc, dtype=float)
+    raise_c = np.diag(np.sqrt(k[1:]), -1)
+    y_c = raise_c - raise_c.T
+
+    def kron3(x, y, z):
+        return np.kron(x, np.kron(y, z))
+
+    a = (kron3(np.diag(q0.energies), eye_c, eye_f) + kron3(eye_f, eye_c, np.diag(q1.energies))
+         + kron3(eye_f, np.diag(0.5 * (-params.coupler.e_c) * k * (k - 1.0)), eye_f)
+         - params.j_01 * kron3(m0, eye_c, m1))
+    b = params.j_c0 * kron3(m0, y_c, eye_f) + params.j_c1 * kron3(eye_f, y_c, m1)
+    omega_c, n_zpf = oscillator_coefficients(params.coupler, flux, flux)
+    h = n_zpf * b + a
+    h[np.diag_indices(params.dim)] += omega_c * kron3(np.ones(nf), k, np.ones(nf))
+    return h
 
 
 def test_unequal_sectors_run_the_same_path(params500):
     params = replace(params500, n_coupler_levels=5)  # 125 states
     sectors = assemble_operators(params).sectors
     assert [rows.size for rows in sectors] == [63, 62]
+    blocks = build_hamiltonian(params, 0.35).blocks
+    assert blocks.shape == (2, 63, 63)
+    assert not blocks[1, 62:].any() and not blocks[1, :, 62:].any()
 
     spec = label_eigenstates(build_hamiltonian(params, 0.35))
     assert sorted(spec.labels) == sorted(assemble_operators(params).labels)
@@ -96,32 +135,6 @@ def test_unequal_sectors_run_the_same_path(params500):
         assert res.norm_drift < 1e-8
         outside = np.setdiff1d(np.arange(params.dim), sectors[sector])
         assert np.all(res.final_state[outside] == 0.0)
-
-
-def test_guard_rejects_a_real_cross_sector_element(params_small):
-    op = build_hamiltonian(params_small, 0.2)
-    ops = assemble_operators(params_small)
-    # A real element between (0, 0, 0) and (1, 0, 0) keeps H real
-    # symmetric, but their total parities differ.
-    i, j = ops.labels.index((0, 0, 0)), ops.labels.index((1, 0, 0))
-    h = op.matrix.copy()
-    h[i, j] += 1e-3
-    h[j, i] += 1e-3
-    with pytest.raises(ConstructionError, match="parity sectors"):
-        label_eigenstates(CompositeOperator(h, params_small))
-
-
-@pytest.mark.parametrize("block", ["even-odd", "odd-even"])
-def test_guard_rejects_a_one_sided_cross_sector_element(params_small, block):
-    # An element at h[i, j] alone lies in one off-diagonal block only:
-    # the guard must read each block, not one and its transpose.
-    op = build_hamiltonian(params_small, 0.2)
-    ops = assemble_operators(params_small)
-    even, odd = ops.labels.index((0, 0, 0)), ops.labels.index((1, 0, 0))
-    h = op.matrix.copy()
-    h[(even, odd) if block == "even-odd" else (odd, even)] += 1e-3
-    with pytest.raises(ConstructionError, match="parity sectors"):
-        label_eigenstates(CompositeOperator(h, params_small))
 
 
 # -- full-space references ----------------------------------------------------
@@ -150,7 +163,7 @@ def _full_interval(params, pulse, ramp, t_a, t_b, dt, block):
     n, h = _step_count(t_a, t_b, dt)
     samples = list(_step_samples(params, pulse, ramp, t_a, n, h))
     c1, c2 = (np.concatenate([c[i] for _, c in samples]) for i in (0, 1))
-    ops = assemble_operators(params)
+    ops = dense_operators(params)
     if ramp is None or t0 <= t_a and t_b <= t1:  # the bias is held
         c1_flat, _ = oscillator_coefficients(params.coupler, pulse.flux_static, pulse.flux_static)
         u0 = _full_static_step(params, pulse.flux_static, h)
@@ -241,7 +254,7 @@ def test_dynamic_bias_unitary_matches_full_space(rc500, periods):
 
 @pytest.mark.parametrize("freq, dt", [(10.79, 5e-4), (10.7, 2e-3)])  # n = 186, 47
 def test_monodromy_matches_full_space_mirror(params500, freq, dt):
-    ops = assemble_operators(params500)
+    ops = dense_operators(params500)
     period = 1.0 / freq
     n = int(np.ceil(period / dt))
     h = period / n

@@ -25,6 +25,8 @@ from fluxgate.system import (
     greedy_match,
 )
 
+from dense_model import scatter
+
 # Frozen at truncation (5, 6); splittings are the static |101> -> |202>
 # resonance at each set's interaction flux.
 DRESSED_SPLITTING = {"set500": (0.35, 10.786122), "set300": (0.30, 10.849601)}
@@ -199,11 +201,9 @@ def test_greedy_match_is_the_descending_loop_on_shift_scan_sectors(rc500, rc300)
     solves = 0
     for rc in (rc500, rc300):
         scan = rc.require("shift_scan")
-        sectors = assemble_operators(rc.params).sectors
         for flux in np.linspace(scan.flux_min, scan.flux_max, 181):
-            h = build_hamiltonian(rc.params, float(flux)).matrix
-            for rows in sectors:
-                weights = np.linalg.eigh(h[np.ix_(rows, rows)])[1] ** 2
+            for block in build_hamiltonian(rc.params, float(flux)).blocks:
+                weights = np.linalg.eigh(block)[1] ** 2
                 assert np.array_equal(greedy_match(weights), _descending_loop(weights))
                 solves += 1
     assert solves == 724
@@ -215,7 +215,8 @@ def test_labels_match_complex_reference_on_shift_scan(device, request):
     # over the bundled shift-scan grid.
     rc = request.getfixturevalue(device)
     scan = rc.require("shift_scan")
-    labels = assemble_operators(rc.params).labels
+    ops = assemble_operators(rc.params)
+    labels = ops.labels
     bare, _ = _bare_hamiltonian(rc.params)
     eye = np.eye(rc.params.dim)
     for flux in np.linspace(scan.flux_min, scan.flux_max, scan.points):
@@ -230,7 +231,7 @@ def test_labels_match_complex_reference_on_shift_scan(device, request):
 
         v = spec.states
         assert np.isrealobj(v)
-        assert np.max(np.abs(op.matrix @ v - v * spec.energies)) <= 1e-10
+        assert np.max(np.abs(scatter(op.blocks, ops.sectors) @ v - v * spec.energies)) <= 1e-10
         assert np.max(np.abs(v.T @ v - eye)) <= 1e-12
 
 
@@ -244,17 +245,19 @@ def test_coupler_gauge_is_exactly_real(device, flux, request):
     assert np.any(h_bare.imag)
     rotated = d.conj()[:, None] * h_bare * d
     assert np.all(rotated.imag == 0.0)
-    h = build_hamiltonian(params, flux).matrix
-    assert np.isrealobj(h)
+    blocks = build_hamiltonian(params, flux).blocks
+    assert np.isrealobj(blocks)
     # assemble_operators drops the equal-parity charge elements, which are
-    # single-circuit roundoff (at most 2.1e-14 on these devices).
+    # single-circuit roundoff (at most 2.1e-14 on these devices), and with
+    # them every element between two sectors.
+    h = scatter(blocks, assemble_operators(params).sectors)
     assert np.max(np.abs(h - rotated.real)) <= 1e-13
 
 
 def test_a_complex_typed_real_operator_labels_as_its_real_part(params500):
     op = build_hamiltonian(params500, 0.35)
     real = label_eigenstates(op)
-    typed = label_eigenstates(CompositeOperator(op.matrix.astype(complex), params500))
+    typed = label_eigenstates(CompositeOperator(op.blocks.astype(complex), params500))
     assert typed.labels == real.labels
     for name in ("energies", "overlaps", "ambiguous", "states"):
         assert getattr(typed, name).tobytes() == getattr(real, name).tobytes(), name
@@ -267,8 +270,60 @@ def test_build_hamiltonian_is_the_sum_of_its_pieces_bit_for_bit(device, request)
     ops = assemble_operators(params)
     for flux in (0.0, 0.13, 0.3, 0.35, 0.45):
         omega_c, n_zpf = oscillator_coefficients(params.coupler, flux, flux)
-        ref = ops.a_fixed + omega_c * np.diag(ops.n_diag) + n_zpf * ops.b_op
-        assert build_hamiltonian(params, flux).matrix.tobytes() == ref.tobytes()
+        blocks = build_hamiltonian(params, flux).blocks
+        assert len(blocks) == len(ops.sectors)
+        for block, a, n, b in zip(blocks, ops.a_fixed, ops.n_diag, ops.b_op):
+            assert block.tobytes() == (a + omega_c * np.diag(n) + n_zpf * b).tobytes()
+
+
+def _dense_spectrum(params, flux):
+    """The labelling of the dense model: H scattered onto the full space
+    from its sector stack, each sector's rows gathered as one band and its
+    block cut from the band, then the same solves, matching and merge."""
+    ops = assemble_operators(params)
+    matrix = scatter(build_hamiltonian(params, flux).blocks, ops.sectors)
+    blocks = [matrix.take(rows, axis=0).take(rows, axis=1) for rows in ops.sectors]
+    solved = [np.linalg.eigh(block) for block in blocks]
+    evals = np.concatenate([e for e, _ in solved])
+    order = np.argsort(evals, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    states = np.zeros(matrix.shape)
+    bare = np.empty(evals.size, dtype=int)
+    overlap = np.empty(evals.size)
+    members, start = [], 0
+    for rows, (_, vecs) in zip(ops.sectors, solved):
+        cols = position[start:start + rows.size]
+        match = greedy_match(vecs**2)
+        states[np.ix_(rows, cols)] = vecs
+        bare[cols] = rows[match]
+        overlap[cols] = np.abs(vecs[match, np.arange(rows.size)])
+        members.append(cols)
+        start += rows.size
+    labels = tuple(ops.labels[i] for i in bare)
+    return evals[order], labels, overlap, overlap**2 < AMBIGUITY_THRESHOLD, states, members
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.13, 0.35, 0.45])
+@pytest.mark.parametrize("device", ["params500", "params300"])
+def test_sector_blocks_label_as_the_dense_model_byte_for_byte(device, flux, request):
+    params = request.getfixturevalue(device)
+    spec = label_eigenstates(build_hamiltonian(params, flux))
+    energies, labels, overlaps, ambiguous, states, members = _dense_spectrum(params, flux)
+    assert spec.labels == labels
+    for got, want in ((spec.energies, energies), (spec.overlaps, overlaps),
+                      (spec.ambiguous, ambiguous), (spec.states, states),
+                      *zip(spec.sectors, members)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_blocks_of_the_wrong_count_or_shape_are_refused(params_small):
+    op = build_hamiltonian(params_small, 0.2)
+    sectors = assemble_operators(params_small).sectors
+    for blocks in (op.blocks[:1], op.blocks[:, :-1, :-1], np.concatenate([op.blocks] * 2),
+                   scatter(op.blocks, sectors)):
+        with pytest.raises(ConstructionError, match="shape"):
+            label_eigenstates(CompositeOperator(blocks, params_small))
 
 
 def test_a_parameter_set_that_fails_is_built_once(params500, monkeypatch):
@@ -293,10 +348,10 @@ def test_a_parameter_set_that_fails_is_built_once(params500, monkeypatch):
 
 def test_gauge_guard_rejects_a_complex_block(params_small):
     op = build_hamiltonian(params_small, 0.2)
-    h = op.matrix.astype(complex)
-    h[0, 1] += 1e-3j
-    h[1, 0] -= 1e-3j
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12
+    h = op.blocks.astype(complex)
+    h[0, 0, 1] += 1e-3j
+    h[0, 1, 0] -= 1e-3j
+    assert np.max(np.abs(h - h.conj().transpose(0, 2, 1))) < 1e-12
     with pytest.raises(ConstructionError, match="not real"):
         label_eigenstates(CompositeOperator(h, params_small))
 
