@@ -216,7 +216,6 @@ def test_labels_match_complex_reference_on_shift_scan(device, request):
     rc = request.getfixturevalue(device)
     scan = rc.require("shift_scan")
     ops = assemble_operators(rc.params)
-    labels = ops.labels
     bare, _ = _bare_hamiltonian(rc.params)
     eye = np.eye(rc.params.dim)
     for flux in np.linspace(scan.flux_min, scan.flux_max, scan.points):
@@ -225,7 +224,7 @@ def test_labels_match_complex_reference_on_shift_scan(device, request):
         evals, evecs = eigh(bare(float(flux)))
         bare_for = greedy_match(np.abs(evecs) ** 2)
         overlap = np.abs(evecs[bare_for, np.arange(evals.size)])
-        assert spec.labels == tuple(labels[b] for b in bare_for)
+        assert spec.labels == tuple(ops.labels[b] for b in bare_for)
         assert np.array_equal(spec.ambiguous, overlap**2 < AMBIGUITY_THRESHOLD)
         assert np.max(np.abs(spec.energies - evals)) <= 1e-10
 
@@ -305,9 +304,13 @@ def _dense_spectrum(params, flux):
 
 
 @pytest.mark.parametrize("flux", [0.0, 0.13, 0.35, 0.45])
-@pytest.mark.parametrize("device", ["params500", "params300"])
-def test_sector_blocks_label_as_the_dense_model_byte_for_byte(device, flux, request):
-    params = request.getfixturevalue(device)
+@pytest.mark.parametrize("device, coupler_levels", [
+    ("params500", 6), ("params300", 6),
+    ("params500", 5),  # sectors of 63 and 62 states: the narrower one is padded
+])
+def test_sector_blocks_label_as_the_dense_model_byte_for_byte(device, coupler_levels, flux,
+                                                              request):
+    params = replace(request.getfixturevalue(device), n_coupler_levels=coupler_levels)
     spec = label_eigenstates(build_hamiltonian(params, flux))
     energies, labels, overlaps, ambiguous, states, members = _dense_spectrum(params, flux)
     assert spec.labels == labels
