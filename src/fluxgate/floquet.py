@@ -22,9 +22,10 @@ sector is stepped with its own 75 x 75 steps (all stepped sectors in
 one batched kernel call) and mirrored. ``monodromy`` may step only some
 sectors; a stepped block is bit for bit the same whichever sectors are
 stepped with it. ``quasienergies`` solves each stepped block on its own
-and returns the Floquet modes of the stepped sectors only, one per
-dressed state of those sectors, in ascending dressed order, with their
-folded quasienergies.
+and returns, sector by sector, its folded quasienergies and its Floquet
+modes on that sector's own rows, in ascending eigenphase of the rotated
+block (see below), which is not the order of the dressed states they
+continue.
 
 The Floquet modes come from a Hermitian eigensolve rather than a
 complex Schur form. For unitary U the Cayley transform
@@ -51,13 +52,15 @@ eigenvalue raises instead of returning inaccurate modes.
 
 Transition extraction scans f_p across a window, tracks the driven pair
 by projecting Floquet modes onto the two target dressed states, then
-refines the crossing with a local rescan (reusing the three scan points
-it contains) and a parabolic fit of the squared gap, which is quadratic
-in detuning near a two-level avoided crossing. Modes of a sector that
-holds neither state of the pair have no overlap with it, so every scan
-point steps and solves only the sector that holds the pair, the even
-one for |101> <-> |202>. A pair of opposite parities is refused: the
-drive conserves parity, so its two modes cross without a gap.
+refines the crossing with a local rescan and a parabolic fit of the
+squared gap, which is quadratic in detuning near a two-level avoided
+crossing. Each drive frequency is stepped once per call: the rescan's
+ends and middle are scan points, whose gaps it looks up. Modes of a
+sector that holds neither state of the pair have no overlap with it, so
+every scan point steps and solves only the sector that holds the pair,
+the even one for |101> <-> |202>, and projects the pair on that
+sector's rows. A pair of opposite parities is refused: the drive
+conserves parity, so its two modes cross without a gap.
 """
 
 from __future__ import annotations
@@ -103,16 +106,17 @@ class Monodromy:
 
 @dataclass(frozen=True)
 class FloquetSpectrum:
-    """Folded quasienergies and Floquet modes.
+    """Folded quasienergies and Floquet modes, one entry per stepped
+    sector in ``Monodromy.sectors`` order.
 
-    ``quasienergies`` lie in [-f_p/2, f_p/2) GHz. There is one mode per
-    dressed state of the monodromy's stepped sectors, in ascending
-    dressed order; ``states`` holds them as columns in the product basis
-    of ``system``.
+    ``quasienergies[k]`` lie in [-f_p/2, f_p/2) GHz. ``states[k]`` holds
+    the modes as columns on the rows of sector ``Monodromy.sectors[k]``
+    (``ModelOperators.sectors``), in ascending eigenphase of that
+    sector's rotated monodromy, the order of the quasienergies.
     """
 
-    quasienergies: np.ndarray
-    states: np.ndarray
+    quasienergies: tuple[np.ndarray, ...]
+    states: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -221,24 +225,21 @@ def quasienergies(mono: Monodromy) -> FloquetSpectrum:
 
     Each stepped block (``Monodromy.blocks``, without its identity
     pad) is solved on its own, with its own alpha taken from its own
-    sector's dressed states; its modes take the places of those states
-    among the dressed states of the stepped sectors.
+    sector's dressed states, and gives that sector's entry of the
+    result: its modes on its own rows, in ascending eigenphase of the
+    rotated block, with their quasienergies.
     """
     frame = dressed_frame(mono.params, mono.flux_s)
     sectors = assemble_operators(mono.params).sectors
-
-    solved = np.sort(np.concatenate([frame.sectors[s] for s in mono.sectors]))
-    lam = np.empty(solved.size, dtype=complex)
-    z = np.zeros((mono.params.dim, solved.size), dtype=complex)
-    for s, block in zip(mono.sectors, mono.blocks):
-        rows, members = sectors[s], frame.sectors[s]
-        cols = np.searchsorted(solved, members)
-        q = frame.states[np.ix_(rows, members)]
-        lam[cols], z[np.ix_(rows, cols)] = _sector_modes(block[: rows.size, : rows.size], q)
-
     period = 1.0 / mono.drive_freq
-    eps = fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq)
-    return FloquetSpectrum(quasienergies=eps, states=z)
+    eps, modes = [], []
+    for s, block in zip(mono.sectors, mono.blocks):
+        rows = sectors[s]
+        q = frame.states[np.ix_(rows, frame.sectors[s])]
+        lam, z = _sector_modes(block[: rows.size, : rows.size], q)
+        eps.append(fold(-np.angle(lam) / (2.0 * np.pi * period), mono.drive_freq))
+        modes.append(z)
+    return FloquetSpectrum(quasienergies=tuple(eps), states=tuple(modes))
 
 
 def _pair_gap(
@@ -251,11 +252,11 @@ def _pair_gap(
     sector: int,
 ) -> float:
     """Circular quasienergy gap of the two Floquet modes of the parity
-    ``sector`` that project most onto the tracked pair."""
+    ``sector`` that project most onto the tracked pair, whose dressed
+    vectors ``pair_vecs`` are given on that sector's rows."""
     spec = quasienergies(monodromy(params, flux_s, drive_amp, drive_freq, dt, sectors=(sector,)))
-    total = (np.abs(pair_vecs.conj().T @ spec.states) ** 2).sum(axis=0)
-    top2 = np.argsort(total)[-2:]
-    e1, e2 = spec.quasienergies[top2[0]], spec.quasienergies[top2[1]]
+    total = (np.abs(pair_vecs.conj().T @ spec.states[0]) ** 2).sum(axis=0)
+    e1, e2 = spec.quasienergies[0][np.argsort(total)[-2:]]
     d = abs(e1 - e2) % drive_freq
     return float(min(d, drive_freq - d))
 
@@ -280,10 +281,12 @@ def extract_transition(
     order; ``found`` is False when the minimum sits on the window edge.
 
     Every scan point steps and solves only the parity sector that holds
-    the pair (see the module docstring). Raises ValueError when the two
-    labels of the pair are equal, and DomainError (also a ValueError)
-    when they lie in different parity sectors, neither of which has a
-    transition, or when the window reaches 0 GHz or below.
+    the pair (see the module docstring), and each evaluated frequency is
+    stepped once. Raises ValueError when the two labels of the pair are
+    equal, and DomainError (also a ValueError) when they lie in
+    different parity sectors, neither of which has a transition, when
+    the window reaches 0 GHz or below, or when ``dt`` does not resolve
+    its top frequency; all of these before any point is stepped.
     """
     lo, hi = omega_window
     if not hi > lo:
@@ -301,28 +304,32 @@ def extract_transition(
             f"pair {pair[0]}, {pair[1]} spans both parity sectors, "
             "which the drive does not couple"
         )
+    # Every point, the refine's too, lies in the window: resolving its top
+    # resolves them all.
+    _check_drive_resolved(dt, hi)
     frame = dressed_frame(params, flux_s)
-    pair_vecs = frame.states[:, [frame.index_of(lab) for lab in pair]]
+    rows = assemble_operators(params).sectors[sector]
+    pair_vecs = frame.states[np.ix_(rows, [frame.index_of(lab) for lab in pair])]
+    gap_at: dict[float, float] = {}
+
+    def gaps(fs):
+        for f in fs:
+            if f not in gap_at:
+                gap_at[f] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
+        return np.array([gap_at[f] for f in fs])
 
     freqs = np.linspace(lo, hi, resolution)
-    gaps = np.array([_pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
-                     for f in freqs])
-
-    i_min = int(np.argmin(gaps))
+    g_scan = gaps(freqs)
+    i_min = int(np.argmin(g_scan))
     if i_min == 0 or i_min == resolution - 1:
-        return TransitionResult(False, np.nan, np.nan, freqs, gaps)
+        return TransitionResult(False, np.nan, np.nan, freqs, g_scan)
 
     # The refine grid's ends are the scan points either side of i_min and,
-    # REFINE_POINTS being odd, its middle is freqs[i_min] to 1 ulp: those
-    # three scan points are reused instead of stepped again.
+    # REFINE_POINTS being odd, its middle is freqs[i_min] to 1 ulp: it takes
+    # those three scan points, whose gaps are known.
     f_ref = np.linspace(freqs[i_min - 1], freqs[i_min + 1], REFINE_POINTS)
-    reused = [0, REFINE_POINTS // 2, REFINE_POINTS - 1]
-    f_ref[reused] = freqs[i_min - 1 : i_min + 2]
-    g_ref = np.empty(REFINE_POINTS)
-    g_ref[reused] = gaps[i_min - 1 : i_min + 2]
-    fresh = [i for i in range(REFINE_POINTS) if i not in reused]
-    for i in fresh:
-        g_ref[i] = _pair_gap(params, flux_s, drive_amp, f_ref[i], pair_vecs, dt, sector)
+    f_ref[[0, REFINE_POINTS // 2, -1]] = freqs[i_min - 1 : i_min + 2]
+    g_ref = gaps(f_ref)
 
     j = int(np.argmin(g_ref))
     j = min(max(j, 1), REFINE_POINTS - 2)
@@ -339,7 +346,5 @@ def extract_transition(
         omega_res = float(f_ref[j])
         strength = float(g_ref[j])
 
-    all_freqs = np.concatenate([freqs, f_ref[fresh]])
-    all_gaps = np.concatenate([gaps, g_ref[fresh]])
-    order = np.argsort(all_freqs)
-    return TransitionResult(True, omega_res, strength, all_freqs[order], all_gaps[order])
+    scanned = np.array(sorted(gap_at))
+    return TransitionResult(True, omega_res, strength, scanned, gaps(scanned))

@@ -479,11 +479,12 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     # 50 ps resolves neither the drive nor one Floquet period. The gate's
     # drive frequency is found at run time, so the run fails, not the
     # load (a scan's frequencies are checked at load, and so are a gate's
-    # when it sets freq_max).
+    # when it sets freq_max). The seed's scan refuses the top of its
+    # window before it steps any point.
     cfg = write_cfg(tmp_path, "[output]\ndt = 0.05\n\n[gate]\nflux_idle = 0.35\ngate_time = 30.0\n")
     out = tmp_path / "o"
     assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
-    gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.62e-03 ns"
+    gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.56e-03 ns"
     assert f"error: {gate_message}" in capsys.readouterr().err
     # The run directory is not left empty: its sidecar records the error.
     meta = run_json(only_run_dir(out, "gate-opt"))

@@ -91,13 +91,19 @@ def test_fold_window():
 
 def test_zero_amplitude_reduces_to_dressed(params500):
     f_p = 10.79
-    spec = quasienergies(monodromy(params500, 0.35, 0.0, f_p, dt=0.002))
+    mono = monodromy(params500, 0.35, 0.0, f_p, dt=0.002)
+    spec = quasienergies(mono)
     frame = dressed_frame(params500, 0.35)
-    # Undriven, each Floquet mode is the dressed state it overlaps most.
-    dressed_for = np.argmax(np.abs(frame.states.conj().T @ spec.states), axis=0)
-    assert np.array_equal(np.sort(dressed_for), np.arange(params500.dim))
-    worst = np.max(np.abs(fold(spec.quasienergies - frame.energies[dressed_for], f_p)))
-    assert worst < 1e-9
+    sectors = assemble_operators(params500).sectors
+    assert mono.sectors == (0, 1)
+    for s, eps, z in zip(mono.sectors, spec.quasienergies, spec.states):
+        members = frame.sectors[s]
+        q = frame.states[np.ix_(sectors[s], members)]
+        # Undriven, each Floquet mode is the dressed state it overlaps most.
+        dressed_for = np.argmax(np.abs(q.conj().T @ z), axis=0)
+        assert np.array_equal(np.sort(dressed_for), np.arange(members.size))
+        worst = np.max(np.abs(fold(eps - frame.energies[members][dressed_for], f_p)))
+        assert worst < 1e-9
 
 
 @pytest.mark.parametrize("amp", sorted(FROZEN))
@@ -178,6 +184,39 @@ def test_window_guards(params500):
         extract_transition(params500, 0.35, 0.03, BSWAP, (-0.1, 10.8))
 
 
+@pytest.fixture
+def pair_gap_calls(monkeypatch):
+    """Drive frequencies of every ``floquet._pair_gap`` call, in order."""
+    calls = []
+    original = floquet._pair_gap
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(floquet, "_pair_gap", counted)
+    return calls
+
+
+@pytest.mark.parametrize("window, found", [((10.766, 10.806), True), ((10.90, 10.96), False)])
+@pytest.mark.parametrize("resolution", [5, 9])
+def test_each_reported_frequency_is_stepped_once(params500, pair_gap_calls, window, found,
+                                                 resolution):
+    tr = extract_transition(params500, 0.35, 0.03, BSWAP, window, resolution, dt=0.002)
+    assert tr.found == found
+    assert tr.scan_freqs.size == resolution + 6 * found
+    assert sorted(pair_gap_calls) == tr.scan_freqs.tolist()
+    assert np.all(np.diff(tr.scan_freqs) > 0)
+
+
+def test_an_unresolved_window_top_fails_before_any_point(params500, pair_gap_calls):
+    # dt = 2 ps resolves drives up to 12.5 GHz: all but the top scan point
+    # of this window would be stepped before the top one raised.
+    with pytest.raises(DomainError, match="does not resolve the drive"):
+        extract_transition(params500, 0.35, 0.03, BSWAP, (12.3, 12.6), 5, dt=2e-3)
+    assert pair_gap_calls == []
+
+
 def test_pair_of_one_state_is_rejected(params500):
     # Both tracked modes would be one state's: a zero "gap" at every
     # frequency, reported as a resonance of strength 0.
@@ -200,7 +239,6 @@ def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, f
     params = replace(params500, n_coupler_levels=levels)
     full = monodromy(params, 0.35, 0.045, freq, dt=dt)
     full_spec = quasienergies(full)
-    members_of = dressed_frame(params, 0.35).sectors
     sectors = assemble_operators(params).sectors
     width = max(rows.size for rows in sectors)
     assert full.blocks.shape == (len(sectors), width, width)
@@ -214,10 +252,11 @@ def test_restricted_monodromy_is_the_full_block_bit_for_bit(params500, levels, f
         padded[: rows.size, : rows.size] = part.blocks[0, : rows.size, : rows.size]
         assert np.array_equal(part.blocks[0], padded)
 
-        # One mode per dressed state of the sector, in ascending order.
-        spec, members = quasienergies(part), members_of[s]
-        assert np.array_equal(spec.quasienergies, full_spec.quasienergies[members])
-        assert np.array_equal(spec.states, full_spec.states[:, members])
+        # The same modes in the same order, on the sector's own rows.
+        spec = quasienergies(part)
+        assert spec.states[0].shape == (rows.size, rows.size)
+        assert np.array_equal(spec.quasienergies[0], full_spec.quasienergies[s])
+        assert np.array_equal(spec.states[0], full_spec.states[s])
 
 
 def test_monodromy_rejects_unknown_sectors(params500):
@@ -243,13 +282,27 @@ def test_extraction_matches_full_spectrum_reference(
         seen.append(sectors)
         return full_monodromy(*args, sectors=sectors, **kwargs)
 
-    def every_sector(*args, sectors=None, **kwargs):
-        return full_monodromy(*args, **kwargs)
+    def full_spectrum_gap(params, flux_s, drive_amp, drive_freq, pair_vecs, dt, sector):
+        # Every sector stepped and solved, its modes placed on the full
+        # space, and the pair's full dressed vectors projected on all of them.
+        mono = full_monodromy(params, flux_s, drive_amp, drive_freq, dt)
+        spec = quasienergies(mono)
+        sectors = assemble_operators(params).sectors
+        modes = []
+        for s, z in zip(mono.sectors, spec.states):
+            modes.append(np.zeros((params.dim, z.shape[1]), dtype=complex))
+            modes[-1][sectors[s]] = z
+        modes = np.hstack(modes)
+        frame = dressed_frame(params, flux_s)
+        vecs = frame.states[:, [frame.index_of(lab) for lab in pair]]
+        total = (np.abs(vecs.conj().T @ modes) ** 2).sum(axis=0)
+        e1, e2 = np.concatenate(spec.quasienergies)[np.argsort(total)[-2:]]
+        d = abs(e1 - e2) % drive_freq
+        return min(d, drive_freq - d)
 
     monkeypatch.setattr(floquet, "monodromy", recorded)
     got = extract_transition(params, 0.35, amp, pair, window, 9, dt=2e-3)
-    # The full-spectrum route: quasienergies(monodromy(...)) of every sector.
-    monkeypatch.setattr(floquet, "monodromy", every_sector)
+    monkeypatch.setattr(floquet, "_pair_gap", full_spectrum_gap)
     ref = extract_transition(params, 0.35, amp, pair, window, 9, dt=2e-3)
 
     assert sorted(set(seen)) == stepped
@@ -335,7 +388,8 @@ def test_flat_step_unitary(params500, flux, h):
 
 def test_seed_monodromy_count(params500, rc500, monkeypatch):
     # 25-point probe + 13-point re-extraction, each refined on 9 points of
-    # which 3 are reused from the scan: (25 + 6) + (13 + 6) = 50.
+    # which 3 are scan points, whose gaps the call already holds:
+    # (25 + 6) + (13 + 6) = 50.
     calls = []
     original = floquet.monodromy
 
@@ -350,14 +404,14 @@ def test_seed_monodromy_count(params500, rc500, monkeypatch):
 
 # -- Cayley-transform eigensolve of the monodromy -----------------------------
 
-def _dense(mono):
-    """The monodromy as one full-space matrix, zero between sectors."""
+def _solved_blocks(mono):
+    """Each stepped block without its pad, with its Floquet eigenvalues
+    and modes from ``quasienergies``."""
+    spec = quasienergies(mono)
     sectors = assemble_operators(mono.params).sectors
-    m = np.zeros((mono.params.dim, mono.params.dim), dtype=complex)
-    for s, block in zip(mono.sectors, mono.blocks):
-        rows = sectors[s]
-        m[np.ix_(rows, rows)] = block[: rows.size, : rows.size]
-    return m
+    for s, block, eps, z in zip(mono.sectors, mono.blocks, spec.quasienergies, spec.states):
+        n = sectors[s].size
+        yield block[:n, :n], np.exp(-2j * np.pi * eps / mono.drive_freq), z
 
 
 @settings(max_examples=15, deadline=None)
@@ -370,16 +424,14 @@ def _dense(mono):
 @example(flux_s=0.0, amp=0.09, freq=2.0)
 def test_cayley_modes_match_schur(params500, flux_s, amp, freq):
     mono = monodromy(params500, flux_s, amp, freq, dt=2e-3)
-    spec = quasienergies(mono)
-    lam = np.exp(-2j * np.pi * spec.quasienergies / freq)
-    m = _dense(mono)
-    ref = np.diag(schur(m, output="complex")[0])
-    apart = np.abs(np.angle(lam[:, None] / ref[None, :]))
-    assert apart.min(axis=1).max() <= 1e-11
-    assert apart.min(axis=0).max() <= 1e-11
-    z = spec.states
-    assert np.max(np.abs(m @ z - z * lam)) <= 1e-10
-    assert np.max(np.abs(z.conj().T @ z - np.eye(params500.dim))) <= 1e-10
+    assert mono.sectors == (0, 1)
+    for m, lam, z in _solved_blocks(mono):
+        ref = np.diag(schur(m, output="complex")[0])
+        apart = np.abs(np.angle(lam[:, None] / ref[None, :]))
+        assert apart.min(axis=1).max() <= 1e-11
+        assert apart.min(axis=0).max() <= 1e-11
+        assert np.max(np.abs(m @ z - z * lam)) <= 1e-10
+        assert np.max(np.abs(z.conj().T @ z - np.eye(m.shape[0]))) <= 1e-10
 
 
 def test_cayley_shift_clears_the_spectrum_at_strong_drive(params500):
@@ -387,10 +439,8 @@ def test_cayley_shift_clears_the_spectrum_at_strong_drive(params500):
     # the phases of the bare-basis diagonal put -1 within 3e-8 of an
     # eigenvalue here, those of the dressed-basis diagonal do not.
     mono = monodromy(params500, 0.35, 0.10919916450001314, 10.756214056060857, dt=5e-4)
-    spec = quasienergies(mono)
-    lam = np.exp(-2j * np.pi * spec.quasienergies / mono.drive_freq)
-    z = spec.states
-    assert np.max(np.abs(_dense(mono) @ z - z * lam)) <= 1e-10
+    for m, lam, z in _solved_blocks(mono):
+        assert np.max(np.abs(m @ z - z * lam)) <= 1e-10
 
 
 def _built_monodromy(params, eps, freq, scale=1.0):
@@ -410,7 +460,7 @@ def test_eigensolve_guard_rejects_a_non_unitary_matrix(params500):
     f = 10.79
     eps = np.linspace(-f / 2, f / 2, params500.dim, endpoint=False)
     spec = quasienergies(_built_monodromy(params500, eps, f))
-    assert np.max(np.abs(np.sort(spec.quasienergies) - eps)) <= 1e-9
+    assert np.max(np.abs(np.sort(np.concatenate(spec.quasienergies)) - eps)) <= 1e-9
     with pytest.raises(IntegrationError, match="modulus"):
         quasienergies(_built_monodromy(params500, eps, f, scale=1.0 + 1e-8))
     with pytest.raises(IntegrationError, match="residual nan"):
