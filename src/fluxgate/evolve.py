@@ -200,7 +200,7 @@ def dressed_frame(params: CompositeParams, flux: float) -> LabeledSpectrum:
     A miss costs 3.2 ms at one BLAS thread on 2 vCPUs, where one 150-state
     eigensolve alone takes 1.9 ms. A grid command visits at most two
     fluxes, the idle and the interaction bias: traced on the benchmark
-    (seed 1), a ``calibrate`` cell makes 121 lookups with 2 misses and a
+    (seed 1), a ``calibrate`` cell makes 58 lookups with 2 misses and a
     ``propagate`` run 142 with 1, so 32 entries never evict.
     """
     frame = label_eigenstates(build_hamiltonian(params, flux))
@@ -265,8 +265,8 @@ def _flat_step(
     75 x 75 product per new step length, 0.14 ms at one BLAS thread on
     2 vCPUs (0.55 ms for one 150 x 150); a chevron column or a Floquet
     seed point steps one sector and builds only that one.
-    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 61 of
-    75 lookups, since each monodromy and each flat top's lead-in steps a
+    Traced on the benchmark (seed 1), a ``calibrate`` cell misses 30 of
+    43 lookups, since each monodromy and each flat top's lead-in steps a
     length that no other drive frequency repeats; its hits are
     drive-flank steps shared by one search's evaluations and the
     flat-top steps of simplex vertices at one frequency. A ``propagate``

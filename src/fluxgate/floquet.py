@@ -50,12 +50,21 @@ every rotated eigenvalue and the residual max |M Z - Z Lambda| at most
 checked against the unitarity limit, so an alpha that lands next to an
 eigenvalue raises instead of returning inaccurate modes.
 
-Transition extraction scans f_p across a window, tracks the driven pair
-by projecting Floquet modes onto the two target dressed states, then
-refines the crossing with a local rescan and a parabolic fit of the
-squared gap, which is quadratic in detuning near a two-level avoided
-crossing. Each drive frequency is stepped once per call: the rescan's
-ends and middle are scan points, whose gaps it looks up. Modes of a
+Transition extraction walks f_p over a grid across a window, tracks
+the driven pair by projecting Floquet modes onto the two target dressed
+states, then refines the crossing with a local rescan and a parabolic
+fit of the squared gap, which is quadratic in detuning near a two-level
+avoided crossing. The walk starts at the grid point nearest the pair's
+dressed splitting, where a weak drive's resonance sits, steps the
+current point's two neighbours and moves to the lower, until it stands
+on a local minimum: the seed's probe steps 3 of its 25 points, not all.
+A walk that ends on the window's edge steps the whole grid and takes its
+argmin, so a scan that finds no interior minimum reports what a full
+scan does. Where the gap has more than one interior minimum on the grid,
+the walk keeps the one downhill of the splitting, which need not be the
+lowest. The rescan's argmin is taken over all its points. Each drive
+frequency is stepped once per call: the rescan's ends and middle are
+the walk's last three points, whose gaps it looks up. Modes of a
 sector that holds neither state of the pair have no overlap with it, so
 every scan point steps and solves only the sector that holds the pair,
 the even one for |101> <-> |202>, and projects the pair on that
@@ -273,12 +282,22 @@ def extract_transition(
 ) -> TransitionResult:
     """Locate a parametric resonance between two dressed states.
 
-    Scans the drive frequency across ``omega_window``, tracking the two
-    Floquet modes with the largest projection onto the dressed ``pair``
-    at each point, and returns the gap minimum refined by a local rescan
-    plus a parabolic fit of gap squared. The result reports the scanned
-    gap curve either way, each evaluated frequency once and in ascending
-    order; ``found`` is False when the minimum sits on the window edge.
+    Walks the drive frequency over ``resolution`` points spanning
+    ``omega_window``, tracking the two Floquet modes with the largest
+    projection onto the dressed ``pair`` at each point, and returns the
+    gap minimum refined by a local rescan plus a parabolic fit of gap
+    squared. The walk starts at the point nearest the pair's dressed
+    splitting |E(pair[1]) - E(pair[0])| and steps downhill, ties to the
+    lower frequency, to the first local minimum. If that lies on the
+    window's edge, every point is stepped and the grid's argmin is taken,
+    as a full scan would; ``found`` is False when that too sits on the
+    edge. ``found``, ``omega_res`` and ``strength`` are a full scan's
+    whenever the walk's minimum is the grid's lowest, as on one avoided
+    crossing; where the gaps have a lower second minimum, the walk keeps
+    the one downhill of the splitting.
+    The result reports the evaluated gap curve either way, each evaluated
+    frequency once and in ascending order: the walked points and the
+    rescan when found, the whole grid when not.
 
     Every scan point steps and solves only the parity sector that holds
     the pair (see the module docstring), and each evaluated frequency is
@@ -309,7 +328,8 @@ def extract_transition(
     _check_drive_resolved(dt, hi)
     frame = dressed_frame(params, flux_s)
     rows = assemble_operators(params).sectors[sector]
-    pair_vecs = frame.states[np.ix_(rows, [frame.index_of(lab) for lab in pair])]
+    pair_idx = [frame.index_of(lab) for lab in pair]
+    pair_vecs = frame.states[np.ix_(rows, pair_idx)]
     gap_at: dict[float, float] = {}
 
     def gaps(fs):
@@ -318,11 +338,24 @@ def extract_transition(
                 gap_at[f] = _pair_gap(params, flux_s, drive_amp, f, pair_vecs, dt, sector)
         return np.array([gap_at[f] for f in fs])
 
+    # Walk downhill from the grid point nearest the pair's splitting, one
+    # neighbour pair at a time, to the first local minimum. The walk only
+    # ever moves one way and ends on the argmin of the points it stepped.
     freqs = np.linspace(lo, hi, resolution)
-    g_scan = gaps(freqs)
-    i_min = int(np.argmin(g_scan))
+    split = abs(frame.energies[pair_idx[1]] - frame.energies[pair_idx[0]])
+    i_min = int(np.argmin(np.abs(freqs - split)))
+    while True:
+        near = np.arange(max(i_min - 1, 0), min(i_min + 2, resolution))
+        i_next = int(near[np.argmin(gaps(freqs[near]))])
+        if i_next == i_min:
+            break
+        i_min = i_next
     if i_min == 0 or i_min == resolution - 1:
-        return TransitionResult(False, np.nan, np.nan, freqs, g_scan)
+        # A walk to the edge falls back on the whole grid.
+        g_scan = gaps(freqs)
+        i_min = int(np.argmin(g_scan))
+        if i_min == 0 or i_min == resolution - 1:
+            return TransitionResult(False, np.nan, np.nan, freqs, g_scan)
 
     # The refine grid's ends are the scan points either side of i_min and,
     # REFINE_POINTS being odd, its middle is freqs[i_min] to 1 ulp: it takes

@@ -846,7 +846,8 @@ def test_spectrum_runs_regenerate_the_committed_ones(tmp_path):
                                ("shift-scan", "set500.cfg", "shift-scan-0d11309f3db1"),
                                ("shift-scan", "set300.cfg", "shift-scan-a2a5c8ad3782"),
                                ("chevron", "set500.cfg", "chevron-57ef47394370"),
-                               ("floquet", "set500.cfg", "floquet-a8f628aea985")]:
+                               ("floquet", "set500.cfg", "floquet-a8f628aea985"),
+                               ("floquet", "set300.cfg", "floquet-11a6402797fe")]:
         out = tmp_path / command / name
         assert main([command, "--config", str(data / name), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [run]

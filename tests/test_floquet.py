@@ -29,6 +29,7 @@ from fluxgate.floquet import (
 from fluxgate.system import assemble_operators
 
 from dense_model import dense_operators
+from full_scan import full_scan_transition
 
 BSWAP = ((1, 0, 1), (2, 0, 2))
 
@@ -129,8 +130,10 @@ def test_small_amplitude_resonance_matches_dressed_splitting(params500):
     )
     assert tr.found
     assert abs(tr.omega_res - splitting) < 1e-3
-    # 9 scan points plus the 6 refine points that are not scan points.
-    assert tr.scan_freqs.shape == tr.gaps.shape == (15,)
+    # The walk starts at the scan point nearest the splitting, which is
+    # the minimum: it and its two neighbours, plus the 6 refine points
+    # that are not scan points.
+    assert tr.scan_freqs.shape == tr.gaps.shape == (9,)
     assert np.all(np.diff(tr.scan_freqs) > 0)
 
 
@@ -204,7 +207,10 @@ def test_each_reported_frequency_is_stepped_once(params500, pair_gap_calls, wind
                                                  resolution):
     tr = extract_transition(params500, 0.35, 0.03, BSWAP, window, resolution, dt=0.002)
     assert tr.found == found
-    assert tr.scan_freqs.size == resolution + 6 * found
+    # Found, the walk stops at its start, the point nearest the splitting,
+    # after stepping its two neighbours, and the refine adds 6 points;
+    # not found, the walk reaches the edge and the whole grid is stepped.
+    assert tr.scan_freqs.size == (3 + 6 if found else resolution)
     assert sorted(pair_gap_calls) == tr.scan_freqs.tolist()
     assert np.all(np.diff(tr.scan_freqs) > 0)
 
@@ -224,6 +230,118 @@ def test_pair_of_one_state_is_rejected(params500):
         extract_transition(
             params500, 0.35, 0.03, ((1, 0, 1), (1, 0, 1)), (10.70, 10.86), 9, dt=2e-3
         )
+
+
+
+# -- the downhill walk against a full scan of the grid -------------------------
+
+def _crossing(g, s, f0):
+    """A ``floquet._pair_gap`` stand-in: one avoided crossing of minimum
+    gap ``g`` at ``f0``, the gap sqrt(g^2 + s^2 (f - f0)^2)."""
+    def gap(params, flux_s, drive_amp, drive_freq, pair_vecs, dt, sector):
+        return float(np.sqrt(g**2 + (s * (drive_freq - f0)) ** 2))
+    return gap
+
+
+def _splitting(params, flux_s=0.35):
+    frame = dressed_frame(params, flux_s)
+    return frame.energy_of(BSWAP[1]) - frame.energy_of(BSWAP[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo_from_split=st.floats(-0.3, 0.1),
+    width=st.floats(0.01, 0.3),
+    resolution=st.integers(5, 61),
+    f0_in_window=st.floats(-0.5, 1.5),
+    g=st.floats(1e-4, 0.02),
+    s=st.floats(0.05, 1.0),
+)
+@example(lo_from_split=-0.08, width=0.12, resolution=25, f0_in_window=0.68, g=6e-3, s=1.0)
+@example(lo_from_split=0.05, width=0.06, resolution=13, f0_in_window=0.5, g=1e-3, s=0.5)
+@example(lo_from_split=-0.08, width=0.12, resolution=25, f0_in_window=1.2, g=6e-3, s=1.0)
+@example(lo_from_split=-0.08, width=0.12, resolution=25, f0_in_window=-0.3, g=6e-3, s=1.0)
+def test_walk_matches_a_full_scan_on_one_crossing(params500, lo_from_split, width, resolution,
+                                                  f0_in_window, g, s):
+    # On one crossing the gaps fall towards f0 and rise after it, rounding
+    # included, so the walk ends on the grid's argmin from any start; a
+    # walk to the edge falls back on the whole grid. The walk reports a
+    # subset of the full scan's curve, the whole of it when not found.
+    lo = _splitting(params500) + lo_from_split
+    window = (lo, lo + width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_pair_gap", _crossing(g, s, lo + f0_in_window * width))
+        got = extract_transition(params500, 0.35, 0.03, BSWAP, window, resolution, dt=2e-3)
+        ref = full_scan_transition(params500, 0.35, 0.03, BSWAP, window, resolution, dt=2e-3)
+    assert got.found == ref.found
+    assert np.array_equal([got.omega_res, got.strength], [ref.omega_res, ref.strength],
+                          equal_nan=True)
+    ref_gaps = dict(zip(ref.scan_freqs.tolist(), ref.gaps.tolist()))
+    assert [ref_gaps[f] for f in got.scan_freqs.tolist()] == got.gaps.tolist()
+    if not ref.found:
+        assert np.array_equal(got.scan_freqs, ref.scan_freqs)
+
+
+def test_walk_keeps_the_minimum_downhill_of_the_splitting(params500, monkeypatch):
+    # A shallow crossing 1.3 MHz above the splitting and a deeper one on a
+    # scan point 60 MHz below it: the full scan takes the deeper, the walk
+    # from the splitting stops in the shallow one.
+    split = _splitting(params500)
+    near, far = _crossing(6e-3, 1.0, split + 1.3e-3), _crossing(2e-3, 1.0, split - 0.06)
+    monkeypatch.setattr(floquet, "_pair_gap", lambda *args: min(near(*args), far(*args)))
+    window = (split - 0.08, split + 0.04)
+    got = extract_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    ref = full_scan_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    assert got.found and ref.found
+    assert got.omega_res == pytest.approx(split + 1.3e-3, abs=1e-6)
+    assert got.strength == pytest.approx(6e-3, rel=1e-6)
+    assert ref.omega_res == pytest.approx(split - 0.06, abs=1e-6)
+    assert ref.strength == pytest.approx(2e-3, rel=1e-6)
+    assert got.scan_freqs.size == 3 + 6
+
+
+def test_a_walk_to_the_edge_falls_back_on_the_whole_grid(params500, monkeypatch):
+    # Downhill of the splitting the gap falls to the window's top, past
+    # which its crossing lies: the whole grid is stepped, and its interior
+    # argmin, the deeper crossing 60 MHz below the splitting, is found.
+    split = _splitting(params500)
+    edge, far = _crossing(6e-3, 1.0, split + 0.05), _crossing(2e-3, 1.0, split - 0.06)
+    monkeypatch.setattr(floquet, "_pair_gap", lambda *args: min(edge(*args), far(*args)))
+    window = (split - 0.08, split + 0.04)
+    got = extract_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    ref = full_scan_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    assert got.found and got.omega_res == pytest.approx(split - 0.06, abs=1e-6)
+    assert (got.omega_res, got.strength) == (ref.omega_res, ref.strength)
+    assert np.array_equal(got.scan_freqs, ref.scan_freqs)
+    assert np.array_equal(got.gaps, ref.gaps)
+    assert got.scan_freqs.size == 25 + 6
+
+
+@pytest.mark.parametrize("bottom_from_split", [-0.03, 0.0, 0.03])
+def test_walk_breaks_ties_to_the_lower_frequency(params500, monkeypatch, bottom_from_split):
+    # A flat-bottomed gap, exactly 2 MHz on the 5 scan points within
+    # 12 MHz of its middle: the walk, like argmin, ends on the lowest in
+    # frequency of them, whether it enters the bottom from above, from
+    # below or starts in it.
+    split = _splitting(params500)
+    middle = split + bottom_from_split
+    monkeypatch.setattr(floquet, "_pair_gap",
+                        lambda *args: 2e-3 + max(abs(args[3] - middle) - 0.012, 0.0))
+    window = (split - 0.06, split + 0.06)
+    got = extract_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    ref = full_scan_transition(params500, 0.35, 0.02, BSWAP, window, 25, dt=2e-3)
+    assert got.found and ref.found
+    assert (got.omega_res, got.strength) == (ref.omega_res, ref.strength)
+
+
+@pytest.mark.parametrize("gate_time, drive_ramp", [(65.0, 5.0), (70.0, 5.0)])
+def test_seed_matches_the_full_scan_seed(params500, rc500, monkeypatch, gate_time, drive_ramp):
+    # 70/5 seeds at 10.790050 GHz, on a narrow dip that the refine's full
+    # argmin finds; walking the refine too would miss it and move the seed.
+    cfg = replace(rc500.require("gate"), gate_time=gate_time, drive_ramp=drive_ramp)
+    seed = gates._seed_from_floquet(params500, cfg)
+    monkeypatch.setattr(gates, "extract_transition", full_scan_transition)
+    assert gates._seed_from_floquet(params500, cfg) == seed
 
 
 # -- the seed steps only the sectors that hold its pair ----------------------
@@ -387,9 +505,12 @@ def test_flat_step_unitary(params500, flux, h):
 
 
 def test_seed_monodromy_count(params500, rc500, monkeypatch):
-    # 25-point probe + 13-point re-extraction, each refined on 9 points of
-    # which 3 are scan points, whose gaps the call already holds:
-    # (25 + 6) + (13 + 6) = 50.
+    # The 25-point probe and the 13-point re-extraction each start their
+    # walk at the scan point nearest the splitting, which is the minimum
+    # of both on set500: that point and its two neighbours. Each refines
+    # on 9 points of which those 3 are scan points, whose gaps the call
+    # already holds: (3 + 6) + (3 + 6) = 18, where a full scan of both
+    # grids steps (25 + 6) + (13 + 6) = 50.
     calls = []
     original = floquet.monodromy
 
@@ -399,7 +520,7 @@ def test_seed_monodromy_count(params500, rc500, monkeypatch):
 
     monkeypatch.setattr(floquet, "monodromy", counted)
     gates._seed_from_floquet(params500, rc500.require("gate"))
-    assert len(calls) == 50
+    assert len(calls) == 18
 
 
 # -- Cayley-transform eigensolve of the monodromy -----------------------------
