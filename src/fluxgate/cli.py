@@ -1,22 +1,27 @@
 """Command-line entry points for every bundled experiment.
 
 Each command reads one INI config, validates it fully before touching
-the filesystem, and writes a CSV (or, for ``gate-opt``, a JSON report
-and ``trace.jsonl``, one JSON line per objective evaluation in order)
-plus a versioned JSON sidecar into a content-addressed run directory.
-Every grid command runs its points through ``_run_points``, which holds
-the one failure rule: a point fails when its worker raises a library
-error (``FluxgateError``), or when it finishes with a value the
-command's rule marks unmet (a Floquet transition not found, a
-calibration that stagnated). Failures are logged in the sidecar and
-reflected in the exit code while the scan continues; any other
-exception is a bug and propagates. Values and failures of both kinds
-come back in job order, fresh or resumed, so output does not depend on
-the order in which points finish. Every finished point, met or not, is
-checkpointed with the ``code_digest`` of the package's sources, so
-``--resume`` skips it without recomputing and retries raised points and
-points another build computed: a checkpoint is reused only by the build
-that wrote it. A pool runs min(workers, cores, pending points)
+the filesystem, and writes into a content-addressed run directory its
+outputs and a versioned JSON sidecar, ``run.json``. The outputs are
+``result.csv``, but for ``gate-opt`` ``report.json`` (a calibration's
+report) and ``trace.jsonl`` (one JSON line per objective evaluation, in
+order); ``gate-sweep`` also writes ``reports.jsonl``, one line per
+finished cell in row order with the cell's ``gate_time`` and
+``drive_ramp`` and gate-opt's two files as ``report`` and ``trace``.
+Every command but ``spectrum`` runs its points through ``_run_points``,
+a gate-opt calibration as its one point, the ``[gate]`` cell keyed as a
+gate-sweep cell. The runner holds the one failure rule: a point fails
+when its worker raises a library error (``FluxgateError``), or when it
+finishes with a value the command's rule marks unmet (a Floquet
+transition not found, a calibration that stagnated). Failures are logged
+in the sidecar and reflected in the exit code while the scan continues;
+any other exception is a bug and propagates. Values and failures of both
+kinds come back in job order, fresh or resumed, so output does not
+depend on the order in which points finish. Every finished point, met or
+not, is checkpointed with the ``code_digest`` of the package's sources,
+so ``--resume`` skips it without recomputing and retries raised points
+and points another build computed: a checkpoint is reused only by the
+build that wrote it. A pool runs min(workers, cores, pending points)
 processes, and a pool of one runs in this process.
 
 Every library call computes at one OpenBLAS thread (see ``backends``),
@@ -25,13 +30,12 @@ so results depend neither on ``--workers`` nor on the caller's count.
 A library error raised outside the point runner fails the whole run:
 the sidecar lists it as the run's one failure, under the command's name.
 
-Exit codes: 0 clean, 1 at least one point or optimization failed,
-2 configuration or usage errors (nothing is written).
+Exit codes: 0 clean, 1 at least one point failed, 2 configuration or
+usage errors (nothing is written).
 
 Output files use GHz, ns, and flux quanta, matching the config format.
-The integrator step comes from ``[output] dt``, in ns, alone. Both gate
-commands calibrate through ``gates.optimize_cz`` with ``dt`` as its
-final step: the seed and the scores use ``dt``, and the search its
+The integrator step comes from ``[output] dt``, in ns, alone: a
+calibration seeds and scores at ``dt`` and searches at
 ``gates.search_dt``.
 Each run setting has one source: the config holds what determines the
 results, which the run id hashes, and the command line holds where the
@@ -288,15 +292,12 @@ def _floquet_point(params, flux_s, amp, pair, window, resolution, dt) -> list:
     ]
 
 
-def _sweep_cell(params, gate_cfg, t_g, ramp, dt, restarts, budget) -> list:
+def _sweep_cell(params, gate_cfg, t_g, ramp, dt, restarts, budget) -> dict:
     result = gates.optimize_cz(
         params, replace(gate_cfg, gate_time=t_g, drive_ramp=ramp), final_dt=dt,
         restarts=restarts, budget=budget,
     )
-    return [
-        result.metrics.error, result.metrics.leakage, result.omega_p,
-        result.drive_amp, result.success,
-    ]
+    return {"report": result.report(), "trace": list(result.trace)}
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -473,54 +474,52 @@ def cmd_floquet(rc: RunConfig, run_dir: RunDirectory, workers: int,
     return failures, [csv.name], len(jobs)
 
 
-def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, workers: int,
-                 resume: bool) -> tuple[list[dict], list[str], int]:
+def _calibrate(rc, run_dir, cells, workers, resume) -> tuple[list, list[dict]]:
     gate_cfg = rc.require("gate")
-    result = gates.optimize_cz(rc.params, gate_cfg, final_dt=rc.dt,
-                               restarts=rc.gate_restarts, budget=rc.gate_budget)
-    out = run_dir.write_json("report.json", result.report())
-    trace = run_dir.write_jsonl("trace.jsonl", result.trace)
-    m = result.metrics
-    print(
-        f"optimum: omega_p {result.omega_p:.6f} GHz, amplitude {result.drive_amp:.5f}"
-    )
-    print(
-        f"error {m.error:.3e}, leakage {m.leakage:.3e}, "
-        f"conditional phase {m.conditional_phase:+.5f} rad"
-    )
-    failures = [] if result.success else [{"point": "optimization", "message": STAGNATED}]
-    return failures, [out.name, trace.name], 1
-
-
-def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, workers: int,
-                   resume: bool) -> tuple[list[dict], list[str], int]:
-    gate_cfg = rc.require("gate")
-    cells = rc.require("sweep").cells
     jobs = [
         (f"{_fmt(t_g)}|{_fmt(ramp)}",
          (rc.params, gate_cfg, t_g, ramp, rc.dt, rc.gate_restarts, rc.gate_budget))
         for t_g, ramp in cells
     ]
-    values, failures = _run_points(
-        run_dir, jobs, _sweep_cell, workers, resume,
-        unmet=lambda value: None if value[4] else STAGNATED,
-    )
+    return _run_points(run_dir, jobs, _sweep_cell, workers, resume,
+                       lambda value: None if value["report"]["success"] else STAGNATED)
 
-    # A cell that raised reads as an uncalibrated row.
-    rows = []
-    for (t_g, ramp), value in zip(cells, values):
+
+def cmd_gate_opt(rc: RunConfig, run_dir: RunDirectory, workers: int,
+                 resume: bool) -> tuple[list[dict], list[str], int]:
+    gate = rc.require("gate")
+    (value,), failures = _calibrate(rc, run_dir, [(gate.gate_time, gate.drive_ramp)],
+                                    workers, resume)
+    if value is None:
+        return failures, [], 1
+    report = value["report"]
+    out = run_dir.write_json("report.json", report)
+    trace = run_dir.write_jsonl("trace.jsonl", value["trace"])
+    optimum, m = report["optimum"], report["metrics"]
+    print(f"optimum: omega_p {optimum['omega_p']:.6f} GHz, amplitude {optimum['drive_amp']:.5f}\n"
+          f"error {m['error']:.3e}, leakage {m['leakage']:.3e}, "
+          f"conditional phase {m['conditional_phase']:+.5f} rad")
+    return failures, [out.name, trace.name], 1
+
+
+def cmd_gate_sweep(rc: RunConfig, run_dir: RunDirectory, workers: int,
+                   resume: bool) -> tuple[list[dict], list[str], int]:
+    cells = rc.require("sweep").cells
+    values, failures = _calibrate(rc, run_dir, cells, workers, resume)
+    # A cell that raised reads as an uncalibrated row, with no report line.
+    rows, reports = [], []
+    for (t_g, ramp), value in sorted(zip(cells, values), key=lambda cell: cell[0]):
         if value is None:
-            value = (np.nan,) * 4 + (False,)
-        error, leakage, omega, amp, success = value
-        rows.append([t_g, ramp, error, leakage, omega, amp, bool(success)])
-    rows.sort(key=lambda r: (r[0], r[1]))
-    csv = run_dir.write_csv(
-        "result.csv",
-        ["gate_time", "drive_ramp", "error", "leakage", "omega_p", "drive_amp",
-         "success"],
-        rows,
-    )
-    return failures, [csv.name], len(jobs)
+            rows.append([t_g, ramp] + [np.nan] * 4 + [False])
+            continue
+        m, optimum = value["report"]["metrics"], value["report"]["optimum"]
+        rows.append([t_g, ramp, m["error"], m["leakage"], optimum["omega_p"],
+                     optimum["drive_amp"], value["report"]["success"]])
+        reports.append({"gate_time": t_g, "drive_ramp": ramp, **value})
+    csv = run_dir.write_csv("result.csv", ["gate_time", "drive_ramp", "error", "leakage",
+                                           "omega_p", "drive_amp", "success"], rows)
+    lines = run_dir.write_jsonl("reports.jsonl", reports)
+    return failures, [csv.name, lines.name], len(cells)
 
 
 _COMMANDS = {

@@ -63,6 +63,14 @@ AMPLITUDE_ONE = (
     "amp_min = 0.03\namp_max = 0.03\namp_points = 1\n"
 )
 
+# Search window pinned 100 MHz above the resonance: the calibration
+# stagnates, after ten evaluations at 2 ps.
+STAGNATES = (
+    "[output]\ndt = 0.002\n\n[gate]\nflux_idle = 0.35\n"
+    "gate_time = 30.0\nrestarts = 1\nbudget = 10\n"
+    "freq_min = 10.90\nfreq_max = 10.95\namp_min = 0.01\namp_max = 0.05\n\n"
+)
+
 
 def write_cfg(tmp_path, extra="", name="run.cfg"):
     path = tmp_path / name
@@ -111,16 +119,22 @@ def test_spectrum_without_reference(tmp_path, capsys):
     assert "reference comparison" not in capsys.readouterr().out
 
 
-def test_worker_count_invisible_in_results(tmp_path):
-    cfg = write_cfg(tmp_path, "[shift_scan]\nflux_min = 0.0\nflux_max = 0.2\npoints = 3\n")
+@pytest.mark.parametrize("command, extra, code, header", [
+    pytest.param("shift-scan", SCAN3, 0, "flux,shift_p0,shift_p1,zz,ambiguous", id="shift-scan"),
+    # Each cell's report and trace cross the process pool.
+    pytest.param("gate-sweep", STAGNATES + "[gate_sweep]\ngate_times = 30.0, 40.0\n"
+                 "drive_ramps = 5.0\n", 1,
+                 "gate_time,drive_ramp,error,leakage,omega_p,drive_amp,success", id="gate-sweep"),
+])
+def test_worker_count_invisible_in_results(tmp_path, command, extra, code, header):
+    cfg = write_cfg(tmp_path, extra)
     a, b = tmp_path / "w1", tmp_path / "w2"
-    assert main(["shift-scan", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
-    assert main(["shift-scan", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
-    csv_a = (only_run_dir(a, "shift-scan") / "result.csv").read_bytes()
-    csv_b = (only_run_dir(b, "shift-scan") / "result.csv").read_bytes()
-    assert csv_a == csv_b
-    header = csv_a.decode().splitlines()[0]
-    assert header == "flux,shift_p0,shift_p1,zz,ambiguous"
+    assert main([command, "--config", cfg, "--out", str(a), "--workers", "1"]) == code
+    assert main([command, "--config", cfg, "--out", str(b), "--workers", "2"]) == code
+    run_a, run_b = only_run_dir(a, command), only_run_dir(b, command)
+    for name in run_json(run_a)["outputs"]:
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+    assert (run_a / "result.csv").read_text().splitlines()[0] == header
 
 
 def _pid_after_a_nap():
@@ -485,11 +499,11 @@ def test_coarse_dt_is_a_failure_not_a_crash(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
     gate_message = "dt = 0.05 ns does not resolve the drive: need dt <= 3.56e-03 ns"
-    assert f"error: {gate_message}" in capsys.readouterr().err
+    assert f"point failed: 30|5: {gate_message}" in capsys.readouterr().err
     # The run directory is not left empty: its sidecar records the error.
     meta = run_json(only_run_dir(out, "gate-opt"))
     assert meta["failures"] == [
-        {"point": "gate-opt", "message": gate_message}
+        {"point": "30|5", "message": gate_message}
     ]
     assert meta["outputs"] == []
 
@@ -644,6 +658,30 @@ def test_gate_opt_stagnation_report(tmp_path, capsys):
     assert report["objective"] > gates.STAGNATION_LIMIT
 
 
+def test_gate_opt_resume_reuses_a_stagnated_calibration(tmp_path, monkeypatch):
+    # A stagnated calibration is a finished point: --resume writes its
+    # report and trace again from the checkpoint, without calibrating, and
+    # lists the same failure.
+    cfg = write_cfg(tmp_path, STAGNATES)
+    out = tmp_path / "o"
+    assert main(["gate-opt", "--config", cfg, "--out", str(out)]) == 1
+    run_dir = only_run_dir(out, "gate-opt")
+    names = ("report.json", "trace.jsonl")
+    written = {name: (run_dir / name).read_bytes() for name in names}
+    failures = run_json(run_dir)["failures"]
+    assert failures == [{"point": "30|5", "message": cli.STAGNATED}]
+
+    def calibrate(*args, **kwargs):
+        raise AssertionError("the checkpointed calibration ran again")
+
+    monkeypatch.setattr(gates, "optimize_cz", calibrate)
+    for name in names:
+        (run_dir / name).unlink()
+    assert main(["gate-opt", "--config", cfg, "--out", str(out), "--resume"]) == 1
+    assert {name: (run_dir / name).read_bytes() for name in names} == written
+    assert run_json(run_dir)["failures"] == failures
+
+
 def test_gate_sweep_rows(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -670,6 +708,14 @@ SWEEP = (
 )
 
 
+def calibrated(error, leakage, success):
+    """A stand-in for the result of ``gates.optimize_cz``: the parts of its
+    report a gate-sweep row reads, and a one-record trace."""
+    report = {"metrics": {"error": error, "leakage": leakage},
+              "optimum": {"omega_p": 10.8, "drive_amp": 0.05}, "success": success}
+    return SimpleNamespace(report=lambda: report, trace=({"objective": error},))
+
+
 def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
     # A cell whose calibration raised is a failed point and is retried on
     # --resume; a stagnated calibration is finished and is checkpointed.
@@ -679,8 +725,7 @@ def test_gate_sweep_checkpoints_only_finished_cells(tmp_path, monkeypatch):
         calls.append(cfg.gate_time)
         if cfg.gate_time == 30.0:
             raise IntegrationError("norm drifted")
-        return SimpleNamespace(metrics=SimpleNamespace(error=0.5, leakage=0.25),
-                               omega_p=10.8, drive_amp=0.05, success=False)
+        return calibrated(0.5, 0.25, False)
 
     monkeypatch.setattr(gates, "optimize_cz", calibrate)
     cfg = write_cfg(tmp_path, SWEEP)
@@ -713,8 +758,7 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
 
     def calibrate(params, cfg, gate_time=None, dt=0.001, final_dt=None, **kwargs):
         calls.append(cfg.gate_time)
-        return SimpleNamespace(metrics=SimpleNamespace(error=cfg.gate_time * 1e-6, leakage=1e-6),
-                               omega_p=10.8, drive_amp=0.05, success=True)
+        return calibrated(cfg.gate_time * 1e-6, 1e-6, True)
 
     monkeypatch.setattr(gates, "optimize_cz", calibrate)
     cfg = write_cfg(tmp_path, SWEEP)
@@ -723,7 +767,8 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
     assert main(["gate-sweep", "--config", cfg, "--out", str(resumed)]) == 0
     run_dir = only_run_dir(resumed, "gate-sweep")
     old = {"key": "30|5", "value": [0.5, 0.25, 10.7, 0.04, False, "stale"]}
-    live = {"key": "40|5", "value": [40e-6, 1e-6, 10.8, 0.05, True],
+    cell = calibrated(40.0 * 1e-6, 1e-6, True)
+    live = {"key": "40|5", "value": {"report": cell.report(), "trace": list(cell.trace)},
             "code": cli.code_digest()}
     (run_dir / "progress.jsonl").write_text(json.dumps(old) + "\n" + json.dumps(live) + "\n")
     calls.clear()
@@ -731,8 +776,9 @@ def test_gate_sweep_resume_recomputes_an_old_format_checkpoint(tmp_path, monkeyp
         assert main(["gate-sweep", "--config", cfg, "--out", str(resumed), "--resume"]) == 0
     assert calls == [30.0]
     assert "recomputing 1 checkpointed point(s)" in caplog.text
-    expected = (only_run_dir(fresh, "gate-sweep") / "result.csv").read_bytes()
-    assert (run_dir / "result.csv").read_bytes() == expected
+    for name in ("result.csv", "reports.jsonl"):
+        expected = (only_run_dir(fresh, "gate-sweep") / name).read_bytes()
+        assert (run_dir / name).read_bytes() == expected, name
 
 
 def test_gate_sweep_records_a_raised_cell(tmp_path):
@@ -795,6 +841,32 @@ def test_gate_commands_score_at_the_same_step(tmp_path, monkeypatch):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert seen == steps, command
+
+
+def test_gate_opt_is_the_one_cell_gate_sweep(cfg500_path, tmp_path):
+    # Both gate commands calibrate one gate identically, on a one-cell
+    # (65 ns, 5 ns ramp), restarts = 1, budget = 10 cut of set500: each
+    # exits 0, the sweep's report line holds gate-opt's report.json and
+    # trace.jsonl, and its row holds gate-opt's optimum to the 12
+    # significant digits a CSV cell carries.
+    text = Path(cfg500_path).read_text()
+    for key, value in (("restarts", 1), ("budget", 10), ("gate_times", 65), ("drive_ramps", 5)):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    for command in ("gate-opt", "gate-sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    opt, sweep = only_run_dir(out, "gate-opt"), only_run_dir(out, "gate-sweep")
+    report = json.loads((opt / "report.json").read_text())
+    trace = [json.loads(line) for line in (opt / "trace.jsonl").read_text().splitlines()]
+    (line,) = (sweep / "reports.jsonl").read_text().splitlines()
+    assert json.loads(line) == {"gate_time": 65.0, "drive_ramp": 5.0, "report": report,
+                                "trace": trace}
+    header, row = (r.split(",") for r in (sweep / "result.csv").read_text().splitlines())
+    row = dict(zip(header, row))
+    for key in ("omega_p", "drive_amp"):
+        assert row[key] == format(report["optimum"][key], ".12g"), key
 
 
 @pytest.mark.parametrize("command", ["gate-opt", "gate-sweep"])

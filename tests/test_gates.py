@@ -500,8 +500,8 @@ def test_optimize_cz_seeds_at_final_dt(params500, monkeypatch):
 
 
 def test_calibration_steps_no_ramp_down(rc500, monkeypatch):
-    # A gate-sweep cell reads only the metrics: neither its search nor its
-    # final scoring steps a bias ramp-down; the report's channels do.
+    # Neither a calibration's search nor its final scoring steps a bias
+    # ramp-down; only its report's leakage channels do.
     params, cfg = rc500.params, replace(rc500.require("gate"), gate_time=20.0)
     assert cfg.flux_interaction is not None
     monkeypatch.setattr(gates, "_seed_from_floquet", lambda params, cfg, dt: (10.78, 0.05))
